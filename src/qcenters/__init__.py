@@ -9,7 +9,7 @@ verdict, together with self-verifying identity checks.
 """
 
 from .angles import AngleQZ
-from .centers import CenterTower, DualDatum, Verdicts, center_tower, dual_datum, g_check, verdicts, x_star
+from .centers import CenterTower, DualDatum, Verdicts, center_tower, dual_datum, verdicts, x_star
 from .cyclo import CycloNum, cyclotomic_poly, qbinom, qfact, qint, root_of_unity
 from .intlat import (
     FiniteAbelianGroup,
@@ -25,7 +25,7 @@ from .intlat import (
 from .invariants import DimReport, dim_report, dims_uqk, fpdim_fiber, fpdim_sc, simples
 from .kappa import BiformQZ, Radicals, ToralGroups, build_kappa, extend_psi, radicals
 from .qparam import InvariantViolation, ParamClass, QParam, classify, make_param
-from .report import build_report, to_json, to_text
+from .report import Analysis, build_report, to_json, to_text
 from .rmatrix import RSupport, coeff, omega_phase, pairing_diag, support_size
 from .rootdata import (
     DynkinType,
@@ -41,6 +41,7 @@ from .rootdata import (
 from .twistcheck import TwistWitness, commutator_identity, cross_commutator_check, serre_ratio_invariance
 
 __all__ = [
+    "Analysis",
     "AngleQZ",
     "BiformQZ",
     "CenterTower",
@@ -77,7 +78,6 @@ __all__ = [
     "extend_psi",
     "fpdim_fiber",
     "fpdim_sc",
-    "g_check",
     "hnf",
     "index",
     "intersect",

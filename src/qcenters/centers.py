@@ -12,12 +12,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
 from typing import Optional, Sequence
 
 from .angles import AngleQZ
-from .intlat import Lattice, congruence_kernel, hnf, index
-from .qparam import InvariantViolation, QParam
+from .intlat import Lattice, hnf, index
+from .qparam import InvariantViolation, ParamClass, QParam, annihilator
 from .rootdata import DynkinType, RootDatum, Weight, two_rho
 
 
@@ -25,38 +24,10 @@ class DualDatumError(ValueError):
     """Rescaled Cartan integers fell outside the integral validity envelope."""
 
 
-def _angle_constraints(angles: list[list[AngleQZ]]) -> list[tuple[list[int], int]]:
-    """Integer congruences equivalent to 'column angle combinations vanish'."""
-    n = len(angles)
-    constraints = []
-    for j in range(n):
-        den = 1
-        for k in range(n):
-            den = lcm(den, angles[k][j].den)
-        constraints.append(([angles[k][j].num * (den // angles[k][j].den) for k in range(n)], den))
-    return constraints
-
-
-def _kernel_in(ambient: Lattice, angles: list[list[AngleQZ]], rank: int) -> Lattice:
-    kernel = congruence_kernel(_angle_constraints(angles), len(ambient.gens))
-    return hnf([ambient.vector_from_coords(row) for row in kernel.gens], rank)
-
-
 def x_star(q: QParam, rd: RootDatum) -> Lattice:
     """{lam in X : q^2(lam, alpha) = 1 at all simple alpha}."""
-    basis = [list(g) for g in rd.charlattice.gens]
-    weights = [Weight.of(v) for v in basis]
     simples = [rd.simple_root(i) for i in range(rd.rank)]
-    angles = [[q.eval_sq(w, a) for a in simples] for w in weights]
-    # Constraint columns are indexed by simple roots here, not basis vectors.
-    constraints = []
-    for j in range(rd.rank):
-        den = 1
-        for k in range(len(weights)):
-            den = lcm(den, angles[k][j].den)
-        constraints.append(([angles[k][j].num * (den // angles[k][j].den) for k in range(len(weights))], den))
-    kernel = congruence_kernel(constraints, len(weights))
-    return hnf([rd.charlattice.vector_from_coords(row) for row in kernel.gens], rd.rank)
+    return annihilator(rd.charlattice, [[q.eval_sq(Weight.of(g), a) for a in simples] for g in rd.charlattice.gens])
 
 
 def l_dual_root_lattice(q: QParam, rd: RootDatum) -> Lattice:
@@ -93,32 +64,19 @@ def center_tower(q: QParam, rd: RootDatum) -> CenterTower:
     star = x_star(q, rd)
 
     # X^Mug: squared pairings against all of X vanish, computed inside X*.
-    star_weights = [Weight.of(g) for g in star.gens]
     x_weights = [Weight.of(g) for g in rd.charlattice.gens]
-    angles = [[q.eval_sq(w, x) for x in x_weights] for w in star_weights]
-    constraints = []
-    for j in range(len(x_weights)):
-        den = 1
-        for k in range(len(star_weights)):
-            den = lcm(den, angles[k][j].den)
-        constraints.append(([angles[k][j].num * (den // angles[k][j].den) for k in range(len(star_weights))], den))
-    kernel = congruence_kernel(constraints, len(star_weights))
-    mug = hnf([star.vector_from_coords(row) for row in kernel.gens], rd.rank)
+    mug = annihilator(star, [[q.eval_sq(Weight.of(g), x) for x in x_weights] for g in star.gens])
 
     # X^Tan: kernel of the homomorphism lam -> q(lam, lam) : X^Mug -> Z/2.
     # This is additive on X^Mug because q^2(lam, mu) = 1 there for mu in X.
-    mug_weights = [Weight.of(g) for g in mug.gens]
-    phi = []
-    for w in mug_weights:
+    diags = []
+    for g in mug.gens:
+        w = Weight.of(g)
         diag = q.eval(w, w)
-        if diag.is_zero():
-            phi.append(0)
-        elif diag.is_half():
-            phi.append(1)
-        else:
+        if not (diag.is_zero() or diag.is_half()):
             raise InvariantViolation(f"q(lam,lam) = {diag} is not a sign on X^Mug")
-    tan_kernel = congruence_kernel([(phi, 2)], len(mug_weights))
-    tan = hnf([mug.vector_from_coords(row) for row in tan_kernel.gens], rd.rank)
+        diags.append([diag])
+    tan = annihilator(mug, diags)
 
     # Direct per-generator membership verification of every tower member.
     for g in mug.gens:
@@ -212,33 +170,18 @@ def _epsilon_scalars(q: QParam, rd: RootDatum) -> list[AngleQZ]:
     return scalars
 
 
-def dual_datum(q: QParam, rd: RootDatum) -> DualDatum:
-    """Dual datum with character lattice X*."""
+def dual_datum(q: QParam, rd: RootDatum, char_lattice: Lattice) -> DualDatum:
+    """Dual datum with the given character lattice (X* for G*, X^Tan for Gv)."""
     ls = q.simple_ls()
     star_roots = tuple(tuple(ls[i] * c for c in rd.simple_roots[i]) for i in range(rd.rank))
     cartan_star = _dual_cartan(q, rd)
     return DualDatum(
         star_roots=star_roots,
         cartan_star=tuple(tuple(row) for row in cartan_star),
-        char_lattice=x_star(q, rd),
+        char_lattice=char_lattice,
         dual_type=classify_cartan(cartan_star),
         epsilon_scalars=tuple(_epsilon_scalars(q, rd)),
         l_simple=tuple(ls),
-    )
-
-
-def g_check(q: QParam, rd: RootDatum, tower: Optional[CenterTower] = None) -> DualDatum:
-    """Quotient dual datum: same roots and Cartan data, character lattice X^Tan."""
-    if tower is None:
-        tower = center_tower(q, rd)
-    full = dual_datum(q, rd)
-    return DualDatum(
-        star_roots=full.star_roots,
-        cartan_star=full.cartan_star,
-        char_lattice=tower.x_tan,
-        dual_type=full.dual_type,
-        epsilon_scalars=full.epsilon_scalars,
-        l_simple=full.l_simple,
     )
 
 
@@ -364,30 +307,24 @@ class Verdicts:
     witness_mug_not_tan: Optional[Weight]
 
 
-def verdicts(q: QParam, rd: RootDatum, tower: Optional[CenterTower] = None) -> Verdicts:
+def verdicts(q: QParam, rd: RootDatum, tower: CenterTower, cls: ParamClass, g_star: DualDatum) -> Verdicts:
     """Evaluate the simply-connected/even-order theorem gate and conclusions.
 
     If the hypotheses hold but a guaranteed conclusion fails, an
     InvariantViolation is raised: the theory forces those conclusions, so a
     failure indicates an implementation bug.
     """
-    from .qparam import classify
-
-    if tower is None:
-        tower = center_tower(q, rd)
-    cls = classify(q)
     hypotheses = rd.is_simply_connected() and cls.max_nondegenerate and cls.all_even
     tan_eq_mug = tower.x_tan == tower.x_mug
 
-    dual = dual_datum(q, rd)
     transpose = tuple(tuple(rd.cartan[j][i] for j in range(rd.rank)) for i in range(rd.rank))
-    langlands = cartan_iso_upto_permutation(dual.cartan_star, transpose)
+    langlands = cartan_iso_upto_permutation(g_star.cartan_star, transpose)
 
     pivot = all(q.eval(two_rho(rd), Weight.of(g)).is_zero() for g in tower.x_tan.gens)
 
     conclusion: Optional[bool] = None
     if hypotheses:
-        conclusion = tan_eq_mug and tower.x_tan == tower.lq and dual.cartan_star == transpose
+        conclusion = tan_eq_mug and tower.x_tan == tower.lq and g_star.cartan_star == transpose
         if not conclusion:
             raise InvariantViolation("even-order simply-connected conclusions failed under their hypotheses")
         if not pivot:

@@ -8,20 +8,26 @@ from __future__ import annotations
 
 import argparse
 import ast
-import json
 import sys
 from typing import Any, Optional
 
-from .centers import DualDatumError, center_tower, dual_datum, g_check
+from .centers import DualDatumError
 from .intlat import LatticeError
-from .kappa import KappaError, build_kappa
-from .presets import PresetError, make_preset, parse_preset, PRESET_NAMES
+from .kappa import KappaError
+from .presets import PresetCase, PresetError, make_preset, parse_preset, PRESET_NAMES
 from .qparam import InvariantViolation, QParam, make_param, parse_param
-from .report import build_report, to_json, to_text, _cyclo, _dual
-from .rmatrix import support_size, term_table
+from .report import (
+    Analysis,
+    build_report,
+    document,
+    dual_section,
+    rmatrix_section,
+    to_json,
+    to_text,
+    twistcheck_section,
+)
 from .rootdata import RootDatum, RootDatumError, build_root_datum
 from .selftest import run_selftest
-from .twistcheck import run_all
 
 
 class InputError(ValueError):
@@ -47,11 +53,12 @@ def read_spec_file(path: str) -> dict[str, Any]:
     return spec
 
 
-def _resolve_inputs(args: argparse.Namespace) -> tuple[RootDatum, QParam, dict[str, Any]]:
+def _resolve_inputs(args: argparse.Namespace) -> tuple[RootDatum, QParam, dict[str, Any], Optional[PresetCase]]:
+    """(root datum, parameter, input echo, preset case or None)."""
     if getattr(args, "preset", None):
         case = parse_preset(args.preset)
         rd, q = case.build()
-        return rd, q, case.input_echo()
+        return rd, q, case.input_echo(), case
 
     type_str: Optional[str] = getattr(args, "type", None)
     lattice: Any = getattr(args, "lattice", None) or "sc"
@@ -76,21 +83,14 @@ def _resolve_inputs(args: argparse.Namespace) -> tuple[RootDatum, QParam, dict[s
         "lattice": lattice if isinstance(lattice, str) else [list(r) for r in lattice],
         "param": [f"{c.numerator}/{c.denominator}" for c in values],
     }
-    return rd, q, echo
+    return rd, q, echo, None
 
 
 def _cmd_analyze(args: argparse.Namespace) -> int:
-    rd, q, echo = _resolve_inputs(args)
-    report = build_report(
-        rd,
-        q,
-        echo,
-        max_terms=args.max_terms,
-        include_rmatrix=args.max_terms is not None,
-    )
+    rd, q, echo, case = _resolve_inputs(args)
+    report = build_report(rd, q, echo, max_terms=args.max_terms)
     sys.stdout.write(to_json(report) if args.json else to_text(report))
-    if getattr(args, "preset", None):
-        case = parse_preset(args.preset)
+    if case is not None:
         failures = case.check(report, rd, q)
         if failures:
             for f in failures:
@@ -100,16 +100,10 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
 
 
 def _cmd_dual(args: argparse.Namespace) -> int:
-    rd, q, echo = _resolve_inputs(args)
-    tower = center_tower(q, rd)
-    payload = {
-        "schema": 1,
-        "input": echo,
-        "g_star": _dual(dual_datum(q, rd)),
-        "g_check": _dual(g_check(q, rd, tower)),
-    }
+    rd, q, echo, _case = _resolve_inputs(args)
+    payload = document(echo, dual_section(Analysis(rd, q)))
     if args.json:
-        sys.stdout.write(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+        sys.stdout.write(to_json(payload))
     else:
         for key in ("g_star", "g_check"):
             d = payload[key]
@@ -121,46 +115,24 @@ def _cmd_dual(args: argparse.Namespace) -> int:
 
 
 def _cmd_rmatrix(args: argparse.Namespace) -> int:
-    rd, q, echo = _resolve_inputs(args)
-    count, _ = support_size(q, rd, cap=0)
-    terms = term_table(q, rd, max_terms=args.max_terms)
-    payload = {
-        "schema": 1,
-        "input": echo,
-        "support_count": count,
-        "truncated": args.max_terms is not None and count > args.max_terms,
-        "terms": [{"support": list(s.n), "coeff": _cyclo(c)} for s, c in terms],
-    }
-    sys.stdout.write(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    rd, q, echo, _case = _resolve_inputs(args)
+    sys.stdout.write(to_json(document(echo, rmatrix_section(Analysis(rd, q), args.max_terms))))
     return 0
 
 
 def _cmd_verify_twist(args: argparse.Namespace) -> int:
-    rd, q, echo = _resolve_inputs(args)
-    tower = center_tower(q, rd)
-    dual = g_check(q, rd, tower)
-    kappa = build_kappa(q, tower.x_tan)
-    witnesses, comm_ok, cross_ok = run_all(dual, kappa)
-    all_ok = comm_ok and cross_ok and all(w.verdict for w in witnesses)
-    payload = {
-        "schema": 1,
-        "input": echo,
-        "serre_ratio": [
-            {"pair": list(w.pair), "serre_exponent": w.serre_exponent, "verdict": w.verdict}
-            for w in witnesses
-        ],
-        "commutator": comm_ok,
-        "cross_commutator": cross_ok,
-        "all_pass": all_ok,
-    }
+    rd, q, echo, _case = _resolve_inputs(args)
+    analysis = Analysis(rd, q)
+    payload = document(echo, twistcheck_section(analysis))
     if args.json:
-        sys.stdout.write(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+        sys.stdout.write(to_json(payload))
     else:
+        witnesses, comm_ok, cross_ok = analysis.twist
         for w in witnesses:
             sys.stdout.write(f"serre ratio {w.pair} (m = {w.serre_exponent}): {'ok' if w.verdict else 'FAIL'}\n")
         sys.stdout.write(f"commutator identity: {'ok' if comm_ok else 'FAIL'}\n")
         sys.stdout.write(f"cross-commutator antisymmetry: {'ok' if cross_ok else 'FAIL'}\n")
-    return 0 if all_ok else 2
+    return 0 if payload["all_pass"] else 2
 
 
 def _cmd_presets(args: argparse.Namespace) -> int:

@@ -8,9 +8,8 @@ on Python's arbitrary-precision integers; there is no floating point.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
-from math import lcm, prod
+from math import prod
 from typing import Iterable, Optional, Sequence
 
 
@@ -399,15 +398,3 @@ def intersect(a: Lattice, b: Lattice) -> Lattice:
 
 def member(x: Sequence[int], lattice: Lattice) -> bool:
     return lattice.member(x)
-
-
-def solution_count_bruteforce(rows: Sequence[tuple[Sequence[int], int]], rank: int) -> int:
-    """Count solutions of the congruence system modulo lcm(moduli) by direct
-    enumeration.  Independent oracle for congruence_kernel; small ranks only."""
-    moduli = [int(n) for _c, n in rows]
-    big = lcm(*moduli) if moduli else 1
-    count = 0
-    for x in itertools.product(range(big), repeat=rank):
-        if all(sum(ci * xi for ci, xi in zip(c, x)) % n == 0 for c, n in rows):
-            count += 1
-    return count

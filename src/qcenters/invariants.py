@@ -17,7 +17,7 @@ from typing import Optional
 from .centers import CenterTower
 from .intlat import FiniteAbelianGroup, index, quotient
 from .kappa import Radicals
-from .qparam import InvariantViolation, QParam, classify
+from .qparam import InvariantViolation, ParamClass, QParam
 from .rootdata import RootDatum
 
 
@@ -50,10 +50,9 @@ def fpdim_fiber(q: QParam, rd: RootDatum, tower: CenterTower) -> int:
     return n_tan * prod(q.pos_root_ls()) ** 2
 
 
-def fpdim_sc(q: QParam, rd: RootDatum, tower: CenterTower) -> int:
+def fpdim_sc(q: QParam, rd: RootDatum, tower: CenterTower, cls: ParamClass) -> int:
     """|Z(G)| * (prod_simple l_alpha) * (prod l_gamma)^2; only valid for a
     simply-connected datum with maximally non-degenerate even-order parameter."""
-    cls = classify(q)
     if not (rd.is_simply_connected() and cls.max_nondegenerate and cls.all_even):
         raise HypothesisNotMet("simply-connected even-order hypotheses are not satisfied")
     center_order = index(rd.root_lattice(), rd.weight_lattice())
@@ -85,10 +84,10 @@ def simples(q: QParam, rd: RootDatum, tower: CenterTower, rads: Radicals) -> tup
     return group_uqk, group_uq
 
 
-def dim_report(q: QParam, rd: RootDatum, tower: CenterTower, rads: Radicals) -> DimReport:
+def dim_report(q: QParam, rd: RootDatum, tower: CenterTower, rads: Radicals, cls: ParamClass) -> DimReport:
     fiber = fpdim_fiber(q, rd, tower)
     try:
-        sc_value: Optional[int] = fpdim_sc(q, rd, tower)
+        sc_value: Optional[int] = fpdim_sc(q, rd, tower, cls)
     except HypothesisNotMet:
         sc_value = None
     dim_u, dim_u_plus, grouplikes = dims_uqk(q, rd, rads)

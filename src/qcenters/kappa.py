@@ -11,21 +11,18 @@ character groups Sigma, Lambda, Theta.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import lcm
 from typing import Sequence
 
 from .angles import AngleQZ, ZERO
 from .intlat import (
     FiniteAbelianGroup,
     Lattice,
-    congruence_kernel,
-    hnf,
     index,
     intersect,
     quotient,
     snf,
 )
-from .qparam import InvariantViolation, QParam
+from .qparam import InvariantViolation, QParam, annihilator
 from .rootdata import RootDatum
 
 
@@ -130,13 +127,7 @@ class Radicals:
 def radicals(q: QParam, kappa: BiformQZ, rd: RootDatum, x_star_lattice: Lattice) -> Radicals:
     """rad(kappa) inside X^Tan, the simultaneous radical, and Sigma/Lambda/Theta."""
     x_tan = kappa.basis
-    n = x_tan.rank
-    constraints = []
-    for j in range(n):
-        den = lcm(*(kappa.gram[k][j].den for k in range(n)), 1)
-        constraints.append(([kappa.gram[k][j].num * (den // kappa.gram[k][j].den) for k in range(n)], den))
-    kernel = congruence_kernel(constraints, n)
-    rad_kappa = hnf([x_tan.vector_from_coords(row) for row in kernel.gens], rd.rank)
+    rad_kappa = annihilator(x_tan, kappa.gram)
 
     rad_q = q.rad(rd.charlattice)
     if not x_tan.contains_lattice(rad_q):

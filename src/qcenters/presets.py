@@ -11,8 +11,10 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd
 from typing import Any, Callable
 
+from .intlat import Lattice, index
 from .qparam import QParam, make_param
 from .rootdata import RootDatum, Weight, build_root_datum
 
@@ -75,12 +77,9 @@ def _check_sl2n_odd(ell: int) -> Callable[[dict[str, Any], RootDatum, QParam], l
             fails.append("expected X^Tan to be a proper sublattice of X^Mug")
         lam0 = _odd_half_sum_witness(rd, ell)
         coords = lam0.int_coords()
-        from .centers import center_tower
-
-        tower = center_tower(q, rd)
-        if not tower.x_mug.member(coords):
+        if not Lattice.from_rows(report["centers"]["x_mug"]).member(coords):
             fails.append("expected the half-sum witness to lie in X^Mug")
-        if tower.x_tan.member(coords):
+        if Lattice.from_rows(report["centers"]["x_tan"]).member(coords):
             fails.append("expected the half-sum witness to avoid X^Tan")
         if not q.eval(lam0, lam0).is_half():
             fails.append("expected self-pairing -1 at the half-sum witness")
@@ -97,12 +96,9 @@ def _check_sp2n_odd(ell: int) -> Callable[[dict[str, Any], RootDatum, QParam], l
         beta = rd.simple_root(rd.rank - 1)  # the unique long simple root
         lam0 = beta.scaled(Fraction(ell, 2))
         coords = lam0.int_coords()
-        from .centers import center_tower
-
-        tower = center_tower(q, rd)
-        if not tower.x_mug.member(coords):
+        if not Lattice.from_rows(report["centers"]["x_mug"]).member(coords):
             fails.append("expected l*beta/2 to lie in X^Mug")
-        if tower.x_tan.member(coords):
+        if Lattice.from_rows(report["centers"]["x_tan"]).member(coords):
             fails.append("expected l*beta/2 to avoid X^Tan")
         if not q.eval(lam0, lam0).is_half():
             fails.append("expected self-pairing -1 at l*beta/2")
@@ -193,19 +189,14 @@ def make_preset(name: str, **overrides: Any) -> PresetCase:
         type_str = str(overrides.pop("type", "A1"))
         ell = int(overrides.pop("l", 3))
         scaffold = build_root_datum(type_str, "adjoint")
-        det = 1
-        from .intlat import index
-
         det = index(scaffold.root_lattice(), scaffold.weight_lattice())
-        from math import gcd
-
         if ell % 2 == 0 or gcd(ell, scaffold.lacing) != 1 or det is None or gcd(ell, det) != 1:
             raise PresetError("adjoint-odd-lusztig needs odd l coprime to the lacing number and det(Cartan)")
         case = PresetCase(
             name=f"adjoint-odd-lusztig:{type_str},l={ell}",
             type_str=type_str,
             lattice="adjoint",
-            c=tuple(Fraction(1, ell) for _ in build_root_datum(type_str, "adjoint").dynkin.factors),
+            c=tuple(Fraction(1, ell) for _ in scaffold.dynkin.factors),
             description=f"adjoint {type_str} at generic odd order l = {ell}",
             check=_check_adjoint_lusztig(ell),
         )

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from math import lcm
 from typing import Optional, Sequence, Union
 
@@ -88,17 +89,22 @@ class QParam:
             return gamma
         return self.rd.pos_roots[gamma]
 
+    @cached_property
+    def l_table(self) -> tuple[int, ...]:
+        """l_gamma for every positive root, in rd.pos_roots order."""
+        return tuple(self.l_of(r) for r in self.rd.pos_roots)
+
     def simple_ls(self) -> list[int]:
         """l_alpha for the simple roots, in simple-root order."""
         by_simple = {}
-        for root in self.rd.pos_roots:
+        for root, l in zip(self.rd.pos_roots, self.l_table):
             if root.height == 1:
                 idx = next(i for i, c in enumerate(root.root_coords) if c)
-                by_simple[idx] = self.l_of(root)
+                by_simple[idx] = l
         return [by_simple[i] for i in range(self.rd.rank)]
 
     def pos_root_ls(self) -> list[int]:
-        return [self.l_of(r) for r in self.rd.pos_roots]
+        return list(self.l_table)
 
     def rad(self, ambient: Optional[Lattice] = None) -> Lattice:
         """Radical {lam in ambient : q(lam, mu) = 1 for all mu in ambient}.
@@ -106,18 +112,21 @@ class QParam:
         Defaults to the weight lattice P; pass rd.charlattice for the
         X-ambient radical used by the finite-group quotients.
         """
-        rd = self.rd
         if ambient is None:
-            ambient = rd.weight_lattice()
-        basis = [list(g) for g in ambient.gens]
-        gram = self.angle_gram(basis)
-        constraints = []
-        for j in range(len(basis)):
-            den = lcm(*(gram[k][j].den for k in range(len(basis))), 1)
-            constraints.append(([gram[k][j].num * (den // gram[k][j].den) for k in range(len(basis))], den))
-        kernel = congruence_kernel(constraints, len(basis))
-        vectors = [ambient.vector_from_coords(row) for row in kernel.gens]
-        return hnf(vectors, rd.rank)
+            ambient = self.rd.weight_lattice()
+        return annihilator(ambient, self.angle_gram(ambient.gens))
+
+
+def annihilator(ambient: Lattice, angles: Sequence[Sequence[AngleQZ]]) -> Lattice:
+    """HNF lattice of x = sum_k x_k * ambient.gens[k] with
+    sum_k x_k * angles[k][j] = 0 in Q/Z for every column j."""
+    n = len(ambient.gens)
+    constraints = []
+    for j in range(len(angles[0])):
+        den = lcm(*(angles[k][j].den for k in range(n)))
+        constraints.append(([angles[k][j].num * (den // angles[k][j].den) for k in range(n)], den))
+    kernel = congruence_kernel(constraints, n)
+    return hnf([ambient.vector_from_coords(row) for row in kernel.gens], ambient.ambient_rank)
 
 
 def make_param(rd: RootDatum, c: Union[Fraction, int, str, Sequence[Union[Fraction, int, str]]]) -> QParam:

@@ -18,9 +18,8 @@ from typing import Callable
 
 from .centers import center_tower
 from .intlat import Lattice, hnf, index
-from .invariants import dim_report
-from .kappa import build_kappa, extend_psi, radicals
 from .qparam import QParam
+from .report import Analysis
 from .rootdata import RootDatum, Weight
 from .sampling import random_instance
 
@@ -111,10 +110,7 @@ def dims_suite(rng: random.Random, runs: int = 50) -> SuiteResult:
     for k in range(runs):
         rd, q = random_instance(rng, max_rank=3, max_den=24)
         try:
-            tower = center_tower(q, rd)
-            kappa = build_kappa(q, tower.x_tan)
-            rads = radicals(q, kappa, rd, tower.x_star)
-            dim_report(q, rd, tower, rads)
+            Analysis(rd, q).dims
         except Exception as exc:  # noqa: BLE001
             failures.append(f"run {k} ({rd.dynkin}, c={q.c}): {exc}")
     return SuiteResult("dimension identities", runs, failures)
@@ -125,10 +121,9 @@ def kappa_suite(rng: random.Random, runs: int = 30) -> SuiteResult:
     failures = []
     for k in range(runs):
         rd, q = random_instance(rng, max_rank=3, max_den=24)
+        a = Analysis(rd, q)
         try:
-            tower = center_tower(q, rd)
-            kappa = build_kappa(q, tower.x_tan)
-            psi = extend_psi(kappa, rd.charlattice)
+            tower, kappa, psi = a.tower, a.kappa, a.psi
         except Exception as exc:  # noqa: BLE001
             failures.append(f"run {k} ({rd.dynkin}, c={q.c}): {exc}")
             continue

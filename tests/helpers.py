@@ -10,6 +10,7 @@ from __future__ import annotations
 import itertools
 from collections import Counter
 from math import lcm, prod
+from typing import Sequence
 
 from qcenters.intlat import Lattice
 
@@ -75,3 +76,15 @@ def profile_of_factors(factors: tuple[int, ...]) -> Counter:
     if not factors:
         profile[1] += 1
     return profile
+
+
+def solution_count_bruteforce(rows: Sequence[tuple[Sequence[int], int]], rank: int) -> int:
+    """Count solutions of the congruence system modulo lcm(moduli) by direct
+    enumeration.  Independent oracle for congruence_kernel; small ranks only."""
+    moduli = [int(n) for _c, n in rows]
+    big = lcm(*moduli) if moduli else 1
+    count = 0
+    for x in itertools.product(range(big), repeat=rank):
+        if all(sum(ci * xi for ci, xi in zip(c, x)) % n == 0 for c, n in rows):
+            count += 1
+    return count

@@ -15,14 +15,13 @@ from math import lcm
 import pytest
 
 from qcenters.angles import AngleQZ
-from qcenters.centers import center_tower, g_check, verdicts
+from qcenters.centers import center_tower
 from qcenters.cli import main as cli_main
 from qcenters.cyclo import qbinom, root_of_unity
 from qcenters.intlat import index
-from qcenters.invariants import dim_report
-from qcenters.kappa import build_kappa, extend_psi, radicals
 from qcenters.presets import PRESET_NAMES
 from qcenters.qparam import make_param
+from qcenters.report import Analysis
 from qcenters.rmatrix import RSupport, batch_conductor, coeff, pairing_diag, support_size
 from qcenters.rootdata import Weight, build_root_datum
 from qcenters.sampling import random_instance
@@ -47,10 +46,11 @@ def test_criterion_1_even_order_regularity():
     for type_str, ell in EVEN_ORDER_CASES:
         rd = build_root_datum(type_str, "sc")
         q = make_param(rd, Fraction(1, 2 * ell))
-        tower = center_tower(q, rd)
-        v = verdicts(q, rd, tower)
+        a = Analysis(rd, q)
+        tower = a.tower
+        v = a.verdicts
         transpose = tuple(tuple(rd.cartan[j][i] for j in range(rd.rank)) for i in range(rd.rank))
-        dual = g_check(q, rd, tower)
+        dual = a.g_check
         ok = ok and v.thm_sc_hypotheses and bool(v.thm_sc_conclusion_check)
         ok = ok and tower.x_tan == tower.x_mug == tower.lq
         ok = ok and dual.cartan_star == transpose
@@ -97,10 +97,9 @@ def test_criterion_3_dimension_formulas_randomized():
     runs = 0
     while runs < 50:
         rd, q = random_instance(rng, max_rank=3, max_den=24)
-        tower = center_tower(q, rd)
-        kappa = build_kappa(q, tower.x_tan)
-        rads = radicals(q, kappa, rd, tower.x_star)
-        report = dim_report(q, rd, tower, rads)
+        a = Analysis(rd, q)
+        tower = a.tower
+        report = a.dims
         runs += 1
         n_tan = index(tower.x_tan, rd.charlattice)
         prod_l = 1
@@ -118,10 +117,9 @@ def test_criterion_4_adjoint_odd_specialization():
     for type_str, ell in (("A1", 3), ("A2", 5)):
         rd = build_root_datum(type_str, "adjoint")
         q = make_param(rd, Fraction(1, ell))
-        tower = center_tower(q, rd)
-        kappa = build_kappa(q, tower.x_tan)
-        rads = radicals(q, kappa, rd, tower.x_star)
-        report = dim_report(q, rd, tower, rads)
+        a = Analysis(rd, q)
+        rads = a.rads
+        report = a.dims
         lie_dim = rd.rank + 2 * len(rd.pos_roots)
         ok = ok and rads.groups.lam.invariant_factors == tuple([ell] * rd.rank)
         ok = ok and report.grouplike_count == ell**rd.rank
@@ -139,11 +137,12 @@ def test_criterion_5_kappa_psi_properties():
         instances.append(random_instance(rng, max_rank=3, max_den=24))
     ok = True
     for rd, q in instances:
-        tower = center_tower(q, rd)
+        a = Analysis(rd, q)
+        tower = a.tower
         if tower.x_tan.rank > 4:
             continue
-        kappa = build_kappa(q, tower.x_tan)
-        psi = extend_psi(kappa, rd.charlattice)
+        kappa = a.kappa
+        psi = a.psi
         for x in tower.x_tan.gens:
             ok = ok and kappa.eval(x, x).is_zero()
             for y in tower.x_tan.gens:
@@ -238,9 +237,9 @@ def test_criterion_8_rescaling_identities():
     for type_str, ell in EVEN_ORDER_CASES:
         rd = build_root_datum(type_str, "sc")
         q = make_param(rd, Fraction(1, 2 * ell))
-        tower = center_tower(q, rd)
-        dual = g_check(q, rd, tower)
-        kappa = build_kappa(q, tower.x_tan)
+        a = Analysis(rd, q)
+        dual = a.g_check
+        kappa = a.kappa
         witnesses, comm_ok, cross_ok = run_all(dual, kappa)
         ok = ok and comm_ok and cross_ok and all(w.verdict for w in witnesses)
     minus = root_of_unity(AngleQZ(1, 2), 2)

@@ -11,12 +11,11 @@ from qcenters.centers import (
     center_tower,
     classify_cartan,
     dual_datum,
-    g_check,
-    verdicts,
     x_star,
 )
 from qcenters.intlat import hnf, index
 from qcenters.qparam import make_param
+from qcenters.report import Analysis
 from qcenters.rootdata import Weight, build_root_datum
 from qcenters.sampling import random_instance
 
@@ -82,17 +81,17 @@ def test_tower_sl3_odd_equality():
 
 def test_dual_datum_examples():
     a1 = build_root_datum("A1", "sc")
-    d4 = dual_datum(make_param(a1, Fraction(1, 4)), a1)
+    d4 = Analysis(a1, make_param(a1, Fraction(1, 4))).g_star
     assert d4.star_roots == ((4,),)  # alpha* = 2 alpha = 4 omega
     assert str(d4.dual_type) == "A1"
     assert d4.epsilon_scalars == (AngleQZ(0, 1),)
 
-    d3 = dual_datum(make_param(a1, Fraction(1, 3)), a1)
+    d3 = Analysis(a1, make_param(a1, Fraction(1, 3))).g_star
     assert d3.star_roots == ((6,),)
     assert d3.epsilon_scalars == (AngleQZ(0, 1),)
 
     c2 = build_root_datum("C2", "sc")
-    dd = dual_datum(make_param(c2, Fraction(1, 8)), c2)
+    dd = Analysis(c2, make_param(c2, Fraction(1, 8))).g_star
     assert dd.l_simple == (4, 2)
     assert dd.cartan_star == ((2, -1), (-2, 2))  # transpose: the dual family
     assert dd.cartan_star == tuple(tuple(c2.cartan[j][i] for j in range(2)) for i in range(2))
@@ -103,7 +102,7 @@ def test_epsilon_scalar_sign_values():
     # gives eps = -1 at the short root of the dual.
     b2 = build_root_datum("B2", "sc")
     q = make_param(b2, Fraction(1, 4))  # l: short 2, long 1
-    dd = dual_datum(q, b2)
+    dd = Analysis(b2, q).g_star
     for eps in dd.epsilon_scalars:
         assert eps.is_zero() or eps.is_half()
 
@@ -111,36 +110,37 @@ def test_epsilon_scalar_sign_values():
 def test_g_check_examples():
     a1 = build_root_datum("A1", "sc")
     q = make_param(a1, Fraction(1, 4))
-    tower = center_tower(q, a1)
-    gc = g_check(q, a1, tower)
+    a = Analysis(a1, q)
+    tower = a.tower
+    gc = a.g_check
     assert gc.char_lattice == tower.x_tan
     assert gc.char_lattice.gens == ((4,),)  # = Z alpha*, the adjoint form
 
     a1a = build_root_datum("A1", "adjoint")
     q3 = make_param(a1a, Fraction(1, 3))
-    t3 = center_tower(q3, a1a)
-    gc3 = g_check(q3, a1a, t3)
+    gc3 = Analysis(a1a, q3).g_check
     assert gc3.char_lattice.gens == ((6,),)  # 3 alpha = Z alpha*
 
     # X^Tan = X* forces Gv = G*.
     q0 = make_param(a1, Fraction(1, 2))
-    t0 = center_tower(q0, a1)
+    a0 = Analysis(a1, q0)
+    t0 = a0.tower
     if t0.x_tan == t0.x_star:
-        assert g_check(q0, a1, t0).char_lattice == dual_datum(q0, a1).char_lattice
+        assert a0.g_check.char_lattice == a0.g_star.char_lattice
 
 
 def test_verdicts_examples():
     a1 = build_root_datum("A1", "sc")
-    v = verdicts(make_param(a1, Fraction(1, 4)), a1)
+    v = Analysis(a1, make_param(a1, Fraction(1, 4))).verdicts
     assert v.tan_equals_mug and v.thm_sc_hypotheses and v.thm_sc_conclusion_check
     assert v.langlands_dual and v.pivot_trivial_on_xtan and v.modular
 
-    v3 = verdicts(make_param(a1, Fraction(1, 3)), a1)
+    v3 = Analysis(a1, make_param(a1, Fraction(1, 3))).verdicts
     assert not v3.tan_equals_mug
     assert v3.witness_mug_not_tan is not None
 
     c2 = build_root_datum("C2", "sc")
-    vc = verdicts(make_param(c2, Fraction(1, 6)), c2)
+    vc = Analysis(c2, make_param(c2, Fraction(1, 6))).verdicts
     assert not vc.tan_equals_mug
 
 
@@ -149,12 +149,13 @@ def test_even_order_regular_cases(type_str, ell):
     rd = build_root_datum(type_str, "sc")
     ell = lcm(ell, rd.lacing)
     q = make_param(rd, Fraction(1, 2 * ell))
-    tower = center_tower(q, rd)
-    v = verdicts(q, rd, tower)
+    a = Analysis(rd, q)
+    tower = a.tower
+    v = a.verdicts
     assert v.thm_sc_hypotheses and v.thm_sc_conclusion_check
     assert tower.x_tan == tower.x_mug == tower.lq
     transpose = tuple(tuple(rd.cartan[j][i] for j in range(rd.rank)) for i in range(rd.rank))
-    assert dual_datum(q, rd).cartan_star == transpose
+    assert a.g_star.cartan_star == transpose
 
 
 def test_projective_sp6_even_order_divergence():
@@ -163,10 +164,11 @@ def test_projective_sp6_even_order_divergence():
     # center.
     rd = build_root_datum("C3", "adjoint")
     q = make_param(rd, Fraction(1, 8))
-    tower = center_tower(q, rd)
+    a = Analysis(rd, q)
+    tower = a.tower
     assert tower.x_tan != tower.x_mug
     assert tower.index_tan_in_mug == 2
-    v = verdicts(q, rd, tower)
+    v = a.verdicts
     assert not v.thm_sc_hypotheses
 
 
@@ -259,4 +261,5 @@ def test_dual_integral_for_killing_proportional_parameters():
         rd = build_root_datum(type_str, "sc")
         for den in range(1, 25):
             for num in range(1, min(den, 8)):
-                dual_datum(make_param(rd, Fraction(num, den)), rd)
+                q = make_param(rd, Fraction(num, den))
+                dual_datum(q, rd, x_star(q, rd))

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import coset_order_profile, profile_of_factors
+from helpers import coset_order_profile, profile_of_factors, solution_count_bruteforce
 from qcenters.intlat import (
     FiniteAbelianGroup,
     Lattice,
@@ -17,7 +17,6 @@ from qcenters.intlat import (
     quotient,
     smith_normal_form,
     snf,
-    solution_count_bruteforce,
 )
 
 small_matrix = st.integers(1, 4).flatmap(

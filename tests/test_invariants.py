@@ -3,21 +3,17 @@ from fractions import Fraction
 
 import pytest
 
-from qcenters.centers import center_tower
-from qcenters.invariants import HypothesisNotMet, dim_report, dims_uqk, fpdim_fiber, fpdim_sc, simples
-from qcenters.kappa import build_kappa, radicals
-from qcenters.qparam import make_param
+from qcenters.invariants import HypothesisNotMet, dims_uqk, fpdim_fiber, fpdim_sc, simples
+from qcenters.qparam import classify, make_param
+from qcenters.report import Analysis
 from qcenters.rootdata import build_root_datum
 from qcenters.sampling import random_instance
 
 
 def _full(type_str, lattice, c):
     rd = build_root_datum(type_str, lattice)
-    q = make_param(rd, c)
-    tower = center_tower(q, rd)
-    kappa = build_kappa(q, tower.x_tan)
-    rads = radicals(q, kappa, rd, tower.x_star)
-    return rd, q, tower, rads
+    a = Analysis(rd, make_param(rd, c))
+    return rd, a.q, a.tower, a.rads
 
 
 def test_fpdim_fiber_examples():
@@ -31,18 +27,18 @@ def test_fpdim_fiber_examples():
 
 def test_fpdim_sc_examples():
     rd, q, tower, rads = _full("A1", "sc", Fraction(1, 4))
-    assert fpdim_sc(q, rd, tower) == 16  # 2 * 2 * 4
+    assert fpdim_sc(q, rd, tower, classify(q)) == 16  # 2 * 2 * 4
 
     rd, q, tower, rads = _full("A2", "sc", Fraction(1, 6))
-    assert fpdim_sc(q, rd, tower) == 3 * 9 * 729  # 19683
+    assert fpdim_sc(q, rd, tower, classify(q)) == 3 * 9 * 729  # 19683
 
     rd, q, tower, rads = _full("A1", "sc", Fraction(1, 3))
     with pytest.raises(HypothesisNotMet):
-        fpdim_sc(q, rd, tower)  # odd-order scalar parameter
+        fpdim_sc(q, rd, tower, classify(q))  # odd-order scalar parameter
 
     rd, q, tower, rads = _full("A1", "adjoint", Fraction(1, 4))
     with pytest.raises(HypothesisNotMet):
-        fpdim_sc(q, rd, tower)  # not simply connected
+        fpdim_sc(q, rd, tower, classify(q))  # not simply connected
 
 
 def test_dims_uqk_examples():
@@ -78,8 +74,9 @@ def test_simples_examples():
 
 @pytest.mark.parametrize("type_str,ell", [("A1", 3), ("A2", 5)])
 def test_adjoint_odd_lusztig_dimensions(type_str, ell):
-    rd, q, tower, rads = _full(type_str, "adjoint", Fraction(1, ell))
-    report = dim_report(q, rd, tower, rads)
+    rd = build_root_datum(type_str, "adjoint")
+    a = Analysis(rd, make_param(rd, Fraction(1, ell)))
+    rads, report = a.rads, a.dims
     lie_dim = rd.rank + 2 * len(rd.pos_roots)
     assert report.fpdim_fiber == ell**lie_dim
     assert report.grouplike_count == ell**rd.rank
@@ -92,10 +89,7 @@ def test_dim_report_identities_randomized():
     count = 0
     while count < 50:
         rd, q = random_instance(rng, max_rank=3, max_den=24)
-        tower = center_tower(q, rd)
-        kappa = build_kappa(q, tower.x_tan)
-        rads = radicals(q, kappa, rd, tower.x_star)
-        report = dim_report(q, rd, tower, rads)  # raises on any broken identity
+        report = Analysis(rd, q).dims  # raises on any broken identity
         count += 1
         assert report.fpdim_fiber * report.sigma_order == report.dim_uqk
         assert report.simple_count_uq * report.sigma_order == report.simple_count_uqk

@@ -4,10 +4,10 @@ from math import lcm
 import pytest
 
 from qcenters.angles import HALF, ZERO, AngleQZ
-from qcenters.centers import center_tower, g_check
-from qcenters.kappa import BiformQZ, build_kappa
+from qcenters.kappa import BiformQZ
 from qcenters.intlat import hnf
 from qcenters.qparam import make_param
+from qcenters.report import Analysis
 from qcenters.rootdata import build_root_datum
 from qcenters.twistcheck import (
     TwistPreconditionError,
@@ -20,11 +20,8 @@ from qcenters.twistcheck import (
 
 def _dual_with_kappa(type_str, c):
     rd = build_root_datum(type_str, "sc")
-    q = make_param(rd, c)
-    tower = center_tower(q, rd)
-    dual = g_check(q, rd, tower)
-    kappa = build_kappa(q, tower.x_tan)
-    return dual, kappa
+    a = Analysis(rd, make_param(rd, c))
+    return a.g_check, a.kappa
 
 
 def test_serre_ratio_simply_laced():
