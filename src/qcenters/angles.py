@@ -1,14 +1,17 @@
 """Angles in Q/Z: exact stand-ins for roots of unity.
 
 The angle a/b represents exp(2*pi*i*a/b), so 0 is the unit 1 and 1/2 is -1.
-The group law is addition mod 1 and the order of a/b is b.
+The group law is addition mod 1 and the order of a/b is b.  A matrix of
+angles crosses to integer arithmetic as one modulus N, the lcm of its
+denominators, and an integer matrix of numerators over N.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
+from typing import Sequence
 
 
 @dataclass(frozen=True, order=True)
@@ -59,6 +62,18 @@ class AngleQZ:
 
     def __str__(self) -> str:
         return f"{self.num}/{self.den}"
+
+
+def to_int_gram(angles: Sequence[Sequence[AngleQZ]]) -> tuple[int, list[list[int]]]:
+    """(N, A) with angles[i][j] = A[i][j] / N mod 1 and 0 <= A[i][j] < N,
+    where N is the lcm of the denominators."""
+    n = lcm(*(a.den for row in angles for a in row))
+    return n, [[a.num * (n // a.den) for a in row] for row in angles]
+
+
+def from_int_gram(n: int, m: Sequence[Sequence[int]]) -> tuple[tuple[AngleQZ, ...], ...]:
+    """The angle matrix m[i][j] / N mod 1."""
+    return tuple(tuple(AngleQZ.of(Fraction(x, n)) for x in row) for row in m)
 
 
 ZERO = AngleQZ(0, 1)

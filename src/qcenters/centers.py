@@ -90,7 +90,7 @@ def center_tower(q: QParam, rd: RootDatum) -> CenterTower:
             raise InvariantViolation("X^Tan generator has nontrivial self-pairing")
     for i, l in enumerate(q.simple_ls()):
         scaled = rd.simple_root(i).scaled(l)
-        if not tan.member(scaled.int_coords()):
+        if not tan.member(scaled.coords):
             raise InvariantViolation("l_alpha * alpha escapes X^Tan")
 
     for sub, sup, name in ((lq, tan, "lQ <= X^Tan"), (tan, mug, "X^Tan <= X^Mug"), (mug, star, "X^Mug <= X*")):
@@ -277,23 +277,6 @@ def classify_cartan(cartan: Sequence[Sequence[int]]) -> Optional[DynkinType]:
     return DynkinType(tuple(sorted(factors)))
 
 
-def cartan_iso_upto_permutation(a: Sequence[Sequence[int]], b: Sequence[Sequence[int]]) -> bool:
-    """Whole-matrix isomorphism test allowing factor reordering."""
-    comps_a = _components(a)
-    comps_b = _components(b)
-    if sorted(map(len, comps_a)) != sorted(map(len, comps_b)):
-        return False
-    blocks_a = [[[a[i][j] for j in comp] for i in comp] for comp in comps_a]
-    blocks_b = [[[b[i][j] for j in comp] for i in comp] for comp in comps_b]
-    remaining = list(range(len(blocks_b)))
-    for block in blocks_a:
-        hit = next((k for k in remaining if _cartan_iso(block, blocks_b[k])), None)
-        if hit is None:
-            return False
-        remaining.remove(hit)
-    return True
-
-
 @dataclass(frozen=True)
 class Verdicts:
     """Headline conclusions for a (root datum, parameter) pair."""
@@ -318,7 +301,7 @@ def verdicts(q: QParam, rd: RootDatum, tower: CenterTower, cls: ParamClass, g_st
     tan_eq_mug = tower.x_tan == tower.x_mug
 
     transpose = tuple(tuple(rd.cartan[j][i] for j in range(rd.rank)) for i in range(rd.rank))
-    langlands = cartan_iso_upto_permutation(g_star.cartan_star, transpose)
+    langlands = g_star.dual_type is not None and g_star.dual_type == classify_cartan(transpose)
 
     pivot = all(q.eval(two_rho(rd), Weight.of(g)).is_zero() for g in tower.x_tan.gens)
 

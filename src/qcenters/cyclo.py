@@ -84,9 +84,13 @@ def _phi_degree(n: int) -> int:
     return len(cyclotomic_poly(n)) - 1
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CycloNum:
-    """Element of Q(zeta_N): rational coefficients modulo Phi_N."""
+    """Element of Q(zeta_N): rational coefficients modulo Phi_N.
+
+    Equality lifts across conductors, so one(2) == one(4); no hash agrees
+    with that, so CycloNum is unhashable.
+    """
 
     conductor: int
     coeffs: tuple[Fraction, ...]
@@ -117,9 +121,6 @@ class CycloNum:
 
     def is_zero(self) -> bool:
         return all(c == 0 for c in self.coeffs)
-
-    def is_rational(self) -> bool:
-        return all(c == 0 for c in self.coeffs[1:])
 
     def lift(self, conductor: int) -> "CycloNum":
         """Embed into Q(zeta_M) for N | M via zeta_N = zeta_M^(M/N)."""
@@ -166,9 +167,6 @@ class CycloNum:
             return NotImplemented
         a, b = self._align(other)
         return a.coeffs == b.coeffs
-
-    def __hash__(self) -> int:
-        return hash((self.conductor, self.coeffs))
 
     def inverse(self) -> "CycloNum":
         """Field inverse via the extended Euclidean algorithm mod Phi_N."""

@@ -160,6 +160,17 @@ class Lattice:
         return out
 
 
+def bilinear(g: Sequence[Sequence[int]], x: Sequence[int], y: Sequence[int]) -> int:
+    """x . G . y^T for the integer Gram matrix G."""
+    return sum(a * sum(gij * b for gij, b in zip(row, y) if b) for a, row in zip(x, g) if a)
+
+
+def congruent(m: Sequence[Sequence[int]], g: Sequence[Sequence[int]]) -> IntMatrix:
+    """M . G . M^T: the Gram matrix of G on the rows of M."""
+    mg = [[sum(a * gk[j] for a, gk in zip(row, g) if a) for j in range(len(g[0]))] for row in m]
+    return [[sum(a * b for a, b in zip(left, right) if a) for right in m] for left in mg]
+
+
 def hnf(m: Iterable[Iterable[int]], ambient_rank: Optional[int] = None) -> Lattice:
     """Canonical Hermite normal form of a generator matrix, as a Lattice."""
     return Lattice.from_rows(m, ambient_rank)

@@ -4,19 +4,26 @@ On X^Tan the restricted parameter takes values +-1 and vanishes on the
 diagonal, so it admits an alternating square root kappa; we fix the canonical
 upper-triangular choice on the HNF basis.  A canonical bilinear extension psi
 to all of X is produced through a Smith-adapted basis of the inclusion
-X^Tan <= X.  The simultaneous radical of q and kappa drives the finite
-character groups Sigma, Lambda, Theta.
+X^Tan <= X, by congruences of integer Gram matrices: kappa moves to the
+adapted basis, is divided there, and moves on to the HNF basis of X.  The
+simultaneous radical of q and kappa drives the finite character groups
+Sigma, Lambda, Theta.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
+from functools import cached_property
 from typing import Sequence
 
-from .angles import AngleQZ, ZERO
+from .angles import AngleQZ, ZERO, from_int_gram, to_int_gram
 from .intlat import (
     FiniteAbelianGroup,
+    IntMatrix,
     Lattice,
+    bilinear,
+    congruent,
     index,
     intersect,
     quotient,
@@ -37,27 +44,19 @@ class BiformQZ:
     basis: Lattice
     gram: tuple[tuple[AngleQZ, ...], ...]
 
+    @cached_property
+    def int_gram(self) -> tuple[int, IntMatrix]:
+        """(N, G) with gram[i][j] = G[i][j] / N mod 1."""
+        return to_int_gram(self.gram)
+
     def eval(self, x: Sequence[int], y: Sequence[int]) -> AngleQZ:
         """Evaluate on ambient fw-coordinate vectors lying in the domain."""
         cx = self.basis.coords_of(list(x))
         cy = self.basis.coords_of(list(y))
         if cx is None or cy is None:
             raise KappaError("vector outside the form's domain lattice")
-        total = ZERO
-        for i, a in enumerate(cx):
-            if a == 0:
-                continue
-            for j, b in enumerate(cy):
-                if b == 0:
-                    continue
-                total = total + self.gram[i][j].scaled(a * b)
-        return total
-
-    def is_alternating(self) -> bool:
-        n = len(self.gram)
-        return all(self.gram[i][i].is_zero() for i in range(n)) and all(
-            (self.gram[i][j] + self.gram[j][i]).is_zero() for i in range(n) for j in range(n)
-        )
+        n, g = self.int_gram
+        return AngleQZ.of(Fraction(bilinear(g, cx, cy), n))
 
 
 def build_kappa(q: QParam, x_tan: Lattice) -> BiformQZ:
@@ -145,24 +144,16 @@ def radicals(q: QParam, kappa: BiformQZ, rd: RootDatum, x_star_lattice: Lattice)
     return Radicals(rad_q=rad_q, rad_kappa=rad_kappa, rad_qk=rad_qk, groups=groups)
 
 
-def _divide_angle(a: AngleQZ, divisor: int) -> AngleQZ:
-    """The divisor-th part of a with the smallest nonnegative numerator.
-
-    The candidates are (a.num + k * a.den) / (a.den * divisor) for
-    0 <= k < divisor; the smallest numerator is k = 0.
-    """
-    from fractions import Fraction
-
-    return AngleQZ.of(Fraction(a.num, a.den * divisor))
-
-
 def extend_psi(kappa: BiformQZ, x: Lattice) -> BiformQZ:
     """Canonical bilinear extension of kappa from X^Tan to X.
 
-    Pick a basis f_1..f_r of X with (d_1 f_1, ..., d_r f_r) a basis of X^Tan
-    (Smith form of the inclusion) and set psi(f_i, f_j) =
-    kappa(d_i f_i, d_j f_j) / (d_i d_j), dividing angles by taking the
-    representative with the smallest nonnegative numerator.
+    The Smith form U C V = diag(d) of the inclusion matrix C (rows: the HNF
+    basis of X^Tan in coordinates on the HNF basis b of X) gives a basis
+    f = V^-1 b of X in which row i of U holds the X^Tan coordinates of
+    d_i f_i.  So kappa on the d_i f_i is the congruence U K U^T, and
+    psi(f_i, f_j) = kappa(d_i f_i, d_j f_j) / (d_i d_j), dividing each angle
+    by taking the representative with the smallest nonnegative numerator.
+    Since b = V f, the Gram of psi on b is the congruence V (psi on f) V^T.
     """
     x_tan = kappa.basis
     coords = []
@@ -174,36 +165,13 @@ def extend_psi(kappa: BiformQZ, x: Lattice) -> BiformQZ:
     if x_tan.rank != x.rank:
         raise KappaError("extension requires a finite-index inclusion")
     _group, u, v, diag = snf(coords)
-    r = x.rank
-    # Rows of V^-1 @ X-basis give the adapted basis f; U @ (X^Tan basis) = diag(d) @ f.
-    v_inv = _int_inverse(v)
-    f_rows = [[sum(v_inv[i][k] * x.gens[k][j] for k in range(r)) for j in range(x.ambient_rank)] for i in range(r)]
-
-    adapted = []
-    for i in range(r):
-        row = []
-        for j in range(r):
-            ti = [diag[i] * c for c in f_rows[i]]
-            tj = [diag[j] * c for c in f_rows[j]]
-            value = kappa.eval(ti, tj)
-            row.append(_divide_angle(value, diag[i] * diag[j]))
-        adapted.append(row)
-    # Re-express on the canonical HNF basis of X: b_k = sum_i V[k][i] f_i.
-    gram = []
-    for k in range(r):
-        row = []
-        for m in range(r):
-            total = ZERO
-            for i in range(r):
-                if v[k][i] == 0:
-                    continue
-                for j in range(r):
-                    if v[m][j] == 0:
-                        continue
-                    total = total + adapted[i][j].scaled(v[k][i] * v[m][j])
-            row.append(total)
-        gram.append(row)
-    psi = BiformQZ(basis=x, gram=tuple(tuple(r_) for r_ in gram))
+    n, k = kappa.int_gram
+    on_df = congruent(u, k)
+    # With a reduced into [0, N), the m-th parts of a / N are (a + jN) / (Nm)
+    # for 0 <= j < m; the smallest numerator is j = 0.
+    on_f = [[AngleQZ.of(Fraction(a % n, n * di * dj)) for a, dj in zip(row, diag)] for row, di in zip(on_df, diag)]
+    n_f, k_f = to_int_gram(on_f)
+    psi = BiformQZ(basis=x, gram=from_int_gram(n_f, congruent(v, k_f)))
 
     # Restriction of psi to X^Tan must reproduce kappa exactly.
     for gi in x_tan.gens:
@@ -221,21 +189,3 @@ def psi_vanishes_on(psi: BiformQZ, rad_qk: Lattice, x: Lattice) -> bool:
             if not psi.eval(g, h).is_zero() or not psi.eval(h, g).is_zero():
                 return False
     return True
-
-
-def _int_inverse(m: Sequence[Sequence[int]]) -> list[list[int]]:
-    """Inverse of a unimodular integer matrix, exactly."""
-    from fractions import Fraction
-
-    from .rootdata import _rational_inverse
-
-    inv = _rational_inverse([[Fraction(x) for x in row] for row in m])
-    out = []
-    for row in inv:
-        out_row = []
-        for val in row:
-            if val.denominator != 1:
-                raise KappaError("matrix is not unimodular")
-            out_row.append(int(val))
-        out.append(out_row)
-    return out

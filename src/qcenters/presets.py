@@ -76,7 +76,7 @@ def _check_sl2n_odd(ell: int) -> Callable[[dict[str, Any], RootDatum, QParam], l
         if report["centers"]["verdicts"]["tan_equals_mug"]:
             fails.append("expected X^Tan to be a proper sublattice of X^Mug")
         lam0 = _odd_half_sum_witness(rd, ell)
-        coords = lam0.int_coords()
+        coords = lam0.coords
         if not Lattice.from_rows(report["centers"]["x_mug"]).member(coords):
             fails.append("expected the half-sum witness to lie in X^Mug")
         if Lattice.from_rows(report["centers"]["x_tan"]).member(coords):
@@ -95,7 +95,7 @@ def _check_sp2n_odd(ell: int) -> Callable[[dict[str, Any], RootDatum, QParam], l
             fails.append("expected X^Tan to be a proper sublattice of X^Mug")
         beta = rd.simple_root(rd.rank - 1)  # the unique long simple root
         lam0 = beta.scaled(Fraction(ell, 2))
-        coords = lam0.int_coords()
+        coords = lam0.coords
         if not Lattice.from_rows(report["centers"]["x_mug"]).member(coords):
             fails.append("expected l*beta/2 to lie in X^Mug")
         if Lattice.from_rows(report["centers"]["x_tan"]).member(coords):

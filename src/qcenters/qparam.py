@@ -4,9 +4,11 @@ A parameter is one rational scalar c_H per almost-simple factor H; it
 evaluates on weights as q(lam, mu) = sum_H c_H * (lam_H, mu_H) mod 1.  On an
 almost-simple factor, Weyl invariance forces proportionality to the Killing
 form, and orthogonal weights must pair trivially, so this covers the whole
-admissible class of torsion parameters.  The package derives from q the root
-orders l_gamma, the scalar parameters q_gamma, radicals and the standard
-parameter-class predicates.
+admissible class of torsion parameters.  Since weights lie in P = Z^r, q is
+stored once as an integer Gram matrix G on the fundamental weights, modulo
+N: q(lam, mu) = lam . G . mu^T / N mod 1, and its Gram on any basis is a
+congruence.  The package derives from q the root orders l_gamma, the scalar
+parameters q_gamma, radicals and the standard parameter-class predicates.
 """
 
 from __future__ import annotations
@@ -17,8 +19,8 @@ from functools import cached_property
 from math import lcm
 from typing import Optional, Sequence, Union
 
-from .angles import AngleQZ
-from .intlat import Lattice, congruence_kernel, hnf
+from .angles import AngleQZ, from_int_gram, to_int_gram
+from .intlat import IntMatrix, Lattice, bilinear, congruence_kernel, congruent, hnf
 from .rootdata import Root, RootDatum, Weight, weyl_reflect
 
 
@@ -38,30 +40,26 @@ class QParam:
         if len(self.c) != len(self.rd.dynkin.factors):
             raise ValueError("need one scalar per almost-simple factor")
 
+    @cached_property
+    def int_gram(self) -> tuple[int, IntMatrix]:
+        """(N, G) with q(omega_i, omega_j) = G[i][j] / N mod 1."""
+        rd = self.rd
+        c = [self.c[f] for f in rd.factor_of_index]
+        return to_int_gram([[AngleQZ.of(ci * k) for k in row] for ci, row in zip(c, rd.killing)])
+
     def eval(self, lam: Weight, mu: Weight) -> AngleQZ:
         """Exact angle of q(lam, mu) for weights lam, mu in P."""
-        rd = self.rd
-        total = Fraction(0)
-        for i, a in enumerate(lam.coords):
-            if a == 0:
-                continue
-            ci = self.c[rd.factor_of_index[i]]
-            if ci == 0:
-                continue
-            for j, b in enumerate(mu.coords):
-                if b == 0:
-                    continue
-                total += ci * a * b * rd.killing[i][j]
-        return AngleQZ.of(total)
+        n, g = self.int_gram
+        return AngleQZ.of(Fraction(bilinear(g, lam.coords, mu.coords), n))
 
     def eval_sq(self, lam: Weight, mu: Weight) -> AngleQZ:
         """Angle of q^2(lam, mu)."""
         return self.eval(lam, mu).scaled(2)
 
-    def angle_gram(self, basis: Sequence[Sequence[int]]) -> list[list[AngleQZ]]:
+    def angle_gram(self, basis: Sequence[Sequence[int]]) -> tuple[tuple[AngleQZ, ...], ...]:
         """Gram matrix of q-angles on the given fw-coordinate vectors."""
-        weights = [Weight.of(v) for v in basis]
-        return [[self.eval(x, y) for y in weights] for x in weights]
+        n, g = self.int_gram
+        return from_int_gram(n, congruent(basis, g))
 
     def q_scalar(self, gamma: Union[Root, int]) -> AngleQZ:
         """Scalar parameter q_gamma: the Weyl-invariant extension c_H * d_gamma
@@ -120,12 +118,8 @@ class QParam:
 def annihilator(ambient: Lattice, angles: Sequence[Sequence[AngleQZ]]) -> Lattice:
     """HNF lattice of x = sum_k x_k * ambient.gens[k] with
     sum_k x_k * angles[k][j] = 0 in Q/Z for every column j."""
-    n = len(ambient.gens)
-    constraints = []
-    for j in range(len(angles[0])):
-        den = lcm(*(angles[k][j].den for k in range(n)))
-        constraints.append(([angles[k][j].num * (den // angles[k][j].den) for k in range(n)], den))
-    kernel = congruence_kernel(constraints, n)
+    n, m = to_int_gram(angles)
+    kernel = congruence_kernel([([row[j] for row in m], n) for j in range(len(m[0]))], len(m))
     return hnf([ambient.vector_from_coords(row) for row in kernel.gens], ambient.ambient_rank)
 
 

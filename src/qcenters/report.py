@@ -16,7 +16,6 @@ from fractions import Fraction
 from functools import cached_property
 from typing import Any, Optional
 
-from .angles import AngleQZ
 from .centers import CenterTower, DualDatum, Verdicts, center_tower, dual_datum, verdicts
 from .cyclo import CycloNum
 from .intlat import FiniteAbelianGroup, Lattice, index
@@ -32,10 +31,6 @@ SCHEMA_VERSION = 1
 
 def _frac(x: Fraction) -> str:
     return f"{x.numerator}/{x.denominator}"
-
-
-def _angle(a: AngleQZ) -> str:
-    return str(a)
 
 
 def _lattice(l: Lattice) -> list[list[int]]:
@@ -59,7 +54,7 @@ def _cyclo(c: CycloNum) -> dict[str, Any]:
 def _biform(b: BiformQZ) -> dict[str, Any]:
     return {
         "basis": _lattice(b.basis),
-        "gram": [[_angle(x) for x in row] for row in b.gram],
+        "gram": [[str(x) for x in row] for row in b.gram],
     }
 
 
@@ -69,7 +64,7 @@ def _dual(d: DualDatum) -> dict[str, Any]:
         "cartan": [list(r) for r in d.cartan_star],
         "char_lattice": _lattice(d.char_lattice),
         "dynkin_type": str(d.dual_type) if d.dual_type else None,
-        "epsilon_scalars": [_angle(e) for e in d.epsilon_scalars],
+        "epsilon_scalars": [str(e) for e in d.epsilon_scalars],
         "l_simple": list(d.l_simple),
     }
 
@@ -172,7 +167,7 @@ def l_table_section(a: Analysis) -> dict[str, Any]:
     return {
         "per_simple": q.simple_ls(),
         "per_pos_root": q.pos_root_ls(),
-        "q_scalars_simple": [_angle(q.q_scalar(r)) for r in a.rd.pos_roots if r.height == 1],
+        "q_scalars_simple": [str(q.q_scalar(r)) for r in a.rd.pos_roots if r.height == 1],
     }
 
 
@@ -237,7 +232,7 @@ def twistcheck_section(a: Analysis) -> dict[str, Any]:
             {
                 "pair": list(w.pair),
                 "serre_exponent": w.serre_exponent,
-                "values": [_angle(v) for v in w.values],
+                "values": [str(v) for v in w.values],
                 "verdict": w.verdict,
             }
             for w in witnesses

@@ -158,13 +158,11 @@ def squared_braiding_phase(q: QParam, lam: Weight, mu: Weight) -> AngleQZ:
 
 def term_table(q: QParam, rd: RootDatum, max_terms: Optional[int] = None) -> list[tuple[RSupport, CycloNum]]:
     """All admissible supports with their exact coefficients, in lexicographic
-    support order, optionally truncated to max_terms entries."""
-    count, supports = support_size(q, rd, cap=None)
-    assert supports is not None
+    support order, optionally truncated to max_terms entries.  The box is
+    walked lazily, so only the returned supports are ever built."""
+    box = itertools.product(*(range(l) for l in q.pos_root_ls()))
     big_n = batch_conductor(q, rd)
     out = []
-    for s in supports:
-        if max_terms is not None and len(out) >= max_terms:
-            break
+    for s in map(RSupport, itertools.islice(box, max_terms)):
         out.append((s, coeff(s, q, rd, conductor=big_n)))
     return out

@@ -1,10 +1,11 @@
 """Semisimple root data: Cartan matrices, Weyl reflections, root enumeration.
 
-Weights are stored in the fundamental-weight basis of P, factor by factor, so
-that P is exactly Z^r and membership of a weight in the character lattice X
-is a pure integer-matrix test.  Simple roots in this basis are the columns of
-the Cartan matrix.  The Killing form is normalized so that (alpha, alpha) = 2
-at every short root of every almost-simple factor.
+Weights are integer vectors in the fundamental-weight basis of P, factor by
+factor, so P is exactly Z^r and membership of a weight in the character
+lattice X is a pure integer-matrix test.  Simple roots in this basis are the
+columns of the Cartan matrix.  The Killing form is normalized so that
+(alpha, alpha) = 2 at every short root of every almost-simple factor, and is
+evaluated as an integer Gram matrix over one common denominator.
 """
 
 from __future__ import annotations
@@ -12,10 +13,11 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from math import lcm
 from typing import Iterable, Sequence, Union
 
-from .intlat import Lattice, LatticeError, hnf
+from .intlat import IntMatrix, Lattice, LatticeError, bilinear, hnf
 
 
 class RootDatumError(ValueError):
@@ -139,23 +141,23 @@ def _rational_inverse(m: Sequence[Sequence[Fraction]]) -> list[list[Fraction]]:
     return [row[n:] for row in a]
 
 
+def _integer(v: Union[int, Fraction]) -> int:
+    if getattr(v, "denominator", None) != 1:
+        raise RootDatumError(f"weight coordinate {v} is not an integer, so the weight is not in P")
+    return int(v)
+
+
 @dataclass(frozen=True)
 class Weight:
-    """Vector in the fundamental-weight basis; integral coords mean lambda in P."""
+    """Element of P = Z^r, as integer coordinates in the fundamental-weight basis."""
 
-    coords: tuple[Fraction, ...]
+    coords: tuple[int, ...]
 
     @staticmethod
     def of(values: Iterable[Union[int, Fraction]]) -> "Weight":
-        return Weight(tuple(Fraction(v) for v in values))
-
-    def is_integral(self) -> bool:
-        return all(c.denominator == 1 for c in self.coords)
-
-    def int_coords(self) -> list[int]:
-        if not self.is_integral():
-            raise RootDatumError(f"weight {self} is not in P")
-        return [int(c) for c in self.coords]
+        """Integers pass through and integral Fractions become ints; any other
+        coordinate raises RootDatumError."""
+        return Weight(tuple(_integer(v) for v in values))
 
     def __add__(self, other: "Weight") -> "Weight":
         return Weight(tuple(a + b for a, b in zip(self.coords, other.coords)))
@@ -167,7 +169,8 @@ class Weight:
         return Weight(tuple(-a for a in self.coords))
 
     def scaled(self, k: Union[int, Fraction]) -> "Weight":
-        return Weight(tuple(a * k for a in self.coords))
+        """k * lambda, which must lie in P again."""
+        return Weight.of(a * k for a in self.coords)
 
     def is_zero(self) -> bool:
         return all(c == 0 for c in self.coords)
@@ -221,31 +224,16 @@ class RootDatum:
     def fundamental_weight(self, i: int) -> Weight:
         return Weight.of([int(i == j) for j in range(self.rank)])
 
+    @cached_property
+    def killing_gram(self) -> tuple[int, IntMatrix]:
+        """(D, K) with the Killing matrix equal to K / D over integers."""
+        den = lcm(*(x.denominator for row in self.killing for x in row))
+        return den, [[int(x * den) for x in row] for row in self.killing]
+
     def pairing(self, lam: Weight, mu: Weight) -> Fraction:
         """Normalized Killing form (lam, mu)."""
-        total = Fraction(0)
-        k = self.killing
-        for i, a in enumerate(lam.coords):
-            if a == 0:
-                continue
-            for j, b in enumerate(mu.coords):
-                if b == 0:
-                    continue
-                total += a * b * k[i][j]
-        return total
-
-    def root_to_weight(self, root_coords: Sequence[Union[int, Fraction]]) -> Weight:
-        """Convert root coordinates to the fundamental-weight basis."""
-        out = [Fraction(0)] * self.rank
-        for j, c in enumerate(root_coords):
-            if c == 0:
-                continue
-            for i in range(self.rank):
-                out[i] += Fraction(c) * self.cartan[i][j]
-        return Weight(tuple(out))
-
-    def is_in_x(self, lam: Weight) -> bool:
-        return lam.is_integral() and self.charlattice.member(lam.int_coords())
+        den, k = self.killing_gram
+        return Fraction(bilinear(k, lam.coords, mu.coords), den)
 
     def is_simply_connected(self) -> bool:
         return self.charlattice == self.weight_lattice()
@@ -450,6 +438,6 @@ def two_rho(rd: RootDatum) -> Weight:
     total = Weight.of([0] * rd.rank)
     for root in rd.pos_roots:
         total = total + Weight.of(root.fw_coords)
-    if list(total.coords) != [Fraction(2)] * rd.rank:
+    if list(total.coords) != [2] * rd.rank:
         raise RootDatumError("sum of positive roots is not 2*rho")
     return total

@@ -26,7 +26,6 @@ def random_instance(
     rng: random.Random,
     max_rank: int = 3,
     max_den: int = 24,
-    allow_zero: bool = False,
 ) -> tuple[RootDatum, QParam]:
     """One random (root datum, parameter) pair within the given bounds."""
     rank = rng.randint(1, max_rank)
@@ -44,8 +43,7 @@ def random_instance(
     cs = []
     for _ in range(n_factors):
         den = rng.randint(1, max_den)
-        lo = 0 if allow_zero else 1
-        num = rng.randint(lo, max(lo, den - 1)) if den > 1 else (0 if allow_zero and rng.random() < 0.2 else 1)
+        num = rng.randint(1, den - 1) if den > 1 else 1
         cs.append(Fraction(num, den))
     return rd, make_param(rd, cs)
 

@@ -69,8 +69,11 @@ def serre_ratio_invariance(dual: DualDatum, kappa: BiformQZ) -> list[TwistWitnes
     return witnesses
 
 
-def commutator_identity(eps_alpha: AngleQZ, max_exponent: int = 10) -> bool:
-    """eps_alpha^(1+m) [m]_(eps_alpha) = m for |m| <= max_exponent.
+COMMUTATOR_MAX_EXPONENT = 10
+
+
+def commutator_identity(eps_alpha: AngleQZ) -> bool:
+    """eps_alpha^(1+m) [m]_(eps_alpha) = m for |m| <= COMMUTATOR_MAX_EXPONENT.
 
     The binomial column [m choose 1] is the quantum integer [m]; at a sign
     this is eps^(m+1) m, which cancels the toral eigenvalue eps^m together
@@ -80,7 +83,7 @@ def commutator_identity(eps_alpha: AngleQZ, max_exponent: int = 10) -> bool:
         raise TwistPreconditionError(f"{eps_alpha} is not a sign")
     conductor = eps_alpha.den
     eps = root_of_unity(eps_alpha, conductor)
-    for m in range(-max_exponent, max_exponent + 1):
+    for m in range(-COMMUTATOR_MAX_EXPONENT, COMMUTATOR_MAX_EXPONENT + 1):
         binom_value = qbinom(m, 1, eps) if m >= 1 else qint(m, eps)
         if eps.power(1 + m) * binom_value != CycloNum.from_rational(conductor, m):
             return False

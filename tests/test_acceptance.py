@@ -68,7 +68,7 @@ def test_criterion_2_odd_order_counterexamples():
         for i in range(0, rd.rank, 2):
             lam0 = lam0 + rd.simple_root(i)
         lam0 = lam0.scaled(Fraction(ell, 2))
-        coords = lam0.int_coords()
+        coords = lam0.coords
         ok = ok and tower.x_tan != tower.x_mug
         ok = ok and tower.x_mug.member(coords) and not tower.x_tan.member(coords)
         ok = ok and q.eval(lam0, lam0) == AngleQZ(1, 2)
@@ -78,7 +78,7 @@ def test_criterion_2_odd_order_counterexamples():
         q = make_param(rd, Fraction(1, 2 * ell))
         tower = center_tower(q, rd)
         lam0 = rd.simple_root(rd.rank - 1).scaled(Fraction(ell, 2))
-        coords = lam0.int_coords()
+        coords = lam0.coords
         ok = ok and tower.x_tan != tower.x_mug
         ok = ok and tower.x_mug.member(coords) and not tower.x_tan.member(coords)
         ok = ok and q.eval(lam0, lam0) == AngleQZ(1, 2)

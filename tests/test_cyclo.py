@@ -135,3 +135,9 @@ def test_inverse_and_arithmetic():
     assert z8.power(-1) == z8.inverse()
     half = CycloNum.from_rational(8, Fraction(1, 2))
     assert half * 2 == 1
+
+
+def test_equal_across_conductors_and_unhashable():
+    assert CycloNum.one(2) == CycloNum.one(4)
+    with pytest.raises(TypeError):
+        hash(CycloNum.one(2))

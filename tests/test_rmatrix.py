@@ -1,4 +1,5 @@
 import itertools
+import json
 from fractions import Fraction
 
 import pytest
@@ -131,3 +132,27 @@ def test_term_table_cap():
     capped = term_table(q, a2, max_terms=5)
     assert len(capped) == 5
     assert capped == full[:5]
+
+
+def test_term_table_walks_the_box_lazily(monkeypatch):
+    # E8 at c = 1/10 has 5^120 admissible supports; only the first five are built.
+    import qcenters.rmatrix as rmatrix
+
+    def no_materialization(*args, **kwargs):
+        raise AssertionError("term_table must not materialize the support box")
+
+    monkeypatch.setattr(rmatrix, "support_size", no_materialization)
+    e8 = build_root_datum("E8", "sc")
+    terms = term_table(make_param(e8, Fraction(1, 10)), e8, max_terms=5)
+    assert [s.n for s, _c in terms] == [(0,) * 119 + (k,) for k in range(5)]
+
+
+def test_rmatrix_cli_truncates_a_huge_box(capsys):
+    from qcenters.cli import main
+
+    code = main(["rmatrix", "--type", "E8", "--lattice", "sc", "--param", "1/10", "--max-terms", "5"])
+    section = json.loads(capsys.readouterr().out)
+    assert code == 0
+    assert section["support_count"] == 5**120 and section["truncated"] is True
+    assert len(section["terms"]) == 5
+    assert main(["rmatrix", "--type", "A1", "--param", "1/4", "--max-terms", "-1"]) == 1
