@@ -15,7 +15,7 @@ from .centers import DualDatumError
 from .intlat import LatticeError
 from .kappa import KappaError
 from .presets import PresetCase, PresetError, make_preset, parse_preset, PRESET_NAMES
-from .qparam import InvariantViolation, QParam, make_param, parse_param
+from .qparam import InputError, InvariantViolation, QParam, make_param, parse_param
 from .report import (
     Analysis,
     build_report,
@@ -28,10 +28,6 @@ from .report import (
 )
 from .rootdata import RootDatum, RootDatumError, build_root_datum
 from .selftest import run_selftest
-
-
-class InputError(ValueError):
-    pass
 
 
 def read_spec_file(path: str) -> dict[str, Any]:
@@ -74,7 +70,10 @@ def _resolve_inputs(args: argparse.Namespace) -> tuple[RootDatum, QParam, dict[s
     if not param:
         raise InputError("missing --param (or --preset / --spec)")
     if isinstance(lattice, str) and lattice.startswith("["):
-        lattice = ast.literal_eval(lattice)
+        try:
+            lattice = ast.literal_eval(lattice)
+        except (ValueError, SyntaxError) as exc:
+            raise InputError(f"bad lattice {lattice!r}: {exc}") from exc
     rd = build_root_datum(type_str, lattice)
     values = parse_param(param, len(rd.dynkin.factors))
     q = make_param(rd, values)

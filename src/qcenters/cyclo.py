@@ -1,19 +1,32 @@
 """Exact arithmetic in cyclotomic fields plus balanced quantum numbers.
 
-Elements of Q(zeta_N) are residues modulo the N-th cyclotomic polynomial, so
-equality is coefficient equality.  Quantum integers use the symmetric Laurent
-form [n]_v = v^(n-1) + v^(n-3) + ... + v^(1-n), which is the right definition
-at v = +-1, and Gaussian binomials are computed by a Pascal recursion that
-never divides, so they stay exact at roots of unity.
+An element of Q(zeta_N) is an integer coefficient vector on the power basis
+1, x, ..., x^(d-1) of Q[x]/Phi_N (d = deg Phi_N) over one positive
+denominator, reduced by the gcd, so equality is equality of that pair.
+Phi_N is monic and divides x^N - 1, so a cached table of the rows
+x^j mod Phi_N for j in [0, N), each kept as its nonzero entries, reduces
+every product in integers (x^j is read as x^(j mod N)); the same rows give
+roots of unity, the Galois conjugates and the embeddings
+Q(zeta_N) -> Q(zeta_M), N | M, with no division.  The inverse of alpha is
+the product c of its other Galois conjugates sigma_k(alpha), k in (Z/N)^x,
+divided by the norm alpha * c; inverse checks that this norm came out a
+nonzero rational and raises if not.
+
+Quantum integers use the symmetric Laurent form
+[n]_v = v^(n-1) + v^(n-3) + ... + v^(1-n), which is the right definition at
+v = +-1; they are built by [k+1] = v [k] + v^-k, which inverts v once.
+Gaussian binomials are computed by a Pascal recursion that never divides,
+so they stay exact at roots of unity.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import lcm
-from typing import Sequence, Union
+from math import gcd, lcm
+from typing import Iterable, Iterator, Sequence, Union
 
 from .angles import AngleQZ
 
@@ -22,94 +35,121 @@ class CycloError(ValueError):
     """Raised on conductor mismatches and non-invertible divisions."""
 
 
-def _poly_trim(p: list[Fraction]) -> list[Fraction]:
-    while p and p[-1] == 0:
-        p.pop()
-    return p
-
-
-def _poly_mul(a: Sequence[Fraction], b: Sequence[Fraction]) -> list[Fraction]:
-    if not a or not b:
-        return []
-    out = [Fraction(0)] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x == 0:
-            continue
-        for j, y in enumerate(b):
-            if y == 0:
-                continue
-            out[i + j] += x * y
-    return _poly_trim(out)
-
-
-def _poly_divmod(a: Sequence[Fraction], b: Sequence[Fraction]) -> tuple[list[Fraction], list[Fraction]]:
-    a = list(a)
-    b = _poly_trim(list(b))
-    if not b:
-        raise ZeroDivisionError("polynomial division by zero")
-    q = [Fraction(0)] * max(0, len(a) - len(b) + 1)
-    r = _poly_trim(a)
-    while len(r) >= len(b):
-        shift = len(r) - len(b)
-        coeff = r[-1] / b[-1]
-        q[shift] = coeff
-        for i, y in enumerate(b):
-            r[shift + i] -= coeff * y
-        r = _poly_trim(r)
-    return _poly_trim(q), r
+def _mobius(n: int) -> int:
+    mu, p = 1, 2
+    while p * p <= n:
+        if n % p == 0:
+            n //= p
+            if n % p == 0:
+                return 0
+            mu = -mu
+        p += 1
+    return -mu if n > 1 else mu
 
 
 @lru_cache(maxsize=None)
 def cyclotomic_poly(n: int) -> tuple[int, ...]:
-    """Coefficients (low to high) of the n-th cyclotomic polynomial."""
+    """Coefficients (low to high) of the n-th cyclotomic polynomial, as the
+    product of (x^d - 1)^mu(n/d) over the divisors d of n."""
     if n < 1:
         raise CycloError("conductor must be >= 1")
-    # x^n - 1 divided by the product of Phi_d over proper divisors d of n.
-    num = [Fraction(-1)] + [Fraction(0)] * (n - 1) + [Fraction(1)]
-    for d in range(1, n):
-        if n % d == 0:
-            q, r = _poly_divmod(num, [Fraction(c) for c in cyclotomic_poly(d)])
-            if r:
+    divisors = [d for d in range(1, n + 1) if n % d == 0]
+    poly = [1]
+    for d in divisors:
+        if _mobius(n // d) == 1:
+            poly = [a - b for a, b in itertools.zip_longest([0] * d + poly, poly, fillvalue=0)]
+    for d in divisors:
+        if _mobius(n // d) == -1:
+            # Exact division by x^d - 1, from the top: p[k] = q[k-d] - q[k].
+            q = [0] * len(poly)
+            for k in range(len(poly) - 1, d - 1, -1):
+                q[k - d] = poly[k] + q[k]
+            if any(poly[k] + q[k] for k in range(d)):
                 raise AssertionError("cyclotomic division left a remainder")
-            num = q
-    coeffs = []
-    for c in num:
-        if c.denominator != 1:
-            raise AssertionError("cyclotomic polynomial has non-integer coefficient")
-        coeffs.append(int(c))
-    return tuple(coeffs)
+            poly = q[: len(poly) - d]
+    return tuple(poly)
 
 
 def _phi_degree(n: int) -> int:
     return len(cyclotomic_poly(n)) - 1
 
 
+@lru_cache(maxsize=None)
+def _powers(n: int) -> tuple[tuple[tuple[int, int], ...], ...]:
+    """The rows x^j mod Phi_n for j in [0, n), each as its nonzero
+    (index, coefficient) pairs on the power basis."""
+    phi = cyclotomic_poly(n)
+    d = len(phi) - 1
+    rows = [((j, 1),) for j in range(d)]
+    row = [-c for c in phi[:d]]
+    for _ in range(d, n):
+        rows.append(tuple((i, c) for i, c in enumerate(row) if c))
+        top, row = row[-1], [0] + row[:-1]
+        if top:
+            row = [r - top * c for r, c in zip(row, phi)]
+    return tuple(rows)
+
+
+def _reduce(terms: Iterable[tuple[int, int]], n: int) -> list[int]:
+    """The sum of c x^j over the (j, c) pairs, modulo Phi_n, with x^j read
+    as x^(j mod n)."""
+    rows = _powers(n)
+    out = [0] * _phi_degree(n)
+    for j, c in terms:
+        if c:
+            for i, r in rows[j % n]:
+                out[i] += c * r
+    return out
+
+
+def _substitute(a: Sequence[int], k: int, n: int) -> list[int]:
+    """a(x^k) modulo Phi_n: the Galois conjugate sigma_k for k prime to n,
+    and the embedding of Q(zeta_(n/k)) for k dividing n."""
+    return _reduce(((i * k, c) for i, c in enumerate(a)), n)
+
+
+def _mul_vec(a: Sequence[int], b: Sequence[int], n: int) -> list[int]:
+    """Product of two integer vectors in Z[x]/Phi_n."""
+    full = [0] * (2 * len(a) - 1)
+    for i, x in enumerate(a):
+        if x:
+            for k, y in enumerate(b, i):
+                full[k] += x * y
+    return _reduce(enumerate(full), n)
+
+
 @dataclass(frozen=True, eq=False)
 class CycloNum:
-    """Element of Q(zeta_N): rational coefficients modulo Phi_N.
+    """Element num / den of Q(zeta_N), num an integer vector modulo Phi_N.
 
-    Equality lifts across conductors, so one(2) == one(4); no hash agrees
-    with that, so CycloNum is unhashable.
+    The constructor reduces num and den by their gcd, so two elements of one
+    field are equal exactly when their (num, den) pairs are.  Equality lifts
+    across conductors, so one(2) == one(4); no hash agrees with that, so
+    CycloNum is unhashable.
     """
 
     conductor: int
-    coeffs: tuple[Fraction, ...]
+    num: tuple[int, ...]
+    den: int = 1
 
     def __post_init__(self) -> None:
-        if len(self.coeffs) != _phi_degree(self.conductor):
+        if len(self.num) != _phi_degree(self.conductor):
             raise CycloError("coefficient vector length must equal deg Phi_N")
+        if self.den < 1:
+            raise CycloError("denominator must be positive")
+        g = gcd(self.den, *self.num)
+        object.__setattr__(self, "num", tuple(c // g for c in self.num))
+        object.__setattr__(self, "den", self.den // g)
 
-    @staticmethod
-    def from_poly(conductor: int, poly: Sequence[Union[int, Fraction]]) -> "CycloNum":
-        phi = [Fraction(c) for c in cyclotomic_poly(conductor)]
-        _q, r = _poly_divmod([Fraction(c) for c in poly], phi)
-        deg = _phi_degree(conductor)
-        r = list(r) + [Fraction(0)] * (deg - len(r))
-        return CycloNum(conductor, tuple(r))
+    @property
+    def coeffs(self) -> tuple[Fraction, ...]:
+        """The rational coefficients on the power basis, low to high."""
+        return tuple(Fraction(c, self.den) for c in self.num)
 
     @staticmethod
     def from_rational(conductor: int, value: Union[int, Fraction]) -> "CycloNum":
-        return CycloNum.from_poly(conductor, [Fraction(value)])
+        value = Fraction(value)
+        return CycloNum(conductor, (value.numerator,) + (0,) * (_phi_degree(conductor) - 1), value.denominator)
 
     @staticmethod
     def zero(conductor: int) -> "CycloNum":
@@ -120,7 +160,7 @@ class CycloNum:
         return CycloNum.from_rational(conductor, 1)
 
     def is_zero(self) -> bool:
-        return all(c == 0 for c in self.coeffs)
+        return not any(self.num)
 
     def lift(self, conductor: int) -> "CycloNum":
         """Embed into Q(zeta_M) for N | M via zeta_N = zeta_M^(M/N)."""
@@ -128,35 +168,35 @@ class CycloNum:
             raise CycloError("can only lift along divisibility of conductors")
         if conductor == self.conductor:
             return self
-        step = conductor // self.conductor
-        poly: list[Fraction] = []
-        for i, c in enumerate(self.coeffs):
-            if c != 0:
-                while len(poly) <= i * step:
-                    poly.append(Fraction(0))
-                poly[i * step] = c
-        return CycloNum.from_poly(conductor, poly)
+        return CycloNum(conductor, tuple(_substitute(self.num, conductor // self.conductor, conductor)), self.den)
 
     def _align(self, other: "CycloNum") -> tuple["CycloNum", "CycloNum"]:
+        if self.conductor == other.conductor:
+            return self, other
         n = lcm(self.conductor, other.conductor)
         return self.lift(n), other.lift(n)
 
-    def __add__(self, other: "CycloNum") -> "CycloNum":
+    def _add(self, other: "CycloNum", sign: int) -> "CycloNum":
         a, b = self._align(other)
-        return CycloNum(a.conductor, tuple(x + y for x, y in zip(a.coeffs, b.coeffs)))
+        g = gcd(a.den, b.den)
+        fa, fb = b.den // g, sign * a.den // g
+        return CycloNum(a.conductor, tuple(x * fa + y * fb for x, y in zip(a.num, b.num)), a.den * fa)
+
+    def __add__(self, other: "CycloNum") -> "CycloNum":
+        return self._add(other, 1)
 
     def __sub__(self, other: "CycloNum") -> "CycloNum":
-        a, b = self._align(other)
-        return CycloNum(a.conductor, tuple(x - y for x, y in zip(a.coeffs, b.coeffs)))
+        return self._add(other, -1)
 
     def __neg__(self) -> "CycloNum":
-        return CycloNum(self.conductor, tuple(-x for x in self.coeffs))
+        return CycloNum(self.conductor, tuple(-x for x in self.num), self.den)
 
     def __mul__(self, other: Union["CycloNum", int, Fraction]) -> "CycloNum":
         if isinstance(other, (int, Fraction)):
-            return CycloNum(self.conductor, tuple(x * other for x in self.coeffs))
+            other = Fraction(other)
+            return CycloNum(self.conductor, tuple(x * other.numerator for x in self.num), self.den * other.denominator)
         a, b = self._align(other)
-        return CycloNum.from_poly(a.conductor, _poly_mul(a.coeffs, b.coeffs))
+        return CycloNum(a.conductor, tuple(_mul_vec(a.num, b.num, a.conductor)), a.den * b.den)
 
     __rmul__ = __mul__
 
@@ -166,24 +206,24 @@ class CycloNum:
         if not isinstance(other, CycloNum):
             return NotImplemented
         a, b = self._align(other)
-        return a.coeffs == b.coeffs
+        return a.num == b.num and a.den == b.den
 
     def inverse(self) -> "CycloNum":
-        """Field inverse via the extended Euclidean algorithm mod Phi_N."""
+        """Field inverse: the product c of the conjugates sigma_k(self),
+        k != 1 in (Z/N)^x, over the norm self * c, which must be a nonzero
+        rational."""
         if self.is_zero():
             raise CycloError("zero is not invertible")
-        phi = [Fraction(c) for c in cyclotomic_poly(self.conductor)]
-        r0, r1 = phi, _poly_trim(list(self.coeffs))
-        s0, s1 = [], [Fraction(1)]
-        while r1:
-            q, r = _poly_divmod(r0, r1)
-            r0, r1 = r1, r
-            s0, s1 = s1, _poly_sub(s0, _poly_mul(q, s1))
-        # r0 is a nonzero constant: Phi_N is irreducible over Q.
-        if len(r0) != 1:
-            raise AssertionError("gcd with the cyclotomic polynomial is not constant")
-        scale = 1 / r0[0]
-        return CycloNum.from_poly(self.conductor, [c * scale for c in s0])
+        n = self.conductor
+        c = [1] + [0] * (len(self.num) - 1)
+        for k in range(2, n):
+            if gcd(k, n) == 1:
+                c = _mul_vec(c, _substitute(self.num, k, n), n)
+        norm = _mul_vec(c, self.num, n)
+        if any(norm[1:]) or norm[0] == 0:
+            raise AssertionError("the norm of a nonzero cyclotomic number is not a nonzero rational")
+        sign = 1 if norm[0] > 0 else -1
+        return CycloNum(n, tuple(sign * self.den * x for x in c), abs(norm[0]))
 
     def power(self, k: int) -> "CycloNum":
         if k < 0:
@@ -202,22 +242,23 @@ class CycloNum:
         return " + ".join(terms) if terms else "0"
 
 
-def _poly_sub(a: Sequence[Fraction], b: Sequence[Fraction]) -> list[Fraction]:
-    out = [Fraction(0)] * max(len(a), len(b))
-    for i, x in enumerate(a):
-        out[i] += x
-    for i, y in enumerate(b):
-        out[i] -= y
-    return _poly_trim(out)
-
-
 def root_of_unity(angle: AngleQZ, conductor: int) -> CycloNum:
     """The root of unity exp(2*pi*i*angle) inside Q(zeta_conductor)."""
     if conductor % angle.den != 0:
         raise CycloError(f"angle denominator {angle.den} does not divide conductor {conductor}")
-    k = angle.num * (conductor // angle.den)
-    poly = [Fraction(0)] * k + [Fraction(1)]
-    return CycloNum.from_poly(conductor, poly)
+    return CycloNum(conductor, tuple(_reduce([(angle.num * (conductor // angle.den), 1)], conductor)))
+
+
+def _qints(v: CycloNum) -> Iterator[CycloNum]:
+    """[1]_v, [2]_v, ... by [k+1] = v [k] + v^-k; v is inverted once, when
+    [2]_v is asked for."""
+    cur = CycloNum.one(v.conductor)
+    yield cur
+    v_inv, neg = v.inverse(), cur
+    while True:
+        neg = neg * v_inv
+        cur = v * cur + neg
+        yield cur
 
 
 def qint(n: int, v: CycloNum) -> CycloNum:
@@ -228,10 +269,9 @@ def qint(n: int, v: CycloNum) -> CycloNum:
     """
     if n < 0:
         return -qint(-n, v)
-    total = CycloNum.zero(v.conductor)
-    for k in range(n):
-        total = total + v.power(n - 1 - 2 * k)
-    return total
+    if n == 0:
+        return CycloNum.zero(v.conductor)
+    return next(itertools.islice(_qints(v), n - 1, None))
 
 
 def qfact(n: int, v: CycloNum) -> CycloNum:
@@ -239,8 +279,8 @@ def qfact(n: int, v: CycloNum) -> CycloNum:
     if n < 0:
         raise CycloError("quantum factorial needs n >= 0")
     out = CycloNum.one(v.conductor)
-    for k in range(1, n + 1):
-        out = out * qint(k, v)
+    for k in itertools.islice(_qints(v), n):
+        out = out * k
     return out
 
 
@@ -249,14 +289,18 @@ def qbinom(m: int, n: int, v: CycloNum) -> CycloNum:
     [m, n] = v^n [m-1, n] + v^(n-m) [m-1, n-1]."""
     if not 0 <= n <= m:
         raise CycloError("need 0 <= n <= m")
+    one = CycloNum.one(v.conductor)
+    if n == 0 or n == m:
+        return one
+    v_inv = v.inverse()
     memo: dict[tuple[int, int], CycloNum] = {}
 
     def rec(mm: int, nn: int) -> CycloNum:
         if nn == 0 or nn == mm:
-            return CycloNum.one(v.conductor)
+            return one
         key = (mm, nn)
         if key not in memo:
-            memo[key] = v.power(nn) * rec(mm - 1, nn) + v.power(nn - mm) * rec(mm - 1, nn - 1)
+            memo[key] = v.power(nn) * rec(mm - 1, nn) + v_inv.power(mm - nn) * rec(mm - 1, nn - 1)
         return memo[key]
 
     return rec(m, n)

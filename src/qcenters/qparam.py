@@ -29,6 +29,10 @@ class InvariantViolation(AssertionError):
     outside the validity envelope."""
 
 
+class InputError(ValueError):
+    """A user input (command-line value or spec file entry) is malformed."""
+
+
 @dataclass(frozen=True)
 class QParam:
     """Quantum parameter for a root datum: q(lam, mu) = c_H(lam, mu) per factor."""
@@ -190,16 +194,19 @@ def parse_param(text: str, n_factors: int) -> list[Fraction]:
     pieces = [p.strip() for p in text.split(",")]
     values = []
     for piece in pieces:
-        if piece.startswith("pi/l:"):
-            ell = int(piece.split(":", 1)[1])
-            values.append(Fraction(1, 2 * ell))
-        elif piece.startswith("2pi/l:"):
-            ell = int(piece.split(":", 1)[1])
-            values.append(Fraction(1, ell))
-        else:
-            values.append(Fraction(piece))
+        try:
+            if piece.startswith("pi/l:"):
+                ell = int(piece.split(":", 1)[1])
+                values.append(Fraction(1, 2 * ell))
+            elif piece.startswith("2pi/l:"):
+                ell = int(piece.split(":", 1)[1])
+                values.append(Fraction(1, ell))
+            else:
+                values.append(Fraction(piece))
+        except ZeroDivisionError as exc:
+            raise InputError(f"parameter {piece!r} has a zero denominator") from exc
     if len(values) == 1:
         values = values * n_factors
     if len(values) != n_factors:
-        raise ValueError(f"expected {n_factors} parameter value(s), got {len(values)}")
+        raise InputError(f"expected {n_factors} parameter value(s), got {len(values)}")
     return values

@@ -71,7 +71,7 @@ def _coeff_root_factor(angle: AngleQZ, v: int, conductor: int) -> CycloNum:
     """q_g^(-v(v+1)/2) (q_g - q_g^-1)^v [v]_{q_g}! at the given root scalar."""
     qg = root_of_unity(angle, conductor)
     out = root_of_unity(angle.scaled(-v * (v + 1) // 2), conductor)
-    out = out * (qg - qg.inverse()).power(v)
+    out = out * (qg - root_of_unity(-angle, conductor)).power(v)
     return out * qfact(v, qg)
 
 
@@ -86,8 +86,7 @@ def _pairing_root_factor(angle: AngleQZ, v: int, conductor: int) -> CycloNum:
     if fact.is_zero():
         raise NonInvertibleSpecialization(f"[{v}]! vanishes at angle {angle}")
     out = root_of_unity(angle.scaled(v * (v + 1) // 2), conductor)
-    out = out * (vg - vg.inverse()).power(-v)
-    return out * fact.inverse()
+    return out * ((vg - root_of_unity(-angle, conductor)).power(v) * fact).inverse()
 
 
 def coeff(n: RSupport, q: QParam, rd: RootDatum, conductor: Optional[int] = None) -> CycloNum:

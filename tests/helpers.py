@@ -2,8 +2,10 @@
 
 These deliberately avoid the code paths they check: group structure is read
 off from element-order profiles over enumerated cosets, congruence
-solutions are counted by direct enumeration, and the Q/Z-valued forms are
-evaluated by Fraction and angle sums instead of integer Gram matrices.
+solutions are counted by direct enumeration, the Q/Z-valued forms are
+evaluated by Fraction and angle sums instead of integer Gram matrices, and
+cyclotomic numbers are Fraction polynomials reduced by long division, with
+the inverse from the extended Euclidean algorithm.
 """
 
 from __future__ import annotations
@@ -15,6 +17,7 @@ from math import lcm, prod
 from typing import Sequence
 
 from qcenters.angles import ZERO, AngleQZ
+from qcenters.cyclo import CycloNum, cyclotomic_poly
 from qcenters.intlat import Lattice, congruence_kernel, hnf, snf
 from qcenters.rootdata import _rational_inverse
 
@@ -165,3 +168,81 @@ def ambient_extend_psi_gram(kappa, x: Lattice) -> list[list[AngleQZ]]:
             row.append(total)
         gram.append(row)
     return gram
+
+
+def _poly_trim(p: list[Fraction]) -> list[Fraction]:
+    while p and p[-1] == 0:
+        p.pop()
+    return p
+
+
+def poly_mul(a: Sequence[Fraction], b: Sequence[Fraction]) -> list[Fraction]:
+    out = [Fraction(0)] * max(0, len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return _poly_trim(out)
+
+
+def _poly_sub(a: Sequence[Fraction], b: Sequence[Fraction]) -> list[Fraction]:
+    out = [Fraction(0)] * max(len(a), len(b))
+    for i, x in enumerate(a):
+        out[i] += x
+    for i, y in enumerate(b):
+        out[i] -= y
+    return _poly_trim(out)
+
+
+def poly_divmod(a: Sequence[Fraction], b: Sequence[Fraction]) -> tuple[list[Fraction], list[Fraction]]:
+    b = _poly_trim(list(b))
+    assert b, "polynomial division by zero"
+    q = [Fraction(0)] * max(0, len(a) - len(b) + 1)
+    r = _poly_trim([Fraction(x) for x in a])
+    while len(r) >= len(b):
+        shift = len(r) - len(b)
+        coeff = r[-1] / b[-1]
+        q[shift] = coeff
+        for i, y in enumerate(b):
+            r[shift + i] -= coeff * y
+        r = _poly_trim(r)
+    return _poly_trim(q), r
+
+
+def fraction_cyclo(n: int, poly: Sequence[Fraction]) -> tuple[Fraction, ...]:
+    """poly mod Phi_n as a coefficient tuple of length deg Phi_n."""
+    phi = [Fraction(c) for c in cyclotomic_poly(n)]
+    _q, r = poly_divmod(poly, phi)
+    return tuple(r + [Fraction(0)] * (len(phi) - 1 - len(r)))
+
+
+def fraction_lift(n: int, coeffs: Sequence[Fraction], m: int) -> tuple[Fraction, ...]:
+    """Embed Q(zeta_n) into Q(zeta_m), n | m, by zeta_n = zeta_m^(m/n)."""
+    poly = [Fraction(0)] * (len(coeffs) * (m // n))
+    for i, c in enumerate(coeffs):
+        poly[i * (m // n)] = c
+    return fraction_cyclo(m, poly)
+
+
+def fraction_inverse(n: int, coeffs: Sequence[Fraction]) -> tuple[Fraction, ...]:
+    """Inverse mod Phi_n by the extended Euclidean algorithm over Q."""
+    r0, r1 = [Fraction(c) for c in cyclotomic_poly(n)], _poly_trim(list(coeffs))
+    s0, s1 = [], [Fraction(1)]
+    while r1:
+        q, r = poly_divmod(r0, r1)
+        r0, r1 = r1, r
+        s0, s1 = s1, _poly_sub(s0, poly_mul(q, s1))
+    assert len(r0) == 1, "gcd with the cyclotomic polynomial is not constant"
+    return fraction_cyclo(n, [c / r0[0] for c in s0])
+
+
+def count_inverses(monkeypatch) -> list[int]:
+    """Patch CycloNum.inverse to count its calls in the returned one-item list."""
+    calls = [0]
+    original = CycloNum.inverse
+
+    def counted(self):
+        calls[0] += 1
+        return original(self)
+
+    monkeypatch.setattr(CycloNum, "inverse", counted)
+    return calls

@@ -162,3 +162,28 @@ def test_entrypoint_subprocess():
     assert proc.returncode == 0
     report = json.loads(proc.stdout)
     assert report["dims"]["fpdim_fiber"] == 16
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["--type", "A2", "--param", "1/0"],
+        ["--type", "A2", "--param", "pi/l:0"],
+        ["--type", "A2", "--param", "2pi/l:0"],
+        ["--type", "A2", "--lattice", "[1,", "--param", "1/6"],
+        ["--spec", "{spec}"],
+    ],
+)
+def test_malformed_inputs_exit_one_without_traceback(argv, tmp_path):
+    spec = tmp_path / "zero.spec"
+    spec.write_text('type = "A2"\nparam = "1/0"\n')
+    argv = [a.format(spec=spec) for a in argv]
+    proc = subprocess.run(
+        [sys.executable, "-m", "qcenters.cli", "analyze", *argv],
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 1
+    assert proc.stderr.startswith("error: ")
+    assert "Traceback" not in proc.stderr
+    assert proc.stdout == ""

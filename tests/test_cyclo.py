@@ -1,9 +1,11 @@
 import random
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 import pytest
 
+from helpers import count_inverses, fraction_cyclo, fraction_inverse, fraction_lift, poly_mul
+from qcenters import cyclo
 from qcenters.angles import AngleQZ
 from qcenters.cyclo import (
     CycloError,
@@ -37,6 +39,26 @@ def test_cyclotomic_poly_product_recovers_xn_minus_1():
                 prod = new
         expected = [Fraction(-1)] + [Fraction(0)] * (n - 1) + [Fraction(1)]
         assert prod == expected
+
+
+def test_cyclotomic_poly_matches_sympy():
+    sympy = pytest.importorskip("sympy")
+    x = sympy.symbols("x")
+    for n in [*range(1, 301), 3000]:
+        expected = sympy.Poly(sympy.cyclotomic_poly(n, x), x).all_coeffs()[::-1]
+        assert list(cyclotomic_poly(n)) == expected, n
+
+
+def test_cyclotomic_poly_raises_on_a_remainder(monkeypatch):
+    # With the Moebius signs flipped, the product is no longer a polynomial.
+    real = cyclo._mobius
+    monkeypatch.setattr(cyclo, "_mobius", lambda n: -real(n))
+    cyclotomic_poly.cache_clear()
+    try:
+        with pytest.raises(AssertionError, match="remainder"):
+            cyclotomic_poly(7)
+    finally:
+        cyclotomic_poly.cache_clear()
 
 
 def test_root_of_unity_examples():
@@ -141,3 +163,98 @@ def test_equal_across_conductors_and_unhashable():
     assert CycloNum.one(2) == CycloNum.one(4)
     with pytest.raises(TypeError):
         hash(CycloNum.one(2))
+
+
+def _random_coeffs(rng: random.Random, n: int) -> tuple[Fraction, ...]:
+    d = len(cyclotomic_poly(n)) - 1
+    return tuple(Fraction(rng.randint(-6, 6), rng.choice((1, 1, 2, 3, 4, 7))) for _ in range(d))
+
+
+def _num(n: int, coeffs) -> CycloNum:
+    den = lcm(*(c.denominator for c in coeffs))
+    return CycloNum(n, tuple(int(c * den) for c in coeffs), den)
+
+
+def _oracle_power(n: int, base, k: int) -> tuple[Fraction, ...]:
+    out = fraction_cyclo(n, [Fraction(1)])
+    for _ in range(k):
+        out = fraction_cyclo(n, poly_mul(out, base))
+    return out
+
+
+@pytest.mark.parametrize("n", range(1, 49))
+def test_arithmetic_matches_the_fraction_oracle(n):
+    rng = random.Random(n)
+    a, b = _random_coeffs(rng, n), _random_coeffs(rng, n)
+    a = a if any(a) else (Fraction(1, 2),) + a[1:]
+    x, y = _num(n, a), _num(n, b)
+    assert x.coeffs == a
+    assert (x + y).coeffs == tuple(p + q for p, q in zip(a, b))
+    assert (x - y).coeffs == tuple(p - q for p, q in zip(a, b))
+    assert (x * y).coeffs == fraction_cyclo(n, poly_mul(a, b))
+    assert (x * Fraction(-3, 4)).coeffs == tuple(p * Fraction(-3, 4) for p in a)
+    inv = fraction_inverse(n, a)
+    assert x.inverse().coeffs == inv
+    assert x * x.inverse() == 1
+    for k in (0, 1, 2, 3):
+        assert x.power(k).coeffs == _oracle_power(n, a, k), k
+        assert x.power(-k).coeffs == _oracle_power(n, inv, k), -k
+    m = n * rng.choice((2, 3))
+    assert x.lift(m).coeffs == fraction_lift(n, a, m)
+    assert x.lift(m) == x and x == x.lift(m)
+
+
+def test_mixed_conductors_match_the_fraction_oracle():
+    rng = random.Random(48)
+    for _ in range(40):
+        n1, n2 = rng.randint(1, 48), rng.randint(1, 48)
+        m = lcm(n1, n2)
+        if m > 120:
+            continue
+        a, b = _random_coeffs(rng, n1), _random_coeffs(rng, n2)
+        x, y = _num(n1, a), _num(n2, b)
+        la, lb = fraction_lift(n1, a, m), fraction_lift(n2, b, m)
+        assert (x + y).coeffs == tuple(p + q for p, q in zip(la, lb))
+        assert (x - y).coeffs == tuple(p - q for p, q in zip(la, lb))
+        assert (x * y).coeffs == fraction_cyclo(m, poly_mul(la, lb))
+        assert (x == y) == (la == lb)
+
+
+def test_equality_across_conductors_matches_the_fraction_oracle():
+    # One value of Q(zeta_n0), written in two fields neither of which contains
+    # the other, is equal to itself and to nothing nearby.
+    rng = random.Random(7)
+    for n0, k1, k2 in ((1, 2, 3), (3, 2, 5), (4, 3, 5), (5, 2, 3), (6, 4, 5), (2, 7, 9)):
+        a = _random_coeffs(rng, n0)
+        n1, n2 = n0 * k1, n0 * k2
+        x1, x2 = _num(n1, fraction_lift(n0, a, n1)), _num(n2, fraction_lift(n0, a, n2))
+        assert x1 == x2 and x2 == x1
+        assert x1 == _num(n0, a)
+        z = root_of_unity(AngleQZ(1, n2), n2)
+        assert x1 != x2 + CycloNum.from_rational(n2, Fraction(1, 3))
+        assert x1 != x2 * z
+
+
+def test_inverse_raises_when_the_norm_is_not_rational(monkeypatch):
+    z5 = root_of_unity(AngleQZ(1, 5), 5)
+    monkeypatch.setattr(cyclo, "_substitute", lambda a, k, n: list(a))
+    with pytest.raises(AssertionError, match="norm"):
+        z5.inverse()
+
+
+def test_quantum_numbers_invert_v_at_most_once(monkeypatch):
+    calls = count_inverses(monkeypatch)
+    for den in (1, 2, 5, 12, 19):
+        v = root_of_unity(AngleQZ(1, den) if den > 1 else AngleQZ(0, 1), 2 * den)
+        for n in range(-4, 13):
+            calls[0] = 0
+            qint(n, v)
+            assert calls[0] <= 1, (den, n)
+        for m in range(9):
+            for n in range(m + 1):
+                calls[0] = 0
+                qbinom(m, n, v)
+                assert calls[0] <= 1, (den, m, n)
+            calls[0] = 0
+            qfact(m, v)
+            assert calls[0] <= 1, (den, m)

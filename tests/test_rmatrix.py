@@ -4,12 +4,14 @@ from fractions import Fraction
 
 import pytest
 
+from helpers import count_inverses
 from qcenters.angles import AngleQZ
 from qcenters.cyclo import root_of_unity
 from qcenters.qparam import make_param
 from qcenters.rmatrix import (
     NonInvertibleSpecialization,
     RSupport,
+    _pairing_root_factor,
     batch_conductor,
     coeff,
     omega_phase,
@@ -83,19 +85,44 @@ def test_coeff_pairing_inverse_relation(type_str, c):
     big_n = batch_conductor(q, rd)
     _count, supports = support_size(q, rd)
     ls = q.pos_root_ls()
-    omega_sum = Weight.of([1] * rd.rank)
     for s in supports:
         value = coeff(s, q, rd, conductor=big_n)
         pairing = pairing_diag(s, rd, q, conductor=big_n)
-        sign_exp = sum(v * r.height for v, r in zip(s.n, rd.pos_roots))
-        weighted = Weight.of([0] * rd.rank)
-        for v, r in zip(s.n, rd.pos_roots):
-            weighted = weighted + Weight.of(r.fw_coords).scaled(v)
-        marker_angle = AngleQZ.of(Fraction(sign_exp, 2)) + q.eval(weighted, omega_sum)
-        marker = root_of_unity(marker_angle, big_n)
-        assert value * pairing == marker
+        marker_angle = _marker_angle(q, rd, s)
+        assert value * pairing == root_of_unity(marker_angle, big_n)
         # Equivalently: coeff * pairing * marker^-1 = 1.
         assert value * pairing * root_of_unity(-marker_angle, big_n) == 1
+
+
+def _marker_angle(q, rd, s: RSupport) -> AngleQZ:
+    """Angle of the sign/phase root of unity that coeff(s) * pairing(s) equals:
+    (-1)^(sum n_g ht g) q(sum n_g g, sum_a w_a)."""
+    sign_exp = sum(v * r.height for v, r in zip(s.n, rd.pos_roots))
+    weighted = Weight.of([0] * rd.rank)
+    for v, r in zip(s.n, rd.pos_roots):
+        weighted = weighted + Weight.of(r.fw_coords).scaled(v)
+    return AngleQZ.of(Fraction(sign_exp, 2)) + q.eval(weighted, Weight.of([1] * rd.rank))
+
+
+def test_a1_at_1_23_coeff_times_pairing_is_the_marker():
+    # A field of degree 22, larger than any the rank <= 2 sweep above uses.
+    rd = build_root_datum("A1", "sc")
+    q = make_param(rd, Fraction(1, 23))
+    terms = term_table(q, rd)
+    big_n = terms[0][1].conductor
+    assert len(terms) == 23 and big_n == 46
+    for s, value in terms:
+        pairing = pairing_diag(s, rd, q, conductor=big_n)
+        assert value * pairing == root_of_unity(_marker_angle(q, rd, s), big_n), s.n
+
+
+def test_pairing_root_factor_inverts_twice_at_most(monkeypatch):
+    # Once for v^-1 inside [v]!, once for (v - v^-1)^v [v]!.
+    calls = count_inverses(monkeypatch)
+    for v in range(1, 11):
+        calls[0] = 0
+        _pairing_root_factor.__wrapped__(AngleQZ(1, 23), v, 46)
+        assert calls[0] <= 2, v
 
 
 def test_omega_phase_examples():
