@@ -96,6 +96,13 @@ class QParam:
         """l_gamma for every positive root, in rd.pos_roots order."""
         return tuple(self.l_of(r) for r in self.rd.pos_roots)
 
+    @cached_property
+    def root_table(self) -> tuple[tuple[AngleQZ, AngleQZ], ...]:
+        """(q_gamma, q(gamma, rho)) for every positive root, in rd.pos_roots
+        order, with rho = sum_alpha omega_alpha the Weyl vector."""
+        rho = Weight.of([1] * self.rd.rank)
+        return tuple((self.q_scalar(r), self.eval(Weight.of(r.fw_coords), rho)) for r in self.rd.pos_roots)
+
     def simple_ls(self) -> list[int]:
         """l_alpha for the simple roots, in simple-root order."""
         by_simple = {}

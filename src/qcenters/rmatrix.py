@@ -5,6 +5,13 @@ coefficient vanishes exactly when some n_gamma reaches l_gamma, so the
 admissible supports form a box of size prod l_gamma.  Coefficients and the
 diagonal Hopf-pairing values are evaluated exactly in a single cyclotomic
 field whose conductor is the lcm of every angle denominator that appears.
+The sign (-1)^(sum n_gamma ht gamma) and the phase q(sum n_gamma gamma, rho)
+of a coefficient are characters of n, so the coefficient is a product of
+one factor per root, f_gamma(n_gamma); each f_gamma is a cached row over
+0..l_gamma, built once per (q_gamma, q(gamma, rho), parity of ht gamma,
+l_gamma, conductor).  The pairing values are products of cached rows too,
+built by a separate computation, so that coeff * pairing = sign * phase
+checks one against the other.
 The degree-zero part of the braiding is the diagonal phase operator with
 angle -q(deg v, deg w).
 """
@@ -12,14 +19,15 @@ angle -q(deg v, deg w).
 from __future__ import annotations
 
 import itertools
+import operator
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, reduce
 from math import lcm, prod
 from typing import Optional, Sequence, Union
 
 from .angles import AngleQZ
-from .cyclo import CycloNum, qfact, root_of_unity
-from .qparam import QParam
+from .cyclo import CycloNum, root_of_unity
+from .qparam import InvariantViolation, QParam
 from .rootdata import RootDatum, Weight
 
 
@@ -57,36 +65,66 @@ def support_size(q: QParam, rd: RootDatum, cap: Optional[int] = 4096) -> tuple[i
 
 
 def batch_conductor(q: QParam, rd: RootDatum) -> int:
-    """lcm of every angle denominator the coefficient formula can produce."""
-    n = 2  # the sign factor
-    omega_sum = Weight.of([1] * rd.rank)
-    for root in rd.pos_roots:
-        n = lcm(n, q.q_scalar(root).order)
-        n = lcm(n, q.eval(Weight.of(root.fw_coords), omega_sum).order)
-    return n
+    """lcm of every angle denominator the coefficient formula can produce:
+    the sign, each q_gamma and each q(gamma, rho)."""
+    return lcm(2, *(a.order for pair in q.root_table for a in pair))
+
+
+def _product(factors: Sequence[CycloNum], conductor: int) -> CycloNum:
+    """Product of the factors, without a multiply by one; one when empty."""
+    return reduce(operator.mul, factors) if factors else CycloNum.one(conductor)
 
 
 @lru_cache(maxsize=None)
-def _coeff_root_factor(angle: AngleQZ, v: int, conductor: int) -> CycloNum:
-    """q_g^(-v(v+1)/2) (q_g - q_g^-1)^v [v]_{q_g}! at the given root scalar."""
-    qg = root_of_unity(angle, conductor)
-    out = root_of_unity(angle.scaled(-v * (v + 1) // 2), conductor)
-    out = out * (qg - root_of_unity(-angle, conductor)).power(v)
-    return out * qfact(v, qg)
+def _coeff_row(qg: AngleQZ, phase: AngleQZ, height_parity: int, l: int, conductor: int) -> tuple[CycloNum, ...]:
+    """Entries v = 0..l of (-1)^(v ht) zeta^(v phase) q^(-v(v+1)/2)
+    (q - q^-1)^v [v]_q! at q = exp(2 pi i qg), zeta^phase = exp(2 pi i phase).
+
+    One running product: entry v is entry v-1 times the per-step character
+    (-1)^ht zeta^phase (q - q^-1) and q^-v [v], with [v+1] = q [v] + q^-v and
+    q^-1 read as a root of unity, so nothing is inverted.  The entry at l must
+    vanish, since [l]_q = 0 or q = q^-1 there.
+    """
+    qv, qv_inv = root_of_unity(qg, conductor), root_of_unity(-qg, conductor)
+    step = root_of_unity(phase, conductor) * (qv - qv_inv)
+    if height_parity:
+        step = -step
+    entry = qint = qv_neg = CycloNum.one(conductor)
+    row = [entry]
+    for _v in range(l):
+        qv_neg = qv_neg * qv_inv
+        entry = entry * step * qv_neg * qint
+        row.append(entry)
+        qint = qv * qint + qv_neg
+    if not row[l].is_zero():
+        raise InvariantViolation(f"coefficient row of q_gamma = {qg} does not vanish at l = {l}")
+    return tuple(row)
 
 
 @lru_cache(maxsize=None)
-def _pairing_root_factor(angle: AngleQZ, v: int, conductor: int) -> CycloNum:
-    """v_g^(v(v+1)/2) (v_g - v_g^-1)^(-v) ([v]_{v_g}!)^(-1); raises when the
-    inverted pieces vanish."""
+def _pairing_row(angle: AngleQZ, conductor: int) -> tuple[CycloNum, ...]:
+    """Entries v = 0 .. ord(2 angle) - 1 of v_g^(v(v+1)/2) (v_g - v_g^-1)^(-v)
+    ([v]_{v_g}!)^(-1) at v_g = exp(2 pi i angle).
+
+    Entry v is the inverse of prod_{k <= v} (1 - v_g^(-2k)), since
+    v_g^-k (v_g - v_g^-1) [k] = 1 - v_g^(-2k); that factor first vanishes at
+    k = ord(2 angle), where the row ends.  The full product is inverted once
+    and the row is walked back by the factors.
+    """
     if angle.is_zero() or angle.is_half():
         raise NonInvertibleSpecialization(f"(v - v^-1) vanishes at angle {angle}")
-    vg = root_of_unity(angle, conductor)
-    fact = qfact(v, vg)
-    if fact.is_zero():
-        raise NonInvertibleSpecialization(f"[{v}]! vanishes at angle {angle}")
-    out = root_of_unity(angle.scaled(v * (v + 1) // 2), conductor)
-    return out * ((vg - root_of_unity(-angle, conductor)).power(v) * fact).inverse()
+    double = angle.scaled(2)
+    one = CycloNum.one(conductor)
+    v_inv2 = root_of_unity(-double, conductor)
+    factors, power, total = [], one, one
+    for _k in range(1, double.order):
+        power = power * v_inv2
+        factors.append(one - power)
+        total = total * factors[-1]
+    row = [total.inverse()]
+    for f in reversed(factors):
+        row.append(row[-1] * f)
+    return tuple(reversed(row))
 
 
 def coeff(n: RSupport, q: QParam, rd: RootDatum, conductor: Optional[int] = None) -> CycloNum:
@@ -94,27 +132,27 @@ def coeff(n: RSupport, q: QParam, rd: RootDatum, conductor: Optional[int] = None
 
     The value is sign * phase * prod_gamma (q_gamma^(-n(n+1)/2)
     (q_gamma - q_gamma^-1)^n [n]_{q_gamma}!) with sign (-1)^(sum n_gamma
-    ht(gamma)) and phase q(sum n_gamma gamma, sum_alpha omega_alpha); it is
-    exactly zero iff some n_gamma >= l_gamma.
+    ht(gamma)) and phase q(sum n_gamma gamma, rho), rho = sum_alpha
+    omega_alpha.  Sign and phase are characters of n, so the value is the
+    product over the nonzero n_gamma of entry n_gamma of the cached row of
+    gamma; it is exactly zero iff some n_gamma >= l_gamma.  The rows of all
+    roots are looked up on every call, so each is built, and checked to
+    vanish at l_gamma, by the first coefficient of a parameter.
     """
     if len(n.n) != len(rd.pos_roots):
         raise ValueError("support length must match the number of positive roots")
     big_n = conductor or batch_conductor(q, rd)
-    sign_exp = sum(v * r.height for v, r in zip(n.n, rd.pos_roots))
-    out = CycloNum.from_rational(big_n, -1 if sign_exp % 2 else 1)
-
-    weighted = Weight.of([0] * rd.rank)
-    for v, r in zip(n.n, rd.pos_roots):
+    rows = [
+        _coeff_row(qg, phase, r.height % 2, l, big_n)
+        for (qg, phase), l, r in zip(q.root_table, q.l_table, rd.pos_roots)
+    ]
+    factors = []
+    for v, row in zip(n.n, rows):
+        if v >= len(row) - 1:
+            return CycloNum.zero(big_n)
         if v:
-            weighted = weighted + Weight.of(r.fw_coords).scaled(v)
-    omega_sum = Weight.of([1] * rd.rank)
-    out = out * root_of_unity(q.eval(weighted, omega_sum), big_n)
-
-    for v, r in zip(n.n, rd.pos_roots):
-        if v == 0:
-            continue
-        out = out * _coeff_root_factor(q.q_scalar(r), v, big_n)
-    return out
+            factors.append(row[v])
+    return _product(factors, big_n)
 
 
 def pairing_diag(
@@ -131,18 +169,21 @@ def pairing_diag(
     n_gamma > 0.
     """
     if isinstance(at, QParam):
-        angles = [at.q_scalar(r) for r in rd.pos_roots]
+        angles = [qg for qg, _phase in at.root_table]
     else:
         angles = list(at)
     if len(angles) != len(rd.pos_roots) or len(n.n) != len(rd.pos_roots):
         raise ValueError("specialization length must match the number of positive roots")
     big_n = conductor or lcm(2, *(a.order for a in angles))
-    out = CycloNum.one(big_n)
+    factors = []
     for v, angle in zip(n.n, angles):
         if v == 0:
             continue
-        out = out * _pairing_root_factor(angle, v, big_n)
-    return out
+        row = _pairing_row(angle, big_n)
+        if v >= len(row):
+            raise NonInvertibleSpecialization(f"[{v}]! vanishes at angle {angle}")
+        factors.append(row[v])
+    return _product(factors, big_n)
 
 
 def omega_phase(q: QParam, lam: Weight, mu: Weight) -> AngleQZ:

@@ -3,9 +3,11 @@
 These deliberately avoid the code paths they check: group structure is read
 off from element-order profiles over enumerated cosets, congruence
 solutions are counted by direct enumeration, the Q/Z-valued forms are
-evaluated by Fraction and angle sums instead of integer Gram matrices, and
+evaluated by Fraction and angle sums instead of integer Gram matrices,
 cyclotomic numbers are Fraction polynomials reduced by long division, with
-the inverse from the extended Euclidean algorithm.
+the inverse from the extended Euclidean algorithm, and R-matrix coefficients
+are evaluated term by term, from the weight sum of the support and one
+quantum factorial per root.
 """
 
 from __future__ import annotations
@@ -13,13 +15,14 @@ from __future__ import annotations
 import itertools
 from collections import Counter
 from fractions import Fraction
+from functools import lru_cache
 from math import lcm, prod
 from typing import Sequence
 
 from qcenters.angles import ZERO, AngleQZ
-from qcenters.cyclo import CycloNum, cyclotomic_poly
+from qcenters.cyclo import CycloNum, cyclotomic_poly, qfact, root_of_unity
 from qcenters.intlat import Lattice, congruence_kernel, hnf, snf
-from qcenters.rootdata import _rational_inverse
+from qcenters.rootdata import Weight, _rational_inverse
 
 
 def coset_order_profile(sub: Lattice, super_: Lattice, bound: int = 4096) -> Counter:
@@ -246,3 +249,41 @@ def count_inverses(monkeypatch) -> list[int]:
 
     monkeypatch.setattr(CycloNum, "inverse", counted)
     return calls
+
+
+def marker_angle(q, rd, n: Sequence[int]) -> AngleQZ:
+    """Angle of the sign and phase of the coefficient at support n:
+    (-1)^(sum n_g ht g) q(sum n_g g, sum_a w_a), from the weight sum of n."""
+    sign_exp = sum(v * r.height for v, r in zip(n, rd.pos_roots))
+    weighted = Weight.of([0] * rd.rank)
+    for v, r in zip(n, rd.pos_roots):
+        weighted = weighted + Weight.of(r.fw_coords).scaled(v)
+    return AngleQZ.of(Fraction(sign_exp, 2)) + q.eval(weighted, Weight.of([1] * rd.rank))
+
+
+def oracle_conductor(q, rd) -> int:
+    """lcm of 2 and the orders of every q_gamma and q(gamma, sum_a w_a)."""
+    omega_sum = Weight.of([1] * rd.rank)
+    n = 2
+    for root in rd.pos_roots:
+        n = lcm(n, q.q_scalar(root).order, q.eval(Weight.of(root.fw_coords), omega_sum).order)
+    return n
+
+
+@lru_cache(maxsize=None)
+def coeff_root_factor(angle: AngleQZ, v: int, conductor: int) -> CycloNum:
+    """q_g^(-v(v+1)/2) (q_g - q_g^-1)^v [v]_{q_g}!, with [v]! from qfact."""
+    qg = root_of_unity(angle, conductor)
+    out = root_of_unity(angle.scaled(-v * (v + 1) // 2), conductor)
+    out = out * (qg - root_of_unity(-angle, conductor)).power(v)
+    return out * qfact(v, qg)
+
+
+def oracle_coeff(q, rd, n: Sequence[int], conductor: int) -> CycloNum:
+    """The R-matrix coefficient at support n, term by term: the sign/phase
+    root of unity times one factor per root with n_g > 0."""
+    out = root_of_unity(marker_angle(q, rd, n), conductor)
+    for v, r in zip(n, rd.pos_roots):
+        if v:
+            out = out * coeff_root_factor(q.q_scalar(r), v, conductor)
+    return out

@@ -195,3 +195,56 @@ def test_non_integer_entries_rejected():
 
     with pytest.raises(LatticeError):
         hnf([[Fraction(1, 2)]], 1)
+
+
+def _random_int_matrix(rng: random.Random) -> list[list[int]]:
+    """Up to 6x6, from three families: dense entries; products through a
+    narrower middle dimension, which are rank-deficient; and a diagonal of
+    small entries (zeros included, divisibility not arranged) scrambled by
+    elementary row and column operations, whose Smith form needs the
+    divisibility repair."""
+    rows, cols = rng.randint(1, 6), rng.randint(1, 6)
+    family = rng.randrange(3)
+    if family == 0:
+        return [[rng.randint(-9, 9) for _ in range(cols)] for _ in range(rows)]
+    if family == 1:
+        k = rng.randint(0, min(rows, cols) - 1)
+        a = [[rng.randint(-4, 4) for _ in range(k)] for _ in range(rows)]
+        b = [[rng.randint(-4, 4) for _ in range(cols)] for _ in range(k)]
+        return [[sum(a[i][t] * b[t][j] for t in range(k)) for j in range(cols)] for i in range(rows)]
+    m = [[rng.randint(0, 6) if i == j else 0 for j in range(cols)] for i in range(rows)]
+    for _ in range(2 * (rows + cols)):
+        c = rng.choice([-2, -1, 1, 2])
+        if rng.random() < 0.5 and rows > 1:
+            i, j = rng.sample(range(rows), 2)
+            m[i] = [x + c * y for x, y in zip(m[i], m[j])]
+        elif cols > 1:
+            i, j = rng.sample(range(cols), 2)
+            for row in m:
+                row[i] += c * row[j]
+    return m
+
+
+@pytest.mark.parametrize("seed", range(50))
+def test_normal_forms_match_sympy(seed):
+    sympy = pytest.importorskip("sympy")
+    from sympy.matrices.normalforms import hermite_normal_form
+    from sympy.matrices.normalforms import smith_normal_form as sympy_snf
+
+    m = _random_int_matrix(random.Random(f"normal-forms:{seed}"))
+    rows, cols = len(m), len(m[0])
+    d, _u, _v = smith_normal_form(m)
+    expected = sympy_snf(sympy.Matrix(m), domain=sympy.ZZ)
+    assert [d[i][i] for i in range(min(rows, cols))] == [abs(expected[i, i]) for i in range(min(rows, cols))]
+
+    # sympy's form is column-style, so the row lattice of m is the column
+    # lattice of m^T; both sides are brought to sympy's canonical form.
+    def sympy_row_lattice(gens):
+        if not gens:
+            return ()
+        h = hermite_normal_form(sympy.Matrix(gens).T)
+        return tuple(tuple(int(x) for x in h.col(j)) for j in range(h.cols))
+
+    lat = hnf(m, cols)
+    assert lat.rank == sympy.Matrix(m).rank()
+    assert sympy_row_lattice([list(g) for g in lat.gens]) == sympy_row_lattice(m)

@@ -1,17 +1,19 @@
 import itertools
 import json
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 
-from helpers import count_inverses
+from helpers import count_inverses, marker_angle, oracle_conductor, oracle_coeff
 from qcenters.angles import AngleQZ
-from qcenters.cyclo import root_of_unity
-from qcenters.qparam import make_param
+from qcenters.cyclo import CycloNum, root_of_unity
+from qcenters.qparam import QParam, make_param
 from qcenters.rmatrix import (
     NonInvertibleSpecialization,
     RSupport,
-    _pairing_root_factor,
+    _coeff_row,
+    _pairing_row,
     batch_conductor,
     coeff,
     omega_phase,
@@ -88,20 +90,10 @@ def test_coeff_pairing_inverse_relation(type_str, c):
     for s in supports:
         value = coeff(s, q, rd, conductor=big_n)
         pairing = pairing_diag(s, rd, q, conductor=big_n)
-        marker_angle = _marker_angle(q, rd, s)
-        assert value * pairing == root_of_unity(marker_angle, big_n)
+        marker = marker_angle(q, rd, s.n)
+        assert value * pairing == root_of_unity(marker, big_n)
         # Equivalently: coeff * pairing * marker^-1 = 1.
-        assert value * pairing * root_of_unity(-marker_angle, big_n) == 1
-
-
-def _marker_angle(q, rd, s: RSupport) -> AngleQZ:
-    """Angle of the sign/phase root of unity that coeff(s) * pairing(s) equals:
-    (-1)^(sum n_g ht g) q(sum n_g g, sum_a w_a)."""
-    sign_exp = sum(v * r.height for v, r in zip(s.n, rd.pos_roots))
-    weighted = Weight.of([0] * rd.rank)
-    for v, r in zip(s.n, rd.pos_roots):
-        weighted = weighted + Weight.of(r.fw_coords).scaled(v)
-    return AngleQZ.of(Fraction(sign_exp, 2)) + q.eval(weighted, Weight.of([1] * rd.rank))
+        assert value * pairing * root_of_unity(-marker, big_n) == 1
 
 
 def test_a1_at_1_23_coeff_times_pairing_is_the_marker():
@@ -113,16 +105,80 @@ def test_a1_at_1_23_coeff_times_pairing_is_the_marker():
     assert len(terms) == 23 and big_n == 46
     for s, value in terms:
         pairing = pairing_diag(s, rd, q, conductor=big_n)
-        assert value * pairing == root_of_unity(_marker_angle(q, rd, s), big_n), s.n
+        assert value * pairing == root_of_unity(marker_angle(q, rd, s.n), big_n), s.n
 
 
-def test_pairing_root_factor_inverts_twice_at_most(monkeypatch):
-    # Once for v^-1 inside [v]!, once for (v - v^-1)^v [v]!.
+def test_pairing_row_inverts_once_for_all_v(monkeypatch):
+    # The full product of the row is inverted once; every v reads the row.
+    a1 = build_root_datum("A1", "sc")
     calls = count_inverses(monkeypatch)
-    for v in range(1, 11):
+    for angle, conductor in ((AngleQZ(1, 23), 46), (AngleQZ(3, 8), 8), (AngleQZ(5, 12), 12)):
+        _pairing_row.cache_clear()
         calls[0] = 0
-        _pairing_root_factor.__wrapped__(AngleQZ(1, 23), v, 46)
-        assert calls[0] <= 2, v
+        ord2 = angle.scaled(2).order
+        for v in range(1, ord2):
+            pairing_diag(RSupport((v,)), a1, [angle], conductor=conductor)
+        assert calls[0] == 1, angle
+        with pytest.raises(NonInvertibleSpecialization):
+            pairing_diag(RSupport((ord2,)), a1, [angle], conductor=conductor)
+        assert calls[0] == 1, angle
+
+
+ORACLE_CASES = [
+    # (type, c, number of supports of prod range(l + 2) checked, conductor multiple)
+    ("A1", Fraction(1, 4), None, 1),
+    ("A1", Fraction(1, 3), None, 1),
+    ("A2", Fraction(1, 6), None, 1),
+    ("B2", Fraction(1, 4), None, 1),
+    ("G2", Fraction(1, 12), None, 1),
+    ("A2", Fraction(1, 2), None, 1),
+    ("A3", Fraction(1, 10), 3000, 1),
+    ("C3", Fraction(1, 8), 2000, 1),
+    ("B2", Fraction(1, 6), None, 2),
+]
+
+
+@pytest.mark.parametrize("type_str,c,first,scale", ORACLE_CASES)
+def test_coeff_matches_the_per_term_oracle(type_str, c, first, scale):
+    rd = build_root_datum(type_str, "sc")
+    q = make_param(rd, c)
+    assert batch_conductor(q, rd) == oracle_conductor(q, rd)
+    big_n = scale * batch_conductor(q, rd)
+    box = itertools.product(*(range(l + 2) for l in q.pos_root_ls()))
+    for n in itertools.islice(box, first):
+        value = coeff(RSupport(n), q, rd, conductor=big_n)
+        assert value.conductor == big_n and value == oracle_coeff(q, rd, n, big_n), n
+
+
+def test_term_table_work_per_term_is_flat(monkeypatch):
+    # Weights, angles and q-evaluations belong to the per-root tables and
+    # rows, so 100 and 3000 terms make the same number of them; the terms
+    # themselves cost one field multiply per nonzero n_gamma after the first.
+    calls = Counter()
+
+    def counting(name, fn):
+        def counted(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+
+        return counted
+
+    monkeypatch.setattr(AngleQZ, "of", staticmethod(counting("AngleQZ.of", AngleQZ.of)))
+    monkeypatch.setattr(Weight, "of", staticmethod(counting("Weight.of", Weight.of)))
+    monkeypatch.setattr(QParam, "eval", counting("QParam.eval", QParam.eval))
+    monkeypatch.setattr(CycloNum, "__mul__", counting("mul", CycloNum.__mul__))
+    rd = build_root_datum("A3", "sc")
+    counts = {}
+    for max_terms in (100, 3000):
+        q = make_param(rd, Fraction(1, 10))
+        _coeff_row.cache_clear()
+        calls.clear()
+        terms = term_table(q, rd, max_terms=max_terms)
+        counts[max_terms] = {k: v for k, v in calls.items() if k != "mul"}
+    assert counts[100] == counts[3000]
+    per_term = sum(max(0, sum(1 for v in s.n if v) - 1) for s, _c in terms)
+    rows = sum(8 * (l + 1) for l in q.pos_root_ls())
+    assert calls["mul"] <= per_term + rows
 
 
 def test_omega_phase_examples():
