@@ -18,7 +18,6 @@ from .intlat import (
     hnf,
     index,
     intersect,
-    member,
     quotient,
     snf,
 )
@@ -26,15 +25,13 @@ from .invariants import DimReport, dim_report, dims_uqk, fpdim_fiber, fpdim_sc, 
 from .kappa import BiformQZ, Radicals, ToralGroups, build_kappa, extend_psi, radicals
 from .qparam import InvariantViolation, ParamClass, QParam, classify, make_param
 from .report import Analysis, build_report, to_json, to_text
-from .rmatrix import RSupport, coeff, omega_phase, pairing_diag, support_size
+from .rmatrix import RSupport, coeff, pairing_diag, support_size
 from .rootdata import (
     DynkinType,
     Root,
     RootDatum,
     Weight,
     build_root_datum,
-    longest_word,
-    positive_roots,
     two_rho,
     weyl_reflect,
 )
@@ -81,12 +78,8 @@ __all__ = [
     "hnf",
     "index",
     "intersect",
-    "longest_word",
     "make_param",
-    "member",
-    "omega_phase",
     "pairing_diag",
-    "positive_roots",
     "qbinom",
     "qfact",
     "qint",

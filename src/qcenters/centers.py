@@ -2,10 +2,13 @@
 
 X* cuts out the quasi-classical characters, X^Mug those with trivial squared
 braiding against everything, and X^Tan the further kernel of lam -> q(lam,
-lam).  The dual datum has simple roots l_alpha * alpha with the rescaled
-Cartan integers, carrying the restricted parameter epsilon whose scalar
-values are signs; the quotient datum keeps the same roots but the character
-lattice X^Tan.
+lam).  With q = (N, G), each cut and each re-check is a congruence mod N of
+products L . G . R^T: X* and X^Mug annihilate the rows of 2G against the
+simple roots and against X, X^Tan annihilates the diagonal of G on X^Mug,
+and the pivot character is (2 rho) . G on the X^Tan generators.  The dual
+datum has simple roots l_alpha * alpha with the rescaled Cartan integers,
+carrying the restricted parameter epsilon whose scalar values are signs; the
+quotient datum keeps the same roots but the character lattice X^Tan.
 """
 
 from __future__ import annotations
@@ -15,7 +18,7 @@ from fractions import Fraction
 from typing import Optional, Sequence
 
 from .angles import AngleQZ
-from .intlat import Lattice, hnf, index
+from .intlat import IntMatrix, Lattice, congruent, hnf, index, vanishes_mod
 from .qparam import InvariantViolation, ParamClass, QParam, annihilator
 from .rootdata import DynkinType, RootDatum, Weight, two_rho
 
@@ -24,10 +27,15 @@ class DualDatumError(ValueError):
     """Rescaled Cartan integers fell outside the integral validity envelope."""
 
 
+def _doubled(g: IntMatrix) -> IntMatrix:
+    """2G: with G the Gram of q mod N, the Gram of q^2 mod N."""
+    return [[2 * x for x in row] for row in g]
+
+
 def x_star(q: QParam, rd: RootDatum) -> Lattice:
     """{lam in X : q^2(lam, alpha) = 1 at all simple alpha}."""
-    simples = [rd.simple_root(i) for i in range(rd.rank)]
-    return annihilator(rd.charlattice, [[q.eval_sq(Weight.of(g), a) for a in simples] for g in rd.charlattice.gens])
+    n, g = q.int_gram
+    return annihilator(rd.charlattice, n, congruent(rd.charlattice.gens, _doubled(g), rd.simple_roots))
 
 
 def l_dual_root_lattice(q: QParam, rd: RootDatum) -> Lattice:
@@ -62,32 +70,25 @@ def center_tower(q: QParam, rd: RootDatum) -> CenterTower:
     """Compute the full tower and verify every link of the chain."""
     lq = l_dual_root_lattice(q, rd)
     star = x_star(q, rd)
+    n, g = q.int_gram
+    g2, x_gens = _doubled(g), rd.charlattice.gens
 
     # X^Mug: squared pairings against all of X vanish, computed inside X*.
-    x_weights = [Weight.of(g) for g in rd.charlattice.gens]
-    mug = annihilator(star, [[q.eval_sq(Weight.of(g), x) for x in x_weights] for g in star.gens])
+    mug = annihilator(star, n, congruent(star.gens, g2, x_gens))
 
     # X^Tan: kernel of the homomorphism lam -> q(lam, lam) : X^Mug -> Z/2.
     # This is additive on X^Mug because q^2(lam, mu) = 1 there for mu in X.
-    diags = []
-    for g in mug.gens:
-        w = Weight.of(g)
-        diag = q.eval(w, w)
-        if not (diag.is_zero() or diag.is_half()):
-            raise InvariantViolation(f"q(lam,lam) = {diag} is not a sign on X^Mug")
-        diags.append([diag])
-    tan = annihilator(mug, diags)
+    diags = [[row[k]] for k, row in enumerate(congruent(mug.gens, g))]
+    for (x,) in diags:
+        if 2 * x % n:
+            raise InvariantViolation(f"q(lam,lam) = {Fraction(x, n) % 1} is not a sign on X^Mug")
+    tan = annihilator(mug, n, diags)
 
     # Direct per-generator membership verification of every tower member.
-    for g in mug.gens:
-        w = Weight.of(g)
-        for x in x_weights:
-            if not q.eval_sq(w, x).is_zero():
-                raise InvariantViolation("X^Mug generator fails its defining congruence")
-    for g in tan.gens:
-        w = Weight.of(g)
-        if not q.eval(w, w).is_zero():
-            raise InvariantViolation("X^Tan generator has nontrivial self-pairing")
+    if not vanishes_mod(congruent(mug.gens, g2, x_gens), n):
+        raise InvariantViolation("X^Mug generator fails its defining congruence")
+    if not vanishes_mod([[row[k]] for k, row in enumerate(congruent(tan.gens, g))], n):
+        raise InvariantViolation("X^Tan generator has nontrivial self-pairing")
     for i, l in enumerate(q.simple_ls()):
         scaled = rd.simple_root(i).scaled(l)
         if not tan.member(scaled.coords):
@@ -303,15 +304,14 @@ def verdicts(q: QParam, rd: RootDatum, tower: CenterTower, cls: ParamClass, g_st
     transpose = tuple(tuple(rd.cartan[j][i] for j in range(rd.rank)) for i in range(rd.rank))
     langlands = g_star.dual_type is not None and g_star.dual_type == classify_cartan(transpose)
 
-    pivot = all(q.eval(two_rho(rd), Weight.of(g)).is_zero() for g in tower.x_tan.gens)
+    n, g = q.int_gram
+    pivot = vanishes_mod(congruent([two_rho(rd).coords], g, tower.x_tan.gens), n)
 
     conclusion: Optional[bool] = None
     if hypotheses:
         conclusion = tan_eq_mug and tower.x_tan == tower.lq and g_star.cartan_star == transpose
         if not conclusion:
             raise InvariantViolation("even-order simply-connected conclusions failed under their hypotheses")
-        if not pivot:
-            raise InvariantViolation("pivot character is nontrivial on X^Tan = lQ")
     if tower.x_tan == tower.lq and not pivot:
         raise InvariantViolation("pivot character is nontrivial on X^Tan = lQ")
 

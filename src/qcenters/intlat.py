@@ -165,10 +165,18 @@ def bilinear(g: Sequence[Sequence[int]], x: Sequence[int], y: Sequence[int]) -> 
     return sum(a * sum(gij * b for gij, b in zip(row, y) if b) for a, row in zip(x, g) if a)
 
 
-def congruent(m: Sequence[Sequence[int]], g: Sequence[Sequence[int]]) -> IntMatrix:
-    """M . G . M^T: the Gram matrix of G on the rows of M."""
-    mg = [[sum(a * gk[j] for a, gk in zip(row, g) if a) for j in range(len(g[0]))] for row in m]
-    return [[sum(a * b for a, b in zip(left, right) if a) for right in m] for left in mg]
+def congruent(
+    left: Sequence[Sequence[int]], g: Sequence[Sequence[int]], right: Optional[Sequence[Sequence[int]]] = None
+) -> IntMatrix:
+    """L . G . R^T: the Gram matrix of G between the rows of L and of R, with
+    R = L by default.  Identity rows for L or R leave the side of G as it is."""
+    lg = [[sum(a * gk[j] for a, gk in zip(row, g) if a) for j in range(len(g[0]))] for row in left]
+    return [[sum(a * b for a, b in zip(row, r) if b) for r in (left if right is None else right)] for row in lg]
+
+
+def vanishes_mod(m: Iterable[Iterable[int]], n: int) -> bool:
+    """Whether every entry of the integer matrix m is 0 mod n."""
+    return all(x % n == 0 for row in m for x in row)
 
 
 def hnf(m: Iterable[Iterable[int]], ambient_rank: Optional[int] = None) -> Lattice:
@@ -405,7 +413,3 @@ def intersect(a: Lattice, b: Lattice) -> Lattice:
                 vec[j] += c * g[j]
         vectors.append(vec)
     return Lattice.from_rows(vectors, r)
-
-
-def member(x: Sequence[int], lattice: Lattice) -> bool:
-    return lattice.member(x)

@@ -50,15 +50,16 @@ def fpdim_fiber(q: QParam, rd: RootDatum, tower: CenterTower) -> int:
     return n_tan * prod(q.pos_root_ls()) ** 2
 
 
-def fpdim_sc(q: QParam, rd: RootDatum, tower: CenterTower, cls: ParamClass) -> int:
+def fpdim_sc(q: QParam, rd: RootDatum, fiber: int, cls: ParamClass) -> int:
     """|Z(G)| * (prod_simple l_alpha) * (prod l_gamma)^2; only valid for a
-    simply-connected datum with maximally non-degenerate even-order parameter."""
+    simply-connected datum with maximally non-degenerate even-order parameter,
+    where it must equal the fiber dimension `fiber` from fpdim_fiber."""
     if not (rd.is_simply_connected() and cls.max_nondegenerate and cls.all_even):
         raise HypothesisNotMet("simply-connected even-order hypotheses are not satisfied")
     center_order = index(rd.root_lattice(), rd.weight_lattice())
     assert center_order is not None
     value = center_order * prod(q.simple_ls()) * prod(q.pos_root_ls()) ** 2
-    if value != fpdim_fiber(q, rd, tower):
+    if value != fiber:
         raise InvariantViolation("the two fiber-dimension formulas disagree")
     return value
 
@@ -87,7 +88,7 @@ def simples(q: QParam, rd: RootDatum, tower: CenterTower, rads: Radicals) -> tup
 def dim_report(q: QParam, rd: RootDatum, tower: CenterTower, rads: Radicals, cls: ParamClass) -> DimReport:
     fiber = fpdim_fiber(q, rd, tower)
     try:
-        sc_value: Optional[int] = fpdim_sc(q, rd, tower, cls)
+        sc_value: Optional[int] = fpdim_sc(q, rd, fiber, cls)
     except HypothesisNotMet:
         sc_value = None
     dim_u, dim_u_plus, grouplikes = dims_uqk(q, rd, rads)

@@ -5,9 +5,12 @@ diagonal, so it admits an alternating square root kappa; we fix the canonical
 upper-triangular choice on the HNF basis.  A canonical bilinear extension psi
 to all of X is produced through a Smith-adapted basis of the inclusion
 X^Tan <= X, by congruences of integer Gram matrices: kappa moves to the
-adapted basis, is divided there, and moves on to the HNF basis of X.  The
-simultaneous radical of q and kappa drives the finite character groups
-Sigma, Lambda, Theta.
+adapted basis, is divided there, and moves on to the HNF basis of X.  A
+form crosses to other modules as (N, K), its integer Gram matrix mod N, and
+every identity on it is a congruence mod N of products L . K . R^T: psi
+restricts to kappa as C . Psi . C^T = K, and psi kills a sublattice with
+coordinate rows C when C . Psi = 0 = Psi . C^T.  The simultaneous radical of
+q and kappa drives the finite character groups Sigma, Lambda, Theta.
 """
 
 from __future__ import annotations
@@ -15,6 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from math import lcm
 from typing import Sequence
 
 from .angles import AngleQZ, ZERO, from_int_gram, to_int_gram
@@ -28,6 +32,7 @@ from .intlat import (
     intersect,
     quotient,
     snf,
+    vanishes_mod,
 )
 from .qparam import InvariantViolation, QParam, annihilator
 from .rootdata import RootDatum
@@ -35,6 +40,14 @@ from .rootdata import RootDatum
 
 class KappaError(ValueError):
     """The restricted parameter is outside the square-root existence envelope."""
+
+
+def _coords(basis: Lattice, vectors: Sequence[Sequence[int]], why: str) -> IntMatrix:
+    """Coordinates of the vectors on the basis, or KappaError(why) if one is outside."""
+    coords = [basis.coords_of(list(v)) for v in vectors]
+    if any(c is None for c in coords):
+        raise KappaError(why)
+    return coords
 
 
 @dataclass(frozen=True)
@@ -51,10 +64,7 @@ class BiformQZ:
 
     def eval(self, x: Sequence[int], y: Sequence[int]) -> AngleQZ:
         """Evaluate on ambient fw-coordinate vectors lying in the domain."""
-        cx = self.basis.coords_of(list(x))
-        cy = self.basis.coords_of(list(y))
-        if cx is None or cy is None:
-            raise KappaError("vector outside the form's domain lattice")
+        cx, cy = _coords(self.basis, (x, y), "vector outside the form's domain lattice")
         n, g = self.int_gram
         return AngleQZ.of(Fraction(bilinear(g, cx, cy), n))
 
@@ -126,7 +136,7 @@ class Radicals:
 def radicals(q: QParam, kappa: BiformQZ, rd: RootDatum, x_star_lattice: Lattice) -> Radicals:
     """rad(kappa) inside X^Tan, the simultaneous radical, and Sigma/Lambda/Theta."""
     x_tan = kappa.basis
-    rad_kappa = annihilator(x_tan, kappa.gram)
+    rad_kappa = annihilator(x_tan, *kappa.int_gram)
 
     rad_q = q.rad(rd.charlattice)
     if not x_tan.contains_lattice(rad_q):
@@ -154,38 +164,36 @@ def extend_psi(kappa: BiformQZ, x: Lattice) -> BiformQZ:
     psi(f_i, f_j) = kappa(d_i f_i, d_j f_j) / (d_i d_j), dividing each angle
     by taking the representative with the smallest nonnegative numerator.
     Since b = V f, the Gram of psi on b is the congruence V (psi on f) V^T.
+    All of it is over the one modulus M = N * lcm(d)^2, in which kappa's
+    Gram is K * lcm(d)^2.
     """
     x_tan = kappa.basis
-    coords = []
-    for g in x_tan.gens:
-        c = x.coords_of(list(g))
-        if c is None:
-            raise KappaError("kappa's domain is not contained in the extension lattice")
-        coords.append(c)
+    coords = _coords(x, x_tan.gens, "kappa's domain is not contained in the extension lattice")
     if x_tan.rank != x.rank:
         raise KappaError("extension requires a finite-index inclusion")
     _group, u, v, diag = snf(coords)
     n, k = kappa.int_gram
-    on_df = congruent(u, k)
+    scale = lcm(*diag) ** 2
     # With a reduced into [0, N), the m-th parts of a / N are (a + jN) / (Nm)
     # for 0 <= j < m; the smallest numerator is j = 0.
-    on_f = [[AngleQZ.of(Fraction(a % n, n * di * dj)) for a, dj in zip(row, diag)] for row, di in zip(on_df, diag)]
-    n_f, k_f = to_int_gram(on_f)
-    psi = BiformQZ(basis=x, gram=from_int_gram(n_f, congruent(v, k_f)))
+    on_f = [[a % n * scale // (di * dj) for a, dj in zip(row, diag)] for row, di in zip(congruent(u, k), diag)]
+    big_n, on_b = n * scale, congruent(v, on_f)
+    psi = BiformQZ(basis=x, gram=from_int_gram(big_n, on_b))
 
     # Restriction of psi to X^Tan must reproduce kappa exactly.
-    for gi in x_tan.gens:
-        for gj in x_tan.gens:
-            if psi.eval(gi, gj) != kappa.eval(gi, gj):
-                raise InvariantViolation("psi does not restrict to kappa")
+    restricted = congruent(coords, on_b)
+    if not vanishes_mod([[a - b * scale for a, b in zip(ra, rk)] for ra, rk in zip(restricted, k)], big_n):
+        raise InvariantViolation("psi does not restrict to kappa")
     return psi
 
 
 def psi_vanishes_on(psi: BiformQZ, rad_qk: Lattice, x: Lattice) -> bool:
     """Whether the canonical extension kills the simultaneous radical on both
-    sides; reported, not assumed."""
-    for g in rad_qk.gens:
-        for h in x.gens:
-            if not psi.eval(g, h).is_zero() or not psi.eval(h, g).is_zero():
-                return False
-    return True
+    sides, psi(rad_qk, x) = 0 = psi(x, rad_qk); reported, not assumed.
+
+    With C and D the coordinates of the generators of rad_qk and of x on the
+    domain basis of psi, this is C . Psi . D^T = 0 = D . Psi . C^T mod N."""
+    why = "vector outside the form's domain lattice"
+    c, d = _coords(psi.basis, rad_qk.gens, why), _coords(psi.basis, x.gens, why)
+    n, g = psi.int_gram
+    return vanishes_mod(congruent(c, g, d), n) and vanishes_mod(congruent(d, g, c), n)

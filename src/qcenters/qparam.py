@@ -6,9 +6,13 @@ almost-simple factor, Weyl invariance forces proportionality to the Killing
 form, and orthogonal weights must pair trivially, so this covers the whole
 admissible class of torsion parameters.  Since weights lie in P = Z^r, q is
 stored once as an integer Gram matrix G on the fundamental weights, modulo
-N: q(lam, mu) = lam . G . mu^T / N mod 1, and its Gram on any basis is a
-congruence.  The package derives from q the root orders l_gamma, the scalar
-parameters q_gamma, radicals and the standard parameter-class predicates.
+N: q(lam, mu) = lam . G . mu^T / N mod 1.  (N, G) is the form every other
+module reads: its Gram between two bases is the product L . G . R^T, and
+each identity of q (symmetry, vanishing on orthogonal weights, Weyl
+invariance, the orders l_gamma, radicals) is a congruence mod N of such
+products.  Angles appear only at the edges, in `eval` and `angle_gram`.
+The package derives from q the root orders l_gamma, the scalar parameters
+q_gamma, radicals and the standard parameter-class predicates.
 """
 
 from __future__ import annotations
@@ -16,11 +20,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from math import lcm
+from math import gcd, lcm
 from typing import Optional, Sequence, Union
 
-from .angles import AngleQZ, from_int_gram, to_int_gram
-from .intlat import IntMatrix, Lattice, bilinear, congruence_kernel, congruent, hnf
+from .angles import AngleQZ, from_int_gram
+from .intlat import IntMatrix, Lattice, bilinear, congruence_kernel, congruent, hnf, vanishes_mod
 from .rootdata import Root, RootDatum, Weight, weyl_reflect
 
 
@@ -49,16 +53,14 @@ class QParam:
         """(N, G) with q(omega_i, omega_j) = G[i][j] / N mod 1."""
         rd = self.rd
         c = [self.c[f] for f in rd.factor_of_index]
-        return to_int_gram([[AngleQZ.of(ci * k) for k in row] for ci, row in zip(c, rd.killing)])
+        values = [[ci * k % 1 for k in row] for ci, row in zip(c, rd.killing)]
+        n = lcm(*(x.denominator for row in values for x in row))
+        return n, [[int(x * n) for x in row] for row in values]
 
     def eval(self, lam: Weight, mu: Weight) -> AngleQZ:
         """Exact angle of q(lam, mu) for weights lam, mu in P."""
         n, g = self.int_gram
         return AngleQZ.of(Fraction(bilinear(g, lam.coords, mu.coords), n))
-
-    def eval_sq(self, lam: Weight, mu: Weight) -> AngleQZ:
-        """Angle of q^2(lam, mu)."""
-        return self.eval(lam, mu).scaled(2)
 
     def angle_gram(self, basis: Sequence[Sequence[int]]) -> tuple[tuple[AngleQZ, ...], ...]:
         """Gram matrix of q-angles on the given fw-coordinate vectors."""
@@ -72,14 +74,14 @@ class QParam:
         return AngleQZ.of(self.c[root.factor] * root.d)
 
     def l_of(self, gamma: Union[Root, int]) -> int:
-        """Order l_gamma of q(gamma, gamma), cross-checked against the order of
-        the character q^2(gamma, -) on the weight lattice."""
+        """Order l_gamma of q(gamma, gamma) = v . gamma / N with v = gamma . G,
+        cross-checked against the order N / gcd(N, 2v) of the character
+        q^2(gamma, -) on the weight lattice."""
         root = self._as_root(gamma)
-        order_diag = self.eval(Weight.of(root.fw_coords), Weight.of(root.fw_coords)).order
-        gamma_w = Weight.of(root.fw_coords)
-        order_char = 1
-        for j in range(self.rd.rank):
-            order_char = lcm(order_char, self.eval_sq(gamma_w, self.rd.fundamental_weight(j)).order)
+        n, g = self.int_gram
+        v = congruent([root.fw_coords], g, self.rd.weight_lattice().gens)[0]
+        order_diag = n // gcd(n, sum(a * b for a, b in zip(v, root.fw_coords)))
+        order_char = n // gcd(n, *(2 * x for x in v))
         if order_diag != order_char:
             raise InvariantViolation(
                 f"ord q(g,g) = {order_diag} but ord q^2(g,-) = {order_char} at {root.root_coords}"
@@ -123,40 +125,43 @@ class QParam:
         """
         if ambient is None:
             ambient = self.rd.weight_lattice()
-        return annihilator(ambient, self.angle_gram(ambient.gens))
+        n, g = self.int_gram
+        return annihilator(ambient, n, congruent(ambient.gens, g))
 
 
-def annihilator(ambient: Lattice, angles: Sequence[Sequence[AngleQZ]]) -> Lattice:
+def annihilator(ambient: Lattice, n: int, m: Sequence[Sequence[int]]) -> Lattice:
     """HNF lattice of x = sum_k x_k * ambient.gens[k] with
-    sum_k x_k * angles[k][j] = 0 in Q/Z for every column j."""
-    n, m = to_int_gram(angles)
-    kernel = congruence_kernel([([row[j] for row in m], n) for j in range(len(m[0]))], len(m))
+    sum_k x_k * m[k][j] = 0 mod n for every column j."""
+    kernel = congruence_kernel([([row[j] % n for row in m], n) for j in range(len(m[0]))], len(m))
     return hnf([ambient.vector_from_coords(row) for row in kernel.gens], ambient.ambient_rank)
 
 
 def make_param(rd: RootDatum, c: Union[Fraction, int, str, Sequence[Union[Fraction, int, str]]]) -> QParam:
     """Build a QParam from one rational per factor (a single value broadcasts).
 
-    The defining properties (symmetry, orthogonality vanishing, Weyl
-    invariance) hold by construction; they are spot-checked here on the
-    simple-root/fundamental-weight vectors.
+    The defining properties hold by construction; they are checked here as
+    congruences mod N of the Gram matrix G on the fundamental weights:
+    G = G^T, S . G vanishes wherever S . K does (S the simple-root rows, K
+    the Killing Gram), and R_s . G . R_s^T = G for each simple reflection
+    R_s (rows s(omega_j)).
     """
     if isinstance(c, (Fraction, int, str)):
         values = [Fraction(c)] * len(rd.dynkin.factors)
     else:
         values = [Fraction(x) for x in c]
     q = QParam(rd, tuple(values))
-    for i in range(rd.rank):
-        a_i = rd.simple_root(i)
-        for j in range(rd.rank):
-            w_j = rd.fundamental_weight(j)
-            if q.eval(a_i, w_j) != q.eval(w_j, a_i):
-                raise InvariantViolation("parameter is not symmetric")
-            if rd.pairing(a_i, w_j) == 0 and not q.eval(a_i, w_j).is_zero():
-                raise InvariantViolation("parameter does not vanish on orthogonal weights")
-            for s in range(rd.rank):
-                if q.eval(weyl_reflect(rd, s, a_i), weyl_reflect(rd, s, w_j)) != q.eval(a_i, w_j):
-                    raise InvariantViolation("parameter is not Weyl invariant")
+    n, g = q.int_gram
+    if not vanishes_mod([[a - b for a, b in zip(row, col)] for row, col in zip(g, zip(*g))], n):
+        raise InvariantViolation("parameter is not symmetric")
+    units = rd.weight_lattice().gens
+    sk = congruent(rd.simple_roots, rd.killing_gram[1], units)
+    sg = congruent(rd.simple_roots, g, units)
+    if not vanishes_mod([[b for a, b in zip(rk, rg) if a == 0] for rk, rg in zip(sk, sg)], n):
+        raise InvariantViolation("parameter does not vanish on orthogonal weights")
+    for s in range(rd.rank):
+        reflection = [weyl_reflect(rd, s, Weight.of(u)).coords for u in units]
+        if not vanishes_mod([[a - b for a, b in zip(x, y)] for x, y in zip(congruent(reflection, g), g)], n):
+            raise InvariantViolation("parameter is not Weyl invariant")
     return q
 
 

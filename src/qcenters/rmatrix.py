@@ -12,8 +12,6 @@ one factor per root, f_gamma(n_gamma); each f_gamma is a cached row over
 l_gamma, conductor).  The pairing values are products of cached rows too,
 built by a separate computation, so that coeff * pairing = sign * phase
 checks one against the other.
-The degree-zero part of the braiding is the diagonal phase operator with
-angle -q(deg v, deg w).
 """
 
 from __future__ import annotations
@@ -28,7 +26,7 @@ from typing import Optional, Sequence, Union
 from .angles import AngleQZ
 from .cyclo import CycloNum, root_of_unity
 from .qparam import InvariantViolation, QParam
-from .rootdata import RootDatum, Weight
+from .rootdata import RootDatum
 
 
 class NonInvertibleSpecialization(ValueError):
@@ -46,9 +44,6 @@ class RSupport:
     def __post_init__(self) -> None:
         if any(v < 0 for v in self.n):
             raise ValueError("support exponents must be nonnegative")
-
-    def is_admissible(self, ls: Sequence[int]) -> bool:
-        return all(v < l for v, l in zip(self.n, ls))
 
 
 def support_size(q: QParam, rd: RootDatum, cap: Optional[int] = 4096) -> tuple[int, Optional[list[RSupport]]]:
@@ -184,16 +179,6 @@ def pairing_diag(
             raise NonInvertibleSpecialization(f"[{v}]! vanishes at angle {angle}")
         factors.append(row[v])
     return _product(factors, big_n)
-
-
-def omega_phase(q: QParam, lam: Weight, mu: Weight) -> AngleQZ:
-    """Angle of the diagonal braiding factor: -q(lam, mu)."""
-    return -q.eval(lam, mu)
-
-
-def squared_braiding_phase(q: QParam, lam: Weight, mu: Weight) -> AngleQZ:
-    """Angle of the squared braiding on a homogeneous pair: -2 q(lam, mu)."""
-    return -q.eval(lam, mu).scaled(2)
 
 
 def term_table(q: QParam, rd: RootDatum, max_terms: Optional[int] = None) -> list[tuple[RSupport, CycloNum]]:

@@ -296,6 +296,8 @@ def build_root_datum(dynkin: Union[DynkinType, str], lattice_spec: LatticeSpec =
     lattice ("sc", "adjoint", or explicit generator rows in fw coordinates)."""
     if isinstance(dynkin, str):
         dynkin = DynkinType.parse(dynkin)
+    elif not isinstance(dynkin, DynkinType):
+        raise RootDatumError(f"Dynkin type must be a string such as 'A2xB3', not {dynkin!r}")
     blocks = [_factor_cartan(f, n) for f, n in dynkin.factors]
     rank = dynkin.rank
     cartan = [[0] * rank for _ in range(rank)]
@@ -422,15 +424,6 @@ def _enumerate_positive_roots(
             )
         )
     return roots
-
-
-def positive_roots(rd: RootDatum) -> tuple[Root, ...]:
-    """Positive roots in longest-word order (already validated at build time)."""
-    return rd.pos_roots
-
-
-def longest_word(rd: RootDatum) -> tuple[int, ...]:
-    return rd.w0_word
 
 
 def two_rho(rd: RootDatum) -> Weight:

@@ -63,7 +63,7 @@ def bruteforce_tan_residues(q: QParam, rd: RootDatum) -> tuple[int, set[tuple[in
     members = set()
     for coords in itertools.product(range(modulus), repeat=n):
         lam = Weight.of(rd.charlattice.vector_from_coords(list(coords)))
-        if any(not q.eval_sq(lam, w).is_zero() for w in x_weights):
+        if any(not q.eval(lam, w).scaled(2).is_zero() for w in x_weights):
             continue
         if not q.eval(lam, lam).is_zero():
             continue

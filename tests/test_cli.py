@@ -172,12 +172,19 @@ def test_entrypoint_subprocess():
         ["--type", "A2", "--param", "2pi/l:0"],
         ["--type", "A2", "--lattice", "[1,", "--param", "1/6"],
         ["--spec", "{spec}"],
+        ["--spec", "{int_type}"],
+        ["--spec", "{list_type}"],
     ],
 )
 def test_malformed_inputs_exit_one_without_traceback(argv, tmp_path):
-    spec = tmp_path / "zero.spec"
-    spec.write_text('type = "A2"\nparam = "1/0"\n')
-    argv = [a.format(spec=spec) for a in argv]
+    specs = {
+        "spec": 'type = "A2"\nparam = "1/0"\n',
+        "int_type": 'type = 5\nparam = "1/6"\n',
+        "list_type": 'type = ["A2"]\nparam = "1/6"\n',
+    }
+    for name, text in specs.items():
+        (tmp_path / f"{name}.spec").write_text(text)
+    argv = [a.format(**{name: tmp_path / f"{name}.spec" for name in specs}) for a in argv]
     proc = subprocess.run(
         [sys.executable, "-m", "qcenters.cli", "analyze", *argv],
         capture_output=True,
@@ -187,3 +194,13 @@ def test_malformed_inputs_exit_one_without_traceback(argv, tmp_path):
     assert proc.stderr.startswith("error: ")
     assert "Traceback" not in proc.stderr
     assert proc.stdout == ""
+
+
+def test_star_import_resolves_every_exported_name():
+    import qcenters
+
+    namespace: dict = {}
+    exec("from qcenters import *", namespace)
+    assert len(set(qcenters.__all__)) == len(qcenters.__all__)
+    for name in qcenters.__all__:
+        assert namespace[name] is getattr(qcenters, name)

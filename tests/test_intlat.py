@@ -13,7 +13,6 @@ from qcenters.intlat import (
     hnf,
     index,
     intersect,
-    member,
     quotient,
     smith_normal_form,
     snf,
@@ -153,8 +152,8 @@ def test_intersect_quotient_member_examples():
 
     # omega is not in Q for A1.
     q_lat = hnf([[2]])
-    assert not member([1], q_lat)
-    assert member([2], q_lat)
+    assert not q_lat.member([1])
+    assert q_lat.member([2])
 
 
 def test_quotient_structure_bruteforce_oracle():

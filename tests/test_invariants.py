@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 
 from qcenters.invariants import HypothesisNotMet, dims_uqk, fpdim_fiber, fpdim_sc, simples
-from qcenters.qparam import classify, make_param
+from qcenters.qparam import InvariantViolation, classify, make_param
 from qcenters.report import Analysis
 from qcenters.rootdata import build_root_datum
 from qcenters.sampling import random_instance
@@ -27,18 +27,20 @@ def test_fpdim_fiber_examples():
 
 def test_fpdim_sc_examples():
     rd, q, tower, rads = _full("A1", "sc", Fraction(1, 4))
-    assert fpdim_sc(q, rd, tower, classify(q)) == 16  # 2 * 2 * 4
+    assert fpdim_sc(q, rd, fpdim_fiber(q, rd, tower), classify(q)) == 16  # 2 * 2 * 4
 
     rd, q, tower, rads = _full("A2", "sc", Fraction(1, 6))
-    assert fpdim_sc(q, rd, tower, classify(q)) == 3 * 9 * 729  # 19683
+    assert fpdim_sc(q, rd, fpdim_fiber(q, rd, tower), classify(q)) == 3 * 9 * 729  # 19683
+    with pytest.raises(InvariantViolation):
+        fpdim_sc(q, rd, 3 * 9 * 729 + 1, classify(q))  # the fiber formula must agree
 
     rd, q, tower, rads = _full("A1", "sc", Fraction(1, 3))
     with pytest.raises(HypothesisNotMet):
-        fpdim_sc(q, rd, tower, classify(q))  # odd-order scalar parameter
+        fpdim_sc(q, rd, fpdim_fiber(q, rd, tower), classify(q))  # odd-order scalar parameter
 
     rd, q, tower, rads = _full("A1", "adjoint", Fraction(1, 4))
     with pytest.raises(HypothesisNotMet):
-        fpdim_sc(q, rd, tower, classify(q))  # not simply connected
+        fpdim_sc(q, rd, fpdim_fiber(q, rd, tower), classify(q))  # not simply connected
 
 
 def test_dims_uqk_examples():

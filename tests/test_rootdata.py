@@ -9,8 +9,6 @@ from qcenters.rootdata import (
     RootDatumError,
     Weight,
     build_root_datum,
-    longest_word,
-    positive_roots,
     two_rho,
     weyl_reflect,
 )
@@ -57,7 +55,7 @@ def test_g2_lacing_and_symmetrizers():
 def test_positive_root_enumeration_a2():
     rd = build_root_datum("A2", "sc")
     assert rd.w0_word == (0, 1, 0)
-    assert [r.root_coords for r in positive_roots(rd)] == [(0, 1), (1, 1), (1, 0)]
+    assert [r.root_coords for r in rd.pos_roots] == [(0, 1), (1, 1), (1, 0)]
 
 
 def test_positive_root_enumeration_small():
@@ -68,10 +66,10 @@ def test_positive_root_enumeration_small():
 
 
 def test_longest_word_lengths():
-    assert len(longest_word(build_root_datum("A1"))) == 1
-    assert len(longest_word(build_root_datum("A2"))) == 3
-    assert len(longest_word(build_root_datum("G2"))) == 6
-    assert len(longest_word(build_root_datum("F4"))) == 24
+    assert len(build_root_datum("A1").w0_word) == 1
+    assert len(build_root_datum("A2").w0_word) == 3
+    assert len(build_root_datum("G2").w0_word) == 6
+    assert len(build_root_datum("F4").w0_word) == 24
 
 
 def test_weyl_reflect_examples():
@@ -132,6 +130,13 @@ def test_killing_matches_symmetrizers():
             for j in range(rd.rank):
                 assert rd.pairing(rd.simple_root(i), rd.simple_root(j)) == rd.d[i] * rd.cartan[i][j]
             assert rd.pairing(rd.simple_root(i), rd.fundamental_weight(i)) == rd.d[i]
+
+
+def test_dynkin_type_must_be_a_string_or_dynkin_type():
+    for dynkin in (5, ["A2"], None):
+        with pytest.raises(RootDatumError, match="Dynkin type must be a string"):
+            build_root_datum(dynkin)
+    assert build_root_datum(DynkinType.parse("A2")).rank == 2
 
 
 def test_lattice_spec_validation():
