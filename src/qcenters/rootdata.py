@@ -5,7 +5,15 @@ factor, so P is exactly Z^r and membership of a weight in the character
 lattice X is a pure integer-matrix test.  Simple roots in this basis are the
 columns of the Cartan matrix.  The Killing form is normalized so that
 (alpha, alpha) = 2 at every short root of every almost-simple factor, and is
-evaluated as an integer Gram matrix over one common denominator.
+evaluated as an integer Gram matrix over one common denominator; it comes
+from the integer pair (det A, adj A) of a fraction-free inverse.
+
+The positive roots are read off a reduced word of the longest element by
+carrying the images w(alpha_k) of the simple roots as integer columns, one
+simple reflection per root, so the enumeration costs O(|Phi+| r).  It is
+cross-checked against an orbit closure, and every validation (symmetry,
+normalization, the longest word reaching the antidominant chamber) is an
+integer-row computation.
 """
 
 from __future__ import annotations
@@ -17,7 +25,7 @@ from functools import cached_property
 from math import lcm
 from typing import Iterable, Sequence, Union
 
-from .intlat import IntMatrix, Lattice, LatticeError, bilinear, hnf
+from .intlat import IntMatrix, Lattice, LatticeError, bilinear, congruent, hnf
 
 
 class RootDatumError(ValueError):
@@ -126,19 +134,28 @@ def _factor_cartan(family: str, n: int) -> tuple[list[list[int]], list[int]]:
     return a, d
 
 
-def _rational_inverse(m: Sequence[Sequence[Fraction]]) -> list[list[Fraction]]:
+def _bareiss_inverse(m: Sequence[Sequence[int]]) -> tuple[int, IntMatrix]:
+    """(det, adj) with m . adj = det . I, by fraction-free (Bareiss)
+    Gauss-Jordan elimination on [m | I].
+
+    After the step on column k every entry is a (k+1)-minor of [m | I], so
+    each division by the previous pivot is exact.  No rows are swapped: the
+    leading principal minors must be nonzero, as they are for a Cartan
+    matrix of finite type (d_i A_ij is positive definite)."""
     n = len(m)
-    a = [[Fraction(x) for x in row] + [Fraction(int(i == j)) for j in range(n)] for i, row in enumerate(m)]
-    for col in range(n):
-        pivot = next(i for i in range(col, n) if a[i][col] != 0)
-        a[col], a[pivot] = a[pivot], a[col]
-        inv = 1 / a[col][col]
-        a[col] = [x * inv for x in a[col]]
+    a = [list(row) + [int(i == j) for j in range(n)] for i, row in enumerate(m)]
+    prev = 1
+    for k in range(n):
+        pivot_row = a[k]
+        pivot = pivot_row[k]
+        if pivot == 0:
+            raise RootDatumError("Cartan matrix has a vanishing leading principal minor")
         for i in range(n):
-            if i != col and a[i][col] != 0:
-                factor = a[i][col]
-                a[i] = [x - factor * y for x, y in zip(a[i], a[col])]
-    return [row[n:] for row in a]
+            if i != k:
+                f = a[i][k]
+                a[i] = [(pivot * x - f * y) // prev for x, y in zip(a[i], pivot_row)]
+        prev = pivot
+    return prev, [row[n:] for row in a]
 
 
 def _integer(v: Union[int, Fraction]) -> int:
@@ -252,13 +269,6 @@ def weyl_reflect(rd: RootDatum, i: int, lam: Weight) -> Weight:
     return lam - rd.simple_root(i).scaled(c)
 
 
-def _reflect_root_coords(cartan: Sequence[Sequence[int]], i: int, coords: list[int]) -> list[int]:
-    pairing = sum(cartan[i][j] * c for j, c in enumerate(coords))
-    out = coords[:]
-    out[i] -= pairing
-    return out
-
-
 def _longest_word(cartan: Sequence[Sequence[int]], rank: int) -> list[int]:
     """Greedy descent from rho: reflect at the lowest simple index with a
     positive pairing until the antidominant chamber is reached."""
@@ -274,19 +284,30 @@ def _longest_word(cartan: Sequence[Sequence[int]], rank: int) -> list[int]:
         word.append(i)
 
 
-def _positive_roots_orbit(cartan: Sequence[Sequence[int]], rank: int) -> set[tuple[int, ...]]:
-    """Positive roots by orbit closure from the simple roots."""
-    simple = [tuple(int(i == j) for j in range(rank)) for i in range(rank)]
-    found = set(simple)
-    frontier = list(simple)
+def _positive_roots_orbit(cartan: Sequence[Sequence[int]], support: Sequence[Sequence[int]]) -> set[tuple[int, ...]]:
+    """Positive roots by orbit closure from the simple roots.
+
+    Each root carries its fundamental-weight coordinates, so <gamma, a_i^vee>
+    is read off, s_i moves root coordinate i alone, and the image is
+    positive exactly when that coordinate stays >= 0."""
+    rank = len(cartan)
+    frontier = [([int(i == j) for j in range(rank)], [cartan[j][i] for j in range(rank)]) for i in range(rank)]
+    found = {tuple(coords) for coords, _fw in frontier}
     while frontier:
         nxt = []
-        for coords in frontier:
-            for i in range(rank):
-                img = tuple(_reflect_root_coords(cartan, i, list(coords)))
-                if all(c >= 0 for c in img) and img not in found:
-                    found.add(img)
-                    nxt.append(img)
+        for coords, fw in frontier:
+            for i, p in enumerate(fw):
+                if p == 0 or coords[i] < p:
+                    continue
+                img = coords[:]
+                img[i] -= p
+                key = tuple(img)
+                if key not in found:
+                    found.add(key)
+                    img_fw = fw[:]
+                    for k in support[i]:
+                        img_fw[k] -= p * cartan[k][i]
+                    nxt.append((img, img_fw))
         frontier = nxt
     return found
 
@@ -321,14 +342,14 @@ def build_root_datum(dynkin: Union[DynkinType, str], lattice_spec: LatticeSpec =
                 raise RootDatumError("Cartan matrix is not symmetrized by d")
 
     # Killing Gram matrix of fundamental weights: (w_i, w_j) = d_i * (A^-1)[i][j].
-    inv = _rational_inverse([[Fraction(x) for x in row] for row in cartan])
-    killing = [[d[i] * inv[i][j] for j in range(rank)] for i in range(rank)]
+    det, adj = _bareiss_inverse(cartan)
     for i in range(rank):
         for j in range(rank):
-            if killing[i][j] != killing[j][i]:
+            if d[i] * adj[i][j] != d[j] * adj[j][i]:
                 raise RootDatumError("Killing matrix is not symmetric")
-            if factor_of_index[i] != factor_of_index[j] and killing[i][j] != 0:
+            if factor_of_index[i] != factor_of_index[j] and adj[i][j] != 0:
                 raise RootDatumError("cross-factor Killing pairing must vanish")
+    killing = [[Fraction(d[i] * adj[i][j], det) for j in range(rank)] for i in range(rank)]
 
     simple_roots = tuple(tuple(cartan[i][j] for i in range(rank)) for j in range(rank))
     lacing = lcm(*(_LACING[f] for f, _n in dynkin.factors))
@@ -357,9 +378,11 @@ def build_root_datum(dynkin: Union[DynkinType, str], lattice_spec: LatticeSpec =
             raise RootDatumError("character lattice does not contain the root lattice Q")
 
     word = _longest_word(cartan, rank)
-    pos = _enumerate_positive_roots(cartan, d, factor_of_index, word, rank)
+    # i and its neighbours: the support of row i of A, and of column i, as d symmetrizes A.
+    support = [[k for k in range(rank) if cartan[i][k]] for i in range(rank)]
+    pos = _enumerate_positive_roots(cartan, d, factor_of_index, word, support)
 
-    orbit = _positive_roots_orbit(cartan, rank)
+    orbit = _positive_roots_orbit(cartan, support)
     enumerated = {r.root_coords for r in pos}
     if enumerated != orbit or len(enumerated) != len(pos):
         raise RootDatumError("longest-word enumeration disagrees with orbit closure")
@@ -379,20 +402,28 @@ def build_root_datum(dynkin: Union[DynkinType, str], lattice_spec: LatticeSpec =
         factor_of_index=tuple(factor_of_index),
     )
 
-    # (a_i, a_j) = d_i * A[i][j], checked against the assembled Killing matrix.
-    for i in range(rank):
-        for j in range(rank):
-            if rd.pairing(rd.simple_root(i), rd.simple_root(j)) != d[i] * cartan[i][j]:
-                raise RootDatumError("Killing normalization check failed")
+    # (a_i, a_j) = d_i * A[i][j], checked against the assembled Killing matrix K / D.
+    den, k = rd.killing_gram
+    if congruent(simple_roots, k) != [[den * d[i] * cartan[i][j] for j in range(rank)] for i in range(rank)]:
+        raise RootDatumError("Killing normalization check failed")
 
-    # w0 sends the dominant chamber to the antidominant chamber.
+    # w0 sends the dominant chamber to the antidominant chamber; in fw
+    # coordinates s_s(v) = v - v_s a_s moves v on the support of column s.
     for i in range(rank):
-        img = rd.fundamental_weight(i)
+        v = [int(i == j) for j in range(rank)]
         for s in word:
-            img = weyl_reflect(rd, s, img)
-        if any(c > 0 for c in img.coords):
+            c = v[s]
+            if c:
+                for m in support[s]:
+                    v[m] -= c * cartan[m][s]
+        if any(c > 0 for c in v):
             raise RootDatumError("longest word does not reach the antidominant chamber")
     return rd
+
+
+def _column_update(col_k: list[int], a: int, col_i: list[int]) -> list[int]:
+    """col_k - a col_i: column k of w s_i from the columns of w, a = A[i][k]."""
+    return [x - a * y for x, y in zip(col_k, col_i)]
 
 
 def _enumerate_positive_roots(
@@ -400,29 +431,36 @@ def _enumerate_positive_roots(
     d: Sequence[int],
     factor_of_index: Sequence[int],
     word: Sequence[int],
-    rank: int,
+    support: Sequence[Sequence[int]],
 ) -> list[Root]:
-    """Enumeration gamma_j = s_{i_t} ... s_{i_{j+1}} (a_{i_j}) induced by the
-    reduced word (i_1, ..., i_t), applying s_{i_{j+1}} first."""
-    t = len(word)
+    """Enumeration gamma_j = w_j(a_(i_j)) induced by the reduced word
+    (i_1, ..., i_t), where w_t = 1 and w_(j-1) = w_j s_(i_j); that is,
+    gamma_j = s_(i_t) ... s_(i_(j+1)) (a_(i_j)).
+
+    The walk runs j = t, ..., 1 and keeps the columns w_j(a_k), each in root
+    coordinates followed by fundamental-weight coordinates.  Right
+    multiplication by s_i sends column k to col_k - A[i][k] col_i, which
+    moves only column i and the columns of the neighbours of i, so each root
+    costs O(r) and the enumeration O(|Phi+| r)."""
+    rank = len(d)
+    cols = [[int(m == k) for m in range(rank)] + [cartan[m][k] for m in range(rank)] for k in range(rank)]
     roots = []
-    for j in range(t):
-        coords = [int(k == word[j]) for k in range(rank)]
-        for m in range(j + 1, t):
-            coords = _reflect_root_coords(cartan, word[m], coords)
-        fw = [sum(cartan[i][k] * coords[k] for k in range(rank)) for i in range(rank)]
-        base = word[j]
-        # d is constant on Weyl orbits within a factor; recompute from length.
-        dd = sum(d[k] * coords[k] * sum(cartan[k][m] * coords[m] for m in range(rank)) for k in range(rank)) // 2
+    for i in reversed(word):
+        col = cols[i]
+        coords, fw = col[:rank], col[rank:]
         roots.append(
             Root(
                 root_coords=tuple(coords),
                 fw_coords=tuple(fw),
                 height=sum(coords),
-                factor=factor_of_index[base],
-                d=dd,
+                factor=factor_of_index[i],
+                # Half the squared length: (gamma, gamma) = sum_k d_k c_k <gamma, a_k^vee>.
+                d=sum(dk * c * f for dk, c, f in zip(d, coords, fw)) // 2,
             )
         )
+        for k in support[i]:
+            cols[k] = _column_update(cols[k], cartan[i][k], col)
+    roots.reverse()
     return roots
 
 

@@ -7,7 +7,9 @@ evaluated by Fraction and angle sums instead of integer Gram matrices,
 cyclotomic numbers are Fraction polynomials reduced by long division, with
 the inverse from the extended Euclidean algorithm, and R-matrix coefficients
 are evaluated term by term, from the weight sum of the support and one
-quantum factorial per root.
+quantum factorial per root.  Positive roots are re-reflected through the
+rest of the longest word, matrices are inverted over Fraction, and the
+commutator identity reads [m] off qbinom and eps^(1+m) off power.
 """
 
 from __future__ import annotations
@@ -19,10 +21,11 @@ from functools import lru_cache
 from math import lcm, prod
 from typing import Sequence
 
-from qcenters.angles import ZERO, AngleQZ
-from qcenters.cyclo import CycloNum, cyclotomic_poly, qfact, root_of_unity
+from qcenters.angles import HALF, ZERO, AngleQZ
+from qcenters.cyclo import CycloNum, cyclotomic_poly, qbinom, qfact, qint, root_of_unity
 from qcenters.intlat import Lattice, congruence_kernel, hnf, snf
-from qcenters.rootdata import Weight, _rational_inverse
+from qcenters.rootdata import Root, Weight
+from qcenters.twistcheck import COMMUTATOR_MAX_EXPONENT
 
 
 def coset_order_profile(sub: Lattice, super_: Lattice, bound: int = 4096) -> Counter:
@@ -138,9 +141,25 @@ def angle_sum_eval(form, x: Sequence[int], y: Sequence[int]) -> AngleQZ:
     return total
 
 
+def rational_inverse(m: Sequence[Sequence[Fraction]]) -> list[list[Fraction]]:
+    """Inverse of a nonsingular matrix by Gauss-Jordan elimination over Q."""
+    n = len(m)
+    a = [[Fraction(x) for x in row] + [Fraction(int(i == j)) for j in range(n)] for i, row in enumerate(m)]
+    for col in range(n):
+        pivot = next(i for i in range(col, n) if a[i][col] != 0)
+        a[col], a[pivot] = a[pivot], a[col]
+        inv = 1 / a[col][col]
+        a[col] = [x * inv for x in a[col]]
+        for i in range(n):
+            if i != col and a[i][col] != 0:
+                factor = a[i][col]
+                a[i] = [x - factor * y for x, y in zip(a[i], a[col])]
+    return [row[n:] for row in a]
+
+
 def _int_inverse(m: Sequence[Sequence[int]]) -> list[list[int]]:
     """Inverse of a unimodular integer matrix, exactly."""
-    inv = _rational_inverse([[Fraction(x) for x in row] for row in m])
+    inv = rational_inverse([[Fraction(x) for x in row] for row in m])
     assert all(v.denominator == 1 for row in inv for v in row), "matrix is not unimodular"
     return [[int(v) for v in row] for row in inv]
 
@@ -238,17 +257,22 @@ def fraction_inverse(n: int, coeffs: Sequence[Fraction]) -> tuple[Fraction, ...]
     return fraction_cyclo(n, [c / r0[0] for c in s0])
 
 
+def count_calls(monkeypatch, owner, name: str) -> list[int]:
+    """Patch owner.name to count its calls in the returned one-item list."""
+    calls = [0]
+    original = getattr(owner, name)
+
+    def counted(*args, **kwargs):
+        calls[0] += 1
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, counted)
+    return calls
+
+
 def count_inverses(monkeypatch) -> list[int]:
     """Patch CycloNum.inverse to count its calls in the returned one-item list."""
-    calls = [0]
-    original = CycloNum.inverse
-
-    def counted(self):
-        calls[0] += 1
-        return original(self)
-
-    monkeypatch.setattr(CycloNum, "inverse", counted)
-    return calls
+    return count_calls(monkeypatch, CycloNum, "inverse")
 
 
 def marker_angle(q, rd, n: Sequence[int]) -> AngleQZ:
@@ -287,3 +311,39 @@ def oracle_coeff(q, rd, n: Sequence[int], conductor: int) -> CycloNum:
         if v:
             out = out * coeff_root_factor(q.q_scalar(r), v, conductor)
     return out
+
+
+def _reflect_root_coords(cartan: Sequence[Sequence[int]], i: int, coords: list[int]) -> list[int]:
+    pairing = sum(cartan[i][j] * c for j, c in enumerate(coords))
+    out = coords[:]
+    out[i] -= pairing
+    return out
+
+
+def word_walk_positive_roots(rd) -> list[Root]:
+    """gamma_j = s_(i_t) ... s_(i_(j+1)) (a_(i_j)) for the word rd.w0_word,
+    re-reflecting each simple root through the rest of the word, with fw
+    coordinates and half squared length from the full Cartan matrix."""
+    cartan, word, rank = rd.cartan, rd.w0_word, rd.rank
+    roots = []
+    for j, base in enumerate(word):
+        coords = [int(k == base) for k in range(rank)]
+        for s in word[j + 1:]:
+            coords = _reflect_root_coords(cartan, s, coords)
+        fw = [sum(cartan[i][k] * coords[k] for k in range(rank)) for i in range(rank)]
+        dd = sum(rd.d[k] * coords[k] * sum(cartan[k][m] * coords[m] for m in range(rank)) for k in range(rank)) // 2
+        roots.append(Root(tuple(coords), tuple(fw), sum(coords), rd.factor_of_index[base], dd))
+    return roots
+
+
+def qbinom_commutator_identity(eps_alpha: AngleQZ) -> bool:
+    """eps^(1+m) [m]_eps = m for |m| <= COMMUTATOR_MAX_EXPONENT, with [m] from
+    qbinom(m, 1) for m >= 1 and qint otherwise, and eps^(1+m) from power."""
+    assert eps_alpha in (ZERO, HALF), "not a sign"
+    conductor = eps_alpha.den
+    eps = root_of_unity(eps_alpha, conductor)
+    for m in range(-COMMUTATOR_MAX_EXPONENT, COMMUTATOR_MAX_EXPONENT + 1):
+        binom_value = qbinom(m, 1, eps) if m >= 1 else qint(m, eps)
+        if eps.power(1 + m) * binom_value != CycloNum.from_rational(conductor, m):
+            return False
+    return True

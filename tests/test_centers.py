@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import random
 from fractions import Fraction
@@ -10,10 +11,11 @@ from qcenters.centers import (
     center_tower,
     classify_cartan,
     dual_datum,
+    verdicts,
     x_star,
 )
 from qcenters.intlat import hnf, index
-from qcenters.qparam import make_param
+from qcenters.qparam import InvariantViolation, make_param
 from qcenters.report import Analysis
 from qcenters.rootdata import Weight, build_root_datum
 from qcenters.sampling import random_instance
@@ -155,6 +157,30 @@ def test_even_order_regular_cases(type_str, ell):
     assert tower.x_tan == tower.x_mug == tower.lq
     transpose = tuple(tuple(rd.cartan[j][i] for j in range(rd.rank)) for i in range(rd.rank))
     assert a.g_star.cartan_star == transpose
+
+
+@pytest.mark.parametrize("den", [4, 10])
+def test_g2_even_order_without_three_keeps_cartan(den):
+    # 3 does not divide l = den/2, so every simple root is rescaled alike and
+    # Cartan* = A, which is not A^T; the conclusion still holds.
+    rd = build_root_datum("G2", "sc")
+    a = Analysis(rd, make_param(rd, Fraction(1, den)))
+    assert a.verdicts.thm_sc_hypotheses and a.verdicts.thm_sc_conclusion_check
+    assert a.g_star.cartan_star == rd.cartan
+    assert a.tower.x_tan == a.tower.x_mug == a.tower.lq
+
+
+@pytest.mark.parametrize("type_str,den", [("G2", 10), ("G2", 12), ("B2", 4)])
+def test_verdicts_reject_a_cartan_star_off_the_rescaling(type_str, den):
+    rd = build_root_datum(type_str, "sc")
+    a = Analysis(rd, make_param(rd, Fraction(1, den)))
+    stages = (a.tower, a.param_class)
+    assert verdicts(a.q, rd, *stages, a.g_star).thm_sc_conclusion_check
+    cartan_star = [list(row) for row in a.g_star.cartan_star]
+    cartan_star[0][1] -= 1
+    patched = dataclasses.replace(a.g_star, cartan_star=tuple(tuple(row) for row in cartan_star))
+    with pytest.raises(InvariantViolation, match="even-order simply-connected"):
+        verdicts(a.q, rd, *stages, patched)
 
 
 def test_projective_sp6_even_order_divergence():

@@ -33,6 +33,13 @@ def test_analyze_sl2_odd_counterexample(capsys):
     assert report["dims"]["fpdim_fiber"] == 54
 
 
+@pytest.mark.parametrize("param", ["1/4", "1/10"])
+def test_analyze_g2_even_order_exits_zero(param, capsys):
+    code, out, _err = run_cli(["analyze", "--type", "G2", "--param", param, "--json"], capsys)
+    assert code == 0
+    assert json.loads(out)["centers"]["verdicts"]["thm_sc_conclusion_check"] is True
+
+
 def test_analyze_preset_checks_conclusion(capsys):
     code, out, _err = run_cli(["analyze", "--preset", "sl3-odd-5", "--json"], capsys)
     assert code == 0

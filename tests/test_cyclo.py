@@ -4,7 +4,7 @@ from math import gcd, lcm
 
 import pytest
 
-from helpers import count_inverses, fraction_cyclo, fraction_inverse, fraction_lift, poly_mul
+from helpers import count_calls, count_inverses, fraction_cyclo, fraction_inverse, fraction_lift, poly_mul
 from qcenters import cyclo
 from qcenters.angles import AngleQZ
 from qcenters.cyclo import (
@@ -244,6 +244,7 @@ def test_inverse_raises_when_the_norm_is_not_rational(monkeypatch):
 
 def test_quantum_numbers_invert_v_at_most_once(monkeypatch):
     calls = count_inverses(monkeypatch)
+    powers = count_calls(monkeypatch, CycloNum, "power")
     for den in (1, 2, 5, 12, 19):
         v = root_of_unity(AngleQZ(1, den) if den > 1 else AngleQZ(0, 1), 2 * den)
         for n in range(-4, 13):
@@ -258,3 +259,12 @@ def test_quantum_numbers_invert_v_at_most_once(monkeypatch):
             calls[0] = 0
             qfact(m, v)
             assert calls[0] <= 1, (den, m)
+    assert powers[0] == 0
+
+
+def test_constructing_values_reads_the_cached_degree(monkeypatch):
+    CycloNum.one(60)
+    polys = count_calls(monkeypatch, cyclo, "cyclotomic_poly")
+    z = root_of_unity(AngleQZ(1, 60), 60)
+    assert (z * z - CycloNum.from_rational(60, 3)).conductor == 60
+    assert polys[0] == 0

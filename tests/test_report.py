@@ -8,8 +8,10 @@ from fractions import Fraction
 
 import pytest
 
+from helpers import count_calls
 from qcenters import centers, kappa, qparam
 from qcenters.cli import main
+from qcenters.cyclo import CycloNum, qbinom
 from qcenters.qparam import QParam, make_param
 from qcenters.report import build_report
 from qcenters.rootdata import build_root_datum
@@ -72,3 +74,16 @@ def test_subcommands_print_sections_of_the_report(type_str, param, capsys):
     }
     for section, payload in views.items():
         assert payload == {"schema": report["schema"], "input": report["input"], **report[section]}, section
+
+
+def test_e8_report_makes_few_cyclotomic_multiplies(monkeypatch):
+    rd = build_root_datum("E8", "sc")
+    q = make_param(rd, Fraction(1, 10))
+    muls = count_calls(monkeypatch, CycloNum, "__mul__")
+    monkeypatch.setattr(CycloNum, "__rmul__", CycloNum.__mul__)
+    powers = count_calls(monkeypatch, CycloNum, "power")
+    binoms = [count_calls(monkeypatch, m, "qbinom") for name, m in sys.modules.items()
+              if name.split(".")[0] == "qcenters" and getattr(m, "qbinom", None) is qbinom]
+    build_report(rd, q, {})
+    assert powers[0] == 0 and all(calls[0] == 0 for calls in binoms)
+    assert 0 < muls[0] <= 100

@@ -1,13 +1,18 @@
+import itertools
 import random
 from fractions import Fraction
+from math import prod
 
 import pytest
 
+from helpers import rational_inverse, word_walk_positive_roots
+from qcenters import rootdata
 from qcenters.intlat import Lattice, index
 from qcenters.rootdata import (
     DynkinType,
     RootDatumError,
     Weight,
+    _bareiss_inverse,
     build_root_datum,
     two_rho,
     weyl_reflect,
@@ -160,3 +165,79 @@ def test_explicit_lattice_between_q_and_p():
     rd = build_root_datum("A3", rows)
     assert index(rd.charlattice, rd.weight_lattice()) == 2
     assert not rd.is_simply_connected() and not rd.is_adjoint()
+
+
+# Every admissible almost-simple type of rank <= 8, then larger ranks and a product.
+ORACLE_TYPES = (
+    [f"A{n}" for n in range(1, 9)]
+    + [f"{f}{n}" for f in "BC" for n in range(2, 9)]
+    + [f"D{n}" for n in range(3, 9)]
+    + ["E6", "E7", "E8", "F4", "G2", "A12", "A20", "B10", "C10", "D12", "A3xB2xG2"]
+)
+CARTAN_DETERMINANT = {"A": lambda n: n + 1, "B": lambda n: 2, "C": lambda n: 2, "D": lambda n: 4,
+                      "E": lambda n: 9 - n, "F": lambda n: 1, "G": lambda n: 1}
+
+
+def _greedy_longest_word(rd):
+    """Reflect rho at the lowest index with a positive coordinate until it is antidominant."""
+    lam, word = Weight.of([1] * rd.rank), []
+    while any(c > 0 for c in lam.coords):
+        i = next(k for k, c in enumerate(lam.coords) if c > 0)
+        lam = weyl_reflect(rd, i, lam)
+        word.append(i)
+    return tuple(word)
+
+
+@pytest.mark.parametrize("type_str", ORACLE_TYPES)
+def test_root_datum_matches_word_walk_and_fraction_oracles(type_str):
+    rd = build_root_datum(type_str)
+    assert rd.w0_word == _greedy_longest_word(rd)
+    assert list(rd.pos_roots) == word_walk_positive_roots(rd)
+    inv = rational_inverse(rd.cartan)
+    assert [list(row) for row in rd.killing] == [[rd.d[i] * x for x in row] for i, row in enumerate(inv)]
+
+
+@pytest.mark.parametrize("type_str", ORACLE_TYPES)
+def test_bareiss_inverse_gives_det_and_adjugate(type_str):
+    rd = build_root_datum(type_str)
+    det, adj = _bareiss_inverse(rd.cartan)
+    assert det == prod(CARTAN_DETERMINANT[f](n) for f, n in rd.dynkin.factors)
+    assert adj == [[det * x for x in row] for row in rational_inverse(rd.cartan)]
+
+
+def _leibniz_det(m):
+    n = len(m)
+    total = 0
+    for perm in itertools.permutations(range(n)):
+        inversions = sum(perm[i] > perm[j] for i in range(n) for j in range(i + 1, n))
+        total += (-1) ** inversions * prod(m[i][perm[i]] for i in range(n))
+    return total
+
+
+def test_bareiss_inverse_on_random_integer_matrices():
+    rng = random.Random(5)
+    for _ in range(40):
+        n = rng.randint(1, 5)
+        b = [[rng.randint(-4, 4) for _ in range(n)] for _ in range(n)]
+        # B B^T + I is positive definite, so every leading principal minor is nonzero.
+        m = [[sum(x * y for x, y in zip(r, s)) + (i == j) for j, s in enumerate(b)] for i, r in enumerate(b)]
+        det, adj = _bareiss_inverse(m)
+        assert det == _leibniz_det(m)
+        assert adj == [[det * x for x in row] for row in rational_inverse(m)]
+    with pytest.raises(RootDatumError, match="leading principal minor"):
+        _bareiss_inverse([[0, 1], [1, 0]])
+
+
+def test_enumeration_column_updates_are_linear(monkeypatch):
+    calls = [0]
+    original = rootdata._column_update
+
+    def counted(*args):
+        calls[0] += 1
+        return original(*args)
+
+    monkeypatch.setattr(rootdata, "_column_update", counted)
+    rd = build_root_datum("A30")
+    valence = max(sum(1 for j, a in enumerate(row) if a and j != i) for i, row in enumerate(rd.cartan))
+    assert len(rd.pos_roots) == 465
+    assert calls[0] <= len(rd.pos_roots) * (valence + 1)

@@ -3,6 +3,8 @@ from math import lcm
 
 import pytest
 
+from helpers import qbinom_commutator_identity
+from qcenters import twistcheck
 from qcenters.angles import HALF, ZERO, AngleQZ
 from qcenters.kappa import BiformQZ
 from qcenters.intlat import hnf
@@ -62,6 +64,25 @@ def test_commutator_identity_signs():
     assert commutator_identity(HALF)  # sign-twisted case
     with pytest.raises(TwistPreconditionError):
         commutator_identity(AngleQZ(1, 3))
+
+
+@pytest.mark.parametrize("eps", [ZERO, HALF])
+def test_commutator_identity_matches_qbinom_oracle(eps):
+    assert commutator_identity(eps) == qbinom_commutator_identity(eps) is True
+
+
+def test_commutator_identity_detects_a_wrong_inverse(monkeypatch):
+    # With eps^-1 (the second root of unity asked for) read as 1 at eps = -1,
+    # [2] = eps + 1 = 0 and the m = 2 check fails.
+    real, asked = twistcheck.root_of_unity, []
+
+    def inverse_read_as_one(angle, conductor):
+        asked.append(angle)
+        return real(angle if len(asked) == 1 else ZERO, conductor)
+
+    monkeypatch.setattr(twistcheck, "root_of_unity", inverse_read_as_one)
+    assert not commutator_identity(HALF)
+    assert asked == [HALF, HALF]
 
 
 def test_commutator_specific_values():
