@@ -309,14 +309,10 @@ def verdicts(q: QParam, rd: RootDatum, tower: CenterTower, cls: ParamClass, g_st
 
     conclusion: Optional[bool] = None
     if hypotheses:
-        # Cartan* is A rescaled root by root: l_i Cartan*_ij = l_j A_ij.  It is
-        # A^T when l_i d_i is constant, but in G2 with 3 not dividing l every
-        # l_i is equal and Cartan* = A.
-        ls = q.simple_ls()
-        rescaled = all(
-            ls[i] * g_star.cartan_star[i][j] == ls[j] * rd.cartan[i][j] for i in range(rd.rank) for j in range(rd.rank)
-        )
-        conclusion = tan_eq_mug and tower.x_tan == tower.lq and rescaled
+        # Cartan* is A^T up to relabelling the simple roots.  In G2 with 3 not
+        # dividing l every l_i is equal and Cartan* = A, which is A^T with the
+        # two nodes swapped.
+        conclusion = tan_eq_mug and tower.x_tan == tower.lq and _cartan_iso(g_star.cartan_star, transpose)
         if not conclusion:
             raise InvariantViolation("even-order simply-connected conclusions failed under their hypotheses")
     if tower.x_tan == tower.lq and not pivot:

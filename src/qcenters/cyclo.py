@@ -22,7 +22,6 @@ so they stay exact at roots of unity.
 from __future__ import annotations
 
 import itertools
-import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -288,16 +287,13 @@ def qfact(n: int, v: CycloNum) -> CycloNum:
 
 def qbinom(m: int, n: int, v: CycloNum) -> CycloNum:
     """Balanced Gaussian binomial via the division-free Pascal recursion
-    [m, n] = v^n [m-1, n] + v^(n-m) [m-1, n-1], reading v^k and v^-k from
-    lists built once, with one inverse."""
+    [m, n] = v^n [m-1, n] + v^(n-m) [m-1, n-1]."""
     if not 0 <= n <= m:
         raise CycloError("need 0 <= n <= m")
     one = CycloNum.one(v.conductor)
     if n == 0 or n == m:
         return one
     v_inv = v.inverse()
-    up = list(itertools.accumulate([v] * n, operator.mul, initial=one))  # v^k, k <= n
-    down = list(itertools.accumulate([v_inv] * (m - n), operator.mul, initial=one))  # v^-k, k <= m - n
     memo: dict[tuple[int, int], CycloNum] = {}
 
     def rec(mm: int, nn: int) -> CycloNum:
@@ -305,7 +301,7 @@ def qbinom(m: int, n: int, v: CycloNum) -> CycloNum:
             return one
         key = (mm, nn)
         if key not in memo:
-            memo[key] = up[nn] * rec(mm - 1, nn) + down[mm - nn] * rec(mm - 1, nn - 1)
+            memo[key] = v.power(nn) * rec(mm - 1, nn) + v_inv.power(mm - nn) * rec(mm - 1, nn - 1)
         return memo[key]
 
     return rec(m, n)

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 from .angles import AngleQZ
 from .centers import DualDatum
-from .cyclo import CycloNum, root_of_unity
+from .cyclo import CycloNum, _qints, root_of_unity
 from .intlat import vanishes_mod
 from .kappa import BiformQZ
 
@@ -78,24 +78,21 @@ def commutator_identity(eps_alpha: AngleQZ) -> bool:
     The binomial column [m choose 1] is the quantum integer [m]; at a sign
     this is eps^(m+1) m, which cancels the toral eigenvalue eps^m together
     with the leading eps in the commutator normalization.  One walk over
-    m = 1, 2, ... carries eps^(1+m), eps^(1-m) = eps^-(m-1) and [m]_eps
-    through [m+1] = eps [m] + eps^-m, and checks -m by [-m] = -[m]; m = 0
-    holds trivially.
+    m = 1, 2, ... reads [m]_eps from the quantum-integer sequence and carries
+    eps^(1+m) and eps^(1-m); -m is checked by [-m] = -[m], and m = 0 holds
+    trivially.
     """
     if not (eps_alpha.is_zero() or eps_alpha.is_half()):
         raise TwistPreconditionError(f"{eps_alpha} is not a sign")
     conductor = eps_alpha.den
     eps = root_of_unity(eps_alpha, conductor)
     eps_inv = root_of_unity(-eps_alpha, conductor)
-    up, down = eps * eps, CycloNum.one(conductor)  # eps^(1+m), eps^(1-m) at m = 1
-    qint_m = CycloNum.one(conductor)  # [1]
-    for m in range(1, COMMUTATOR_MAX_EXPONENT + 1):
+    up = down = eps  # eps^(1+m), eps^(1-m) at m = 0
+    for m, qint_m in zip(range(1, COMMUTATOR_MAX_EXPONENT + 1), _qints(eps)):
+        up, down = up * eps, down * eps_inv
         value = CycloNum.from_rational(conductor, m)
         if up * qint_m != value or down * qint_m != value:
             return False
-        down = down * eps_inv  # eps^-m
-        qint_m = eps * qint_m + down
-        up = up * eps
     return True
 
 

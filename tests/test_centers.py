@@ -1,4 +1,3 @@
-import dataclasses
 import itertools
 import random
 from fractions import Fraction
@@ -15,7 +14,7 @@ from qcenters.centers import (
     x_star,
 )
 from qcenters.intlat import hnf, index
-from qcenters.qparam import InvariantViolation, make_param
+from qcenters.qparam import InvariantViolation, QParam, make_param
 from qcenters.report import Analysis
 from qcenters.rootdata import Weight, build_root_datum
 from qcenters.sampling import random_instance
@@ -162,7 +161,7 @@ def test_even_order_regular_cases(type_str, ell):
 @pytest.mark.parametrize("den", [4, 10])
 def test_g2_even_order_without_three_keeps_cartan(den):
     # 3 does not divide l = den/2, so every simple root is rescaled alike and
-    # Cartan* = A, which is not A^T; the conclusion still holds.
+    # Cartan* = A, which is A^T with the two nodes swapped.
     rd = build_root_datum("G2", "sc")
     a = Analysis(rd, make_param(rd, Fraction(1, den)))
     assert a.verdicts.thm_sc_hypotheses and a.verdicts.thm_sc_conclusion_check
@@ -170,17 +169,20 @@ def test_g2_even_order_without_three_keeps_cartan(den):
     assert a.tower.x_tan == a.tower.x_mug == a.tower.lq
 
 
-@pytest.mark.parametrize("type_str,den", [("G2", 10), ("G2", 12), ("B2", 4)])
-def test_verdicts_reject_a_cartan_star_off_the_rescaling(type_str, den):
+@pytest.mark.parametrize("type_str,den", [("B3", 8), ("C3", 8), ("B4", 4)])
+def test_verdicts_catch_wrong_simple_ls(type_str, den, monkeypatch):
+    # Reading every simple l_i as the largest one rescales all roots alike, so
+    # Cartan* = A, which no relabelling of the simple roots turns into A^T here.
     rd = build_root_datum(type_str, "sc")
     a = Analysis(rd, make_param(rd, Fraction(1, den)))
     stages = (a.tower, a.param_class)
     assert verdicts(a.q, rd, *stages, a.g_star).thm_sc_conclusion_check
-    cartan_star = [list(row) for row in a.g_star.cartan_star]
-    cartan_star[0][1] -= 1
-    patched = dataclasses.replace(a.g_star, cartan_star=tuple(tuple(row) for row in cartan_star))
+    wrong = [max(a.q.simple_ls())] * rd.rank
+    monkeypatch.setattr(QParam, "simple_ls", lambda self: wrong)
+    g_star = dual_datum(a.q, rd, a.g_star.char_lattice)
+    assert g_star.cartan_star == rd.cartan
     with pytest.raises(InvariantViolation, match="even-order simply-connected"):
-        verdicts(a.q, rd, *stages, patched)
+        verdicts(a.q, rd, *stages, g_star)
 
 
 def test_projective_sp6_even_order_divergence():

@@ -5,7 +5,7 @@ from math import prod
 
 import pytest
 
-from helpers import rational_inverse, word_walk_positive_roots
+from helpers import count_calls, rational_inverse, word_walk_positive_roots
 from qcenters import rootdata
 from qcenters.intlat import Lattice, index
 from qcenters.rootdata import (
@@ -229,14 +229,7 @@ def test_bareiss_inverse_on_random_integer_matrices():
 
 
 def test_enumeration_column_updates_are_linear(monkeypatch):
-    calls = [0]
-    original = rootdata._column_update
-
-    def counted(*args):
-        calls[0] += 1
-        return original(*args)
-
-    monkeypatch.setattr(rootdata, "_column_update", counted)
+    calls = count_calls(monkeypatch, rootdata, "_column_update")
     rd = build_root_datum("A30")
     valence = max(sum(1 for j, a in enumerate(row) if a and j != i) for i, row in enumerate(rd.cartan))
     assert len(rd.pos_roots) == 465

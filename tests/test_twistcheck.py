@@ -73,7 +73,7 @@ def test_commutator_identity_matches_qbinom_oracle(eps):
 
 def test_commutator_identity_detects_a_wrong_inverse(monkeypatch):
     # With eps^-1 (the second root of unity asked for) read as 1 at eps = -1,
-    # [2] = eps + 1 = 0 and the m = 2 check fails.
+    # eps^(1-m) at m = 1 reads eps = -1 and the m = 1 check fails.
     real, asked = twistcheck.root_of_unity, []
 
     def inverse_read_as_one(angle, conductor):
