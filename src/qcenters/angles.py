@@ -1,16 +1,16 @@
 """Angles in Q/Z: exact stand-ins for roots of unity.
 
 The angle a/b represents exp(2*pi*i*a/b), so 0 is the unit 1 and 1/2 is -1.
-The group law is addition mod 1 and the order of a/b is b.  A matrix of
-angles crosses to integer arithmetic as one modulus N, the lcm of its
-denominators, and an integer matrix of numerators over N.
+The group law is addition mod 1 and the order of a/b is b.  Forms are
+computed as integer Gram matrices over one modulus N; `from_int_gram` reads
+such a matrix back as angles where values leave the integer pipeline.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd
 from typing import Sequence
 
 
@@ -62,13 +62,6 @@ class AngleQZ:
 
     def __str__(self) -> str:
         return f"{self.num}/{self.den}"
-
-
-def to_int_gram(angles: Sequence[Sequence[AngleQZ]]) -> tuple[int, list[list[int]]]:
-    """(N, A) with angles[i][j] = A[i][j] / N mod 1 and 0 <= A[i][j] < N,
-    where N is the lcm of the denominators."""
-    n = lcm(*(a.den for row in angles for a in row))
-    return n, [[a.num * (n // a.den) for a in row] for row in angles]
 
 
 def from_int_gram(n: int, m: Sequence[Sequence[int]]) -> tuple[tuple[AngleQZ, ...], ...]:

@@ -77,8 +77,8 @@ def dims_uqk(q: QParam, rd: RootDatum, rads: Radicals) -> tuple[int, int, int]:
 
 def simples(q: QParam, rd: RootDatum, tower: CenterTower, rads: Radicals) -> tuple[FiniteAbelianGroup, FiniteAbelianGroup]:
     """(label group over the toral algebra, label group over the fiber algebra):
-    X / rad(q, kappa) and X / X^Tan."""
-    group_uqk = quotient(rads.rad_qk, rd.charlattice)
+    X / rad(q, kappa), which is the group Lambda of the radicals, and X / X^Tan."""
+    group_uqk = rads.groups.lam
     group_uq = quotient(tower.x_tan, rd.charlattice)
     if group_uq.order * rads.groups.sigma_order != group_uqk.order:
         raise InvariantViolation("simple-label orbit count is inconsistent with |Sigma|")

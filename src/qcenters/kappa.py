@@ -5,23 +5,23 @@ diagonal, so it admits an alternating square root kappa; we fix the canonical
 upper-triangular choice on the HNF basis.  A canonical bilinear extension psi
 to all of X is produced through a Smith-adapted basis of the inclusion
 X^Tan <= X, by congruences of integer Gram matrices: kappa moves to the
-adapted basis, is divided there, and moves on to the HNF basis of X.  A
-form crosses to other modules as (N, K), its integer Gram matrix mod N, and
-every identity on it is a congruence mod N of products L . K . R^T: psi
-restricts to kappa as C . Psi . C^T = K, and psi kills a sublattice with
-coordinate rows C when C . Psi = 0 = Psi . C^T.  The simultaneous radical of
-q and kappa drives the finite character groups Sigma, Lambda, Theta.
+adapted basis, is divided there, and moves on to the HNF basis of X.  A form
+is stored as (N, K), its integer Gram matrix mod N, and every identity on it
+is a congruence mod N of products L . K . R^T: kappa's defining identities
+are checked on K over N = 4, psi restricts to kappa as C . Psi . C^T = K,
+and psi kills a sublattice with coordinate rows C when C . Psi = 0 =
+Psi . C^T.  The simultaneous radical of q and kappa drives the finite
+character groups Sigma, Lambda, Theta.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
 from math import lcm
 from typing import Sequence
 
-from .angles import AngleQZ, ZERO, from_int_gram, to_int_gram
+from .angles import AngleQZ, from_int_gram
 from .intlat import (
     FiniteAbelianGroup,
     IntMatrix,
@@ -42,6 +42,9 @@ class KappaError(ValueError):
     """The restricted parameter is outside the square-root existence envelope."""
 
 
+OUTSIDE_DOMAIN = "vector outside the form's domain lattice"
+
+
 def _coords(basis: Lattice, vectors: Sequence[Sequence[int]], why: str) -> IntMatrix:
     """Coordinates of the vectors on the basis, or KappaError(why) if one is outside."""
     coords = [basis.coords_of(list(v)) for v in vectors]
@@ -52,19 +55,20 @@ def _coords(basis: Lattice, vectors: Sequence[Sequence[int]], why: str) -> IntMa
 
 @dataclass(frozen=True)
 class BiformQZ:
-    """Bilinear Q/Z-valued form given by a Gram matrix on a lattice basis."""
+    """Bilinear Q/Z-valued form on a lattice basis: the form is K[i][j] / N
+    mod 1 on basis vectors i, j, with int_gram = (N, K) and K in [0, N)."""
 
     basis: Lattice
-    gram: tuple[tuple[AngleQZ, ...], ...]
+    int_gram: tuple[int, IntMatrix]
 
-    @cached_property
-    def int_gram(self) -> tuple[int, IntMatrix]:
-        """(N, G) with gram[i][j] = G[i][j] / N mod 1."""
-        return to_int_gram(self.gram)
+    @property
+    def gram(self) -> tuple[tuple[AngleQZ, ...], ...]:
+        """The Gram matrix as angles, for serialization."""
+        return from_int_gram(*self.int_gram)
 
     def eval(self, x: Sequence[int], y: Sequence[int]) -> AngleQZ:
         """Evaluate on ambient fw-coordinate vectors lying in the domain."""
-        cx, cy = _coords(self.basis, (x, y), "vector outside the form's domain lattice")
+        cx, cy = _coords(self.basis, (x, y), OUTSIDE_DOMAIN)
         n, g = self.int_gram
         return AngleQZ.of(Fraction(bilinear(g, cx, cy), n))
 
@@ -72,35 +76,33 @@ class BiformQZ:
 def build_kappa(q: QParam, x_tan: Lattice) -> BiformQZ:
     """Canonical alternating square root of the restricted parameter on X^Tan.
 
-    On the HNF basis e_1..e_k: zero diagonal, kappa(e_i, e_j) = eps(e_i,e_j)/2
-    in {0, 1/4} for i < j, and kappa(e_j, e_i) = -kappa(e_i, e_j).
+    With E = X^Tan . G . X^Tan^T mod N the restricted parameter on the HNF
+    basis e_1..e_k, kappa is (4, K): for i < j, K_ij = 1 and K_ji = 3 where
+    E_ij = N/2, and K is 0 elsewhere.  Its three defining identities are
+    checked on the form built, as congruences: diag K = 0 mod 4,
+    2 kappa = eps as 2N K = 4E mod 4N, and K + K^T = 0 mod 4.
     """
-    basis = [list(g) for g in x_tan.gens]
-    eps = q.angle_gram(basis)
-    n = len(basis)
-    for i in range(n):
-        if not eps[i][i].is_zero():
-            raise KappaError(f"restricted parameter has nonzero diagonal value {eps[i][i]}")
-        for j in range(n):
-            if not (eps[i][j].is_zero() or eps[i][j].is_half()):
-                raise KappaError(f"restricted parameter value {eps[i][j]} is not a sign")
-    gram = [[ZERO for _ in range(n)] for _ in range(n)]
-    for i in range(n):
-        for j in range(i + 1, n):
-            half = AngleQZ(1, 4) if eps[i][j].is_half() else ZERO
-            gram[i][j] = half
-            gram[j][i] = -half
-    form = BiformQZ(basis=x_tan, gram=tuple(tuple(row) for row in gram))
+    n, g = q.int_gram
+    eps = [[x % n for x in row] for row in congruent(x_tan.gens, g)]
+    k = [[0] * len(eps) for _ in eps]
+    for i, row in enumerate(eps):
+        if row[i]:
+            raise KappaError(f"restricted parameter has nonzero diagonal value {AngleQZ.of(Fraction(row[i], n))}")
+        for j, x in enumerate(row):
+            if 2 * x not in (0, n):
+                raise KappaError(f"restricted parameter value {AngleQZ.of(Fraction(x, n))} is not a sign")
+            if j > i and x:
+                k[i][j], k[j][i] = 1, 3
+    form = BiformQZ(basis=x_tan, int_gram=(4, k))
 
-    # The three defining identities, verified on the full Gram matrix.
-    for i in range(n):
-        if not form.gram[i][i].is_zero():
-            raise InvariantViolation("kappa diagonal is nonzero")
-        for j in range(n):
-            if not (form.gram[i][j] + form.gram[j][i]).is_zero():
-                raise InvariantViolation("kappa is not antisymmetric")
-            if form.gram[i][j].scaled(2) != eps[i][j]:
-                raise InvariantViolation("kappa squared does not match the restricted parameter")
+    # The three defining identities, verified on the Gram matrix of the form.
+    d, k = form.int_gram
+    if not vanishes_mod([[row[i] for i, row in enumerate(k)]], d):
+        raise InvariantViolation("kappa diagonal is nonzero")
+    if not vanishes_mod([[2 * n * a - d * e for a, e in zip(rk, re)] for rk, re in zip(k, eps)], d * n):
+        raise InvariantViolation("kappa squared does not match the restricted parameter")
+    if not vanishes_mod([[a + b for a, b in zip(row, col)] for row, col in zip(k, zip(*k))], d):
+        raise InvariantViolation("kappa is not antisymmetric")
     return form
 
 
@@ -177,8 +179,9 @@ def extend_psi(kappa: BiformQZ, x: Lattice) -> BiformQZ:
     # With a reduced into [0, N), the m-th parts of a / N are (a + jN) / (Nm)
     # for 0 <= j < m; the smallest numerator is j = 0.
     on_f = [[a % n * scale // (di * dj) for a, dj in zip(row, diag)] for row, di in zip(congruent(u, k), diag)]
-    big_n, on_b = n * scale, congruent(v, on_f)
-    psi = BiformQZ(basis=x, gram=from_int_gram(big_n, on_b))
+    big_n = n * scale
+    on_b = [[a % big_n for a in row] for row in congruent(v, on_f)]
+    psi = BiformQZ(basis=x, int_gram=(big_n, on_b))
 
     # Restriction of psi to X^Tan must reproduce kappa exactly.
     restricted = congruent(coords, on_b)
@@ -193,7 +196,6 @@ def psi_vanishes_on(psi: BiformQZ, rad_qk: Lattice, x: Lattice) -> bool:
 
     With C and D the coordinates of the generators of rad_qk and of x on the
     domain basis of psi, this is C . Psi . D^T = 0 = D . Psi . C^T mod N."""
-    why = "vector outside the form's domain lattice"
-    c, d = _coords(psi.basis, rad_qk.gens, why), _coords(psi.basis, x.gens, why)
+    c, d = _coords(psi.basis, rad_qk.gens, OUTSIDE_DOMAIN), _coords(psi.basis, x.gens, OUTSIDE_DOMAIN)
     n, g = psi.int_gram
     return vanishes_mod(congruent(c, g, d), n) and vanishes_mod(congruent(d, g, c), n)

@@ -70,38 +70,24 @@ def _check_even_regular(report: dict[str, Any], rd: RootDatum, q: QParam) -> lis
     return fails
 
 
-def _check_sl2n_odd(ell: int) -> Callable[[dict[str, Any], RootDatum, QParam], list[str]]:
+def _check_strict_inclusion(
+    witness: Callable[[RootDatum], Weight], name: str
+) -> Callable[[dict[str, Any], RootDatum, QParam], list[str]]:
+    """X^Tan < X^Mug strictly, shown by the witness weight (called `name` in
+    the messages): in X^Mug, outside X^Tan, with self-pairing -1."""
+
     def check(report: dict[str, Any], rd: RootDatum, q: QParam) -> list[str]:
         fails = []
         if report["centers"]["verdicts"]["tan_equals_mug"]:
             fails.append("expected X^Tan to be a proper sublattice of X^Mug")
-        lam0 = _odd_half_sum_witness(rd, ell)
+        lam0 = witness(rd)
         coords = lam0.coords
         if not Lattice.from_rows(report["centers"]["x_mug"]).member(coords):
-            fails.append("expected the half-sum witness to lie in X^Mug")
+            fails.append(f"expected {name} to lie in X^Mug")
         if Lattice.from_rows(report["centers"]["x_tan"]).member(coords):
-            fails.append("expected the half-sum witness to avoid X^Tan")
+            fails.append(f"expected {name} to avoid X^Tan")
         if not q.eval(lam0, lam0).is_half():
-            fails.append("expected self-pairing -1 at the half-sum witness")
-        return fails
-
-    return check
-
-
-def _check_sp2n_odd(ell: int) -> Callable[[dict[str, Any], RootDatum, QParam], list[str]]:
-    def check(report: dict[str, Any], rd: RootDatum, q: QParam) -> list[str]:
-        fails = []
-        if report["centers"]["verdicts"]["tan_equals_mug"]:
-            fails.append("expected X^Tan to be a proper sublattice of X^Mug")
-        beta = rd.simple_root(rd.rank - 1)  # the unique long simple root
-        lam0 = beta.scaled(Fraction(ell, 2))
-        coords = lam0.coords
-        if not Lattice.from_rows(report["centers"]["x_mug"]).member(coords):
-            fails.append("expected l*beta/2 to lie in X^Mug")
-        if Lattice.from_rows(report["centers"]["x_tan"]).member(coords):
-            fails.append("expected l*beta/2 to avoid X^Tan")
-        if not q.eval(lam0, lam0).is_half():
-            fails.append("expected self-pairing -1 at l*beta/2")
+            fails.append(f"expected self-pairing -1 at {name}")
         return fails
 
     return check
@@ -158,7 +144,7 @@ def make_preset(name: str, **overrides: Any) -> PresetCase:
             lattice="sc",
             c=(Fraction(1, ell),),
             description=f"SL({2*n}) at an odd order l = {ell}: strict Tannakian center",
-            check=_check_sl2n_odd(ell),
+            check=_check_strict_inclusion(lambda rd: _odd_half_sum_witness(rd, ell), "the half-sum witness"),
         )
     elif name == "sp2n-odd-halfpi":
         n = int(overrides.pop("n", 2))
@@ -171,7 +157,8 @@ def make_preset(name: str, **overrides: Any) -> PresetCase:
             lattice="sc",
             c=(Fraction(1, 2 * ell),),
             description=f"Sp({2*n}) at the half-angle form with odd l = {ell}",
-            check=_check_sp2n_odd(ell),
+            # beta is the unique long simple root.
+            check=_check_strict_inclusion(lambda rd: rd.simple_root(rd.rank - 1).scaled(Fraction(ell, 2)), "l*beta/2"),
         )
     elif name == "sl3-odd":
         ell = int(overrides.pop("l", 3))

@@ -10,7 +10,8 @@ N: q(lam, mu) = lam . G . mu^T / N mod 1.  (N, G) is the form every other
 module reads: its Gram between two bases is the product L . G . R^T, and
 each identity of q (symmetry, vanishing on orthogonal weights, Weyl
 invariance, the orders l_gamma, radicals) is a congruence mod N of such
-products.  Angles appear only at the edges, in `eval` and `angle_gram`.
+products.  Angles appear only where values leave the integer pipeline, in
+`eval`, `angle_gram`, `q_scalar` and `root_table`.
 The package derives from q the root orders l_gamma, the scalar parameters
 q_gamma, radicals and the standard parameter-class predicates.
 """

@@ -1,23 +1,28 @@
 """Scalar identities behind the symmetric rescaling of quasi-classical data.
 
-These are finite angle computations verifying that the character constants
+These are finite computations verifying that the character constants
 M_alpha(lam) = kappa^-1(alpha, lam) rescale the Serre sums, commutators, and
 cross-commutators consistently when all scalar parameters are signs: the
 quantity (r - s) * M_alpha(beta) - r * s * eps_alpha must not depend on the
 split r + s = m of the Serre exponent, the quantum binomial at +-1 must
 collapse the commutator eigenvalue, and antisymmetry of kappa must kill the
-mixed commutators.
+mixed commutators.  The Serre ratios and the antisymmetry are congruences on
+kappa's integer Gram matrix (N, K); angles appear only in the witness values
+and in the signs eps_alpha that the commutator identity lifts to Q(zeta_2).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
+from functools import lru_cache
+from math import lcm
 
 from .angles import AngleQZ
 from .centers import DualDatum
 from .cyclo import CycloNum, _qints, root_of_unity
-from .intlat import vanishes_mod
-from .kappa import BiformQZ
+from .intlat import congruent, vanishes_mod
+from .kappa import OUTSIDE_DOMAIN, BiformQZ, _coords
 
 
 class TwistPreconditionError(ValueError):
@@ -39,39 +44,45 @@ def serre_ratio_invariance(dual: DualDatum, kappa: BiformQZ) -> list[TwistWitnes
 
     Requires every eps_alpha to be a sign and 2 kappa = eps on the rescaled
     simple roots; the witness for (i, j) records the candidate constants for
-    all splits of the Serre exponent and whether they agree.
+    all splits of the Serre exponent and whether they agree.  With S the
+    coordinates of the rescaled roots on kappa's basis, kappa on them is
+    S . K . S^T, read over M = lcm(N, 2) where eps_i is 0 or M/2: the square
+    root condition is 2 kappa_ij = c*_ij eps_i mod M, and since
+    M_a(b) = -kappa_ij, the value at r is (m - 2r) kappa_ij - r (m - r) eps_i.
     """
-    rank = len(dual.star_roots)
     for i, eps in enumerate(dual.epsilon_scalars):
         if not (eps.is_zero() or eps.is_half()):
             raise TwistPreconditionError(f"eps scalar {eps} at index {i} is not a sign")
+    n, k = kappa.int_gram
+    big = lcm(n, 2)
+    eps_m = [big // 2 * e.is_half() for e in dual.epsilon_scalars]
+    on_roots = congruent(_coords(kappa.basis, dual.star_roots, OUTSIDE_DOMAIN), k)
     witnesses = []
-    for i in range(rank):
-        for j in range(rank):
-            if i == j or dual.cartan_star[i][j] == 0:
+    for i, row in enumerate(dual.cartan_star):
+        for j, pairing in enumerate(row):
+            if i == j or pairing == 0:
                 continue
-            a_star = list(dual.star_roots[i])
-            b_star = list(dual.star_roots[j])
-            kappa_ab = kappa.eval(a_star, b_star)
-            eps_ab_expected = kappa_ab.scaled(2)
+            kij = on_roots[i][j] * (big // n)
             # 2 kappa = eps on the rescaled roots: eps(a*, b*) = <b*, a*v> eps_a.
-            pairing = dual.cartan_star[i][j]
-            if eps_ab_expected != dual.epsilon_scalars[i].scaled(pairing):
+            if (2 * kij - pairing * eps_m[i]) % big:
                 raise TwistPreconditionError("kappa is not a square root of eps on the rescaled roots")
-            m = 1 - dual.cartan_star[i][j]
-            m_angle = -kappa_ab  # angle of M_a(b) = kappa^-1(a, b)
-            values = []
-            for r in range(m + 1):
-                s = m - r
-                values.append(m_angle.scaled(r - s) - dual.epsilon_scalars[i].scaled(r * s))
-            verdict = all(v == values[0] for v in values)
-            witnesses.append(TwistWitness(pair=(i, j), serre_exponent=m, values=tuple(values), verdict=verdict))
+            m = 1 - pairing
+            values = [((m - 2 * r) * kij - r * (m - r) * eps_m[i]) % big for r in range(m + 1)]
+            witnesses.append(
+                TwistWitness(
+                    pair=(i, j),
+                    serre_exponent=m,
+                    values=tuple(AngleQZ.of(Fraction(v, big)) for v in values),
+                    verdict=all(v == values[0] for v in values),
+                )
+            )
     return witnesses
 
 
 COMMUTATOR_MAX_EXPONENT = 10
 
 
+@lru_cache(maxsize=None)
 def commutator_identity(eps_alpha: AngleQZ) -> bool:
     """eps_alpha^(1+m) [m]_(eps_alpha) = m for |m| <= COMMUTATOR_MAX_EXPONENT.
 
@@ -80,7 +91,7 @@ def commutator_identity(eps_alpha: AngleQZ) -> bool:
     with the leading eps in the commutator normalization.  One walk over
     m = 1, 2, ... reads [m]_eps from the quantum-integer sequence and carries
     eps^(1+m) and eps^(1-m); -m is checked by [-m] = -[m], and m = 0 holds
-    trivially.
+    trivially.  The value depends only on the sign, so it is cached.
     """
     if not (eps_alpha.is_zero() or eps_alpha.is_half()):
         raise TwistPreconditionError(f"{eps_alpha} is not a sign")

@@ -134,11 +134,42 @@ def angle_sum_eval(form, x: Sequence[int], y: Sequence[int]) -> AngleQZ:
     cx = form.basis.coords_of(list(x))
     cy = form.basis.coords_of(list(y))
     assert cx is not None and cy is not None, "vector outside the form's domain"
-    total = ZERO
+    gram, total = form.gram, ZERO
     for i, a in enumerate(cx):
         for j, b in enumerate(cy):
-            total = total + form.gram[i][j].scaled(a * b)
+            total = total + gram[i][j].scaled(a * b)
     return total
+
+
+def fraction_kappa_gram(q, x_tan: Lattice) -> list[list[AngleQZ]]:
+    """kappa on the HNF basis of X^Tan from the Fraction angles eps of q
+    there: eps/2 in {0, 1/4} above the diagonal, its negative below."""
+    eps = fraction_angle_gram(q, x_tan.gens)
+    r = len(eps)
+    gram = [[ZERO] * r for _ in range(r)]
+    for i in range(r):
+        for j in range(i + 1, r):
+            if eps[i][j] == HALF:
+                gram[i][j], gram[j][i] = AngleQZ(1, 4), AngleQZ(3, 4)
+    return gram
+
+
+def angle_serre_witnesses(dual, kappa) -> list[tuple]:
+    """(pair, m, values, verdict) per ordered adjacent pair, per pair in
+    angles: M_a(b) = -kappa(a*, b*) by angle sums, and value r is
+    M_a(b) (r - s) - eps_a r s with s = m - r."""
+    out = []
+    for i, row in enumerate(dual.cartan_star):
+        for j, pairing in enumerate(row):
+            if i == j or pairing == 0:
+                continue
+            m_angle = -angle_sum_eval(kappa, dual.star_roots[i], dual.star_roots[j])
+            m = 1 - pairing
+            values = tuple(
+                m_angle.scaled(r - (m - r)) - dual.epsilon_scalars[i].scaled(r * (m - r)) for r in range(m + 1)
+            )
+            out.append(((i, j), m, values, len(set(values)) == 1))
+    return out
 
 
 def rational_inverse(m: Sequence[Sequence[Fraction]]) -> list[list[Fraction]]:

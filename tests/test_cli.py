@@ -7,6 +7,8 @@ import pytest
 
 from qcenters.cli import main, read_spec_file
 from qcenters.presets import PRESET_NAMES, parse_preset, PresetError
+from qcenters.qparam import make_param
+from qcenters.report import Analysis, build_report
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
 
@@ -121,6 +123,45 @@ def test_preset_argument_forms():
         parse_preset("sl2n-odd:n=2,l=3")  # even n is outside this family
     with pytest.raises(PresetError):
         parse_preset("sl3-odd:l=4")
+
+
+@pytest.mark.parametrize(
+    "name,messages",
+    [
+        (
+            "sl2n-odd:n=3,l=3",
+            [
+                "expected X^Tan to be a proper sublattice of X^Mug",
+                "expected the half-sum witness to lie in X^Mug",
+                "expected the half-sum witness to avoid X^Tan",
+                "expected self-pairing -1 at the half-sum witness",
+            ],
+        ),
+        (
+            "sp2n-odd-halfpi:n=3,l=5",
+            [
+                "expected X^Tan to be a proper sublattice of X^Mug",
+                "expected l*beta/2 to lie in X^Mug",
+                "expected l*beta/2 to avoid X^Tan",
+                "expected self-pairing -1 at l*beta/2",
+            ],
+        ),
+    ],
+)
+def test_strict_inclusion_presets_report_every_failed_conclusion(name, messages):
+    case = parse_preset(name)
+    rd, q = case.build()
+    assert case.check(build_report(rd, q, {}), rd, q) == []
+    # Doctored: X^Tan = X^Mug reported, the true X^Tan (which avoids the
+    # witness) as X^Mug, all of P as X^Tan, and the trivial parameter.
+    doctored = {
+        "centers": {
+            "verdicts": {"tan_equals_mug": True},
+            "x_mug": [list(g) for g in Analysis(rd, q).tower.x_tan.gens],
+            "x_tan": [list(g) for g in rd.weight_lattice().gens],
+        }
+    }
+    assert case.check(doctored, rd, make_param(rd, 0)) == messages
 
 
 def test_spec_file_roundtrip(tmp_path, capsys):

@@ -11,17 +11,20 @@ import pytest
 
 from helpers import (
     ambient_extend_psi_gram,
+    angle_serre_witnesses,
     angle_sum_eval,
     fraction_angle_gram,
     fraction_eval,
+    fraction_kappa_gram,
     per_column_annihilator,
 )
 from qcenters import centers, kappa as kappa_module, qparam
+from qcenters.angles import AngleQZ
 from qcenters.centers import center_tower, verdicts
 from qcenters.intlat import bilinear, congruent
 from qcenters.kappa import extend_psi, psi_vanishes_on
 from qcenters.qparam import InvariantViolation, QParam, make_param
-from qcenters.twistcheck import cross_commutator_check
+from qcenters.twistcheck import cross_commutator_check, serre_ratio_invariance
 from qcenters.report import Analysis
 from qcenters.rootdata import RootDatumError, Weight, build_root_datum
 from qcenters.sampling import random_instance
@@ -79,6 +82,34 @@ def test_congruence_psi_matches_ambient_oracle(case):
     for g in rd.charlattice.gens:
         for h in rd.charlattice.gens:
             assert psi.eval(g, h) == angle_sum_eval(psi, g, h)
+
+
+@pytest.mark.parametrize("case", CASES, ids=str)
+def test_kappa_and_serre_witnesses_match_angle_oracles(case):
+    rd, q = _instance(case)
+    a = Analysis(rd, q)
+    assert [list(row) for row in a.kappa.gram] == fraction_kappa_gram(q, a.tower.x_tan)
+    witnesses = serre_ratio_invariance(a.g_check, a.kappa)
+    assert [(w.pair, w.serre_exponent, w.values, w.verdict) for w in witnesses] == angle_serre_witnesses(
+        a.g_check, a.kappa
+    )
+
+
+@pytest.mark.parametrize(
+    "type_str,c",
+    [("A12", Fraction(1, 6)), ("E8", Fraction(1, 10)), ("C3", Fraction(17, 22)), ("G2", Fraction(1, 12))],
+)
+def test_kappa_psi_and_twist_do_no_angle_arithmetic(monkeypatch, type_str, c):
+    rd = build_root_datum(type_str, "sc")
+    a = Analysis(rd, make_param(rd, c))
+    a.tower, a.g_check  # the epsilon scalars are angles; computed before the patch
+
+    def no_arithmetic(*args):
+        raise AssertionError("angle arithmetic on the integer path")
+
+    for name in ("__add__", "__sub__", "scaled"):
+        monkeypatch.setattr(AngleQZ, name, no_arithmetic)
+    a.kappa, a.psi, a.twist
 
 
 def test_congruent_is_m_g_mt():

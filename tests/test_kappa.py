@@ -1,11 +1,14 @@
 import random
 from fractions import Fraction
 
+import pytest
+
+from qcenters import kappa as kappa_module
 from qcenters.angles import AngleQZ
 from qcenters.centers import center_tower
-from qcenters.intlat import index
-from qcenters.kappa import build_kappa, extend_psi, psi_vanishes_on, radicals
-from qcenters.qparam import make_param
+from qcenters.intlat import hnf, index
+from qcenters.kappa import KappaError, build_kappa, extend_psi, psi_vanishes_on, radicals
+from qcenters.qparam import InvariantViolation, make_param
 from qcenters.rootdata import Weight, build_root_datum
 from qcenters.sampling import random_instance
 
@@ -39,6 +42,61 @@ def test_build_kappa_trivial_epsilon():
     rd, q, tower = _setup("A2", "adjoint", Fraction(1, 5))
     kappa = build_kappa(q, tower.x_tan)
     assert all(x.is_zero() for row in kappa.gram for x in row)
+
+
+@pytest.mark.parametrize(
+    "c,domain,message",
+    [
+        (Fraction(1, 2), None, "restricted parameter has nonzero diagonal value 1/3"),
+        (Fraction(1, 3), [[3, 0], [0, 1]], "restricted parameter value 1/3 is not a sign"),
+    ],
+    ids=["diagonal", "sign"],
+)
+def test_build_kappa_rejects_a_parameter_without_a_square_root(c, domain, message):
+    # Off X^Tan the restricted parameter need not be an alternating sign form.
+    rd = build_root_datum("A2", "sc")
+    domain = rd.charlattice if domain is None else hnf(domain)
+    with pytest.raises(KappaError, match=f"^{message}$"):
+        build_kappa(make_param(rd, c), domain)
+
+
+def _diagonal_two(k):
+    k[0][0] = 2
+
+
+def _symmetric(k):
+    k[1][0] = k[0][1]
+
+
+def _doubled(k):
+    k[0][1] *= 2
+
+
+@pytest.mark.parametrize(
+    "corrupt,message",
+    [
+        (_diagonal_two, "kappa diagonal is nonzero"),
+        (_symmetric, "kappa is not antisymmetric"),
+        (_doubled, "kappa squared does not match the restricted parameter"),
+    ],
+    ids=["diagonal", "antisymmetry", "square-root"],
+)
+def test_build_kappa_checks_the_form_it_built(monkeypatch, corrupt, message):
+    # A2 sc at 1/6: K = [[0, 1], [3, 0]] mod 4.  Each corruption breaks one
+    # of the three congruences and leaves the others holding.
+    rd, q, tower = _setup("A2", "sc", Fraction(1, 6))
+    assert build_kappa(q, tower.x_tan).int_gram == (4, [[0, 1], [3, 0]])
+    real = kappa_module.BiformQZ
+
+    def corrupted(basis, int_gram):
+        n, k = int_gram
+        k = [row[:] for row in k]
+        corrupt(k)
+        return real(basis=basis, int_gram=(n, k))
+
+    monkeypatch.setattr(kappa_module, "BiformQZ", corrupted)
+    with pytest.raises(InvariantViolation, match=f"^{message}$"):
+        build_kappa(q, tower.x_tan)
 
 
 def test_radicals_examples():

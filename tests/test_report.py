@@ -15,6 +15,7 @@ from qcenters.cyclo import CycloNum, qbinom
 from qcenters.qparam import QParam, make_param
 from qcenters.report import build_report
 from qcenters.rootdata import build_root_datum
+from qcenters.twistcheck import commutator_identity
 
 STAGES = {
     "l_of": QParam.l_of,
@@ -79,6 +80,7 @@ def test_subcommands_print_sections_of_the_report(type_str, param, capsys):
 def test_e8_report_makes_few_cyclotomic_multiplies(monkeypatch):
     rd = build_root_datum("E8", "sc")
     q = make_param(rd, Fraction(1, 10))
+    commutator_identity.cache_clear()
     muls = count_calls(monkeypatch, CycloNum, "__mul__")
     monkeypatch.setattr(CycloNum, "__rmul__", CycloNum.__mul__)
     powers = count_calls(monkeypatch, CycloNum, "power")
@@ -87,3 +89,17 @@ def test_e8_report_makes_few_cyclotomic_multiplies(monkeypatch):
     build_report(rd, q, {})
     assert powers[0] == 0 and all(calls[0] == 0 for calls in binoms)
     assert 0 < muls[0] <= 100
+
+
+def test_a_second_report_makes_no_cyclotomic_multiply(monkeypatch):
+    # The commutator identity depends only on the sign eps, so only the first
+    # report of a process lifts it to Q(zeta_2).
+    rd = build_root_datum("A2", "sc")
+    commutator_identity.cache_clear()
+    muls = count_calls(monkeypatch, CycloNum, "__mul__")
+    monkeypatch.setattr(CycloNum, "__rmul__", CycloNum.__mul__)
+    first = build_report(rd, make_param(rd, Fraction(1, 6)), {})
+    assert muls[0] > 0
+    muls[0] = 0
+    assert build_report(rd, make_param(rd, Fraction(1, 6)), {}) == first
+    assert muls[0] == 0

@@ -1,3 +1,4 @@
+from dataclasses import replace
 from fractions import Fraction
 from math import lcm
 
@@ -6,7 +7,7 @@ import pytest
 from helpers import qbinom_commutator_identity
 from qcenters import twistcheck
 from qcenters.angles import HALF, ZERO, AngleQZ
-from qcenters.kappa import BiformQZ
+from qcenters.kappa import BiformQZ, KappaError
 from qcenters.intlat import hnf
 from qcenters.qparam import make_param
 from qcenters.report import Analysis
@@ -75,6 +76,7 @@ def test_commutator_identity_detects_a_wrong_inverse(monkeypatch):
     # With eps^-1 (the second root of unity asked for) read as 1 at eps = -1,
     # eps^(1-m) at m = 1 reads eps = -1 and the m = 1 check fails.
     real, asked = twistcheck.root_of_unity, []
+    commutator_identity.cache_clear()
 
     def inverse_read_as_one(angle, conductor):
         asked.append(angle)
@@ -83,6 +85,7 @@ def test_commutator_identity_detects_a_wrong_inverse(monkeypatch):
     monkeypatch.setattr(twistcheck, "root_of_unity", inverse_read_as_one)
     assert not commutator_identity(HALF)
     assert asked == [HALF, HALF]
+    commutator_identity.cache_clear()
 
 
 def test_commutator_specific_values():
@@ -97,15 +100,13 @@ def test_commutator_specific_values():
 
 
 def test_cross_commutator_examples():
-    zero_gram = BiformQZ(basis=hnf([[1, 0], [0, 1]]), gram=((ZERO, ZERO), (ZERO, ZERO)))
+    zero_gram = BiformQZ(basis=hnf([[1, 0], [0, 1]]), int_gram=(4, [[0, 0], [0, 0]]))
     assert cross_commutator_check(zero_gram)
 
-    quarter = AngleQZ(1, 4)
-    threequarter = AngleQZ(3, 4)
-    gram = BiformQZ(basis=hnf([[1, 0], [0, 1]]), gram=((ZERO, quarter), (threequarter, ZERO)))
+    gram = BiformQZ(basis=hnf([[1, 0], [0, 1]]), int_gram=(4, [[0, 1], [3, 0]]))
     assert cross_commutator_check(gram)
 
-    bad = BiformQZ(basis=hnf([[1, 0], [0, 1]]), gram=((ZERO, quarter), (quarter, ZERO)))
+    bad = BiformQZ(basis=hnf([[1, 0], [0, 1]]), int_gram=(4, [[0, 1], [1, 0]]))
     assert not cross_commutator_check(bad)
 
 
@@ -120,3 +121,24 @@ def test_full_sweep_on_even_order_duals(type_str, ell):
     witnesses, comm_ok, cross_ok = run_all(dual, kappa)
     assert comm_ok and cross_ok
     assert all(w.verdict for w in witnesses)
+
+
+def test_serre_ratio_rejects_a_non_sign_eps():
+    dual, kappa = _dual_with_kappa("A2", Fraction(1, 6))
+    dual = replace(dual, epsilon_scalars=(AngleQZ(1, 3),) + dual.epsilon_scalars[1:])
+    with pytest.raises(TwistPreconditionError, match="^eps scalar 1/3 at index 0 is not a sign$"):
+        serre_ratio_invariance(dual, kappa)
+
+
+def test_serre_ratio_rejects_a_kappa_that_is_not_a_square_root():
+    dual, kappa = _dual_with_kappa("A2", Fraction(1, 6))
+    zero = BiformQZ(basis=kappa.basis, int_gram=(4, [[0, 0], [0, 0]]))
+    with pytest.raises(TwistPreconditionError, match="^kappa is not a square root of eps on the rescaled roots$"):
+        serre_ratio_invariance(dual, zero)
+
+
+def test_serre_ratio_rejects_roots_outside_kappas_domain():
+    dual, kappa = _dual_with_kappa("A2", Fraction(1, 6))
+    smaller = BiformQZ(basis=hnf([[2 * x for x in g] for g in kappa.basis.gens]), int_gram=kappa.int_gram)
+    with pytest.raises(KappaError, match="^vector outside the form's domain lattice$"):
+        serre_ratio_invariance(dual, smaller)
