@@ -15,6 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import prod
 from typing import Optional, Sequence
 
 from .angles import AngleQZ
@@ -61,6 +62,7 @@ class CenterTower:
     index_mug_in_star: Optional[int]
     index_tan_in_mug: Optional[int]
     index_lq_in_tan: Optional[int]
+    index_x_tan: Optional[int]  # [X : X^Tan] = [X : X*][X* : X^Mug][X^Mug : X^Tan]
     witness_mug_not_tan: Optional[Weight]
     witness_star_not_mug: Optional[Weight]
     witness_tan_not_lq: Optional[Weight]
@@ -98,6 +100,11 @@ def center_tower(q: QParam, rd: RootDatum) -> CenterTower:
         if not sup.contains_lattice(sub):
             raise InvariantViolation(f"chain inclusion {name} fails")
 
+    chain = (index(star, rd.charlattice), index(mug, star), index(tan, mug))
+    index_x_tan = index(tan, rd.charlattice)
+    if index_x_tan != (None if None in chain else prod(chain)):
+        raise InvariantViolation("index multiplicativity [X : X^Tan] = [X : X*][X* : X^Mug][X^Mug : X^Tan] fails")
+
     def first_missing(sup: Lattice, sub: Lattice) -> Optional[Weight]:
         for g in sup.gens:
             if not sub.member(g):
@@ -109,10 +116,11 @@ def center_tower(q: QParam, rd: RootDatum) -> CenterTower:
         x_star=star,
         x_mug=mug,
         x_tan=tan,
-        index_x_star=index(star, rd.charlattice),
-        index_mug_in_star=index(mug, star),
-        index_tan_in_mug=index(tan, mug),
+        index_x_star=chain[0],
+        index_mug_in_star=chain[1],
+        index_tan_in_mug=chain[2],
         index_lq_in_tan=index(lq, tan),
+        index_x_tan=index_x_tan,
         witness_mug_not_tan=first_missing(mug, tan),
         witness_star_not_mug=first_missing(star, mug),
         witness_tan_not_lq=first_missing(tan, lq),

@@ -3,14 +3,20 @@
 An element of Q(zeta_N) is an integer coefficient vector on the power basis
 1, x, ..., x^(d-1) of Q[x]/Phi_N (d = deg Phi_N) over one positive
 denominator, reduced by the gcd, so equality is equality of that pair.
-Phi_N is monic and divides x^N - 1, so a cached table of the rows
-x^j mod Phi_N for j in [0, N), each kept as its nonzero entries, reduces
-every product in integers (x^j is read as x^(j mod N)); the same rows give
-roots of unity, the Galois conjugates and the embeddings
-Q(zeta_N) -> Q(zeta_M), N | M, with no division.  The inverse of alpha is
-the product c of its other Galois conjugates sigma_k(alpha), k in (Z/N)^x,
-divided by the norm alpha * c; inverse checks that this norm came out a
-nonzero rational and raises if not.
+Products go by Kronecker substitution: each integer vector a is read as
+the integer a(2^k), with 2^(k-1) above the product of the l1 norms of the
+factors, so one integer product holds the whole unreduced polynomial
+product as balanced base-2^k digits.  `CycloNum.product` multiplies any
+number of factors this way at once.  Phi_N is monic and divides x^N - 1, so
+a cached table of the rows x^j mod Phi_N for j in [0, N), each kept as its
+nonzero entries, then reduces the product in integers (x^j is read as
+x^(j mod N)); the same rows give roots of unity, the Galois conjugates and
+the embeddings Q(zeta_N) -> Q(zeta_M), N | M, with no division.  The
+inverse of alpha is the product c of its other Galois conjugates
+sigma_k(alpha), k in (Z/N)^x, divided by the norm alpha * c; c is built one
+conjugate at a time, since the l1 bound of all of them at once would make
+k far too wide.  inverse checks that the norm came out a nonzero rational
+and raises if not.
 
 Quantum integers use the symmetric Laurent form
 [n]_v = v^(n-1) + v^(n-3) + ... + v^(1-n), which is the right definition at
@@ -22,10 +28,11 @@ so they stay exact at roots of unity.
 from __future__ import annotations
 
 import itertools
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd, lcm
+from math import gcd, lcm, prod
 from typing import Iterable, Iterator, Sequence, Union
 
 from .angles import AngleQZ
@@ -109,14 +116,51 @@ def _substitute(a: Sequence[int], k: int, n: int) -> list[int]:
     return _reduce(((i * k, c) for i, c in enumerate(a)), n)
 
 
-def _mul_vec(a: Sequence[int], b: Sequence[int], n: int) -> list[int]:
-    """Product of two integer vectors in Z[x]/Phi_n."""
-    full = [0] * (2 * len(a) - 1)
-    for i, x in enumerate(a):
-        if x:
-            for k, y in enumerate(b, i):
-                full[k] += x * y
-    return _reduce(enumerate(full), n)
+# memoryview formats that read a block of 1, 2, 4 or 8 bytes, in native
+# order, as an unsigned integer.
+_BLOCK_FORMATS = {1: "B", 2: "H", 4: "I", 8: "Q"}
+
+
+@lru_cache(maxsize=256)
+def _offset(width: int, length: int) -> int:
+    """2^(8 width - 1) in each of `length` base-2^(8 width) digits."""
+    return int.from_bytes((bytes(width - 1) + b"\x80") * length, "little")
+
+
+def _mul_vecs(vecs: Sequence[Sequence[int]], n: int) -> list[int]:
+    """Product of integer vectors in Z[x]/Phi_n, by Kronecker substitution.
+
+    Each vector a is read as the integer a(2^k) by Horner's rule, the
+    integers are multiplied once, and the unreduced product is read back as
+    its balanced base-2^k digits, then reduced mod Phi_n once.  No
+    coefficient of the unreduced product exceeds prod ||a||_1 in absolute
+    value, so 2^(k-1) is taken above that bound, with k/8 a power of two up
+    to 8 and any whole number beyond.  Adding 2^(k-1) to every digit makes
+    each one a nonnegative k-bit block of the product's little-endian bytes,
+    so the digits are read in one pass: a memoryview cast for the
+    power-of-two widths, byte slices for the rest.  No factors give one.
+    """
+    bound = prod(sum(map(abs, a)) for a in vecs)
+    if not bound:
+        return [0] * _phi_degree(n)
+    width = bound.bit_length() // 8 + 1
+    if width <= 8:
+        width = 1 << (width - 1).bit_length()
+    k = 8 * width
+    total, length = 1, 1
+    for a in vecs:
+        packed = 0
+        for c in reversed(a):
+            packed = (packed << k) + c
+        total *= packed
+        length += len(a) - 1
+    raw = (total + _offset(width, length)).to_bytes(width * length, "little")
+    if width in _BLOCK_FORMATS and sys.byteorder == "little":
+        blocks: Iterable[int] = memoryview(raw).cast(_BLOCK_FORMATS[width])
+    else:
+        blocks = [int.from_bytes(raw[i : i + width], "little") for i in range(0, len(raw), width)]
+    half = 1 << (k - 1)
+    return _reduce(enumerate([b - half for b in blocks]), n)
 
 
 @dataclass(frozen=True, eq=False)
@@ -130,17 +174,21 @@ class CycloNum:
     """
 
     conductor: int
-    num: tuple[int, ...]
+    num: tuple[int, ...]  # any integer sequence is accepted and stored as a tuple
     den: int = 1
 
     def __post_init__(self) -> None:
-        if len(self.num) != _phi_degree(self.conductor):
+        num, den = self.num, self.den
+        if len(num) != _phi_degree(self.conductor):
             raise CycloError("coefficient vector length must equal deg Phi_N")
-        if self.den < 1:
+        if den < 1:
             raise CycloError("denominator must be positive")
-        g = gcd(self.den, *self.num)
-        object.__setattr__(self, "num", tuple(c // g for c in self.num))
-        object.__setattr__(self, "den", self.den // g)
+        g = gcd(den, *num)
+        if g != 1:
+            object.__setattr__(self, "num", tuple(c // g for c in num))
+            object.__setattr__(self, "den", den // g)
+        elif type(num) is not tuple:
+            object.__setattr__(self, "num", tuple(num))
 
     @property
     def coeffs(self) -> tuple[Fraction, ...]:
@@ -160,6 +208,21 @@ class CycloNum:
     def one(conductor: int) -> "CycloNum":
         return CycloNum.from_rational(conductor, 1)
 
+    @staticmethod
+    def product(factors: Sequence["CycloNum"], conductor: int) -> "CycloNum":
+        """Product of the factors in Q(zeta_conductor), as one Kronecker
+        product of their numerators over the product of their denominators;
+        one when there are no factors, the factor itself when there is one."""
+        if len(factors) < 2:
+            return factors[0].lift(conductor) if factors else CycloNum.one(conductor)
+        nums, den = [], 1
+        for f in factors:
+            if f.conductor != conductor:
+                f = f.lift(conductor)
+            nums.append(f.num)
+            den *= f.den
+        return CycloNum(conductor, _mul_vecs(nums, conductor), den)
+
     def is_zero(self) -> bool:
         return not any(self.num)
 
@@ -169,7 +232,7 @@ class CycloNum:
             raise CycloError("can only lift along divisibility of conductors")
         if conductor == self.conductor:
             return self
-        return CycloNum(conductor, tuple(_substitute(self.num, conductor // self.conductor, conductor)), self.den)
+        return CycloNum(conductor, _substitute(self.num, conductor // self.conductor, conductor), self.den)
 
     def _align(self, other: "CycloNum") -> tuple["CycloNum", "CycloNum"]:
         if self.conductor == other.conductor:
@@ -197,7 +260,7 @@ class CycloNum:
             other = Fraction(other)
             return CycloNum(self.conductor, tuple(x * other.numerator for x in self.num), self.den * other.denominator)
         a, b = self._align(other)
-        return CycloNum(a.conductor, tuple(_mul_vec(a.num, b.num, a.conductor)), a.den * b.den)
+        return CycloNum(a.conductor, _mul_vecs((a.num, b.num), a.conductor), a.den * b.den)
 
     __rmul__ = __mul__
 
@@ -219,12 +282,12 @@ class CycloNum:
         c = [1] + [0] * (len(self.num) - 1)
         for k in range(2, n):
             if gcd(k, n) == 1:
-                c = _mul_vec(c, _substitute(self.num, k, n), n)
-        norm = _mul_vec(c, self.num, n)
+                c = _mul_vecs((c, _substitute(self.num, k, n)), n)
+        norm = _mul_vecs((c, self.num), n)
         if any(norm[1:]) or norm[0] == 0:
             raise AssertionError("the norm of a nonzero cyclotomic number is not a nonzero rational")
         sign = 1 if norm[0] > 0 else -1
-        return CycloNum(n, tuple(sign * self.den * x for x in c), abs(norm[0]))
+        return CycloNum(n, [sign * self.den * x for x in c], abs(norm[0]))
 
     def power(self, k: int) -> "CycloNum":
         if k < 0:
@@ -247,7 +310,7 @@ def root_of_unity(angle: AngleQZ, conductor: int) -> CycloNum:
     """The root of unity exp(2*pi*i*angle) inside Q(zeta_conductor)."""
     if conductor % angle.den != 0:
         raise CycloError(f"angle denominator {angle.den} does not divide conductor {conductor}")
-    return CycloNum(conductor, tuple(_reduce([(angle.num * (conductor // angle.den), 1)], conductor)))
+    return CycloNum(conductor, _reduce([(angle.num * (conductor // angle.den), 1)], conductor))
 
 
 def _qints(v: CycloNum) -> Iterator[CycloNum]:

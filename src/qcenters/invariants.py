@@ -42,9 +42,9 @@ class DimReport:
     theta_order: int
 
 
-def fpdim_fiber(q: QParam, rd: RootDatum, tower: CenterTower) -> int:
+def fpdim_fiber(q: QParam, tower: CenterTower) -> int:
     """[X : X^Tan] * (prod l_gamma)^2."""
-    n_tan = index(tower.x_tan, rd.charlattice)
+    n_tan = tower.index_x_tan
     if n_tan is None:
         raise InvariantViolation("X^Tan has infinite index in X")
     return n_tan * prod(q.pos_root_ls()) ** 2
@@ -86,7 +86,7 @@ def simples(q: QParam, rd: RootDatum, tower: CenterTower, rads: Radicals) -> tup
 
 
 def dim_report(q: QParam, rd: RootDatum, tower: CenterTower, rads: Radicals, cls: ParamClass) -> DimReport:
-    fiber = fpdim_fiber(q, rd, tower)
+    fiber = fpdim_fiber(q, tower)
     try:
         sc_value: Optional[int] = fpdim_sc(q, rd, fiber, cls)
     except HypothesisNotMet:

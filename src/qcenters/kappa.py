@@ -19,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
-from typing import Sequence
+from typing import Optional, Sequence
 
 from .angles import AngleQZ, from_int_gram
 from .intlat import (
@@ -28,7 +28,6 @@ from .intlat import (
     Lattice,
     bilinear,
     congruent,
-    index,
     intersect,
     quotient,
     snf,
@@ -135,8 +134,9 @@ class Radicals:
     groups: ToralGroups
 
 
-def radicals(q: QParam, kappa: BiformQZ, rd: RootDatum, x_star_lattice: Lattice) -> Radicals:
-    """rad(kappa) inside X^Tan, the simultaneous radical, and Sigma/Lambda/Theta."""
+def radicals(q: QParam, kappa: BiformQZ, rd: RootDatum, x_star_lattice: Lattice, n_tan: Optional[int]) -> Radicals:
+    """rad(kappa) inside X^Tan, the simultaneous radical, and Sigma/Lambda/Theta;
+    n_tan is [X : X^Tan], which must equal |Lambda| / |Sigma|."""
     x_tan = kappa.basis
     rad_kappa = annihilator(x_tan, *kappa.int_gram)
 
@@ -150,7 +150,6 @@ def radicals(q: QParam, kappa: BiformQZ, rd: RootDatum, x_star_lattice: Lattice)
         lam=quotient(rad_qk, rd.charlattice),
         theta=quotient(rad_qk, x_star_lattice),
     )
-    n_tan = index(x_tan, rd.charlattice)
     if n_tan is None or groups.sigma_order * n_tan != groups.lambda_order:
         raise InvariantViolation("index multiplicativity |Sigma| * [X : X^Tan] = |Lambda| fails")
     return Radicals(rad_q=rad_q, rad_kappa=rad_kappa, rad_qk=rad_qk, groups=groups)

@@ -49,6 +49,14 @@ class QParam:
         if len(self.c) != len(self.rd.dynkin.factors):
             raise ValueError("need one scalar per almost-simple factor")
 
+    def __hash__(self) -> int:
+        return self._hash
+
+    @cached_property
+    def _hash(self) -> int:
+        """hash((rd, c)), computed once: hashing the root datum walks all of it."""
+        return hash((self.rd, self.c))
+
     @cached_property
     def int_gram(self) -> tuple[int, IntMatrix]:
         """(N, G) with q(omega_i, omega_j) = G[i][j] / N mod 1."""

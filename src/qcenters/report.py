@@ -18,7 +18,7 @@ from typing import Any, Optional
 
 from .centers import CenterTower, DualDatum, Verdicts, center_tower, dual_datum, verdicts
 from .cyclo import CycloNum
-from .intlat import FiniteAbelianGroup, Lattice, index
+from .intlat import FiniteAbelianGroup, Lattice
 from .invariants import DimReport, dim_report
 from .kappa import BiformQZ, Radicals, build_kappa, extend_psi, psi_vanishes_on, radicals
 from .qparam import ParamClass, QParam, classify
@@ -108,7 +108,7 @@ class Analysis:
 
     @cached_property
     def rads(self) -> Radicals:
-        return radicals(self.q, self.kappa, self.rd, self.tower.x_star)
+        return radicals(self.q, self.kappa, self.rd, self.tower.x_star, self.tower.index_x_tan)
 
     @cached_property
     def psi(self) -> BiformQZ:
@@ -124,7 +124,7 @@ class Analysis:
 
 
 def centers_section(a: Analysis) -> dict[str, Any]:
-    tower, rd, verd = a.tower, a.rd, a.verdicts
+    tower, verd = a.tower, a.verdicts
     return {
         "lQ": _lattice(tower.lq),
         "x_star": _lattice(tower.x_star),
@@ -135,7 +135,7 @@ def centers_section(a: Analysis) -> dict[str, Any]:
             "x_star_over_x_mug": _index_str(tower.index_mug_in_star),
             "x_mug_over_x_tan": _index_str(tower.index_tan_in_mug),
             "x_tan_over_lQ": _index_str(tower.index_lq_in_tan),
-            "x_over_x_tan": _index_str(index(tower.x_tan, rd.charlattice)),
+            "x_over_x_tan": _index_str(tower.index_x_tan),
         },
         "witness_mug_not_tan": _weight(tower.witness_mug_not_tan),
         "witness_star_not_mug": _weight(tower.witness_star_not_mug),

@@ -9,7 +9,10 @@ The sign (-1)^(sum n_gamma ht gamma) and the phase q(sum n_gamma gamma, rho)
 of a coefficient are characters of n, so the coefficient is a product of
 one factor per root, f_gamma(n_gamma); each f_gamma is a cached row over
 0..l_gamma, built once per (q_gamma, q(gamma, rho), parity of ht gamma,
-l_gamma, conductor).  The pairing values are products of cached rows too,
+l_gamma, conductor).  The tuple of rows of a parameter is cached too, per
+(parameter, conductor), so a coefficient hashes no angle: it picks one
+entry per nonzero n_gamma and multiplies them as one Kronecker product
+(`CycloNum.product`).  The pairing values are products of cached rows too,
 built by a separate computation, so that coeff * pairing = sign * phase
 checks one against the other.
 """
@@ -17,9 +20,8 @@ checks one against the other.
 from __future__ import annotations
 
 import itertools
-import operator
 from dataclasses import dataclass
-from functools import lru_cache, reduce
+from functools import lru_cache
 from math import lcm, prod
 from typing import Optional, Sequence, Union
 
@@ -42,7 +44,7 @@ class RSupport:
     n: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        if any(v < 0 for v in self.n):
+        if self.n and min(self.n) < 0:
             raise ValueError("support exponents must be nonnegative")
 
 
@@ -63,11 +65,6 @@ def batch_conductor(q: QParam, rd: RootDatum) -> int:
     """lcm of every angle denominator the coefficient formula can produce:
     the sign, each q_gamma and each q(gamma, rho)."""
     return lcm(2, *(a.order for pair in q.root_table for a in pair))
-
-
-def _product(factors: Sequence[CycloNum], conductor: int) -> CycloNum:
-    """Product of the factors, without a multiply by one; one when empty."""
-    return reduce(operator.mul, factors) if factors else CycloNum.one(conductor)
 
 
 @lru_cache(maxsize=None)
@@ -94,6 +91,16 @@ def _coeff_row(qg: AngleQZ, phase: AngleQZ, height_parity: int, l: int, conducto
     if not row[l].is_zero():
         raise InvariantViolation(f"coefficient row of q_gamma = {qg} does not vanish at l = {l}")
     return tuple(row)
+
+
+@lru_cache(maxsize=64)
+def _coeff_rows(q: QParam, conductor: int) -> tuple[tuple[CycloNum, ...], ...]:
+    """The coefficient rows of every positive root of q, in rd.pos_roots
+    order, read once per (parameter, conductor)."""
+    return tuple(
+        _coeff_row(qg, phase, r.height % 2, l, conductor)
+        for (qg, phase), l, r in zip(q.root_table, q.l_table, q.rd.pos_roots)
+    )
 
 
 @lru_cache(maxsize=None)
@@ -130,24 +137,23 @@ def coeff(n: RSupport, q: QParam, rd: RootDatum, conductor: Optional[int] = None
     ht(gamma)) and phase q(sum n_gamma gamma, rho), rho = sum_alpha
     omega_alpha.  Sign and phase are characters of n, so the value is the
     product over the nonzero n_gamma of entry n_gamma of the cached row of
-    gamma; it is exactly zero iff some n_gamma >= l_gamma.  The rows of all
-    roots are looked up on every call, so each is built, and checked to
-    vanish at l_gamma, by the first coefficient of a parameter.
+    gamma; it is exactly zero iff some n_gamma >= l_gamma.  The rows of a
+    parameter are built, and checked to vanish at l_gamma, by its first
+    coefficient and then read from a cache, and the factors are multiplied
+    as one product.  rd must be the parameter's root datum.
     """
+    if rd is not q.rd and rd != q.rd:
+        raise ValueError("the root datum is not the parameter's")
     if len(n.n) != len(rd.pos_roots):
         raise ValueError("support length must match the number of positive roots")
     big_n = conductor or batch_conductor(q, rd)
-    rows = [
-        _coeff_row(qg, phase, r.height % 2, l, big_n)
-        for (qg, phase), l, r in zip(q.root_table, q.l_table, rd.pos_roots)
-    ]
     factors = []
-    for v, row in zip(n.n, rows):
-        if v >= len(row) - 1:
-            return CycloNum.zero(big_n)
+    for v, row in zip(n.n, _coeff_rows(q, big_n)):
         if v:
+            if v >= len(row) - 1:
+                return CycloNum.zero(big_n)
             factors.append(row[v])
-    return _product(factors, big_n)
+    return CycloNum.product(factors, big_n)
 
 
 def pairing_diag(
@@ -178,7 +184,7 @@ def pairing_diag(
         if v >= len(row):
             raise NonInvertibleSpecialization(f"[{v}]! vanishes at angle {angle}")
         factors.append(row[v])
-    return _product(factors, big_n)
+    return CycloNum.product(factors, big_n)
 
 
 def term_table(q: QParam, rd: RootDatum, max_terms: Optional[int] = None) -> list[tuple[RSupport, CycloNum]]:

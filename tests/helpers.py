@@ -5,7 +5,9 @@ off from element-order profiles over enumerated cosets, congruence
 solutions are counted by direct enumeration, the Q/Z-valued forms are
 evaluated by Fraction and angle sums instead of integer Gram matrices,
 cyclotomic numbers are Fraction polynomials reduced by long division, with
-the inverse from the extended Euclidean algorithm, and R-matrix coefficients
+the inverse from the extended Euclidean algorithm, integer cyclotomic
+products use the schoolbook double loop, one factor at a time, and R-matrix
+coefficients
 are evaluated term by term, from the weight sum of the support and one
 quantum factorial per root.  Positive roots are re-reflected through the
 rest of the longest word, matrices are inverted over Fraction, and the
@@ -22,7 +24,7 @@ from math import lcm, prod
 from typing import Sequence
 
 from qcenters.angles import HALF, ZERO, AngleQZ
-from qcenters.cyclo import CycloNum, cyclotomic_poly, qbinom, qfact, qint, root_of_unity
+from qcenters.cyclo import CycloNum, _reduce, cyclotomic_poly, qbinom, qfact, qint, root_of_unity
 from qcenters.intlat import Lattice, congruence_kernel, hnf, snf
 from qcenters.rootdata import Root, Weight
 from qcenters.twistcheck import COMMUTATOR_MAX_EXPONENT
@@ -286,6 +288,20 @@ def fraction_inverse(n: int, coeffs: Sequence[Fraction]) -> tuple[Fraction, ...]
         s0, s1 = s1, _poly_sub(s0, poly_mul(q, s1))
     assert len(r0) == 1, "gcd with the cyclotomic polynomial is not constant"
     return fraction_cyclo(n, [c / r0[0] for c in s0])
+
+
+def schoolbook_mul_vecs(vecs: Sequence[Sequence[int]], n: int) -> list[int]:
+    """Product of integer vectors in Z[x]/Phi_n: a schoolbook product with
+    each factor in turn, reduced through the x^j mod Phi_n rows each time."""
+    out = [1] + [0] * (len(cyclotomic_poly(n)) - 2)
+    for b in vecs:
+        full = [0] * (len(out) + len(b) - 1)
+        for i, x in enumerate(out):
+            if x:
+                for k, y in enumerate(b, i):
+                    full[k] += x * y
+        out = _reduce(enumerate(full), n)
+    return out
 
 
 def count_calls(monkeypatch, owner, name: str) -> list[int]:

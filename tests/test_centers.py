@@ -290,3 +290,21 @@ def test_dual_integral_for_killing_proportional_parameters():
             for num in range(1, min(den, 8)):
                 q = make_param(rd, Fraction(num, den))
                 dual_datum(q, rd, x_star(q, rd))
+
+
+def test_tower_checks_index_multiplicativity(monkeypatch):
+    from qcenters import centers
+
+    rd = build_root_datum("A2", "sc")
+    q = make_param(rd, Fraction(1, 6))
+    tower = center_tower(q, rd)
+    assert tower.index_x_tan == index(tower.x_tan, rd.charlattice)
+    assert tower.index_x_tan == tower.index_x_star * tower.index_mug_in_star * tower.index_tan_in_mug
+
+    def doubled_on_x_tan(sub, super_):
+        value = index(sub, super_)
+        return 2 * value if (sub, super_) == (tower.x_tan, rd.charlattice) else value
+
+    monkeypatch.setattr(centers, "index", doubled_on_x_tan)
+    with pytest.raises(InvariantViolation, match="index multiplicativity"):
+        center_tower(q, rd)

@@ -1,10 +1,20 @@
+import operator
 import random
 from fractions import Fraction
+from functools import reduce
 from math import gcd, lcm
 
 import pytest
 
-from helpers import count_calls, count_inverses, fraction_cyclo, fraction_inverse, fraction_lift, poly_mul
+from helpers import (
+    count_calls,
+    count_inverses,
+    fraction_cyclo,
+    fraction_inverse,
+    fraction_lift,
+    poly_mul,
+    schoolbook_mul_vecs,
+)
 from qcenters import cyclo
 from qcenters.angles import AngleQZ
 from qcenters.cyclo import (
@@ -266,3 +276,71 @@ def test_constructing_values_reads_the_cached_degree(monkeypatch):
     z = root_of_unity(AngleQZ(1, 60), 60)
     assert (z * z - CycloNum.from_rational(60, 3)).conductor == 60
     assert polys[0] == 0
+
+
+def _random_vecs(rng: random.Random, n: int, m: int) -> list[list[int]]:
+    """m signed vectors of length deg Phi_n, each with its own coefficient
+    size (from one bit to past 64) and density."""
+    d = len(cyclotomic_poly(n)) - 1
+    vecs = []
+    for _ in range(m):
+        size, density = rng.choice((1, 6, 1000, 2**40, 2**70)), rng.choice((0.2, 1.0))
+        vecs.append([rng.randint(-size, size) if rng.random() < density else 0 for _ in range(d)])
+    return vecs
+
+
+@pytest.mark.parametrize("n", [*range(1, 49), 500, 1000, 2000])
+def test_kronecker_product_matches_the_schoolbook_oracle(n):
+    rng = random.Random(n)
+    for m in range(1, 7):
+        vecs = _random_vecs(rng, n, m)
+        assert cyclo._mul_vecs(vecs, n) == schoolbook_mul_vecs(vecs, n), (n, m)
+
+
+@pytest.mark.parametrize("k", [8, 16, 32, 64, 72, 128])
+def test_kronecker_product_reads_digits_at_the_edge_of_the_width(k):
+    # Monomial factors are the ones whose product has a coefficient equal to
+    # the bound prod ||a||_1 on the digits.  2^(k-1) - 1 is the largest digit
+    # that k bits hold; 2^(k-1) and 2^k - 1 need the next width.
+    n = 7
+    for top in (2 ** (k - 1) - 1, 2 ** (k - 1), 2**k - 1):
+        for a, b in ((top, 1), (-top, 1), (top, -1), (-top, -1)):
+            vecs = [[0, 0, a, 0, 0, 0], [0, 0, 0, 0, 0, b], [1, 0, 0, 0, 0, 0]]
+            expected = schoolbook_mul_vecs(vecs, n)
+            assert cyclo._mul_vecs(vecs, n) == expected, (k, a, b)
+            # x^7 = 1, so the product sits on x^0: one digit at +-top.
+            assert expected == [a * b, 0, 0, 0, 0, 0]
+
+
+def test_kronecker_product_of_no_factors_and_of_a_zero_factor():
+    for n in (1, 2, 5, 12):
+        d = len(cyclotomic_poly(n)) - 1
+        assert cyclo._mul_vecs([], n) == [1] + [0] * (d - 1)
+        ones = [1] * d
+        assert cyclo._mul_vecs([ones, [0] * d, ones], n) == [0] * d
+        assert cyclo._mul_vecs([ones], n) == schoolbook_mul_vecs([ones], n)
+
+
+def test_product_matches_repeated_multiplication():
+    rng = random.Random(11)
+    for n in (1, 2, 5, 8, 12, 30):
+        factors = [_num(n, _random_coeffs(rng, n)) for _ in range(rng.randint(2, 5))]
+        assert any(f.den != 1 for f in factors)
+        assert CycloNum.product(factors, n) == reduce(operator.mul, factors)
+        assert CycloNum.product(factors, 2 * n) == reduce(operator.mul, factors)
+        assert CycloNum.product(factors, 2 * n).conductor == 2 * n
+    assert CycloNum.product([], 6) == 1 and CycloNum.product([], 6).conductor == 6
+    z = root_of_unity(AngleQZ(1, 5), 5)
+    assert CycloNum.product([z], 5) is z
+    assert CycloNum.product([z], 10) == z and CycloNum.product([z], 10).conductor == 10
+
+
+def test_constructor_stores_num_as_a_tuple():
+    assert CycloNum(4, [1, 0]) == CycloNum(4, (1, 0))
+    assert type(CycloNum(4, [1, 0]).num) is tuple
+    x = CycloNum(4, [2, 4], 6)
+    assert (x.num, x.den) == ((1, 2), 3) and type(x.num) is tuple
+    with pytest.raises(CycloError):
+        CycloNum(4, [1, 0, 0])
+    with pytest.raises(CycloError):
+        CycloNum(4, [1, 0], 0)

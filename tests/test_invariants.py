@@ -18,29 +18,29 @@ def _full(type_str, lattice, c):
 
 def test_fpdim_fiber_examples():
     rd, q, tower, rads = _full("A1", "sc", Fraction(1, 4))
-    assert fpdim_fiber(q, rd, tower) == 16
+    assert fpdim_fiber(q, tower) == 16
     rd, q, tower, rads = _full("A1", "sc", Fraction(1, 3))
-    assert fpdim_fiber(q, rd, tower) == 54
+    assert fpdim_fiber(q, tower) == 54
     rd, q, tower, rads = _full("A1", "adjoint", Fraction(1, 3))
-    assert fpdim_fiber(q, rd, tower) == 27
+    assert fpdim_fiber(q, tower) == 27
 
 
 def test_fpdim_sc_examples():
     rd, q, tower, rads = _full("A1", "sc", Fraction(1, 4))
-    assert fpdim_sc(q, rd, fpdim_fiber(q, rd, tower), classify(q)) == 16  # 2 * 2 * 4
+    assert fpdim_sc(q, rd, fpdim_fiber(q, tower), classify(q)) == 16  # 2 * 2 * 4
 
     rd, q, tower, rads = _full("A2", "sc", Fraction(1, 6))
-    assert fpdim_sc(q, rd, fpdim_fiber(q, rd, tower), classify(q)) == 3 * 9 * 729  # 19683
+    assert fpdim_sc(q, rd, fpdim_fiber(q, tower), classify(q)) == 3 * 9 * 729  # 19683
     with pytest.raises(InvariantViolation):
         fpdim_sc(q, rd, 3 * 9 * 729 + 1, classify(q))  # the fiber formula must agree
 
     rd, q, tower, rads = _full("A1", "sc", Fraction(1, 3))
     with pytest.raises(HypothesisNotMet):
-        fpdim_sc(q, rd, fpdim_fiber(q, rd, tower), classify(q))  # odd-order scalar parameter
+        fpdim_sc(q, rd, fpdim_fiber(q, tower), classify(q))  # odd-order scalar parameter
 
     rd, q, tower, rads = _full("A1", "adjoint", Fraction(1, 4))
     with pytest.raises(HypothesisNotMet):
-        fpdim_sc(q, rd, fpdim_fiber(q, rd, tower), classify(q))  # not simply connected
+        fpdim_sc(q, rd, fpdim_fiber(q, tower), classify(q))  # not simply connected
 
 
 def test_dims_uqk_examples():

@@ -9,7 +9,7 @@ from fractions import Fraction
 import pytest
 
 from helpers import count_calls
-from qcenters import centers, kappa, qparam
+from qcenters import centers, intlat, kappa, qparam
 from qcenters.cli import main
 from qcenters.cyclo import CycloNum, qbinom
 from qcenters.qparam import QParam, make_param
@@ -103,3 +103,23 @@ def test_a_second_report_makes_no_cyclotomic_multiply(monkeypatch):
     muls[0] = 0
     assert build_report(rd, make_param(rd, Fraction(1, 6)), {}) == first
     assert muls[0] == 0
+
+
+def test_x_over_x_tan_is_computed_once_per_report(monkeypatch):
+    # [X : X^Tan] is read off the tower by the radicals, the fiber dimension
+    # and the centers section.
+    rd = build_root_datum("C3", "sc")
+    q = make_param(rd, Fraction(1, 8))
+    x_tan = centers.center_tower(q, rd).x_tan
+    index, pairs = intlat.index, []
+
+    def recording(sub, super_):
+        pairs.append((sub, super_))
+        return index(sub, super_)
+
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "qcenters" and getattr(module, "index", None) is index:
+            monkeypatch.setattr(module, "index", recording)
+    report = build_report(rd, q, {})
+    assert pairs.count((x_tan, rd.charlattice)) == 1
+    assert report["centers"]["indices"]["x_over_x_tan"] == index(x_tan, rd.charlattice)

@@ -13,6 +13,7 @@ from qcenters.rmatrix import (
     NonInvertibleSpecialization,
     RSupport,
     _coeff_row,
+    _coeff_rows,
     _pairing_row,
     batch_conductor,
     coeff,
@@ -149,9 +150,9 @@ def test_coeff_matches_the_per_term_oracle(type_str, c, first, scale):
 
 
 def test_term_table_work_per_term_is_flat(monkeypatch):
-    # Weights, angles and q-evaluations belong to the per-root tables and
-    # rows, so 100 and 3000 terms make the same number of them; the terms
-    # themselves cost one field multiply per nonzero n_gamma after the first.
+    # Weights, angles, their hashes and q-evaluations belong to the per-root
+    # tables and rows, which are read once per parameter, so 100 and 3000
+    # terms make the same number of them; each term is one product.
     calls = Counter()
 
     def counting(name, fn):
@@ -162,21 +163,51 @@ def test_term_table_work_per_term_is_flat(monkeypatch):
         return counted
 
     monkeypatch.setattr(AngleQZ, "of", staticmethod(counting("AngleQZ.of", AngleQZ.of)))
+    monkeypatch.setattr(AngleQZ, "__hash__", counting("AngleQZ.__hash__", AngleQZ.__hash__))
     monkeypatch.setattr(Weight, "of", staticmethod(counting("Weight.of", Weight.of)))
     monkeypatch.setattr(QParam, "eval", counting("QParam.eval", QParam.eval))
     monkeypatch.setattr(CycloNum, "__mul__", counting("mul", CycloNum.__mul__))
+    monkeypatch.setattr(CycloNum, "product", staticmethod(counting("product", CycloNum.product)))
     rd = build_root_datum("A3", "sc")
     counts = {}
     for max_terms in (100, 3000):
         q = make_param(rd, Fraction(1, 10))
         _coeff_row.cache_clear()
+        _coeff_rows.cache_clear()
         calls.clear()
         terms = term_table(q, rd, max_terms=max_terms)
-        counts[max_terms] = {k: v for k, v in calls.items() if k != "mul"}
-    assert counts[100] == counts[3000]
-    per_term = sum(max(0, sum(1 for v in s.n if v) - 1) for s, _c in terms)
-    rows = sum(8 * (l + 1) for l in q.pos_root_ls())
-    assert calls["mul"] <= per_term + rows
+        counts[max_terms] = {k: v for k, v in calls.items() if k not in ("mul", "product")}
+    assert counts[100] == counts[3000] and counts[100]["AngleQZ.__hash__"] > 0
+    assert calls["product"] == len(terms) == 3000
+    assert calls["mul"] <= sum(8 * (l + 1) for l in q.pos_root_ls())
+
+
+def test_coeff_rejects_a_root_datum_that_is_not_the_parameters():
+    sc, adjoint = build_root_datum("A2", "sc"), build_root_datum("A2", "adjoint")
+    q = make_param(sc, Fraction(1, 6))
+    support = RSupport((1, 0, 1))
+    with pytest.raises(ValueError, match="root datum"):
+        coeff(support, q, adjoint)
+    assert coeff(support, q, build_root_datum("A2", "sc")) == coeff(support, q, sc)
+
+
+def test_equal_parameters_hash_equal_through_their_root_datum_and_scalars():
+    for type_str, c in (("A3", Fraction(1, 10)), ("G2", Fraction(1, 12)), ("A3xB2", [Fraction(1, 6), Fraction(1, 4)])):
+        rd = build_root_datum(type_str, "sc")
+        p, q = make_param(rd, c), make_param(rd, c)
+        assert p is not q and p == q and hash(p) == hash(q)
+        assert hash(p) == hash((rd, p.c))
+
+
+def test_wide_field_coefficients_match_the_per_term_oracle():
+    # A1 at 1/500: a field of degree 400, where the rows run to l = 500.
+    rd = build_root_datum("A1", "sc")
+    q = make_param(rd, Fraction(1, 500))
+    terms = term_table(q, rd, max_terms=50)
+    big_n = batch_conductor(q, rd)
+    assert len(terms) == 50 and big_n == oracle_conductor(q, rd)
+    for s, value in terms:
+        assert value.conductor == big_n and value == oracle_coeff(q, rd, s.n, big_n), s.n
 
 
 def test_omega_phase_examples():
