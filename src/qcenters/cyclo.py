@@ -28,7 +28,7 @@ so they stay exact at roots of unity.
 from __future__ import annotations
 
 import itertools
-import sys
+import struct
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -116,8 +116,8 @@ def _substitute(a: Sequence[int], k: int, n: int) -> list[int]:
     return _reduce(((i * k, c) for i, c in enumerate(a)), n)
 
 
-# memoryview formats that read a block of 1, 2, 4 or 8 bytes, in native
-# order, as an unsigned integer.
+# struct formats that read a little-endian block of 1, 2, 4 or 8 bytes as an
+# unsigned integer.
 _BLOCK_FORMATS = {1: "B", 2: "H", 4: "I", 8: "Q"}
 
 
@@ -137,8 +137,11 @@ def _mul_vecs(vecs: Sequence[Sequence[int]], n: int) -> list[int]:
     value, so 2^(k-1) is taken above that bound, with k/8 a power of two up
     to 8 and any whole number beyond.  Adding 2^(k-1) to every digit makes
     each one a nonnegative k-bit block of the product's little-endian bytes,
-    so the digits are read in one pass: a memoryview cast for the
-    power-of-two widths, byte slices for the rest.  No factors give one.
+    so the digits are read in one pass: one struct unpack for blocks of up
+    to 8 bytes, one int.from_bytes per byte slice for wider ones.  In small
+    fields nearly every product fits 8 bytes, and there the struct unpack
+    reads the digits several times faster than slices do.  No factors give
+    one.
     """
     bound = prod(sum(map(abs, a)) for a in vecs)
     if not bound:
@@ -155,8 +158,8 @@ def _mul_vecs(vecs: Sequence[Sequence[int]], n: int) -> list[int]:
         total *= packed
         length += len(a) - 1
     raw = (total + _offset(width, length)).to_bytes(width * length, "little")
-    if width in _BLOCK_FORMATS and sys.byteorder == "little":
-        blocks: Iterable[int] = memoryview(raw).cast(_BLOCK_FORMATS[width])
+    if width in _BLOCK_FORMATS:
+        blocks: Sequence[int] = struct.unpack(f"<{length}{_BLOCK_FORMATS[width]}", raw)
     else:
         blocks = [int.from_bytes(raw[i : i + width], "little") for i in range(0, len(raw), width)]
     half = 1 << (k - 1)

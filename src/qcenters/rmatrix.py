@@ -44,7 +44,7 @@ class RSupport:
     n: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        if self.n and min(self.n) < 0:
+        if any(v < 0 for v in self.n):
             raise ValueError("support exponents must be nonnegative")
 
 
