@@ -2,14 +2,17 @@
 
 Sublattices of Z^r are stored by a canonical row-style Hermite normal form
 of a generator matrix, so lattice equality is plain matrix equality.  Smith
-normal form provides invariant factors of finite quotients.  Everything runs
-on Python's arbitrary-precision integers; there is no floating point.
+normal form provides invariant factors of finite quotients and the one kernel
+routine, left_kernel, behind congruence_kernel and intersect.  The index of
+a sublattice of equal rank is the product of the ratios of the two HNFs'
+pivots.  Everything runs on Python's arbitrary-precision integers; there is
+no floating point.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import prod
+from math import gcd, lcm, prod
 from typing import Iterable, Optional, Sequence
 
 
@@ -296,15 +299,23 @@ def snf(m: Iterable[Iterable[int]]) -> tuple[FiniteAbelianGroup, IntMatrix, IntM
     return FiniteAbelianGroup(factors), u, v, diag
 
 
-def kernel_basis(m: Iterable[Iterable[int]]) -> IntMatrix:
-    """Basis of the integer kernel {x : m @ x = 0}, as rows of length ncols."""
-    rows = _as_rows(m)
-    if not rows:
-        raise LatticeError("kernel of an empty matrix needs an explicit width")
-    ncols = len(rows[0])
-    d, _u, v = smith_normal_form(rows)
-    rank = sum(1 for i in range(min(len(rows), ncols)) if d[i][i] != 0)
-    return [[v[i][j] for i in range(ncols)] for j in range(rank, ncols)]
+def left_kernel(m: Iterable[Iterable[int]], n: int = 0) -> IntMatrix:
+    """Rows spanning {x : x . m = 0 mod n}; n = 0 asks for the exact kernel.
+
+    With U m V = D from smith_normal_form, x . m = 0 mod n exactly when the
+    coordinates y of x on the rows of U satisfy y_i d_i = 0 mod n, so the rows
+    (n / gcd(n, d_i)) U_i span the solutions: U_i itself where d_i = 0, and
+    no row where d_i != 0 = n.  Rows of U past the diagonal have d_i = 0.
+    """
+    d, u, _v = smith_normal_form(m)
+    width = len(d[0]) if d else 0
+    kernel = []
+    for i, row in enumerate(u):
+        g = gcd(n, d[i][i] if i < width else 0)
+        scale = n // g if g else 1  # g = 0 only where d_i = 0 = n
+        if scale:
+            kernel.append([scale * x for x in row])
+    return kernel
 
 
 def _coords_matrix(sub: Lattice, super_: Lattice) -> IntMatrix:
@@ -317,31 +328,6 @@ def _coords_matrix(sub: Lattice, super_: Lattice) -> IntMatrix:
     return coords
 
 
-def _det(m: IntMatrix) -> int:
-    """Determinant by fraction-free (Bareiss) elimination."""
-    n = len(m)
-    if n == 0:
-        return 1
-    if any(len(row) != n for row in m):
-        raise LatticeError("determinant of non-square matrix")
-    a = [row[:] for row in m]
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if a[k][k] == 0:
-            swap = next((i for i in range(k + 1, n) if a[i][k] != 0), None)
-            if swap is None:
-                return 0
-            a[k], a[swap] = a[swap], a[k]
-            sign = -sign
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
-            a[i][k] = 0
-        prev = a[k][k]
-    return sign * a[n - 1][n - 1]
-
-
 def index(sub: Lattice, super_: Lattice) -> Optional[int]:
     """|super/sub| when finite, None when the ranks differ ("infinite").
 
@@ -350,7 +336,9 @@ def index(sub: Lattice, super_: Lattice) -> Optional[int]:
     coords = _coords_matrix(sub, super_)
     if sub.rank < super_.rank:
         return None
-    return abs(_det(coords))
+    # Both HNFs have the same pivot columns, so coords is upper triangular
+    # with the pivot ratios on its diagonal.
+    return prod(row[i] for i, row in enumerate(coords))
 
 
 def quotient(sub: Lattice, super_: Lattice) -> FiniteAbelianGroup:
@@ -381,14 +369,10 @@ def congruence_kernel(rows: Sequence[tuple[Sequence[int], int]], rank: int) -> L
             constraints.append((c, n))
     if not constraints:
         return Lattice.standard(rank)
-    # x satisfies the system iff (x, y) solves [C | -N](x, y)^T = 0 for some
-    # integer y, with N = diag(moduli); project that kernel onto x.
-    k = len(constraints)
-    m = []
-    for i, (c, n) in enumerate(constraints):
-        m.append(list(c) + [-n if i == j else 0 for j in range(k)])
-    basis = kernel_basis(m)
-    return Lattice.from_rows([row[:rank] for row in basis], rank)
+    # c . x = 0 mod n iff (L / n) c . x = 0 mod L, for L = lcm(moduli).
+    big = lcm(*(n for _c, n in constraints))
+    m = [[c[i] * (big // n) for c, n in constraints] for i in range(rank)]
+    return Lattice.from_rows(left_kernel(m, big), rank)
 
 
 def intersect(a: Lattice, b: Lattice) -> Lattice:
@@ -399,17 +383,6 @@ def intersect(a: Lattice, b: Lattice) -> Lattice:
         return a
     if not b.gens:
         return b
-    # u @ A = v @ B: kernel of [A^T | -B^T] acting on stacked (u, v).
-    r = a.ambient_rank
-    m = []
-    for j in range(r):
-        m.append([g[j] for g in a.gens] + [-g[j] for g in b.gens])
-    vectors = []
-    for row in kernel_basis(m):
-        u = row[: a.rank]
-        vec = [0] * r
-        for c, g in zip(u, a.gens):
-            for j in range(r):
-                vec[j] += c * g[j]
-        vectors.append(vec)
-    return Lattice.from_rows(vectors, r)
+    # u A = v B exactly when (u, v) kills the rows of A stacked over -B.
+    m = [list(g) for g in a.gens] + [[-x for x in g] for g in b.gens]
+    return Lattice.from_rows([a.vector_from_coords(row[: a.rank]) for row in left_kernel(m)], a.ambient_rank)

@@ -64,14 +64,12 @@ def fpdim_sc(q: QParam, rd: RootDatum, fiber: int, cls: ParamClass) -> int:
     return value
 
 
-def dims_uqk(q: QParam, rd: RootDatum, rads: Radicals) -> tuple[int, int, int]:
+def dims_uqk(q: QParam, rads: Radicals) -> tuple[int, int, int]:
     """(dim u, dim u^+, grouplike count) for the toral small quantum algebra:
     dim u^+ = prod l_gamma over the box 0 <= m_gamma < l_gamma, grouplikes =
-    [X : rad(q, kappa)], and dim u = grouplikes * (dim u^+)^2."""
+    [X : rad(q, kappa)] = |Lambda|, and dim u = grouplikes * (dim u^+)^2."""
     dim_u_plus = prod(q.pos_root_ls())
-    grouplikes = index(rads.rad_qk, rd.charlattice)
-    if grouplikes is None:
-        raise InvariantViolation("rad(q, kappa) has infinite index in X")
+    grouplikes = rads.groups.lam.order
     return grouplikes * dim_u_plus**2, dim_u_plus, grouplikes
 
 
@@ -91,7 +89,7 @@ def dim_report(q: QParam, rd: RootDatum, tower: CenterTower, rads: Radicals, cls
         sc_value: Optional[int] = fpdim_sc(q, rd, fiber, cls)
     except HypothesisNotMet:
         sc_value = None
-    dim_u, dim_u_plus, grouplikes = dims_uqk(q, rd, rads)
+    dim_u, dim_u_plus, grouplikes = dims_uqk(q, rads)
     sigma = rads.groups.sigma_order
     if fiber * sigma != dim_u:
         raise InvariantViolation("fiber dimension times |Sigma| does not equal dim u")

@@ -17,7 +17,7 @@ from math import lcm
 from typing import Callable
 
 from .centers import center_tower
-from .intlat import Lattice, hnf, index
+from .intlat import Lattice, congruent, hnf, index, smith_normal_form
 from .qparam import QParam
 from .report import Analysis
 from .rootdata import RootDatum, Weight
@@ -150,13 +150,10 @@ def normal_form_suite(rng: random.Random, runs: int = 60) -> SuiteResult:
         lat = hnf(m, cols)
         if hnf(lat.rows() or [[0] * cols], cols) != lat:
             failures.append(f"run {k}: hnf not idempotent")
-        from .intlat import smith_normal_form
-
         d, u, v = smith_normal_form(m)
-        prod_ = _mat_mul(_mat_mul(u, m), v)
-        if prod_ != d:
+        if congruent(u, m, list(zip(*v))) != d:
             failures.append(f"run {k}: U m V != D")
-        if abs(_det_int(u)) != 1 or abs(_det_int(v)) != 1:
+        if hnf(u, rows) != Lattice.standard(rows) or hnf(v, cols) != Lattice.standard(cols):
             failures.append(f"run {k}: transforms not unimodular")
         # Random finite-index chain A <= B <= C in Z^2.
         c_lat = Lattice.standard(2)
@@ -169,16 +166,6 @@ def normal_form_suite(rng: random.Random, runs: int = 60) -> SuiteResult:
         if None in (iab, ibc, iac) or iab * ibc != iac:
             failures.append(f"run {k}: index multiplicativity fails")
     return SuiteResult("integer normal forms", runs, failures)
-
-
-def _mat_mul(a, b):
-    return [[sum(a[i][k] * b[k][j] for k in range(len(b))) for j in range(len(b[0]))] for i in range(len(a))]
-
-
-def _det_int(m) -> int:
-    from .intlat import _det
-
-    return _det([row[:] for row in m])
 
 
 ALL_SUITES: list[Callable[[random.Random], SuiteResult]] = [

@@ -24,7 +24,7 @@ from math import lcm, prod
 from typing import Sequence
 
 from qcenters.angles import HALF, ZERO, AngleQZ
-from qcenters.cyclo import CycloNum, _reduce, cyclotomic_poly, qbinom, qfact, qint, root_of_unity
+from qcenters.cyclo import CycloNum, _reduce, cyclotomic_poly, qbinom, qint, root_of_unity
 from qcenters.intlat import Lattice, congruence_kernel, hnf, snf
 from qcenters.rootdata import Root, Weight
 from qcenters.twistcheck import COMMUTATOR_MAX_EXPONENT
@@ -343,11 +343,15 @@ def oracle_conductor(q, rd) -> int:
 
 @lru_cache(maxsize=None)
 def coeff_root_factor(angle: AngleQZ, v: int, conductor: int) -> CycloNum:
-    """q_g^(-v(v+1)/2) (q_g - q_g^-1)^v [v]_{q_g}!, with [v]! from qfact."""
-    qg = root_of_unity(angle, conductor)
-    out = root_of_unity(angle.scaled(-v * (v + 1) // 2), conductor)
-    out = out * (qg - root_of_unity(-angle, conductor)).power(v)
-    return out * qfact(v, qg)
+    """q_g^(-v(v+1)/2) (q_g - q_g^-1)^v [v]_{q_g}!, with [v]! built here by
+    [k+1] = q_g [k] + q_g^-k from q_g^-1 = root_of_unity(-angle)."""
+    qg, qg_inv = root_of_unity(angle, conductor), root_of_unity(-angle, conductor)
+    out = root_of_unity(angle.scaled(-v * (v + 1) // 2), conductor) * (qg - qg_inv).power(v)
+    qint_k, qg_neg_k = CycloNum.zero(conductor), CycloNum.one(conductor)
+    for _ in range(v):
+        qint_k, qg_neg_k = qg * qint_k + qg_neg_k, qg_neg_k * qg_inv
+        out = out * qint_k
+    return out
 
 
 def oracle_coeff(q, rd, n: Sequence[int], conductor: int) -> CycloNum:

@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -13,6 +14,7 @@ from qcenters.intlat import (
     hnf,
     index,
     intersect,
+    left_kernel,
     quotient,
     smith_normal_form,
     snf,
@@ -138,6 +140,95 @@ def test_congruence_kernel_against_bruteforce(seed):
     assert idx is not None
     # Index counts cosets of the kernel; solutions mod big fill big^rank/idx.
     assert big**rank // idx == expected
+
+
+def _random_kernel_matrix(rng: random.Random) -> list[list[int]]:
+    """Up to 3x3 with small entries; one column may be zeroed and one row
+    made a multiple of another, so zero columns and rank defects occur."""
+    rows, cols = rng.randint(1, 3), rng.randint(1, 3)
+    m = [[rng.randint(-6, 6) for _ in range(cols)] for _ in range(rows)]
+    if rng.random() < 0.4:
+        j = rng.randrange(cols)
+        for row in m:
+            row[j] = 0
+    if rows > 1 and rng.random() < 0.4:
+        i, k = rng.sample(range(rows), 2)
+        m[i] = [rng.choice([-2, 0, 1, 3]) * x for x in m[k]]
+    return m
+
+
+def _kills(x, m, n):
+    """Whether x . m = 0 mod n, or exactly when n = 0."""
+    products = (sum(a * row[j] for a, row in zip(x, m)) for j in range(len(m[0])))
+    return all((p % n if n else p) == 0 for p in products)
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_left_kernel_against_enumeration_mod_n(seed):
+    rng = random.Random(f"left-kernel:{seed}")
+    m, n = _random_kernel_matrix(rng), rng.randint(2, 12)
+    kernel = left_kernel(m, n)
+    assert all(_kills(row, m, n) for row in kernel)
+    lat = hnf(kernel, len(m))
+    # The solutions are invariant under n Z^rows, so one box of residues
+    # decides the lattice.
+    for x in itertools.product(range(n), repeat=len(m)):
+        assert lat.member(x) == _kills(x, m, n), (m, n, x)
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_left_kernel_exact_case(seed):
+    rng = random.Random(f"left-kernel-exact:{seed}")
+    m = _random_kernel_matrix(rng)
+    kernel = left_kernel(m)
+    assert all(_kills(row, m, 0) for row in kernel)
+    lat = hnf(kernel, len(m))
+    for x in itertools.product(range(-4, 5), repeat=len(m)):
+        if _kills(x, m, 0):
+            assert lat.member(x), (m, x)
+
+
+def test_left_kernel_examples():
+    assert left_kernel([[0, 0]], 6) == [[1]]
+    assert hnf(left_kernel([[2], [3]]), 2) == hnf([[3, -2]])
+    assert left_kernel([[1, 0], [0, 1]]) == []
+    assert hnf(left_kernel([[4]], 6), 1) == hnf([[3]])
+
+
+def test_intersect_lower_rank_examples():
+    assert intersect(hnf([[1, 0]]), hnf([[0, 1]])).gens == ()
+    assert intersect(hnf([[1, 2]]), hnf([[2, 1]])).gens == ()
+    assert intersect(hnf([[2, 2]]), hnf([[3, 3]])) == hnf([[6, 6]])
+    # A rank-2 and a rank-2 lattice in Z^3 whose spans meet in a line.
+    plane = hnf([[2, 0, 0], [0, 3, 0]])
+    other = hnf([[1, 1, 0], [0, 0, 1]])
+    meet = intersect(plane, other)
+    assert meet == hnf([[6, 6, 0]])
+    # A rank-1 and a rank-3 lattice: the line's multiples that land inside.
+    line = hnf([[1, 2, 3]])
+    full = hnf([[2, 0, 0], [0, 4, 0], [0, 0, 9]])
+    assert intersect(line, full) == hnf([[6, 12, 18]])
+    for a, b in ((plane, other), (line, full)):
+        c = intersect(a, b)
+        for x in itertools.product(range(-6, 7), repeat=3):
+            assert c.member(x) == (a.member(x) and b.member(x))
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_index_of_equal_rank_below_ambient_rank(seed):
+    rng = random.Random(f"index-low-rank:{seed}")
+    ambient, rank = rng.randint(2, 4), 0
+    while rank == 0:
+        gens = [[rng.randint(-5, 5) for _ in range(ambient)] for _ in range(rng.randint(1, ambient - 1))]
+        super_ = hnf(gens, ambient)
+        rank = super_.rank
+    mix = [[0]]
+    while _det(mix) == 0:
+        mix = [[rng.randint(-3, 3) for _ in range(rank)] for _ in range(rank)]
+    sub = hnf([super_.vector_from_coords(row) for row in mix], ambient)
+    coords = [super_.coords_of(g) for g in sub.gens]
+    assert sub.rank == rank < ambient
+    assert index(sub, super_) == abs(_det(coords)) == abs(_det(mix))
 
 
 def test_intersect_quotient_member_examples():

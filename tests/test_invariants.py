@@ -45,17 +45,17 @@ def test_fpdim_sc_examples():
 
 def test_dims_uqk_examples():
     rd, q, tower, rads = _full("A1", "sc", Fraction(1, 4))
-    dim_u, dim_u_plus, grouplikes = dims_uqk(q, rd, rads)
+    dim_u, dim_u_plus, grouplikes = dims_uqk(q, rads)
     assert (dim_u, dim_u_plus, grouplikes) == (32, 2, 8)
     assert dim_u // rads.groups.sigma_order == 16
 
     rd, q, tower, rads = _full("A1", "adjoint", Fraction(1, 3))
-    dim_u, dim_u_plus, grouplikes = dims_uqk(q, rd, rads)
+    dim_u, dim_u_plus, grouplikes = dims_uqk(q, rads)
     assert (dim_u, dim_u_plus, grouplikes) == (27, 3, 3)
     assert rads.groups.sigma_order == 1
 
     rd, q, tower, rads = _full("A2", "sc", Fraction(1, 2))  # quasi-classical
-    dim_u, dim_u_plus, grouplikes = dims_uqk(q, rd, rads)
+    dim_u, dim_u_plus, grouplikes = dims_uqk(q, rads)
     assert dim_u_plus == 1 and dim_u == grouplikes
 
 

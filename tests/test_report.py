@@ -13,7 +13,7 @@ from qcenters import centers, intlat, kappa, qparam
 from qcenters.cli import main
 from qcenters.cyclo import CycloNum, qbinom
 from qcenters.qparam import QParam, make_param
-from qcenters.report import build_report
+from qcenters.report import Analysis, build_report
 from qcenters.rootdata import build_root_datum
 from qcenters.twistcheck import commutator_identity
 
@@ -107,10 +107,12 @@ def test_a_second_report_makes_no_cyclotomic_multiply(monkeypatch):
 
 def test_x_over_x_tan_is_computed_once_per_report(monkeypatch):
     # [X : X^Tan] is read off the tower by the radicals, the fiber dimension
-    # and the centers section.
+    # and the centers section, and [X : rad(q, kappa)] = |Lambda| off the
+    # radicals by the grouplike count.
     rd = build_root_datum("C3", "sc")
     q = make_param(rd, Fraction(1, 8))
     x_tan = centers.center_tower(q, rd).x_tan
+    rad_qk = Analysis(rd, q).rads.rad_qk
     index, pairs = intlat.index, []
 
     def recording(sub, super_):
@@ -122,4 +124,5 @@ def test_x_over_x_tan_is_computed_once_per_report(monkeypatch):
             monkeypatch.setattr(module, "index", recording)
     report = build_report(rd, q, {})
     assert pairs.count((x_tan, rd.charlattice)) == 1
+    assert (rad_qk, rd.charlattice) not in pairs
     assert report["centers"]["indices"]["x_over_x_tan"] == index(x_tan, rd.charlattice)
