@@ -8,10 +8,22 @@ admissible class of torsion parameters.  Since weights lie in P = Z^r, q is
 stored once as an integer Gram matrix G on the fundamental weights, modulo
 N: q(lam, mu) = lam . G . mu^T / N mod 1.  (N, G) is the form every other
 module reads: its Gram between two bases is the product L . G . R^T, and
-each identity of q (symmetry, vanishing on orthogonal weights, Weyl
-invariance, the orders l_gamma, radicals) is a congruence mod N of such
-products.  Angles appear only where values leave the integer pipeline, in
-`eval`, `angle_gram`, `q_scalar` and `root_table`.
+radicals are congruence kernels mod N of such products.
+
+The identities of q itself are read off single rows v = lam . G, each summed
+over the nonzero coordinates of lam only (O(r) per root, since roots are
+sparse in fw coordinates).  In fw coordinates s_i(omega_j) = omega_j -
+delta_ij alpha_i (Bourbaki, Lie Groups, ch. VI), so R_i = I - e_i^T alpha_i,
+and for symmetric G with v_i = alpha_i . G,
+
+    R_i . G . R_i^T - G = -e_i^T v_i - v_i^T e_i + (alpha_i . v_i) e_i^T e_i.
+
+Its only nonzero entries sit in row and column i, so R_i . G . R_i^T = G mod
+N exactly when (v_i)_k = 0 mod N for k != i and alpha_i . v_i = 2 (v_i)_i
+mod N: Weyl invariance costs one row per simple root.  The root order
+l_gamma is the order of v_gamma . gamma / N, and q(gamma, rho) with rho =
+sum_i omega_i is sum(v_gamma) / N.  Angles appear only where values leave
+the integer pipeline, in `eval`, `angle_gram`, `q_scalar` and `root_table`.
 The package derives from q the root orders l_gamma, the scalar parameters
 q_gamma, radicals and the standard parameter-class predicates.
 """
@@ -26,7 +38,7 @@ from typing import Optional, Sequence, Union
 
 from .angles import AngleQZ, from_int_gram
 from .intlat import IntMatrix, Lattice, bilinear, congruence_kernel, congruent, hnf, vanishes_mod
-from .rootdata import Root, RootDatum, Weight, weyl_reflect
+from .rootdata import Root, RootDatum, Weight
 
 
 class InvariantViolation(AssertionError):
@@ -88,7 +100,7 @@ class QParam:
         q^2(gamma, -) on the weight lattice."""
         root = self._as_root(gamma)
         n, g = self.int_gram
-        v = congruent([root.fw_coords], g, self.rd.weight_lattice().gens)[0]
+        v = _row(root.fw_coords, g)
         order_diag = n // gcd(n, sum(a * b for a, b in zip(v, root.fw_coords)))
         order_char = n // gcd(n, *(2 * x for x in v))
         if order_diag != order_char:
@@ -110,18 +122,22 @@ class QParam:
     @cached_property
     def root_table(self) -> tuple[tuple[AngleQZ, AngleQZ], ...]:
         """(q_gamma, q(gamma, rho)) for every positive root, in rd.pos_roots
-        order, with rho = sum_alpha omega_alpha the Weyl vector."""
-        rho = Weight.of([1] * self.rd.rank)
-        return tuple((self.q_scalar(r), self.eval(Weight.of(r.fw_coords), rho)) for r in self.rd.pos_roots)
+        order, with rho = sum_alpha omega_alpha the Weyl vector, so that
+        q(gamma, rho) = sum(gamma . G) / N."""
+        n, g = self.int_gram
+        return tuple(
+            (self.q_scalar(r), AngleQZ.of(Fraction(sum(_row(r.fw_coords, g)), n))) for r in self.rd.pos_roots
+        )
+
+    @cached_property
+    def _simple_ls(self) -> tuple[int, ...]:
+        """l_alpha for the simple roots, read once off l_table."""
+        by_simple = {r.root_coords.index(1): l for r, l in zip(self.rd.pos_roots, self.l_table) if r.height == 1}
+        return tuple(by_simple[i] for i in range(self.rd.rank))
 
     def simple_ls(self) -> list[int]:
         """l_alpha for the simple roots, in simple-root order."""
-        by_simple = {}
-        for root, l in zip(self.rd.pos_roots, self.l_table):
-            if root.height == 1:
-                idx = next(i for i, c in enumerate(root.root_coords) if c)
-                by_simple[idx] = l
-        return [by_simple[i] for i in range(self.rd.rank)]
+        return list(self._simple_ls)
 
     def pos_root_ls(self) -> list[int]:
         return list(self.l_table)
@@ -138,6 +154,22 @@ class QParam:
         return annihilator(ambient, n, congruent(ambient.gens, g))
 
 
+def _row(lam: Sequence[int], g: Sequence[Sequence[int]]) -> list[int]:
+    """lam . G, summed over the nonzero coordinates of lam only."""
+    out = [0] * len(g[0])
+    for a, g_row in zip(lam, g):
+        if a:
+            out = [x + a * y for x, y in zip(out, g_row)]
+    return out
+
+
+def _reflection_fixes(alpha: Sequence[int], v: Sequence[int], i: int, n: int) -> bool:
+    """Whether R_i . G . R_i^T = G mod n for the simple reflection s_i, given
+    the row v = alpha_i . G of a symmetric G (see the module docstring)."""
+    off_diagonal = all(x % n == 0 for k, x in enumerate(v) if k != i)
+    return off_diagonal and (sum(a * x for a, x in zip(alpha, v)) - 2 * v[i]) % n == 0
+
+
 def annihilator(ambient: Lattice, n: int, m: Sequence[Sequence[int]]) -> Lattice:
     """HNF lattice of x = sum_k x_k * ambient.gens[k] with
     sum_k x_k * m[k][j] = 0 mod n for every column j."""
@@ -148,11 +180,12 @@ def annihilator(ambient: Lattice, n: int, m: Sequence[Sequence[int]]) -> Lattice
 def make_param(rd: RootDatum, c: Union[Fraction, int, str, Sequence[Union[Fraction, int, str]]]) -> QParam:
     """Build a QParam from one rational per factor (a single value broadcasts).
 
-    The defining properties hold by construction; they are checked here as
-    congruences mod N of the Gram matrix G on the fundamental weights:
-    G = G^T, S . G vanishes wherever S . K does (S the simple-root rows, K
-    the Killing Gram), and R_s . G . R_s^T = G for each simple reflection
-    R_s (rows s(omega_j)).
+    The defining properties hold by construction; they are checked here, in
+    this order, as congruences mod N of the Gram matrix G on the fundamental
+    weights: G = G^T; each simple-root row v_i = alpha_i . G vanishes wherever
+    the Killing row alpha_i . K does; and R_i . G . R_i^T = G for each simple
+    reflection, which for symmetric G holds exactly when (v_i)_k = 0 for
+    k != i and alpha_i . v_i = 2 (v_i)_i (see the module docstring).
     """
     if isinstance(c, (Fraction, int, str)):
         values = [Fraction(c)] * len(rd.dynkin.factors)
@@ -162,15 +195,13 @@ def make_param(rd: RootDatum, c: Union[Fraction, int, str, Sequence[Union[Fracti
     n, g = q.int_gram
     if not vanishes_mod([[a - b for a, b in zip(row, col)] for row, col in zip(g, zip(*g))], n):
         raise InvariantViolation("parameter is not symmetric")
-    units = rd.weight_lattice().gens
-    sk = congruent(rd.simple_roots, rd.killing_gram[1], units)
-    sg = congruent(rd.simple_roots, g, units)
-    if not vanishes_mod([[b for a, b in zip(rk, rg) if a == 0] for rk, rg in zip(sk, sg)], n):
+    k = rd.killing_gram[1]
+    rows = [_row(alpha, g) for alpha in rd.simple_roots]
+    orthogonal = [[x for y, x in zip(_row(alpha, k), v) if y == 0] for alpha, v in zip(rd.simple_roots, rows)]
+    if not vanishes_mod(orthogonal, n):
         raise InvariantViolation("parameter does not vanish on orthogonal weights")
-    for s in range(rd.rank):
-        reflection = [weyl_reflect(rd, s, Weight.of(u)).coords for u in units]
-        if not vanishes_mod([[a - b for a, b in zip(x, y)] for x, y in zip(congruent(reflection, g), g)], n):
-            raise InvariantViolation("parameter is not Weyl invariant")
+    if not all(_reflection_fixes(alpha, v, i, n) for i, (alpha, v) in enumerate(zip(rd.simple_roots, rows))):
+        raise InvariantViolation("parameter is not Weyl invariant")
     return q
 
 

@@ -10,23 +10,27 @@ products use the schoolbook double loop, one factor at a time, and R-matrix
 coefficients
 are evaluated term by term, from the weight sum of the support and one
 quantum factorial per root.  Positive roots are re-reflected through the
-rest of the longest word, matrices are inverted over Fraction, and the
-commutator identity reads [m] off qbinom and eps^(1+m) off power.
+rest of the longest word, matrices are inverted over Fraction, the
+commutator identity reads [m] off qbinom and eps^(1+m) off power, and Weyl
+invariance of a Gram matrix is checked by applying each simple reflection's
+full matrix R_s . G . R_s^T.
 """
 
 from __future__ import annotations
 
 import itertools
+import sys
 from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
 from math import lcm, prod
-from typing import Sequence
+from typing import Callable, Sequence
 
 from qcenters.angles import HALF, ZERO, AngleQZ
 from qcenters.cyclo import CycloNum, _reduce, cyclotomic_poly, qbinom, qint, root_of_unity
-from qcenters.intlat import Lattice, congruence_kernel, hnf, snf
-from qcenters.rootdata import Root, Weight
+from qcenters.intlat import Lattice, congruence_kernel, congruent, hnf, snf, vanishes_mod
+from qcenters.qparam import QParam
+from qcenters.rootdata import Root, Weight, weyl_reflect
 from qcenters.twistcheck import COMMUTATOR_MAX_EXPONENT
 
 
@@ -317,6 +321,24 @@ def count_calls(monkeypatch, owner, name: str) -> list[int]:
     return calls
 
 
+def count_stage_calls(monkeypatch, stages: dict[str, Callable]) -> Counter:
+    """Replace every binding of each function in stages, in the qcenters
+    modules and on QParam, by a wrapper that counts its calls by name."""
+    counts: Counter = Counter()
+    holders = [m for name, m in sys.modules.items() if name.split(".")[0] == "qcenters"] + [QParam]
+    for name, original in stages.items():
+
+        def counted(*args, _name=name, _original=original, **kwargs):
+            counts[_name] += 1
+            return _original(*args, **kwargs)
+
+        for holder in holders:
+            for attr, value in list(vars(holder).items()):
+                if value is original:
+                    monkeypatch.setattr(holder, attr, counted)
+    return counts
+
+
 def count_inverses(monkeypatch) -> list[int]:
     """Patch CycloNum.inverse to count its calls in the returned one-item list."""
     return count_calls(monkeypatch, CycloNum, "inverse")
@@ -342,16 +364,27 @@ def oracle_conductor(q, rd) -> int:
 
 
 @lru_cache(maxsize=None)
+def _root_factor_rows(angle: AngleQZ, conductor: int) -> list[tuple[CycloNum, CycloNum, CycloNum]]:
+    """Growing list of (factor(v), [v]_{q_g}, q_g^-v) for v = 0, 1, ...,
+    extended on demand by coeff_root_factor."""
+    return [(CycloNum.one(conductor), CycloNum.zero(conductor), CycloNum.one(conductor))]
+
+
 def coeff_root_factor(angle: AngleQZ, v: int, conductor: int) -> CycloNum:
-    """q_g^(-v(v+1)/2) (q_g - q_g^-1)^v [v]_{q_g}!, with [v]! built here by
-    [k+1] = q_g [k] + q_g^-k from q_g^-1 = root_of_unity(-angle)."""
+    """factor(v) = q_g^(-v(v+1)/2) (q_g - q_g^-1)^v [v]_{q_g}!, built as
+    factor(k) = factor(k-1) q_g^-k (q_g - q_g^-1) [k], with [k] = q_g [k-1]
+    + q_g^-(k-1) and q_g^-k by repeated products with q_g^-1 =
+    root_of_unity(-angle)."""
+    rows = _root_factor_rows(angle, conductor)
+    if len(rows) > v:
+        return rows[v][0]
     qg, qg_inv = root_of_unity(angle, conductor), root_of_unity(-angle, conductor)
-    out = root_of_unity(angle.scaled(-v * (v + 1) // 2), conductor) * (qg - qg_inv).power(v)
-    qint_k, qg_neg_k = CycloNum.zero(conductor), CycloNum.one(conductor)
-    for _ in range(v):
-        qint_k, qg_neg_k = qg * qint_k + qg_neg_k, qg_neg_k * qg_inv
-        out = out * qint_k
-    return out
+    while len(rows) <= v:
+        factor, qint_k, qg_neg_k = rows[-1]
+        qint_k = qg * qint_k + qg_neg_k
+        qg_neg_k = qg_neg_k * qg_inv
+        rows.append((factor * qg_neg_k * (qg - qg_inv) * qint_k, qint_k, qg_neg_k))
+    return rows[v][0]
 
 
 def oracle_coeff(q, rd, n: Sequence[int], conductor: int) -> CycloNum:
@@ -398,3 +431,27 @@ def qbinom_commutator_identity(eps_alpha: AngleQZ) -> bool:
         if eps.power(1 + m) * binom_value != CycloNum.from_rational(conductor, m):
             return False
     return True
+
+
+def reflection_oracle_accepts(rd, n: int, g: Sequence[Sequence[int]]) -> bool:
+    """Whether G is symmetric and R_s . G . R_s^T = G mod n for every simple
+    reflection, with the rows of R_s the images s(omega_j) from weyl_reflect."""
+    if not vanishes_mod([[a - b for a, b in zip(row, col)] for row, col in zip(g, zip(*g))], n):
+        return False
+    units = rd.weight_lattice().gens
+    for s in range(rd.rank):
+        reflection = [weyl_reflect(rd, s, Weight.of(u)).coords for u in units]
+        if not vanishes_mod([[a - b for a, b in zip(x, y)] for x, y in zip(congruent(reflection, g), g)], n):
+            return False
+    return True
+
+
+def simple_ls_from_l_table(q) -> list[int]:
+    """l_alpha for the simple roots, found by walking all of l_table for the
+    height-1 roots."""
+    by_simple = {}
+    for root, l in zip(q.rd.pos_roots, q.l_table):
+        if root.height == 1:
+            idx = next(i for i, c in enumerate(root.root_coords) if c)
+            by_simple[idx] = l
+    return [by_simple[i] for i in range(q.rd.rank)]

@@ -17,6 +17,7 @@ from helpers import (
     fraction_eval,
     fraction_kappa_gram,
     per_column_annihilator,
+    simple_ls_from_l_table,
 )
 from qcenters import centers, kappa as kappa_module, qparam
 from qcenters.angles import AngleQZ
@@ -49,6 +50,18 @@ CASES = [
     ("A1xA2", "sc", [Fraction(14, 17), Fraction(1, 18)]),
 ] + [("random", seed, None) for seed in range(30)]
 
+# The root data of the report-sweep benchmark that CASES does not cover.
+SWEEP_CASES = [
+    ("E6", "sc", Fraction(1, 10)),
+    ("E7", "sc", Fraction(1, 10)),
+    ("E8", "sc", Fraction(1, 10)),
+    ("F4", "sc", Fraction(1, 12)),
+    ("D8", "sc", Fraction(1, 7)),
+    ("A12", "sc", Fraction(1, 6)),
+    ("B4", "adjoint", Fraction(1, 9)),
+    ("A3xB2", "sc", [Fraction(1, 6), Fraction(1, 4)]),
+]
+
 
 def _instance(case):
     type_str, lattice, c = case
@@ -71,6 +84,20 @@ def test_integer_gram_matches_fraction_oracle(case):
         gram = fraction_angle_gram(q, basis)
         assert [list(row) for row in q.angle_gram(basis)] == gram
         assert q.rad(ambient) == per_column_annihilator(ambient, gram)
+
+
+@pytest.mark.parametrize("case", CASES + SWEEP_CASES, ids=str)
+def test_root_tables_match_per_root_evaluation(case):
+    # The tables read q off the rows gamma . G; the oracles evaluate q(gamma, -)
+    # through eval, Fractions and a walk of l_table.
+    rd, q = _instance(case)
+    rho = Weight.of([1] * rd.rank)
+    assert q.root_table == tuple((q.q_scalar(r), q.eval(Weight.of(r.fw_coords), rho)) for r in rd.pos_roots)
+    assert q.l_table == tuple(fraction_eval(q, r.fw_coords, r.fw_coords).order for r in rd.pos_roots)
+    ls = q.simple_ls()
+    assert ls == simple_ls_from_l_table(q)
+    ls.append(0)
+    assert q.simple_ls() == simple_ls_from_l_table(q)
 
 
 @pytest.mark.parametrize("case", CASES, ids=str)
@@ -191,9 +218,16 @@ def test_make_param_rejects_a_broken_gram(monkeypatch, g, message):
 
 def test_make_param_rejects_a_wrong_reflection(monkeypatch):
     # On a symmetric Gram that vanishes on orthogonal weights, Weyl invariance
-    # already holds, so this check is broken through the reflection it applies.
+    # already holds, so this check is broken through its per-root row
+    # condition: alpha_i . v_i is compared against 4 (v_i)_i, not 2 (v_i)_i.
     rd = build_root_datum("A2", "sc")
-    monkeypatch.setattr(qparam, "weyl_reflect", lambda rd, i, lam: lam - rd.simple_root(i).scaled(2 * lam.coords[i]))
+    make_param(rd, Fraction(1, 6))
+
+    def wrong_diagonal(alpha, v, i, n):
+        off_diagonal = all(x % n == 0 for k, x in enumerate(v) if k != i)
+        return off_diagonal and (sum(a * x for a, x in zip(alpha, v)) - 4 * v[i]) % n == 0
+
+    monkeypatch.setattr(qparam, "_reflection_fixes", wrong_diagonal)
     with pytest.raises(InvariantViolation, match="not Weyl invariant"):
         make_param(rd, Fraction(1, 6))
 

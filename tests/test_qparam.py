@@ -1,8 +1,11 @@
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 
+from helpers import count_stage_calls, reflection_oracle_accepts
+from qcenters import intlat, qparam, rootdata
 from qcenters.angles import AngleQZ
 from qcenters.qparam import classify, make_param, parse_param
 from qcenters.rootdata import Weight, build_root_datum, weyl_reflect
@@ -115,9 +118,14 @@ def test_display_families_maximally_nondegenerate(type_str):
             assert classify(make_param(rd, c)).max_nondegenerate
 
 
-@pytest.mark.parametrize("type_str", ["A1", "B2", "G2", "A1xA1"])
+@pytest.mark.parametrize(
+    "type_str",
+    ["A1", "B2", "G2", "A1xA1", "A2", "A3", "B3", "C2", "C3", "D4", "F4", "A1xB2", "A1xA2",
+     "E6", "E7", "E8", "D8", "A12", "B4", "A3xB2"],
+)
 def test_l_of_agreement_randomized(type_str):
-    # l_of itself raises if ord q(g, g) != ord q^2(g, -); run it broadly.
+    # l_of itself raises if ord q(g, g) != ord q^2(g, -); run it broadly.  It
+    # reads only the weight lattice P, so the lattice of the datum is moot.
     rd = build_root_datum(type_str, "sc")
     rng = random.Random(5)
     for _ in range(15):
@@ -125,6 +133,70 @@ def test_l_of_agreement_randomized(type_str):
         q = make_param(rd, c)
         for idx in range(len(rd.pos_roots)):
             q.l_of(idx)
+
+
+def _row_check_accepts(rd, n, g):
+    """make_param's symmetry and Weyl checks: one row alpha_i . G per simple root."""
+    symmetric = all((g[i][j] - g[j][i]) % n == 0 for i in range(rd.rank) for j in range(rd.rank))
+    return symmetric and all(
+        qparam._reflection_fixes(alpha, qparam._row(alpha, g), i, n) for i, alpha in enumerate(rd.simple_roots)
+    )
+
+
+def _random_gram(rd, rng, n):
+    """An integer Gram mod n: invariant (a multiple of the Killing Gram per
+    factor plus n times anything), invariant with one symmetric entry pair
+    moved, random symmetric, or random."""
+    r = rd.rank
+    kind = rng.choice(["invariant", "perturbed", "symmetric", "random"])
+    if kind in ("invariant", "perturbed"):
+        t = [rng.randint(0, n - 1) for _ in rd.dynkin.factors]
+        k = rd.killing_gram[1]
+        g = [
+            [t[rd.factor_of_index[i]] * k[i][j] + n * rng.randint(-2, 2) for j in range(r)] for i in range(r)
+        ]
+        if kind == "perturbed":
+            i, j, delta = rng.randrange(r), rng.randrange(r), rng.randint(1, n - 1)
+            g[i][j] += delta
+            if i != j:
+                g[j][i] += delta
+        return g
+    g = [[rng.randint(0, n - 1) for _ in range(r)] for _ in range(r)]
+    if kind == "symmetric":
+        g = [[g[min(i, j)][max(i, j)] for j in range(r)] for i in range(r)]
+    return g
+
+
+@pytest.mark.parametrize("type_str", ["A1", "A2", "A3", "A4", "B2", "B3", "C3", "D4", "G2", "F4", "E6", "A1xA1"])
+def test_row_weyl_check_agrees_with_the_reflection_oracle(type_str):
+    rd = build_root_datum(type_str, "sc")
+    rng = random.Random(11)
+    for _ in range(5):
+        q = make_param(rd, [Fraction(rng.randint(1, 23), rng.randint(1, 24)) for _ in rd.dynkin.factors])
+        n, g = q.int_gram
+        assert reflection_oracle_accepts(rd, n, g) and _row_check_accepts(rd, n, g)
+    verdicts = Counter()
+    for _ in range(60):
+        n = rng.choice([2, 3, 4, 6, 12, 36])
+        g = _random_gram(rd, rng, n)
+        verdict = reflection_oracle_accepts(rd, n, g)
+        assert _row_check_accepts(rd, n, g) == verdict, (n, g)
+        verdicts[verdict] += 1
+    # On A1 every 1 x 1 Gram is symmetric and Weyl invariant.
+    assert verdicts[True] > 0 and (rd.rank == 1 or verdicts[False] > 0)
+
+
+def test_parameter_layer_makes_no_matrix_products(monkeypatch):
+    # make_param, l_table, root_table and simple_ls read single rows
+    # lambda . G: no L . G . R^T product and no reflected weight.
+    rd = build_root_datum("A40", "sc")
+    counts = count_stage_calls(monkeypatch, {"congruent": intlat.congruent, "weyl_reflect": rootdata.weyl_reflect})
+    q = make_param(rd, Fraction(1, 6))
+    assert len(q.l_table) == len(q.root_table) == 820 and len(q.simple_ls()) == 40
+    assert counts == Counter()
+    # The counters are live: the Gram on a basis is one product.
+    q.angle_gram([rd.simple_roots[0]])
+    assert counts == Counter(congruent=1)
 
 
 def test_parse_param_forms():

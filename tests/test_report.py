@@ -3,12 +3,11 @@ rmatrix and verify-twist commands print sections of the analyze report."""
 
 import json
 import sys
-from collections import Counter
 from fractions import Fraction
 
 import pytest
 
-from helpers import count_calls
+from helpers import count_calls, count_stage_calls
 from qcenters import centers, intlat, kappa, qparam
 from qcenters.cli import main
 from qcenters.cyclo import CycloNum, qbinom
@@ -28,28 +27,10 @@ STAGES = {
 }
 
 
-def _count_calls(monkeypatch) -> Counter:
-    """Replace every binding of each stage function, in the qcenters modules
-    and on QParam, by a wrapper that counts its calls."""
-    counts: Counter = Counter()
-    holders = [m for name, m in sys.modules.items() if name.split(".")[0] == "qcenters"] + [QParam]
-    for name, original in STAGES.items():
-
-        def counted(*args, _name=name, _original=original, **kwargs):
-            counts[_name] += 1
-            return _original(*args, **kwargs)
-
-        for holder in holders:
-            for attr, value in list(vars(holder).items()):
-                if value is original:
-                    monkeypatch.setattr(holder, attr, counted)
-    return counts
-
-
 def test_each_stage_runs_once_per_report(monkeypatch, capsys):
     rd = build_root_datum("C3", "sc")
     q = make_param(rd, Fraction(1, 8))
-    counts = _count_calls(monkeypatch)
+    counts = count_stage_calls(monkeypatch, STAGES)
     build_report(rd, q, {})
     assert counts["l_of"] == len(rd.pos_roots)
     for name in STAGES:
