@@ -1,18 +1,24 @@
 """Exact integer-lattice linear algebra.
 
 Sublattices of Z^r are stored by a canonical row-style Hermite normal form
-of a generator matrix, so lattice equality is plain matrix equality.  Smith
-normal form provides invariant factors of finite quotients and the one kernel
-routine, left_kernel, behind congruence_kernel and intersect.  The index of
-a sublattice of equal rank is the product of the ratios of the two HNFs'
-pivots.  Everything runs on Python's arbitrary-precision integers; there is
-no floating point.
+of a generator matrix, so lattice equality is plain matrix equality.  A
+Lattice caches its pivot columns, outside equality and hashing, and
+coords_of back-substitutes on them.  Smith normal form provides invariant
+factors of finite quotients and the one kernel routine, left_kernel, behind
+congruence_kernel and intersect.  A congruence kernel contains L * Z^r for
+L the lcm of its moduli, so its HNF runs mod L and every entry stays in
+[0, L]; the exact HNF of the Smith-form kernel rows would carry their
+thousand-bit entries.  The index of a sublattice of equal rank is the
+product of the ratios of the two HNFs' pivots.  Everything runs on Python's
+arbitrary-precision integers; there is no floating point.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from math import gcd, lcm, prod
+from operator import mul
 from typing import Iterable, Optional, Sequence
 
 
@@ -67,6 +73,7 @@ def _gcd_rows(a: list[int], b: list[int], col: int) -> tuple[list[int], list[int
 def _hnf_rows(m: IntMatrix, width: int) -> IntMatrix:
     rows = [row[:] for row in m if any(row)]
     result: IntMatrix = []
+    pivots = []
     for col in range(width):
         pivot = None
         remaining: IntMatrix = []
@@ -85,16 +92,59 @@ def _hnf_rows(m: IntMatrix, width: int) -> IntMatrix:
         if pivot[col] < 0:
             pivot = [-x for x in pivot]
         result.append(pivot)
-    # Reduce entries above each pivot into [0, pivot).  For a fixed row k the
-    # pivots below must be applied in increasing pivot-column order, so that a
-    # later reduction never disturbs an already-reduced column.
+        pivots.append(col)
+    return _reduce_above_pivots(result, pivots)
+
+
+def _reduce_above_pivots(result: IntMatrix, pivots: Sequence[int]) -> IntMatrix:
+    """Reduce the entries above each pivot of an echelon form into [0, pivot).
+
+    For a fixed row k the pivots below must be applied in increasing
+    pivot-column order, so that a later reduction never disturbs an
+    already-reduced column."""
     for k in range(len(result)):
         for i in range(k + 1, len(result)):
-            pcol = next(j for j, x in enumerate(result[i]) if x != 0)
+            pcol = pivots[i]
             q = result[k][pcol] // result[i][pcol]
             if q:
                 result[k] = [a - q * b for a, b in zip(result[k], result[i])]
     return result
+
+
+def _hnf_mod(m: IntMatrix, width: int, big: int) -> IntMatrix:
+    """Canonical HNF of rowspan(m) + big * Z^width, every entry kept in
+    [0, big] (Domich, Kannan and Trotter 1987; Cohen, Alg. 2.4.8).
+
+    The lattice contains big * e_j for every column j, so rows may be reduced
+    mod big in the columns not yet eliminated.  In each column the row pivot
+    is combined with big * e_col: the gcd g of the two becomes the pivot, and
+    (big / g) * pivot, whose column entry is 0 mod big, stays a generator.
+    Every column gets a pivot g | big, so the form is upper triangular."""
+    rows = [r for r in ([x % big for x in row] for row in m) if any(r)]
+    result: IntMatrix = []
+    for col in range(width):
+        pivot = None
+        remaining: IntMatrix = []
+        for r in rows:
+            if r[col] == 0:
+                remaining.append(r)
+            elif pivot is None:
+                pivot = r
+            else:
+                pivot, reduced = ([x % big for x in v] for v in _gcd_rows(pivot, r, col))
+                if any(reduced):
+                    remaining.append(reduced)
+        if pivot is None:
+            pivot = [0] * width
+        g, u, _v = _xgcd(pivot[col], big)
+        kept = [(big // g) * x % big for x in pivot]
+        if any(kept):
+            remaining.append(kept)
+        pivot = [u * x % big for x in pivot]
+        pivot[col] = g
+        result.append(pivot)
+        rows = remaining
+    return _reduce_above_pivots(result, range(width))
 
 
 @dataclass(frozen=True)
@@ -131,20 +181,30 @@ class Lattice:
     def rows(self) -> IntMatrix:
         return [list(r) for r in self.gens]
 
+    @cached_property
+    def pivots(self) -> tuple[int, ...]:
+        """Pivot column of each HNF row; cached, outside equality and hash."""
+        return tuple(next(j for j, v in enumerate(row) if v) for row in self.gens)
+
     def coords_of(self, x: Sequence[int]) -> Optional[list[int]]:
-        """Integer coordinates of x on the HNF basis, or None if x is outside."""
-        x = [int(v) for v in x]
-        if len(x) != self.ambient_rank:
+        """Integer coordinates of x on the HNF basis, or None if x is outside.
+
+        Back-substitution on the pivots: a row touches the remainder only from
+        its pivot column on, and only when its coordinate is nonzero."""
+        x = list(x)
+        rem = [int(v) for v in x]
+        if rem != x:
+            raise LatticeError(f"non-integer vector {x!r}")
+        if len(rem) != self.ambient_rank:
             raise LatticeError("vector has wrong ambient rank")
         coords = []
-        rem = x[:]
-        for row in self.gens:
-            pcol = next(j for j, v in enumerate(row) if v != 0)
-            c, r = divmod(rem[pcol], row[pcol])
+        for row, p in zip(self.gens, self.pivots):
+            c, r = divmod(rem[p], row[p])
             if r != 0:
                 return None
             coords.append(c)
-            rem = [a - c * b for a, b in zip(rem, row)]
+            if c:
+                rem[p:] = [a - c * b for a, b in zip(rem[p:], row[p:])]
         if any(rem):
             return None
         return coords
@@ -156,16 +216,28 @@ class Lattice:
         return all(self.member(g) for g in other.gens)
 
     def vector_from_coords(self, coords: Sequence[int]) -> list[int]:
+        if len(coords) != self.rank:
+            raise LatticeError("coordinate vector has wrong length")
         out = [0] * self.ambient_rank
         for c, row in zip(coords, self.gens):
-            for j, v in enumerate(row):
-                out[j] += c * v
+            if c:
+                c = _as_int(c)
+                out = [a + c * b for a, b in zip(out, row)]
         return out
+
+
+def row_times(lam: Sequence[int], g: Sequence[Sequence[int]]) -> list[int]:
+    """lam . G, summed over the nonzero coordinates of lam only."""
+    out = [0] * len(g[0])
+    for a, g_row in zip(lam, g):
+        if a:
+            out = [x + a * y for x, y in zip(out, g_row)]
+    return out
 
 
 def bilinear(g: Sequence[Sequence[int]], x: Sequence[int], y: Sequence[int]) -> int:
     """x . G . y^T for the integer Gram matrix G."""
-    return sum(a * sum(gij * b for gij, b in zip(row, y) if b) for a, row in zip(x, g) if a)
+    return sum(map(mul, row_times(x, g), y))
 
 
 def congruent(
@@ -173,8 +245,8 @@ def congruent(
 ) -> IntMatrix:
     """L . G . R^T: the Gram matrix of G between the rows of L and of R, with
     R = L by default.  Identity rows for L or R leave the side of G as it is."""
-    lg = [[sum(a * gk[j] for a, gk in zip(row, g) if a) for j in range(len(g[0]))] for row in left]
-    return [[sum(a * b for a, b in zip(row, r) if b) for r in (left if right is None else right)] for row in lg]
+    lg = [row_times(row, g) for row in left]
+    return [[sum(map(mul, row, r)) for r in (left if right is None else right)] for row in lg]
 
 
 def vanishes_mod(m: Iterable[Iterable[int]], n: int) -> bool:
@@ -355,12 +427,13 @@ def quotient(sub: Lattice, super_: Lattice) -> FiniteAbelianGroup:
 def congruence_kernel(rows: Sequence[tuple[Sequence[int], int]], rank: int) -> Lattice:
     """Solutions {x in Z^rank : c . x = 0 mod n for every (c, n) constraint}.
 
-    Always full rank: the lattice contains lcm(moduli) * Z^rank.
+    Always full rank: the lattice contains L * Z^rank for L = lcm(moduli), so
+    its HNF is taken mod L and every entry lies in [0, L].
     """
     constraints = []
     for c, n in rows:
-        c = [int(x) for x in c]
-        n = int(n)
+        c = [_as_int(x) for x in c]
+        n = _as_int(n)
         if n < 1:
             raise LatticeError("moduli must be >= 1")
         if len(c) != rank:
@@ -372,7 +445,7 @@ def congruence_kernel(rows: Sequence[tuple[Sequence[int], int]], rank: int) -> L
     # c . x = 0 mod n iff (L / n) c . x = 0 mod L, for L = lcm(moduli).
     big = lcm(*(n for _c, n in constraints))
     m = [[c[i] * (big // n) for c, n in constraints] for i in range(rank)]
-    return Lattice.from_rows(left_kernel(m, big), rank)
+    return Lattice(rank, tuple(map(tuple, _hnf_mod(left_kernel(m, big), rank, big))))
 
 
 def intersect(a: Lattice, b: Lattice) -> Lattice:

@@ -37,7 +37,7 @@ from math import gcd, lcm
 from typing import Optional, Sequence, Union
 
 from .angles import AngleQZ, from_int_gram
-from .intlat import IntMatrix, Lattice, bilinear, congruence_kernel, congruent, hnf, vanishes_mod
+from .intlat import IntMatrix, Lattice, bilinear, congruence_kernel, congruent, hnf, row_times, vanishes_mod
 from .rootdata import Root, RootDatum, Weight
 
 
@@ -100,7 +100,7 @@ class QParam:
         q^2(gamma, -) on the weight lattice."""
         root = self._as_root(gamma)
         n, g = self.int_gram
-        v = _row(root.fw_coords, g)
+        v = row_times(root.fw_coords, g)
         order_diag = n // gcd(n, sum(a * b for a, b in zip(v, root.fw_coords)))
         order_char = n // gcd(n, *(2 * x for x in v))
         if order_diag != order_char:
@@ -126,7 +126,7 @@ class QParam:
         q(gamma, rho) = sum(gamma . G) / N."""
         n, g = self.int_gram
         return tuple(
-            (self.q_scalar(r), AngleQZ.of(Fraction(sum(_row(r.fw_coords, g)), n))) for r in self.rd.pos_roots
+            (self.q_scalar(r), AngleQZ.of(Fraction(sum(row_times(r.fw_coords, g)), n))) for r in self.rd.pos_roots
         )
 
     @cached_property
@@ -152,15 +152,6 @@ class QParam:
             ambient = self.rd.weight_lattice()
         n, g = self.int_gram
         return annihilator(ambient, n, congruent(ambient.gens, g))
-
-
-def _row(lam: Sequence[int], g: Sequence[Sequence[int]]) -> list[int]:
-    """lam . G, summed over the nonzero coordinates of lam only."""
-    out = [0] * len(g[0])
-    for a, g_row in zip(lam, g):
-        if a:
-            out = [x + a * y for x, y in zip(out, g_row)]
-    return out
 
 
 def _reflection_fixes(alpha: Sequence[int], v: Sequence[int], i: int, n: int) -> bool:
@@ -196,8 +187,8 @@ def make_param(rd: RootDatum, c: Union[Fraction, int, str, Sequence[Union[Fracti
     if not vanishes_mod([[a - b for a, b in zip(row, col)] for row, col in zip(g, zip(*g))], n):
         raise InvariantViolation("parameter is not symmetric")
     k = rd.killing_gram[1]
-    rows = [_row(alpha, g) for alpha in rd.simple_roots]
-    orthogonal = [[x for y, x in zip(_row(alpha, k), v) if y == 0] for alpha, v in zip(rd.simple_roots, rows)]
+    rows = [row_times(alpha, g) for alpha in rd.simple_roots]
+    orthogonal = [[x for y, x in zip(row_times(alpha, k), v) if y == 0] for alpha, v in zip(rd.simple_roots, rows)]
     if not vanishes_mod(orthogonal, n):
         raise InvariantViolation("parameter does not vanish on orthogonal weights")
     if not all(_reflection_fixes(alpha, v, i, n) for i, (alpha, v) in enumerate(zip(rd.simple_roots, rows))):

@@ -17,7 +17,7 @@ from math import lcm
 from typing import Callable
 
 from .centers import center_tower
-from .intlat import Lattice, congruent, hnf, index, smith_normal_form
+from .intlat import Lattice, congruence_kernel, congruent, hnf, index, left_kernel, smith_normal_form
 from .qparam import QParam
 from .report import Analysis
 from .rootdata import RootDatum, Weight
@@ -141,7 +141,8 @@ def kappa_suite(rng: random.Random, runs: int = 30) -> SuiteResult:
 
 
 def normal_form_suite(rng: random.Random, runs: int = 60) -> SuiteResult:
-    """HNF idempotence, SNF exactness, and index multiplicativity."""
+    """HNF idempotence, SNF exactness, index multiplicativity, and the
+    congruence kernel against its exact route."""
     failures = []
     for k in range(runs):
         rows = rng.randint(1, 4)
@@ -165,6 +166,13 @@ def normal_form_suite(rng: random.Random, runs: int = 60) -> SuiteResult:
         iac = index(a_lat, c_lat)
         if None in (iab, ibc, iac) or iab * ibc != iac:
             failures.append(f"run {k}: index multiplicativity fails")
+        # The HNF mod L of congruence_kernel against the exact HNF of the same
+        # Smith-form kernel rows, with the columns of m as the constraints.
+        constraints = [(list(col), rng.choice([1, 2, 3, 4, 6, 7, 12])) for col in zip(*m)]
+        big = lcm(*(n for _c, n in constraints))
+        scaled = [[c[i] * (big // n) for c, n in constraints] for i in range(rows)]
+        if congruence_kernel(constraints, rows) != hnf(left_kernel(scaled, big), rows):
+            failures.append(f"run {k}: congruence kernel differs from the exact route")
     return SuiteResult("integer normal forms", runs, failures)
 
 

@@ -2,7 +2,9 @@
 
 These deliberately avoid the code paths they check: group structure is read
 off from element-order profiles over enumerated cosets, congruence
-solutions are counted by direct enumeration, the Q/Z-valued forms are
+solutions are counted by direct enumeration, congruence kernels are also
+taken by the exact HNF of their Smith-form kernel rows, lattice coordinates
+are solved over Fraction, the Q/Z-valued forms are
 evaluated by Fraction and angle sums instead of integer Gram matrices,
 cyclotomic numbers are Fraction polynomials reduced by long division, with
 the inverse from the extended Euclidean algorithm, integer cyclotomic
@@ -28,7 +30,7 @@ from typing import Callable, Sequence
 
 from qcenters.angles import HALF, ZERO, AngleQZ
 from qcenters.cyclo import CycloNum, _reduce, cyclotomic_poly, qbinom, qint, root_of_unity
-from qcenters.intlat import Lattice, congruence_kernel, congruent, hnf, snf, vanishes_mod
+from qcenters.intlat import Lattice, congruence_kernel, congruent, hnf, left_kernel, snf, vanishes_mod
 from qcenters.qparam import QParam
 from qcenters.rootdata import Root, Weight, weyl_reflect
 from qcenters.twistcheck import COMMUTATOR_MAX_EXPONENT
@@ -107,6 +109,37 @@ def solution_count_bruteforce(rows: Sequence[tuple[Sequence[int], int]], rank: i
         if all(sum(ci * xi for ci, xi in zip(c, x)) % n == 0 for c, n in rows):
             count += 1
     return count
+
+
+def exact_congruence_kernel(rows: Sequence[tuple[Sequence[int], int]], rank: int) -> Lattice:
+    """congruence_kernel by the exact route: the HNF over Z of the Smith-form
+    kernel rows, with no reduction mod L = lcm(moduli)."""
+    constraints = [(list(c), n) for c, n in rows if n > 1]
+    if not constraints:
+        return Lattice.standard(rank)
+    big = lcm(*(n for _c, n in constraints))
+    m = [[c[i] * (big // n) for c, n in constraints] for i in range(rank)]
+    return Lattice.from_rows(left_kernel(m, big), rank)
+
+
+def rational_coords(gens: Sequence[Sequence[int]], x: Sequence[int]) -> list[Fraction] | None:
+    """The c with c . gens = x over Q, or None when x is outside the rational
+    span; by Gauss-Jordan elimination on every column, with no use of pivots
+    or integrality.  The rows of gens must be independent."""
+    k = len(gens)
+    a = [[Fraction(g[j]) for g in gens] + [Fraction(xj)] for j, xj in enumerate(x)]
+    for col in range(k):
+        pivot = next(i for i in range(col, len(a)) if a[i][col] != 0)
+        a[col], a[pivot] = a[pivot], a[col]
+        inv = 1 / a[col][col]
+        a[col] = [v * inv for v in a[col]]
+        for i in range(len(a)):
+            if i != col and a[i][col] != 0:
+                factor = a[i][col]
+                a[i] = [u - factor * v for u, v in zip(a[i], a[col])]
+    if any(row[k] for row in a[k:]):
+        return None
+    return [row[k] for row in a[:k]]
 
 
 def fraction_eval(q, lam: Sequence[int], mu: Sequence[int]) -> AngleQZ:

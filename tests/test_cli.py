@@ -1,3 +1,4 @@
+import hashlib
 import json
 import subprocess
 import sys
@@ -193,6 +194,22 @@ def test_presets_match_golden_files(name, capsys):
     assert code == 0
     golden = (GOLDEN_DIR / f"{name}.json").read_text()
     assert out == golden
+
+
+@pytest.mark.parametrize(
+    "type_str, digest",
+    [
+        ("A40", "4d2e5dea28bdc744cd4e0d12e02ffccd5ebf99ce1700a52959f303b503a5e193"),
+        ("A60", "f68d16e633c18e75dd15d1f2758c1685d02763e3e845c585a11c926c26c361d1"),
+    ],
+)
+def test_large_rank_reports_keep_their_bytes(type_str, digest, capsys):
+    # Digests of the reports from the exact-HNF congruence kernels; they pin
+    # the HNF mod L to the same lattices at ranks where the exact kernel rows
+    # are thousands of bits wide.
+    code, out, _err = run_cli(["analyze", "--type", type_str, "--lattice", "sc", "--param", "1/6", "--json"], capsys)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 def test_selftest_smoke(capsys):

@@ -1,11 +1,19 @@
 import itertools
 import random
+from fractions import Fraction
+from math import lcm
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import coset_order_profile, profile_of_factors, solution_count_bruteforce
+from helpers import (
+    coset_order_profile,
+    exact_congruence_kernel,
+    profile_of_factors,
+    rational_coords,
+    solution_count_bruteforce,
+)
 from qcenters.intlat import (
     FiniteAbelianGroup,
     Lattice,
@@ -133,8 +141,6 @@ def test_congruence_kernel_against_bruteforce(seed):
         for c, n in rows:
             assert sum(ci * xi for ci, xi in zip(c, gen)) % n == 0
     expected = solution_count_bruteforce(rows, rank)
-    from math import lcm
-
     big = lcm(*(n for _c, n in rows))
     idx = index(lat, Lattice.standard(rank))
     assert idx is not None
@@ -281,10 +287,99 @@ def test_invariant_factor_validation():
 
 
 def test_non_integer_entries_rejected():
-    from fractions import Fraction
-
     with pytest.raises(LatticeError):
         hnf([[Fraction(1, 2)]], 1)
+
+
+def test_coords_of_rejects_a_non_integer_vector():
+    lat = Lattice.from_rows([[2, 4], [0, 6]])
+    with pytest.raises(LatticeError):
+        lat.member([Fraction(5, 2), 4])
+    with pytest.raises(LatticeError):
+        lat.coords_of([2.5, 4])
+    assert lat.coords_of([Fraction(2), 4]) == [1, 0]
+
+
+def test_vector_from_coords_rejects_a_non_integer_or_misfit_coordinate_vector():
+    lat = Lattice.from_rows([[2, 4], [0, 6]])
+    with pytest.raises(LatticeError):
+        lat.vector_from_coords([Fraction(1, 2), 0])
+    assert lat.vector_from_coords([Fraction(1), 0]) == [2, 4]
+    for coords in ([1], [1, 1, 7]):
+        with pytest.raises(LatticeError):
+            lat.vector_from_coords(coords)
+
+
+def test_congruence_kernel_rejects_non_integer_constraints():
+    with pytest.raises(LatticeError):
+        congruence_kernel([([Fraction(1, 2), 1], 2)], 2)
+    with pytest.raises(LatticeError):
+        congruence_kernel([([1, 1], Fraction(5, 2))], 2)
+    assert congruence_kernel([([Fraction(2), 1], Fraction(4))], 2) == congruence_kernel([([2, 1], 4)], 2)
+
+
+def _off_diagonal_lattice(rng: random.Random) -> Lattice:
+    """A lattice in Z^r of rank < r whose HNF has a pivot right of the
+    diagonal: the generators are echelon rows on a random set of pivot
+    columns other than 0..k-1, mixed by elementary row operations."""
+    r = rng.randint(2, 6)
+    k = rng.randint(1, r - 1)
+    cols = sorted(rng.sample(range(r), k))
+    while cols == list(range(k)):
+        cols = sorted(rng.sample(range(r), k))
+    rows = [[0] * c + [rng.choice([1, 2, 3, 4, -2])] + [rng.randint(-5, 5) for _ in range(r - c - 1)] for c in cols]
+    for _ in range(k):
+        i, j = rng.randrange(k), rng.randrange(k)
+        sign = rng.choice([-1, 1])
+        if i != j:
+            rows[i] = [a + sign * b for a, b in zip(rows[i], rows[j])]
+    return hnf(rows, r)
+
+
+@pytest.mark.parametrize("seed", range(30))
+def test_coords_of_against_rational_coordinates(seed):
+    rng = random.Random(f"coords-of:{seed}")
+    lat = _off_diagonal_lattice(rng)
+    r, gens = lat.ambient_rank, lat.rows()
+    assert lat.rank < r and lat.pivots != tuple(range(lat.rank))
+    assert lat.pivots == tuple(next(j for j, x in enumerate(g) if x) for g in gens)
+    seen = set()
+    for _ in range(40):
+        kind = rng.randrange(3)
+        if kind == 0:  # a member, with some coordinates zero
+            coords = [rng.choice([0, 0, rng.randint(-6, 6)]) for _ in gens]
+            x = [sum(c * g[j] for c, g in zip(coords, gens)) for j in range(r)]
+            assert lat.vector_from_coords(coords) == x
+        elif kind == 1:  # in the rational span: half-integer coordinates
+            coords = [Fraction(rng.randint(-9, 9), 2) for _ in gens]
+            x = [sum(c * g[j] for c, g in zip(coords, gens)) for j in range(r)]
+            if any(v.denominator != 1 for v in x):
+                continue
+            x = [int(v) for v in x]
+        else:  # almost always outside the rational span
+            x = [rng.randint(-8, 8) for _ in range(r)]
+        expected = rational_coords(gens, x)
+        if expected is not None and any(c.denominator != 1 for c in expected):
+            expected = None
+        got = lat.coords_of(x)
+        assert got == expected, (gens, x)
+        assert lat.member(x) == (expected is not None)
+        seen.add((kind, got is None))
+    assert (0, False) in seen and (2, True) in seen
+    with pytest.raises(LatticeError):
+        lat.coords_of([0] * (r + 1))
+    with pytest.raises(LatticeError):
+        lat.coords_of([0] * (r - 1))
+
+
+def test_equal_lattices_hash_equal_with_or_without_cached_pivots():
+    a = hnf([[0, 2, 4], [0, 0, 6]], 3)
+    b = hnf([[0, 2, -2], [0, 2, 4]], 3)
+    assert a.pivots == (1, 2)
+    assert "pivots" in vars(a) and "pivots" not in vars(b)
+    assert a == b and hash(a) == hash(b)
+    assert {a: "cut"}[b] == "cut"
+    assert b.pivots == (1, 2) and a == b and hash(a) == hash(b)
 
 
 def _random_int_matrix(rng: random.Random) -> list[list[int]]:
@@ -318,7 +413,6 @@ def _random_int_matrix(rng: random.Random) -> list[list[int]]:
 @pytest.mark.parametrize("seed", range(50))
 def test_normal_forms_match_sympy(seed):
     sympy = pytest.importorskip("sympy")
-    from sympy.matrices.normalforms import hermite_normal_form
     from sympy.matrices.normalforms import smith_normal_form as sympy_snf
 
     m = _random_int_matrix(random.Random(f"normal-forms:{seed}"))
@@ -327,14 +421,63 @@ def test_normal_forms_match_sympy(seed):
     expected = sympy_snf(sympy.Matrix(m), domain=sympy.ZZ)
     assert [d[i][i] for i in range(min(rows, cols))] == [abs(expected[i, i]) for i in range(min(rows, cols))]
 
-    # sympy's form is column-style, so the row lattice of m is the column
-    # lattice of m^T; both sides are brought to sympy's canonical form.
-    def sympy_row_lattice(gens):
-        if not gens:
-            return ()
-        h = hermite_normal_form(sympy.Matrix(gens).T)
-        return tuple(tuple(int(x) for x in h.col(j)) for j in range(h.cols))
-
     lat = hnf(m, cols)
     assert lat.rank == sympy.Matrix(m).rank()
-    assert sympy_row_lattice([list(g) for g in lat.gens]) == sympy_row_lattice(m)
+    assert _sympy_row_lattice([list(g) for g in lat.gens]) == _sympy_row_lattice(m)
+
+
+def _sympy_row_lattice(gens):
+    """sympy's canonical form of the row lattice of gens.  sympy's form is
+    column-style, so the row lattice of gens is the column lattice of its
+    transpose."""
+    if not gens:
+        return ()
+    sympy = pytest.importorskip("sympy")
+    from sympy.matrices.normalforms import hermite_normal_form
+
+    h = hermite_normal_form(sympy.Matrix(gens).T)
+    return tuple(tuple(int(x) for x in h.col(j)) for j in range(h.cols))
+
+
+def _random_constraints(rng: random.Random) -> tuple[list[tuple[list[int], int]], int]:
+    """Up to 6 variables and 5 constraints; a variable may be left out of every
+    constraint and a constraint may be all zero."""
+    rank = rng.randint(1, 6)
+    rows = [
+        ([rng.randint(-20, 20) for _ in range(rank)], rng.choice([1, 2, 3, 4, 5, 6, 7, 8, 9, 12, 36, 60]))
+        for _ in range(rng.randint(1, 5))
+    ]
+    if rng.random() < 0.3:
+        j = rng.randrange(rank)
+        for c, _n in rows:
+            c[j] = 0
+    if rng.random() < 0.2:
+        rows[0] = ([0] * rank, rows[0][1])
+    return rows, rank
+
+
+KERNEL_EDGE_CASES = {
+    "all-moduli-1": ([([1, 2, 3], 1), ([0, 5, 1], 1)], 3),
+    "one-constraint": ([([2, 3], 5)], 2),
+    "prime-modulus": ([([1, 4, 2], 7), ([3, 0, 5], 7)], 3),
+    "zero-columns": ([([0, 1, 0], 4), ([0, 2, 0], 6)], 3),
+    "zero-constraint": ([([0, 0], 6)], 2),
+}
+
+
+@pytest.mark.parametrize(
+    "rows, rank",
+    list(KERNEL_EDGE_CASES.values()) + [_random_constraints(random.Random(f"hnf-mod:{s}")) for s in range(60)],
+    ids=list(KERNEL_EDGE_CASES) + [f"seed{s}" for s in range(60)],
+)
+def test_congruence_kernel_matches_the_exact_route(rows, rank):
+    lat = congruence_kernel(rows, rank)
+    assert lat == exact_congruence_kernel(rows, rank)
+    big = lcm(*(n for _c, n in rows))
+    assert all(0 <= x <= big for g in lat.gens for x in g)
+    assert lat.pivots == tuple(range(rank))
+    # sympy's opinion on the lattice the constraints cut, from the Smith-form
+    # kernel rows and big * Z^rank, with none of intlat's HNF code.
+    m = [[c[i] * (big // n) for c, n in rows] for i in range(rank)]
+    gens = left_kernel(m, big) + [[big * (i == j) for j in range(rank)] for i in range(rank)]
+    assert _sympy_row_lattice([list(g) for g in lat.gens]) == _sympy_row_lattice(gens)

@@ -139,7 +139,7 @@ def _row_check_accepts(rd, n, g):
     """make_param's symmetry and Weyl checks: one row alpha_i . G per simple root."""
     symmetric = all((g[i][j] - g[j][i]) % n == 0 for i in range(rd.rank) for j in range(rd.rank))
     return symmetric and all(
-        qparam._reflection_fixes(alpha, qparam._row(alpha, g), i, n) for i, alpha in enumerate(rd.simple_roots)
+        qparam._reflection_fixes(alpha, intlat.row_times(alpha, g), i, n) for i, alpha in enumerate(rd.simple_roots)
     )
 
 
