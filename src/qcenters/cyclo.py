@@ -16,7 +16,7 @@ inverse of alpha is the product c of its other Galois conjugates
 sigma_k(alpha), k in (Z/N)^x, divided by the norm alpha * c; c is built one
 conjugate at a time, since the l1 bound of all of them at once would make
 k far too wide.  inverse checks that the norm came out a nonzero rational
-and raises if not.
+and raises if not.  It serves only qint, qfact, qbinom and negative powers.
 
 Quantum integers use the symmetric Laurent form
 [n]_v = v^(n-1) + v^(n-3) + ... + v^(1-n), which is the right definition at
@@ -35,7 +35,7 @@ from functools import lru_cache
 from math import gcd, lcm, prod
 from typing import Iterable, Iterator, Sequence, Union
 
-from .angles import AngleQZ
+from .angles import ZERO, AngleQZ
 
 
 class CycloError(ValueError):
@@ -309,11 +309,33 @@ class CycloNum:
         return " + ".join(terms) if terms else "0"
 
 
-def root_of_unity(angle: AngleQZ, conductor: int) -> CycloNum:
-    """The root of unity exp(2*pi*i*angle) inside Q(zeta_conductor)."""
+def _exponent(angle: AngleQZ, conductor: int) -> int:
+    """The j with exp(2*pi*i*angle) = zeta_conductor^j."""
     if conductor % angle.den != 0:
         raise CycloError(f"angle denominator {angle.den} does not divide conductor {conductor}")
-    return CycloNum(conductor, _reduce([(angle.num * (conductor // angle.den), 1)], conductor))
+    return angle.num * (conductor // angle.den)
+
+
+def root_of_unity(angle: AngleQZ, conductor: int) -> CycloNum:
+    """The root of unity exp(2*pi*i*angle) inside Q(zeta_conductor)."""
+    return CycloNum(conductor, _reduce([(_exponent(angle, conductor), 1)], conductor))
+
+
+def binomial_walk(
+    angle: AngleQZ, ks: Iterable[int], conductor: int, shift: AngleQZ = ZERO, sign: int = 1, den: int = 1
+) -> list[CycloNum]:
+    """Running products over den of the factors sign zeta^shift (1 - v^(-2k)),
+    k in ks, at v = exp(2*pi*i*angle), zeta^shift = exp(2*pi*i*shift): entry j
+    holds the first j factors.  A step is two rotations and one subtraction in
+    Z[x]/(x^N - 1); each entry is reduced mod Phi_N once, and sign is an
+    integer, as -1 = x^(N/2) needs an even N."""
+    a, s = _exponent(angle, conductor), _exponent(shift, conductor)
+    entry, out = [1] + [0] * (conductor - 1), [CycloNum.from_rational(conductor, Fraction(1, den))]
+    for k in ks:
+        r, t = -s % conductor, (2 * k * a - s) % conductor  # rotate by s and by s - 2ka
+        entry = [sign * (x - y) for x, y in zip(entry[r:] + entry[:r], entry[t:] + entry[:t])]
+        out.append(CycloNum(conductor, _reduce(enumerate(entry), conductor), den))
+    return out
 
 
 def _qints(v: CycloNum) -> Iterator[CycloNum]:

@@ -13,8 +13,10 @@ l_gamma, conductor).  The tuple of rows of a parameter is cached too, per
 (parameter, conductor), so a coefficient hashes no angle: it picks one
 entry per nonzero n_gamma and multiplies them as one Kronecker product
 (`CycloNum.product`).  The pairing values are products of cached rows too,
-built by a separate computation, so that coeff * pairing = sign * phase
-checks one against the other.
+walked apart, so that coeff * pairing = sign * phase checks one against the
+other.  Both rows are binomial walks (`cyclo.binomial_walk`), by
+q^-v (q - q^-1) [v]_q = 1 - q^(-2v) and prod_{k=1}^{m-1} (1 - omega^k) = m
+for omega a primitive m-th root of unity: no field product, no inverse.
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ from math import lcm, prod
 from typing import Optional, Sequence, Union
 
 from .angles import AngleQZ
-from .cyclo import CycloNum, root_of_unity
+from .cyclo import CycloNum, binomial_walk
 from .qparam import InvariantViolation, QParam
 from .rootdata import RootDatum
 
@@ -72,22 +74,9 @@ def _coeff_row(qg: AngleQZ, phase: AngleQZ, height_parity: int, l: int, conducto
     """Entries v = 0..l of (-1)^(v ht) zeta^(v phase) q^(-v(v+1)/2)
     (q - q^-1)^v [v]_q! at q = exp(2 pi i qg), zeta^phase = exp(2 pi i phase).
 
-    One running product: entry v is entry v-1 times the per-step character
-    (-1)^ht zeta^phase (q - q^-1) and q^-v [v], with [v+1] = q [v] + q^-v and
-    q^-1 read as a root of unity, so nothing is inverted.  The entry at l must
-    vanish, since [l]_q = 0 or q = q^-1 there.
-    """
-    qv, qv_inv = root_of_unity(qg, conductor), root_of_unity(-qg, conductor)
-    step = root_of_unity(phase, conductor) * (qv - qv_inv)
-    if height_parity:
-        step = -step
-    entry = qint = qv_neg = CycloNum.one(conductor)
-    row = [entry]
-    for _v in range(l):
-        qv_neg = qv_neg * qv_inv
-        entry = entry * step * qv_neg * qint
-        row.append(entry)
-        qint = qv * qint + qv_neg
+    Since q^-k (q - q^-1) [k]_q = 1 - q^(-2k), entry v is
+    ((-1)^ht zeta^phase)^v prod_{k <= v} (1 - q^(-2k)), zero at l: q^(2l) = 1."""
+    row = binomial_walk(qg, range(1, l + 1), conductor, shift=phase, sign=-1 if height_parity else 1)
     if not row[l].is_zero():
         raise InvariantViolation(f"coefficient row of q_gamma = {qg} does not vanish at l = {l}")
     return tuple(row)
@@ -105,27 +94,19 @@ def _coeff_rows(q: QParam, conductor: int) -> tuple[tuple[CycloNum, ...], ...]:
 
 @lru_cache(maxsize=None)
 def _pairing_row(angle: AngleQZ, conductor: int) -> tuple[CycloNum, ...]:
-    """Entries v = 0 .. ord(2 angle) - 1 of v_g^(v(v+1)/2) (v_g - v_g^-1)^(-v)
-    ([v]_{v_g}!)^(-1) at v_g = exp(2 pi i angle).
+    """Entries v = 0 .. m - 1, m = ord(2 angle), of v_g^(v(v+1)/2)
+    (v_g - v_g^-1)^(-v) ([v]_{v_g}!)^(-1) at v_g = exp(2 pi i angle).
 
-    Entry v is the inverse of prod_{k <= v} (1 - v_g^(-2k)), since
-    v_g^-k (v_g - v_g^-1) [k] = 1 - v_g^(-2k); that factor first vanishes at
-    k = ord(2 angle), where the row ends.  The full product is inverted once
-    and the row is walked back by the factors.
-    """
+    Entry v is 1 / prod_{k <= v} (1 - omega^k), omega = v_g^-2 of order m,
+    so the row ends where factor k = m vanishes; as the full product is m,
+    entry v is prod_{k=v+1}^{m-1} (1 - omega^k) / m, walked down from 1/m
+    to entry 0, which must come back to 1."""
     if angle.is_zero() or angle.is_half():
         raise NonInvertibleSpecialization(f"(v - v^-1) vanishes at angle {angle}")
-    double = angle.scaled(2)
-    one = CycloNum.one(conductor)
-    v_inv2 = root_of_unity(-double, conductor)
-    factors, power, total = [], one, one
-    for _k in range(1, double.order):
-        power = power * v_inv2
-        factors.append(one - power)
-        total = total * factors[-1]
-    row = [total.inverse()]
-    for f in reversed(factors):
-        row.append(row[-1] * f)
+    m = angle.scaled(2).order
+    row = binomial_walk(angle, range(m - 1, 0, -1), conductor, den=m)
+    if row[-1] != 1:
+        raise InvariantViolation(f"pairing walk of angle {angle} does not come back to prod (1 - omega^k) = {m}")
     return tuple(reversed(row))
 
 
@@ -169,21 +150,17 @@ def pairing_diag(
     i.e. when [n_gamma]! = 0 (n_gamma >= l_gamma) or v_gamma = +-1 with
     n_gamma > 0.
     """
-    if isinstance(at, QParam):
-        angles = [qg for qg, _phase in at.root_table]
-    else:
-        angles = list(at)
+    angles = [qg for qg, _phase in at.root_table] if isinstance(at, QParam) else list(at)
     if len(angles) != len(rd.pos_roots) or len(n.n) != len(rd.pos_roots):
         raise ValueError("specialization length must match the number of positive roots")
     big_n = conductor or lcm(2, *(a.order for a in angles))
     factors = []
     for v, angle in zip(n.n, angles):
-        if v == 0:
-            continue
-        row = _pairing_row(angle, big_n)
-        if v >= len(row):
-            raise NonInvertibleSpecialization(f"[{v}]! vanishes at angle {angle}")
-        factors.append(row[v])
+        if v:
+            row = _pairing_row(angle, big_n)
+            if v >= len(row):
+                raise NonInvertibleSpecialization(f"[{v}]! vanishes at angle {angle}")
+            factors.append(row[v])
     return CycloNum.product(factors, big_n)
 
 

@@ -10,9 +10,11 @@ from math import lcm
 import pytest
 
 from helpers import (
+    CASES,
     ambient_extend_psi_gram,
     angle_serre_witnesses,
     angle_sum_eval,
+    case_instance,
     fraction_angle_gram,
     fraction_eval,
     fraction_kappa_gram,
@@ -28,27 +30,6 @@ from qcenters.qparam import InvariantViolation, QParam, make_param
 from qcenters.twistcheck import cross_commutator_check, serre_ratio_invariance
 from qcenters.report import Analysis
 from qcenters.rootdata import RootDatumError, Weight, build_root_datum
-from qcenters.sampling import random_instance
-
-CASES = [
-    ("A1", "sc", Fraction(1, 4)),
-    ("A2", "sc", Fraction(1, 6)),
-    ("A2", "adjoint", Fraction(1, 5)),
-    ("A3", "sc", Fraction(1, 8)),
-    ("B2", "sc", Fraction(1, 8)),
-    ("B3", "adjoint", Fraction(1, 6)),
-    ("C2", "sc", Fraction(1, 6)),
-    ("C3", "sc", Fraction(1, 8)),
-    ("D4", "sc", Fraction(1, 6)),
-    ("F4", "sc", Fraction(1, 12)),
-    ("G2", "sc", Fraction(1, 12)),
-    ("A1xA1", "sc", [Fraction(1, 4), Fraction(1, 6)]),
-    ("A1xB2", "sc", [Fraction(1, 6), Fraction(1, 8)]),
-    # kappa on the Smith-adapted vectors leaves [0, N) where d_i d_j > 1, so
-    # the smallest-numerator division must reduce first.
-    ("A1xA2", "sc", [Fraction(16, 17), Fraction(1, 2)]),
-    ("A1xA2", "sc", [Fraction(14, 17), Fraction(1, 18)]),
-] + [("random", seed, None) for seed in range(30)]
 
 # The root data of the report-sweep benchmark that CASES does not cover.
 SWEEP_CASES = [
@@ -63,17 +44,9 @@ SWEEP_CASES = [
 ]
 
 
-def _instance(case):
-    type_str, lattice, c = case
-    if type_str == "random":
-        return random_instance(random.Random(lattice), max_rank=3, max_den=24)
-    rd = build_root_datum(type_str, lattice)
-    return rd, make_param(rd, c)
-
-
 @pytest.mark.parametrize("case", CASES, ids=str)
 def test_integer_gram_matches_fraction_oracle(case):
-    rd, q = _instance(case)
+    rd, q = case_instance(case)
     rng = random.Random(0)
     for _ in range(10):
         lam = [rng.randint(-5, 5) for _ in range(rd.rank)]
@@ -90,7 +63,7 @@ def test_integer_gram_matches_fraction_oracle(case):
 def test_root_tables_match_per_root_evaluation(case):
     # The tables read q off the rows gamma . G; the oracles evaluate q(gamma, -)
     # through eval, Fractions and a walk of l_table.
-    rd, q = _instance(case)
+    rd, q = case_instance(case)
     rho = Weight.of([1] * rd.rank)
     assert q.root_table == tuple((q.q_scalar(r), q.eval(Weight.of(r.fw_coords), rho)) for r in rd.pos_roots)
     assert q.l_table == tuple(fraction_eval(q, r.fw_coords, r.fw_coords).order for r in rd.pos_roots)
@@ -102,7 +75,7 @@ def test_root_tables_match_per_root_evaluation(case):
 
 @pytest.mark.parametrize("case", CASES, ids=str)
 def test_congruence_psi_matches_ambient_oracle(case):
-    rd, q = _instance(case)
+    rd, q = case_instance(case)
     kappa = Analysis(rd, q).kappa
     psi = extend_psi(kappa, rd.charlattice)
     assert [list(row) for row in psi.gram] == ambient_extend_psi_gram(kappa, rd.charlattice)
@@ -113,7 +86,7 @@ def test_congruence_psi_matches_ambient_oracle(case):
 
 @pytest.mark.parametrize("case", CASES, ids=str)
 def test_kappa_and_serre_witnesses_match_angle_oracles(case):
-    rd, q = _instance(case)
+    rd, q = case_instance(case)
     a = Analysis(rd, q)
     assert [list(row) for row in a.kappa.gram] == fraction_kappa_gram(q, a.tower.x_tan)
     witnesses = serre_ratio_invariance(a.g_check, a.kappa)
@@ -157,7 +130,7 @@ def test_congruent_is_m_g_mt():
 
 @pytest.mark.parametrize("case", CASES, ids=str)
 def test_l_table_matches_fraction_orders(case):
-    rd, q = _instance(case)
+    rd, q = case_instance(case)
     assert q.l_table == tuple(fraction_eval(q, r.fw_coords, r.fw_coords).order for r in rd.pos_roots)
     units = [[int(i == j) for j in range(rd.rank)] for i in range(rd.rank)]
     for root, l in zip(rd.pos_roots, q.l_table):
@@ -177,7 +150,7 @@ PSI_CASES = CASES + [
 
 @pytest.mark.parametrize("case", PSI_CASES, ids=str)
 def test_psi_vanishes_on_matches_per_pair_oracle(case):
-    rd, q = _instance(case)
+    rd, q = case_instance(case)
     a = Analysis(rd, q)
     for x in (rd.charlattice, a.tower.x_tan):
         expected = all(
@@ -191,7 +164,7 @@ def test_psi_vanishes_on_matches_per_pair_oracle(case):
 def test_psi_vanishes_on_takes_both_values():
     flags = {}
     for case in [("A1", "sc", Fraction(1, 4))] + PSI_CASES[-4:]:
-        rd, q = _instance(case)
+        rd, q = case_instance(case)
         a = Analysis(rd, q)
         flags[case[0], case[2]] = psi_vanishes_on(a.psi, a.rads.rad_qk, rd.charlattice)
     assert list(flags.values()) == [True, False, False, False, False]

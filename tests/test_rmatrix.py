@@ -5,10 +5,21 @@ from fractions import Fraction
 
 import pytest
 
-from helpers import count_inverses, marker_angle, oracle_conductor, oracle_coeff
-from qcenters.angles import AngleQZ
-from qcenters.cyclo import CycloNum, root_of_unity
-from qcenters.qparam import QParam, make_param
+from helpers import (
+    CASES,
+    case_instance,
+    count_calls,
+    count_inverses,
+    marker_angle,
+    oracle_coeff,
+    oracle_coeff_row,
+    oracle_conductor,
+    oracle_pairing_row,
+)
+from qcenters import cyclo, rmatrix
+from qcenters.angles import ZERO, AngleQZ
+from qcenters.cyclo import CycloError, CycloNum, root_of_unity
+from qcenters.qparam import InvariantViolation, QParam, make_param
 from qcenters.rmatrix import (
     NonInvertibleSpecialization,
     RSupport,
@@ -96,19 +107,22 @@ def test_coeff_pairing_inverse_relation(type_str, c):
 
 
 def test_a1_at_1_23_coeff_times_pairing_is_the_marker():
-    # A field of degree 22, larger than any the rank <= 2 sweep above uses.
+    # Fields of degree 22 and 100, larger than any the rank <= 2 sweep above
+    # uses; at 1/101 the rows are walks of 101 steps.
     rd = build_root_datum("A1", "sc")
-    q = make_param(rd, Fraction(1, 23))
-    terms = term_table(q, rd)
-    big_n = terms[0][1].conductor
-    assert len(terms) == 23 and big_n == 46
-    for s, value in terms:
-        pairing = pairing_diag(s, rd, q, conductor=big_n)
-        assert value * pairing == root_of_unity(marker_angle(q, rd, s.n), big_n), s.n
+    for den in (23, 101):
+        q = make_param(rd, Fraction(1, den))
+        terms = term_table(q, rd)
+        big_n = terms[0][1].conductor
+        assert len(terms) == den and big_n == 2 * den
+        for s, value in terms:
+            pairing = pairing_diag(s, rd, q, conductor=big_n)
+            assert value * pairing == root_of_unity(marker_angle(q, rd, s.n), big_n), s.n
 
 
 def test_pairing_row_inverts_once_for_all_v(monkeypatch):
-    # The full product of the row is inverted once; every v reads the row.
+    # The row is a walk over 1/ord(2 angle), so nothing is inverted; every v
+    # reads the row.
     a1 = build_root_datum("A1", "sc")
     calls = count_inverses(monkeypatch)
     for angle, conductor in ((AngleQZ(1, 23), 46), (AngleQZ(3, 8), 8), (AngleQZ(5, 12), 12)):
@@ -117,10 +131,99 @@ def test_pairing_row_inverts_once_for_all_v(monkeypatch):
         ord2 = angle.scaled(2).order
         for v in range(1, ord2):
             pairing_diag(RSupport((v,)), a1, [angle], conductor=conductor)
-        assert calls[0] == 1, angle
+        assert calls[0] == 0, angle
         with pytest.raises(NonInvertibleSpecialization):
             pairing_diag(RSupport((ord2,)), a1, [angle], conductor=conductor)
-        assert calls[0] == 1, angle
+        assert calls[0] == 0, angle
+
+
+def test_odd_conductor_applies_the_height_sign_as_an_integer():
+    # -1 is no power of zeta_3, so the sign of an odd height is a negation.
+    a1 = build_root_datum("A1", "sc")
+    q = make_param(a1, Fraction(1, 3))
+    values = [coeff(RSupport((v,)), q, a1, conductor=3) for v in range(4)]
+    assert values[:3] == [1, CycloNum(3, (-1, -2)), CycloNum(3, (-3, -3))]
+    assert values[3].is_zero()
+
+
+def test_rows_reject_an_angle_outside_the_conductor():
+    a1 = build_root_datum("A1", "sc")
+    with pytest.raises(CycloError, match="does not divide"):
+        pairing_diag(RSupport((1,)), a1, [AngleQZ(1, 5)], conductor=6)
+    with pytest.raises(CycloError, match="does not divide"):
+        _coeff_row(AngleQZ(1, 5), ZERO, 0, 5, 6)
+    with pytest.raises(CycloError, match="does not divide"):
+        _coeff_row(AngleQZ(1, 6), AngleQZ(1, 5), 0, 3, 6)
+
+
+def _assert_rows_match_the_oracles(qg, phase, conductor):
+    l = qg.scaled(2).order
+    for parity in (0, 1):
+        row = _coeff_row(qg, phase, parity, l, conductor)
+        assert list(row) == oracle_coeff_row(qg, phase, parity, l, conductor), (qg, phase, parity)
+    if qg.is_zero() or qg.is_half():
+        with pytest.raises(NonInvertibleSpecialization):
+            _pairing_row(qg, conductor)
+    else:
+        assert list(_pairing_row(qg, conductor)) == oracle_pairing_row(qg, conductor), qg
+
+
+@pytest.mark.parametrize("case", CASES, ids=str)
+def test_rows_match_the_running_product_oracles(case):
+    rd, q = case_instance(case)
+    big_n = batch_conductor(q, rd)
+    for qg, phase in q.root_table:
+        _assert_rows_match_the_oracles(qg, phase, big_n)
+
+
+@pytest.mark.parametrize("conductor", [3, 8, 12, 24, 27, 36, 60, 202])
+def test_rows_match_the_running_product_oracles_on_user_angles(conductor):
+    for j in sorted({1, 5 % conductor, conductor // 2 + 1, conductor - 1}):
+        qg = AngleQZ.of(Fraction(j, conductor))
+        for phase in (ZERO, AngleQZ.of(Fraction(7 * j, conductor))):
+            _assert_rows_match_the_oracles(qg, phase, conductor)
+
+
+def test_building_rows_multiplies_and_inverts_nothing(monkeypatch):
+    # Both rows are binomial walks of integer lists, reduced once per entry.
+    rd = build_root_datum("A1", "sc")
+    q = make_param(rd, Fraction(1, 101))
+    big_n = batch_conductor(q, rd)
+    products, inverses = count_calls(monkeypatch, cyclo, "_mul_vecs"), count_inverses(monkeypatch)
+    _coeff_row.cache_clear()
+    _coeff_rows.cache_clear()
+    _pairing_row.cache_clear()
+    coeff_rows = _coeff_rows(q, big_n)
+    pairing_rows = [_pairing_row(qg, big_n) for qg, _phase in q.root_table]
+    assert big_n == 202 and [len(r) for r in coeff_rows] == [102] and [len(r) for r in pairing_rows] == [101]
+    assert products == [0] and inverses == [0]
+
+
+def _drop_one_factor(monkeypatch, index):
+    """Make every row walk skip factor `index` and repeat its last entry, so
+    the rows keep their length."""
+    walk = rmatrix.binomial_walk
+
+    def dropping(angle, ks, conductor, **kwargs):
+        ks = list(ks)
+        del ks[index]
+        row = walk(angle, ks, conductor, **kwargs)
+        return row + row[-1:]
+
+    monkeypatch.setattr(rmatrix, "binomial_walk", dropping)
+
+
+def test_a_pairing_walk_that_drops_a_factor_fails_its_check(monkeypatch):
+    _drop_one_factor(monkeypatch, 5)
+    with pytest.raises(InvariantViolation, match="does not come back"):
+        _pairing_row.__wrapped__(AngleQZ(1, 23), 46)
+
+
+def test_a_coefficient_row_that_misses_its_zero_fails_its_check(monkeypatch):
+    # Dropping the factor 1 - q^(-2l) leaves entry l nonzero.
+    _drop_one_factor(monkeypatch, -1)
+    with pytest.raises(InvariantViolation, match="does not vanish"):
+        _coeff_row.__wrapped__(AngleQZ(1, 23), AngleQZ(1, 23), 1, 23, 46)
 
 
 ORACLE_CASES = [
@@ -249,8 +352,6 @@ def test_term_table_cap():
 
 def test_term_table_walks_the_box_lazily(monkeypatch):
     # E8 at c = 1/10 has 5^120 admissible supports; only the first five are built.
-    import qcenters.rmatrix as rmatrix
-
     def no_materialization(*args, **kwargs):
         raise AssertionError("term_table must not materialize the support box")
 
