@@ -7,11 +7,18 @@ Products go by Kronecker substitution: each integer vector a is read as
 the integer a(2^k), with 2^(k-1) above the product of the l1 norms of the
 factors, so one integer product holds the whole unreduced polynomial
 product as balanced base-2^k digits.  `CycloNum.product` multiplies any
-number of factors this way at once.  Phi_N is monic and divides x^N - 1, so
-a cached table of the rows x^j mod Phi_N for j in [0, N), each kept as its
-nonzero entries, then reduces the product in integers (x^j is read as
-x^(j mod N)); the same rows give roots of unity, the Galois conjugates and
-the embeddings Q(zeta_N) -> Q(zeta_M), N | M, with no division.  The
+number of factors this way at once; its callers are the R-matrix pairing
+values (`rmatrix.pairing_diag`), and `_mul_vecs` also serves `__mul__` and
+`inverse`.  Phi_N is monic and divides x^N - 1, so a cached table of the
+rows x^j mod Phi_N for j in [0, N), each kept as its nonzero entries, then
+reduces the product in integers (x^j is read as x^(j mod N)); the same rows
+give roots of unity, the Galois conjugates and the embeddings
+Q(zeta_N) -> Q(zeta_M), N | M, with no division.  The table is walked by
+shifting one place at a time and folding the top coefficient back by Phi_N
+(`_shifts`), and the same walk from any element e gives the rows x^i e of
+the integer matrix of multiplication by e (`MulMatrix`): where one factor
+is used many times, as the R-matrix coefficient entries are, a product by
+it is d^2 integer products with no packing and no reduction.  The
 inverse of alpha is the product c of its other Galois conjugates
 sigma_k(alpha), k in (Z/N)^x, divided by the norm alpha * c; c is built one
 conjugate at a time, since the l1 bound of all of them at once would make
@@ -33,6 +40,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd, lcm, prod
+from operator import mul
 from typing import Iterable, Iterator, Sequence, Union
 
 from .angles import ZERO, AngleQZ
@@ -82,20 +90,28 @@ def _phi_degree(n: int) -> int:
     return len(cyclotomic_poly(n)) - 1
 
 
+def _shifts(vec: Sequence[int], n: int) -> Iterator[list[int]]:
+    """vec x^j mod Phi_n for j = 0, 1, 2, ..., as dense vectors on the power
+    basis: each step moves every coefficient up one place and folds the top
+    one back by x^d = -(phi_0 + phi_1 x + ... + phi_(d-1) x^(d-1))."""
+    phi = cyclotomic_poly(n)
+    row = list(vec)
+    while True:
+        yield row
+        top, row = row[-1], [0] + row[:-1]
+        if top:
+            row = [r - top * c for r, c in zip(row, phi)]
+
+
 @lru_cache(maxsize=None)
 def _powers(n: int) -> tuple[tuple[tuple[int, int], ...], ...]:
     """The rows x^j mod Phi_n for j in [0, n), each as its nonzero
     (index, coefficient) pairs on the power basis."""
     phi = cyclotomic_poly(n)
     d = len(phi) - 1
-    rows = [((j, 1),) for j in range(d)]
-    row = [-c for c in phi[:d]]
-    for _ in range(d, n):
-        rows.append(tuple((i, c) for i, c in enumerate(row) if c))
-        top, row = row[-1], [0] + row[:-1]
-        if top:
-            row = [r - top * c for r, c in zip(row, phi)]
-    return tuple(rows)
+    units = [((j, 1),) for j in range(d)]
+    shifted = itertools.islice(_shifts([-c for c in phi[:d]], n), n - d)  # from x^d on
+    return tuple(units + [tuple((i, c) for i, c in enumerate(row) if c) for row in shifted])
 
 
 def _reduce(terms: Iterable[tuple[int, int]], n: int) -> list[int]:
@@ -307,6 +323,32 @@ class CycloNum:
     def __str__(self) -> str:
         terms = [f"{c}*z^{i}" for i, c in enumerate(self.coeffs) if c != 0]
         return " + ".join(terms) if terms else "0"
+
+
+@dataclass(frozen=True)
+class MulMatrix:
+    """Multiplication by a fixed element e = num / den of Q(zeta_N) as an
+    integer matrix M on the power basis: row i of M is x^i num mod Phi_N,
+    stored by columns, so a * e has numerator (sum_i a_i M[i][j])_j over
+    a.den * den.  That is d^2 integer products and no Kronecker packing or
+    reduction, which is the cheaper route in small fields when one factor
+    is reused many times.  The result goes through the CycloNum constructor,
+    so it is in the same canonical (num, den) form as any other product."""
+
+    conductor: int
+    cols: tuple[tuple[int, ...], ...]
+    den: int
+
+    @staticmethod
+    def of(e: CycloNum) -> "MulMatrix":
+        rows = itertools.islice(_shifts(e.num, e.conductor), len(e.num))
+        return MulMatrix(e.conductor, tuple(zip(*rows)), e.den)
+
+    def times(self, a: CycloNum) -> CycloNum:
+        """a * e, for a in the same field."""
+        if a.conductor != self.conductor:
+            raise CycloError("a multiplication matrix acts only inside its own field")
+        return CycloNum(self.conductor, [sum(map(mul, a.num, col)) for col in self.cols], a.den * self.den)
 
 
 def _exponent(angle: AngleQZ, conductor: int) -> int:

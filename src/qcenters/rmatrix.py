@@ -10,25 +10,31 @@ of a coefficient are characters of n, so the coefficient is a product of
 one factor per root, f_gamma(n_gamma); each f_gamma is a cached row over
 0..l_gamma, built once per (q_gamma, q(gamma, rho), parity of ht gamma,
 l_gamma, conductor).  The tuple of rows of a parameter is cached too, per
-(parameter, conductor), so a coefficient hashes no angle: it picks one
-entry per nonzero n_gamma and multiplies them as one Kronecker product
-(`CycloNum.product`).  The pairing values are products of cached rows too,
-walked apart, so that coeff * pairing = sign * phase checks one against the
-other.  Both rows are binomial walks (`cyclo.binomial_walk`), by
-q^-v (q - q^-1) [v]_q = 1 - q^(-2v) and prod_{k=1}^{m-1} (1 - omega^k) = m
-for omega a primitive m-th root of unity: no field product, no inverse.
+(parameter, conductor), so a coefficient hashes no angle.  A support with
+one nonzero entry reads its row entry; any other is an odometer step: the
+memoized coefficient of its parent (the support with its last nonzero
+entry set to zero) times the last entry, multiplied as a cached integer
+matrix (`cyclo.MulMatrix`, one per parameter, conductor, root and entry).
+In lexicographic order that is one d x d integer product per term, with no
+Kronecker packing.  The pairing values are products of cached rows too
+(`CycloNum.product`), walked apart, so that coeff * pairing = sign * phase
+checks one against the other.  Both rows are binomial walks
+(`cyclo.binomial_walk`), by q^-v (q - q^-1) [v]_q = 1 - q^(-2v) and
+prod_{k=1}^{m-1} (1 - omega^k) = m for omega a primitive m-th root of
+unity: no field product, no inverse.
 """
 
 from __future__ import annotations
 
 import itertools
+from collections import OrderedDict
 from dataclasses import dataclass
 from functools import lru_cache
 from math import lcm, prod
 from typing import Optional, Sequence, Union
 
 from .angles import AngleQZ
-from .cyclo import CycloNum, binomial_walk
+from .cyclo import CycloNum, MulMatrix, binomial_walk
 from .qparam import InvariantViolation, QParam
 from .rootdata import RootDatum
 
@@ -110,6 +116,61 @@ def _pairing_row(angle: AngleQZ, conductor: int) -> tuple[CycloNum, ...]:
     return tuple(reversed(row))
 
 
+@lru_cache(maxsize=1024)
+def _entry_matrix(q: QParam, conductor: int, i: int, v: int) -> MulMatrix:
+    """Multiplication by entry v of the coefficient row of root i of q, as
+    an integer matrix, built once per (parameter, conductor, root, entry)."""
+    return MulMatrix.of(_coeff_rows(q, conductor)[i][v])
+
+
+# Coefficients at supports that can be the parent of another support, keyed
+# on (parameter, conductor, support without trailing zeros); least recently
+# used first.
+_PREFIXES: OrderedDict[tuple, CycloNum] = OrderedDict()
+PREFIX_MEMO_SIZE = 256
+
+
+def _parent(s: tuple[int, ...]) -> tuple[int, ...]:
+    """s with its last nonzero entry set to zero, without trailing zeros; s
+    ends in a nonzero entry and has another one before it."""
+    i = len(s) - 1
+    while not s[i - 1]:
+        i -= 1
+    return s[:i]
+
+
+def _odometer(q: QParam, conductor: int, rows: tuple[tuple[CycloNum, ...], ...], s: tuple[int, ...]) -> CycloNum:
+    """The coefficient at the admissible support s, given without trailing
+    zeros and with two or more nonzero entries, as the coefficient at
+    _parent(s) times one entry matrix; rows are _coeff_rows(q, conductor).
+
+    The walk goes down the parents to the first one that is memoized or has
+    a single nonzero entry (its row entry), then back up, one entry-matrix
+    product per step, so its depth is a loop, not a recursion.  Every
+    support on the way that is shorter than the root count can be the parent
+    of a later one and is memoized.  In lexicographic order every parent is
+    an earlier support, memoized when it was asked for, so a term costs one
+    product."""
+    chain, value = [], None
+    while value is None:
+        chain.append(s)
+        s = _parent(s)
+        if not any(s[:-1]):
+            value = rows[len(s) - 1][s[-1]]
+        else:
+            key = (q, conductor, s)
+            value = _PREFIXES.get(key)
+            if value is not None:
+                _PREFIXES.move_to_end(key)
+    for s in reversed(chain):
+        value = _entry_matrix(q, conductor, len(s) - 1, s[-1]).times(value)
+        if len(s) < len(rows):
+            _PREFIXES[q, conductor, s] = value
+            if len(_PREFIXES) > PREFIX_MEMO_SIZE:
+                _PREFIXES.popitem(last=False)
+    return value
+
+
 def coeff(n: RSupport, q: QParam, rd: RootDatum, conductor: Optional[int] = None) -> CycloNum:
     """Exact coefficient of the expansion term with support n.
 
@@ -120,21 +181,27 @@ def coeff(n: RSupport, q: QParam, rd: RootDatum, conductor: Optional[int] = None
     product over the nonzero n_gamma of entry n_gamma of the cached row of
     gamma; it is exactly zero iff some n_gamma >= l_gamma.  The rows of a
     parameter are built, and checked to vanish at l_gamma, by its first
-    coefficient and then read from a cache, and the factors are multiplied
-    as one product.  rd must be the parameter's root datum.
+    coefficient and then read from a cache.  No nonzero entry gives one and
+    one gives its row entry; otherwise the value is the memoized coefficient
+    at the parent support (the last nonzero entry set to zero) times the
+    cached integer matrix of the last entry (`_odometer`).  rd must be the
+    parameter's root datum.
     """
     if rd is not q.rd and rd != q.rd:
         raise ValueError("the root datum is not the parameter's")
     if len(n.n) != len(rd.pos_roots):
         raise ValueError("support length must match the number of positive roots")
     big_n = conductor or batch_conductor(q, rd)
-    factors = []
-    for v, row in zip(n.n, _coeff_rows(q, big_n)):
+    rows = _coeff_rows(q, big_n)
+    last = count = 0
+    for i, (v, row) in enumerate(zip(n.n, rows)):
         if v:
             if v >= len(row) - 1:
                 return CycloNum.zero(big_n)
-            factors.append(row[v])
-    return CycloNum.product(factors, big_n)
+            last, count = i, count + 1
+    if count < 2:
+        return rows[last][n.n[last]] if count else CycloNum.one(big_n)
+    return _odometer(q, big_n, rows, n.n[: last + 1])
 
 
 def pairing_diag(

@@ -415,10 +415,8 @@ def marker_angle(q, rd, n: Sequence[int]) -> AngleQZ:
     """Angle of the sign and phase of the coefficient at support n:
     (-1)^(sum n_g ht g) q(sum n_g g, sum_a w_a), from the weight sum of n."""
     sign_exp = sum(v * r.height for v, r in zip(n, rd.pos_roots))
-    weighted = Weight.of([0] * rd.rank)
-    for v, r in zip(n, rd.pos_roots):
-        weighted = weighted + Weight.of(r.fw_coords).scaled(v)
-    return AngleQZ.of(Fraction(sign_exp, 2)) + q.eval(weighted, Weight.of([1] * rd.rank))
+    weighted = [sum(v * r.fw_coords[k] for v, r in zip(n, rd.pos_roots)) for k in range(rd.rank)]
+    return AngleQZ.of(Fraction(sign_exp, 2)) + q.eval(Weight.of(weighted), Weight.of([1] * rd.rank))
 
 
 def oracle_conductor(q, rd) -> int:
@@ -454,13 +452,19 @@ def coeff_root_factor(angle: AngleQZ, v: int, conductor: int) -> CycloNum:
     return rows[v][0]
 
 
+@lru_cache(maxsize=None)
+def _q_scalars(q) -> tuple[AngleQZ, ...]:
+    """q_gamma for every positive root of q, read once per parameter."""
+    return tuple(q.q_scalar(r) for r in q.rd.pos_roots)
+
+
 def oracle_coeff(q, rd, n: Sequence[int], conductor: int) -> CycloNum:
     """The R-matrix coefficient at support n, term by term: the sign/phase
     root of unity times one factor per root with n_g > 0."""
     out = root_of_unity(marker_angle(q, rd, n), conductor)
-    for v, r in zip(n, rd.pos_roots):
+    for v, qg in zip(n, _q_scalars(q)):
         if v:
-            out = out * coeff_root_factor(q.q_scalar(r), v, conductor)
+            out = out * coeff_root_factor(qg, v, conductor)
     return out
 
 

@@ -335,6 +335,20 @@ def test_product_matches_repeated_multiplication():
     assert CycloNum.product([z], 10) == z and CycloNum.product([z], 10).conductor == 10
 
 
+@pytest.mark.parametrize("n", [1, 2, 3, 5, 8, 12, 30, 47, 60])
+def test_multiplication_matrix_matches_the_schoolbook_product(n):
+    # The canonical (num, den) of a * e must come out field for field, so
+    # the comparison is of the stored pair, not only of the value.
+    rng = random.Random(n)
+    for _ in range(6):
+        a, e = _num(n, _random_coeffs(rng, n)), _num(n, _random_coeffs(rng, n))
+        out = cyclo.MulMatrix.of(e).times(a)
+        expected = CycloNum(n, schoolbook_mul_vecs([a.num, e.num], n), a.den * e.den)
+        assert (out.conductor, out.num, out.den) == (expected.conductor, expected.num, expected.den)
+    with pytest.raises(CycloError, match="its own field"):
+        cyclo.MulMatrix.of(CycloNum.one(n)).times(CycloNum.one(2 * n))
+
+
 def test_constructor_stores_num_as_a_tuple():
     assert CycloNum(4, [1, 0]) == CycloNum(4, (1, 0))
     assert type(CycloNum(4, [1, 0]).num) is tuple

@@ -1,7 +1,10 @@
 import itertools
 import json
+import operator
+import random
 from collections import Counter
 from fractions import Fraction
+from functools import reduce
 
 import pytest
 
@@ -18,13 +21,16 @@ from helpers import (
 )
 from qcenters import cyclo, rmatrix
 from qcenters.angles import ZERO, AngleQZ
-from qcenters.cyclo import CycloError, CycloNum, root_of_unity
+from qcenters.cyclo import CycloError, CycloNum, MulMatrix, root_of_unity
 from qcenters.qparam import InvariantViolation, QParam, make_param
 from qcenters.rmatrix import (
+    _PREFIXES,
+    PREFIX_MEMO_SIZE,
     NonInvertibleSpecialization,
     RSupport,
     _coeff_row,
     _coeff_rows,
+    _entry_matrix,
     _pairing_row,
     batch_conductor,
     coeff,
@@ -252,10 +258,166 @@ def test_coeff_matches_the_per_term_oracle(type_str, c, first, scale):
         assert value.conductor == big_n and value == oracle_coeff(q, rd, n, big_n), n
 
 
+def _clear_coeff_caches():
+    _coeff_row.cache_clear()
+    _coeff_rows.cache_clear()
+    _entry_matrix.cache_clear()
+    _PREFIXES.clear()
+
+
+@pytest.fixture
+def fresh_coeff_caches():
+    """Cold coefficient caches before the test, and none of its values after."""
+    _clear_coeff_caches()
+    yield
+    _clear_coeff_caches()
+
+
+def _expected_coeffs(q, rd, supports, big_n):
+    """Per support, the coefficient as one Kronecker product of its row
+    entries (entry l_gamma of a row is zero), checked against the per-term
+    oracle."""
+    rows = _coeff_rows(q, big_n)
+    out = {}
+    for n in supports:
+        value = CycloNum.product([row[min(v, len(row) - 1)] for v, row in zip(n, rows) if v], big_n)
+        assert value == oracle_coeff(q, rd, n, big_n), n
+        out[n] = value
+    return out
+
+
+def _assert_coeffs(q, rd, big_n, expected, order):
+    for n in order:
+        value = coeff(RSupport(n), q, rd, conductor=big_n)
+        assert value.conductor == big_n and value == expected[n], n
+
+
+def _sample_box(ls, first, extra, rng):
+    """The first supports of the box prod range(l) in lexicographic order,
+    its deepest support, and `extra` uniform draws from it."""
+    box = set(itertools.islice(itertools.product(*(range(l) for l in ls)), first))
+    box.add(tuple(l - 1 for l in ls))
+    box.update(tuple(rng.randrange(l) for l in ls) for _ in range(extra))
+    return sorted(box)
+
+
+def _assert_memo_in_any_order(q, rd, supports, big_n, seed):
+    expected = _expected_coeffs(q, rd, supports, big_n)
+    shuffled = list(supports)
+    random.Random(seed).shuffle(shuffled)
+    for order in (supports, shuffled):
+        _clear_coeff_caches()
+        _assert_coeffs(q, rd, big_n, expected, order)
+
+
+@pytest.mark.parametrize("case", CASES, ids=str)
+def test_memoized_coeff_matches_the_product_and_the_oracle(case, fresh_coeff_caches):
+    rd, q = case_instance(case)
+    big_n = batch_conductor(q, rd)
+    supports = _sample_box(q.pos_root_ls(), 40, 40, random.Random(str(case)))
+    _assert_memo_in_any_order(q, rd, supports, big_n, seed=str(case))
+
+
+@pytest.mark.parametrize("type_str,c,first,scale", ORACLE_CASES)
+def test_memoized_coeff_matches_on_the_oracle_boxes(type_str, c, first, scale, fresh_coeff_caches):
+    # The boxes of the per-term oracle test, past l_gamma too; boxes above
+    # 600 supports are sampled.
+    rd = build_root_datum(type_str, "sc")
+    q = make_param(rd, c)
+    box = list(itertools.islice(itertools.product(*(range(l + 2) for l in q.pos_root_ls())), first))
+    rng = random.Random(f"{type_str} {c}")
+    supports = sorted(rng.sample(box, 600)) if len(box) > 600 else box
+    _assert_memo_in_any_order(q, rd, supports, scale * batch_conductor(q, rd), seed=1)
+
+
+def test_memoized_coeff_keeps_parameters_and_conductors_apart(fresh_coeff_caches):
+    # Two parameters of one root datum share every support tuple, and each
+    # is asked at two conductors, one term of each in turn.
+    rd = build_root_datum("A3", "sc")
+    walks = []
+    for c in (Fraction(1, 10), Fraction(3, 10)):
+        q = make_param(rd, c)
+        supports = list(itertools.islice(itertools.product(*(range(l) for l in q.pos_root_ls())), 150))
+        for scale in (1, 2):
+            big_n = scale * batch_conductor(q, rd)
+            walks.append((q, big_n, _expected_coeffs(q, rd, supports, big_n), supports))
+    _clear_coeff_caches()
+    for step in zip(*(((q, big_n, expected, n) for n in supports) for q, big_n, expected, supports in walks)):
+        for q, big_n, expected, n in step:
+            _assert_coeffs(q, rd, big_n, expected, [n])
+
+
+def test_memoized_coeff_survives_eviction(fresh_coeff_caches):
+    # Reverse lexicographic order meets every parent before its children
+    # are memoized, and the walk stores far more than the memo holds.
+    rd = build_root_datum("G2", "sc")
+    q = make_param(rd, Fraction(1, 12))
+    big_n = batch_conductor(q, rd)
+    supports = list(itertools.product(*(range(l) for l in q.pos_root_ls())))
+    expected = _expected_coeffs(q, rd, supports, big_n)
+    _clear_coeff_caches()
+    _assert_coeffs(q, rd, big_n, expected, reversed(supports))
+    assert len(_PREFIXES) == PREFIX_MEMO_SIZE and len(supports) > 4 * PREFIX_MEMO_SIZE
+
+
+def test_a_support_with_a_thousand_nonzero_entries_is_walked_without_recursion(fresh_coeff_caches):
+    rd = build_root_datum("A45", "sc")
+    q = make_param(rd, Fraction(1, 6))
+    big_n = batch_conductor(q, rd)
+    ones = (1,) * len(rd.pos_roots)
+    assert len(ones) == 1035 and min(q.pos_root_ls()) > 1
+    value = coeff(RSupport(ones), q, rd, conductor=big_n)
+    assert value == reduce(operator.mul, [row[1] for row in _coeff_rows(q, big_n)])
+
+
+def _corrupt_one_matrix_entry(monkeypatch, root, v):
+    build = rmatrix._entry_matrix
+
+    def corrupted(q, conductor, i, w):
+        m = build(q, conductor, i, w)
+        if (i, w) != (root, v):
+            return m
+        cols = [list(col) for col in m.cols]
+        cols[0][0] += 1
+        return MulMatrix(m.conductor, tuple(map(tuple, cols)), m.den)
+
+    monkeypatch.setattr(rmatrix, "_entry_matrix", corrupted)
+
+
+def _zero_the_first_nonzero_entry(s):
+    i = next(k for k, v in enumerate(s) if v)
+    return s[:i] + (0,) + s[i + 1 :]
+
+
+@pytest.mark.parametrize("mutation", ["matrix", "parent"])
+def test_the_memo_differential_catches_a_broken_odometer(monkeypatch, fresh_coeff_caches, mutation):
+    rd = build_root_datum("A2", "sc")
+    q = make_param(rd, Fraction(1, 6))
+    big_n = batch_conductor(q, rd)
+    supports = list(itertools.product(*(range(l) for l in q.pos_root_ls())))
+    expected = _expected_coeffs(q, rd, supports, big_n)
+    _assert_memo_in_any_order(q, rd, supports, big_n, seed=0)
+    if mutation == "matrix":
+        _corrupt_one_matrix_entry(monkeypatch, 2, 1)
+    else:
+        monkeypatch.setattr(rmatrix, "_parent", _zero_the_first_nonzero_entry)
+    with pytest.raises(AssertionError):
+        _assert_memo_in_any_order(q, rd, supports, big_n, seed=0)
+    for shuffled in (False, True):
+        order = list(supports)
+        if shuffled:
+            random.Random(0).shuffle(order)
+        _clear_coeff_caches()
+        with pytest.raises(AssertionError):
+            _assert_coeffs(q, rd, big_n, expected, order)
+
+
 def test_term_table_work_per_term_is_flat(monkeypatch):
     # Weights, angles, their hashes and q-evaluations belong to the per-root
     # tables and rows, which are read once per parameter, so 100 and 3000
-    # terms make the same number of them; each term is one product.
+    # terms make the same number of them.  A term is the memoized
+    # coefficient of its parent times one cached entry matrix: no Kronecker
+    # product, and at most one entry-matrix product per returned term.
     calls = Counter()
 
     def counting(name, fn):
@@ -271,17 +433,19 @@ def test_term_table_work_per_term_is_flat(monkeypatch):
     monkeypatch.setattr(QParam, "eval", counting("QParam.eval", QParam.eval))
     monkeypatch.setattr(CycloNum, "__mul__", counting("mul", CycloNum.__mul__))
     monkeypatch.setattr(CycloNum, "product", staticmethod(counting("product", CycloNum.product)))
+    monkeypatch.setattr(cyclo, "_mul_vecs", counting("_mul_vecs", cyclo._mul_vecs))
+    monkeypatch.setattr(MulMatrix, "times", counting("times", MulMatrix.times))
     rd = build_root_datum("A3", "sc")
     counts = {}
     for max_terms in (100, 3000):
         q = make_param(rd, Fraction(1, 10))
-        _coeff_row.cache_clear()
-        _coeff_rows.cache_clear()
+        _clear_coeff_caches()
         calls.clear()
         terms = term_table(q, rd, max_terms=max_terms)
-        counts[max_terms] = {k: v for k, v in calls.items() if k not in ("mul", "product")}
+        counts[max_terms] = {k: v for k, v in calls.items() if k not in ("mul", "product", "_mul_vecs", "times")}
     assert counts[100] == counts[3000] and counts[100]["AngleQZ.__hash__"] > 0
-    assert calls["product"] == len(terms) == 3000
+    assert calls["product"] == calls["_mul_vecs"] == 0
+    assert 0 < calls["times"] <= len(terms) == 3000
     assert calls["mul"] <= sum(8 * (l + 1) for l in q.pos_root_ls())
 
 
