@@ -21,7 +21,7 @@ from typing import Optional, Sequence
 from .angles import AngleQZ
 from .intlat import IntMatrix, Lattice, congruent, hnf, index, vanishes_mod
 from .qparam import InvariantViolation, ParamClass, QParam, annihilator
-from .rootdata import DynkinType, RootDatum, Weight, two_rho
+from .rootdata import _RANK_BOUNDS, DynkinType, RootDatum, Weight, _factor_cartan, two_rho
 
 
 class DualDatumError(ValueError):
@@ -252,25 +252,13 @@ def _cartan_iso(a: Sequence[Sequence[int]], b: Sequence[Sequence[int]]) -> bool:
 
 
 def _candidate_types(rank: int) -> list[tuple[str, int]]:
-    out = [("A", rank)]
-    if rank >= 2:
-        out += [("B", rank), ("C", rank)]
-    if rank >= 3:
-        out.append(("D", rank))
-    if rank in (6, 7, 8):
-        out.append(("E", rank))
-    if rank == 4:
-        out.append(("F", 4))
-    if rank == 2:
-        out.append(("G", 2))
-    return out
+    """Admissible factor types of the given rank, in A..G order."""
+    return [(family, rank) for family, admissible in _RANK_BOUNDS.items() if admissible(rank)]
 
 
 def classify_cartan(cartan: Sequence[Sequence[int]]) -> Optional[DynkinType]:
     """Recognize a valid Cartan matrix's Dynkin type, or None if no admissible
     type matches (B2 and C2 both report as B2; D3 reports as A3)."""
-    from .rootdata import _factor_cartan  # candidate generator
-
     factors = []
     for comp in _components(cartan):
         block = [[cartan[i][j] for j in comp] for i in comp]

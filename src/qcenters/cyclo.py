@@ -6,9 +6,10 @@ denominator, reduced by the gcd, so equality is equality of that pair.
 Products go by Kronecker substitution: each integer vector a is read as
 the integer a(2^k), with 2^(k-1) above the product of the l1 norms of the
 factors, so one integer product holds the whole unreduced polynomial
-product as balanced base-2^k digits.  `CycloNum.product` multiplies any
-number of factors this way at once; its callers are the R-matrix pairing
-values (`rmatrix.pairing_diag`), and `_mul_vecs` also serves `__mul__` and
+product as balanced base-2^k digits.  One width for many factors would grow
+with their count, so `CycloNum.product`, behind the R-matrix pairing values
+(`rmatrix.pairing_diag`), is a left fold of `__mul__`: `_mul_vecs` takes
+two vectors at a time, for `__mul__` and
 `inverse`.  Phi_N is monic and divides x^N - 1, so a cached table of the
 rows x^j mod Phi_N for j in [0, N), each kept as its nonzero entries, then
 reduces the product in integers (x^j is read as x^(j mod N)); the same rows
@@ -38,7 +39,7 @@ import itertools
 import struct
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, reduce
 from math import gcd, lcm, prod
 from operator import mul
 from typing import Iterable, Iterator, Sequence, Union
@@ -229,18 +230,13 @@ class CycloNum:
 
     @staticmethod
     def product(factors: Sequence["CycloNum"], conductor: int) -> "CycloNum":
-        """Product of the factors in Q(zeta_conductor), as one Kronecker
-        product of their numerators over the product of their denominators;
-        one when there are no factors, the factor itself when there is one."""
-        if len(factors) < 2:
-            return factors[0].lift(conductor) if factors else CycloNum.one(conductor)
-        nums, den = [], 1
-        for f in factors:
-            if f.conductor != conductor:
-                f = f.lift(conductor)
-            nums.append(f.num)
-            den *= f.den
-        return CycloNum(conductor, _mul_vecs(nums, conductor), den)
+        """Product of the factors in Q(zeta_conductor), as a left fold of
+        two-factor products, so each Kronecker width is set by two l1 norms
+        only; one when there are no factors, the factor itself when there is
+        one."""
+        if not factors:
+            return CycloNum.one(conductor)
+        return reduce(mul, (f.lift(conductor) for f in factors[1:]), factors[0].lift(conductor))
 
     def is_zero(self) -> bool:
         return not any(self.num)

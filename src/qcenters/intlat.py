@@ -3,14 +3,16 @@
 Sublattices of Z^r are stored by a canonical row-style Hermite normal form
 of a generator matrix, so lattice equality is plain matrix equality.  A
 Lattice caches its pivot columns, outside equality and hashing, and
-coords_of back-substitutes on them.  Smith normal form provides invariant
-factors of finite quotients and the one kernel routine, left_kernel, behind
-congruence_kernel and intersect.  A congruence kernel contains L * Z^r for
-L the lcm of its moduli, so its HNF runs mod L and every entry stays in
-[0, L]; the exact HNF of the Smith-form kernel rows would carry their
-thousand-bit entries.  The index of a sublattice of equal rank is the
-product of the ratios of the two HNFs' pivots.  Everything runs on Python's
-arbitrary-precision integers; there is no floating point.
+coords_of back-substitutes on them.  Every congruence cut, congruence_kernel
+and qparam.annihilator, is one HNF mod n of the rows [M | I] (_kernel_mod):
+the kernel {x : x . M = 0 mod n} contains n * Z^r, so every entry stays in
+[0, n], and the HNF rows with no entry in M's columns are the kernel's HNF.
+Smith normal form provides the invariant factors of finite quotients; its
+left_kernel and the exact intersect it backs are no part of any cut, and
+check congruence_kernel by an independent route.  The index of a sublattice
+of equal rank is the product of the ratios of the two HNFs' pivots.
+Everything runs on Python's arbitrary-precision integers; there is no
+floating point.
 """
 
 from __future__ import annotations
@@ -109,42 +111,6 @@ def _reduce_above_pivots(result: IntMatrix, pivots: Sequence[int]) -> IntMatrix:
             if q:
                 result[k] = [a - q * b for a, b in zip(result[k], result[i])]
     return result
-
-
-def _hnf_mod(m: IntMatrix, width: int, big: int) -> IntMatrix:
-    """Canonical HNF of rowspan(m) + big * Z^width, every entry kept in
-    [0, big] (Domich, Kannan and Trotter 1987; Cohen, Alg. 2.4.8).
-
-    The lattice contains big * e_j for every column j, so rows may be reduced
-    mod big in the columns not yet eliminated.  In each column the row pivot
-    is combined with big * e_col: the gcd g of the two becomes the pivot, and
-    (big / g) * pivot, whose column entry is 0 mod big, stays a generator.
-    Every column gets a pivot g | big, so the form is upper triangular."""
-    rows = [r for r in ([x % big for x in row] for row in m) if any(r)]
-    result: IntMatrix = []
-    for col in range(width):
-        pivot = None
-        remaining: IntMatrix = []
-        for r in rows:
-            if r[col] == 0:
-                remaining.append(r)
-            elif pivot is None:
-                pivot = r
-            else:
-                pivot, reduced = ([x % big for x in v] for v in _gcd_rows(pivot, r, col))
-                if any(reduced):
-                    remaining.append(reduced)
-        if pivot is None:
-            pivot = [0] * width
-        g, u, _v = _xgcd(pivot[col], big)
-        kept = [(big // g) * x % big for x in pivot]
-        if any(kept):
-            remaining.append(kept)
-        pivot = [u * x % big for x in pivot]
-        pivot[col] = g
-        result.append(pivot)
-        rows = remaining
-    return _reduce_above_pivots(result, range(width))
 
 
 @dataclass(frozen=True)
@@ -424,11 +390,55 @@ def quotient(sub: Lattice, super_: Lattice) -> FiniteAbelianGroup:
     return group
 
 
+def _kernel_mod(m: IntMatrix, n: int) -> IntMatrix:
+    """Canonical HNF rows of {x in Z^r : x . m = 0 mod n}, for m of r rows.
+
+    With n * Z^(c+r), the rows (x . m | x) of [m | I] span the pairs
+    (x . m + n a | x + n b).  Those with no entry in the c constraint columns
+    are (0 | y) for y = x + n b, and y . m = x . m mod n, so they are the
+    kernel, and an echelon basis holds them in its rows pivoting in the last
+    r columns.  The lattice contains n * e_j for every column j, so its HNF
+    is taken mod n (Domich, Kannan and Trotter 1987; Cohen, Alg. 2.4.8):
+    rows are reduced mod n in the columns not yet eliminated, and in each
+    column the row pivot is combined with n * e_col.  The gcd g of the two
+    becomes the pivot, and (n / g) * pivot, whose column entry is 0 mod n,
+    stays a generator.  Every column gets a pivot g | n, and only the last r
+    are kept, cut to their last r columns: reduced above their pivots, they
+    are the kernel's HNF, with every entry in [0, n]."""
+    c, r = len(m[0]) if m else 0, len(m)
+    rows = [[x % n for x in row] + [int(i == j) % n for j in range(r)] for i, row in enumerate(m)]
+    result: IntMatrix = []
+    for col in range(c + r):
+        pivot = None
+        remaining: IntMatrix = []
+        for row in rows:
+            if row[col] == 0:
+                remaining.append(row)
+            elif pivot is None:
+                pivot = row
+            else:
+                pivot, reduced = ([x % n for x in v] for v in _gcd_rows(pivot, row, col))
+                if any(reduced):
+                    remaining.append(reduced)
+        if pivot is None:
+            pivot = [0] * (c + r)
+        g, u, _v = _xgcd(pivot[col], n)
+        kept = [(n // g) * x % n for x in pivot]
+        if any(kept):
+            remaining.append(kept)
+        if col >= c:
+            pivot = [u * x % n for x in pivot[c:]]
+            pivot[col - c] = g
+            result.append(pivot)
+        rows = remaining
+    return _reduce_above_pivots(result, range(r))
+
+
 def congruence_kernel(rows: Sequence[tuple[Sequence[int], int]], rank: int) -> Lattice:
     """Solutions {x in Z^rank : c . x = 0 mod n for every (c, n) constraint}.
 
     Always full rank: the lattice contains L * Z^rank for L = lcm(moduli), so
-    its HNF is taken mod L and every entry lies in [0, L].
+    it is one HNF mod L (`_kernel_mod`) and every entry lies in [0, L].
     """
     constraints = []
     for c, n in rows:
@@ -445,7 +455,7 @@ def congruence_kernel(rows: Sequence[tuple[Sequence[int], int]], rank: int) -> L
     # c . x = 0 mod n iff (L / n) c . x = 0 mod L, for L = lcm(moduli).
     big = lcm(*(n for _c, n in constraints))
     m = [[c[i] * (big // n) for c, n in constraints] for i in range(rank)]
-    return Lattice(rank, tuple(map(tuple, _hnf_mod(left_kernel(m, big), rank, big))))
+    return Lattice(rank, tuple(map(tuple, _kernel_mod(m, big))))
 
 
 def intersect(a: Lattice, b: Lattice) -> Lattice:

@@ -10,8 +10,9 @@ is stored as (N, K), its integer Gram matrix mod N, and every identity on it
 is a congruence mod N of products L . K . R^T: kappa's defining identities
 are checked on K over N = 4, psi restricts to kappa as C . Psi . C^T = K,
 and psi kills a sublattice with coordinate rows C when C . Psi = 0 =
-Psi . C^T.  The simultaneous radical of q and kappa drives the finite
-character groups Sigma, Lambda, Theta.
+Psi . C^T.  The simultaneous radical of q and kappa, cut from rad(kappa)
+by the Gram of q against X, drives the finite character groups Sigma,
+Lambda, Theta.
 """
 
 from __future__ import annotations
@@ -28,7 +29,6 @@ from .intlat import (
     Lattice,
     bilinear,
     congruent,
-    intersect,
     quotient,
     snf,
     vanishes_mod,
@@ -143,7 +143,9 @@ def radicals(q: QParam, kappa: BiformQZ, rd: RootDatum, x_star_lattice: Lattice,
     rad_q = q.rad(rd.charlattice)
     if not x_tan.contains_lattice(rad_q):
         raise InvariantViolation("the X-ambient radical of q escapes X^Tan")
-    rad_qk = intersect(rad_q, rad_kappa)
+    # rad(q) meets rad(kappa) in the lam of rad(kappa) with q(lam, X) = 0.
+    n, g = q.int_gram
+    rad_qk = annihilator(rad_kappa, n, congruent(rad_kappa.gens, g, rd.charlattice.gens))
 
     groups = ToralGroups(
         sigma=quotient(rad_qk, x_tan),

@@ -37,7 +37,7 @@ from math import gcd, lcm
 from typing import Optional, Sequence, Union
 
 from .angles import AngleQZ, from_int_gram
-from .intlat import IntMatrix, Lattice, bilinear, congruence_kernel, congruent, hnf, row_times, vanishes_mod
+from .intlat import IntMatrix, Lattice, _kernel_mod, bilinear, congruent, hnf, row_times, vanishes_mod
 from .rootdata import Root, RootDatum, Weight
 
 
@@ -163,9 +163,9 @@ def _reflection_fixes(alpha: Sequence[int], v: Sequence[int], i: int, n: int) ->
 
 def annihilator(ambient: Lattice, n: int, m: Sequence[Sequence[int]]) -> Lattice:
     """HNF lattice of x = sum_k x_k * ambient.gens[k] with
-    sum_k x_k * m[k][j] = 0 mod n for every column j."""
-    kernel = congruence_kernel([([row[j] % n for row in m], n) for j in range(len(m[0]))], len(m))
-    return hnf([ambient.vector_from_coords(row) for row in kernel.gens], ambient.ambient_rank)
+    sum_k x_k * m[k][j] = 0 mod n for every column j: the coordinate rows x
+    are one HNF mod n of [m | I] (`intlat._kernel_mod`)."""
+    return hnf([ambient.vector_from_coords(row) for row in _kernel_mod(m, n)], ambient.ambient_rank)
 
 
 def make_param(rd: RootDatum, c: Union[Fraction, int, str, Sequence[Union[Fraction, int, str]]]) -> QParam:

@@ -51,24 +51,28 @@ def chain_suite(rng: random.Random, runs: int = 50) -> SuiteResult:
     return SuiteResult("center chain", runs, failures)
 
 
-def bruteforce_tan_residues(q: QParam, rd: RootDatum) -> tuple[int, set[tuple[int, ...]]]:
-    """(modulus, residue set of the Tannakian condition) modulo m*X, where
-    m = 2 * lcm of the q-angle denominators on X; both defining conditions
-    are invariant under translation by m*X, by bilinearity."""
+def _tan_modulus(q: QParam, rd: RootDatum) -> int:
+    """m = 2 * lcm of the q-angle denominators on the basis of X; both
+    defining conditions of X^Tan are invariant under translation by m*X, by
+    bilinearity."""
+    gram = q.angle_gram(rd.charlattice.gens)
+    return 2 * lcm(*(a.den for row in gram for a in row), 1)
+
+
+def bruteforce_tan_residues(q: QParam, rd: RootDatum, modulus: int) -> set[tuple[int, ...]]:
+    """Residue set of the Tannakian condition modulo modulus * X, for a
+    modulus from `_tan_modulus`."""
     basis = [list(g) for g in rd.charlattice.gens]
-    gram = q.angle_gram(basis)
-    n = len(basis)
-    modulus = 2 * lcm(*(gram[i][j].den for i in range(n) for j in range(n)), 1)
     x_weights = [Weight.of(g) for g in basis]
     members = set()
-    for coords in itertools.product(range(modulus), repeat=n):
+    for coords in itertools.product(range(modulus), repeat=len(basis)):
         lam = Weight.of(rd.charlattice.vector_from_coords(list(coords)))
         if any(not q.eval(lam, w).scaled(2).is_zero() for w in x_weights):
             continue
         if not q.eval(lam, lam).is_zero():
             continue
         members.add(coords)
-    return modulus, members
+    return members
 
 
 def bruteforce_tan_suite(rng: random.Random, runs: int = 20, max_index: int = 10_000) -> SuiteResult:
@@ -80,15 +84,12 @@ def bruteforce_tan_suite(rng: random.Random, runs: int = 20, max_index: int = 10
     while done < runs and attempts < runs * 60:
         attempts += 1
         rd, q = random_instance(rng, max_rank=2, max_den=12)
-        basis = [list(g) for g in rd.charlattice.gens]
-        gram = q.angle_gram(basis)
-        n = len(basis)
-        modulus = 2 * lcm(*(gram[i][j].den for i in range(n) for j in range(n)), 1)
+        modulus, n = _tan_modulus(q, rd), rd.charlattice.rank
         if modulus**n > max_index:
             continue
         done += 1
         tower = center_tower(q, rd)
-        _mod, brute = bruteforce_tan_residues(q, rd)
+        brute = bruteforce_tan_residues(q, rd, modulus)
         lattice_side = set()
         for coords in itertools.product(range(modulus), repeat=n):
             vec = rd.charlattice.vector_from_coords(list(coords))

@@ -16,7 +16,7 @@ from qcenters.centers import (
 from qcenters.intlat import hnf, index
 from qcenters.qparam import InvariantViolation, QParam, make_param
 from qcenters.report import Analysis
-from qcenters.rootdata import Weight, build_root_datum
+from qcenters.rootdata import _RANK_BOUNDS, DynkinType, Weight, _factor_cartan, build_root_datum
 from qcenters.sampling import random_instance
 
 
@@ -270,6 +270,21 @@ def test_classify_cartan_roundtrip():
         recognized = classify_cartan([list(r) for r in rd.cartan])
         assert recognized is not None
         assert sorted(recognized.factors) == sorted(rd.dynkin.factors)
+
+
+ADMISSIBLE_FACTORS = [(family, n) for family, admissible in _RANK_BOUNDS.items() for n in range(1, 9) if admissible(n)]
+
+
+@pytest.mark.parametrize("family,rank", ADMISSIBLE_FACTORS)
+def test_classify_cartan_names_every_admissible_factor(family, rank):
+    # The candidates come from the same table of rank bounds as DynkinType;
+    # only the isomorphic C2 = B2 and D3 = A3 report under the earlier name.
+    cartan, _d = _factor_cartan(family, rank)
+    order = list(range(rank))
+    random.Random(f"{family}{rank}").shuffle(order)
+    shuffled = [[cartan[i][j] for j in order] for i in order]
+    expected = {("C", 2): ("B", 2), ("D", 3): ("A", 3)}.get((family, rank), (family, rank))
+    assert classify_cartan(shuffled) == DynkinType((expected,))
 
 
 def test_cartan_iso_handles_permutation():

@@ -201,12 +201,14 @@ def test_presets_match_golden_files(name, capsys):
     [
         ("A40", "4d2e5dea28bdc744cd4e0d12e02ffccd5ebf99ce1700a52959f303b503a5e193"),
         ("A60", "f68d16e633c18e75dd15d1f2758c1685d02763e3e845c585a11c926c26c361d1"),
+        ("A80", "6a2f593058365b15a66f1d6fcfa58765a55bbd4f54b8f889a53c4678c6cd88eb"),
     ],
 )
 def test_large_rank_reports_keep_their_bytes(type_str, digest, capsys):
-    # Digests of the reports from the exact-HNF congruence kernels; they pin
-    # the HNF mod L to the same lattices at ranks where the exact kernel rows
-    # are thousands of bits wide.
+    # Digests of the reports whose cuts took a Smith-form left kernel first
+    # (then its exact HNF at A40 and A60, its HNF mod L at A80); they pin the
+    # one HNF mod N of [M | I] to the same lattices at ranks where the Smith
+    # form's kernel rows are thousands of bits wide.
     code, out, _err = run_cli(["analyze", "--type", type_str, "--lattice", "sc", "--param", "1/6", "--json"], capsys)
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == digest

@@ -335,6 +335,24 @@ def test_product_matches_repeated_multiplication():
     assert CycloNum.product([z], 10) == z and CycloNum.product([z], 10).conductor == 10
 
 
+def test_product_multiplies_two_vectors_at_a_time(monkeypatch):
+    # One Kronecker width for all k factors would grow with k; the fold's
+    # widths are each set by two l1 norms.
+    arities, mul_vecs = [], cyclo._mul_vecs
+
+    def recording(vecs, n):
+        arities.append(len(vecs))
+        return mul_vecs(vecs, n)
+
+    monkeypatch.setattr(cyclo, "_mul_vecs", recording)
+    rng = random.Random(15)
+    for k in range(9):
+        factors = [_num(12, _random_coeffs(rng, 12)) for _ in range(k)]
+        arities.clear()
+        CycloNum.product(factors, 24)
+        assert arities == [2] * max(k - 1, 0), k
+
+
 @pytest.mark.parametrize("n", [1, 2, 3, 5, 8, 12, 30, 47, 60])
 def test_multiplication_matrix_matches_the_schoolbook_product(n):
     # The canonical (num, den) of a * e must come out field for field, so

@@ -3,12 +3,14 @@ from fractions import Fraction
 
 import pytest
 
+from helpers import CASES, case_instance
 from qcenters import kappa as kappa_module
 from qcenters.angles import AngleQZ
 from qcenters.centers import center_tower
-from qcenters.intlat import hnf, index
+from qcenters.intlat import hnf, index, intersect
 from qcenters.kappa import KappaError, build_kappa, extend_psi, psi_vanishes_on, radicals
 from qcenters.qparam import InvariantViolation, make_param
+from qcenters.report import Analysis
 from qcenters.rootdata import Weight, build_root_datum
 from qcenters.sampling import random_instance
 
@@ -197,3 +199,21 @@ def test_radical_containments_randomized():
         assert rads.rad_kappa.contains_lattice(rads.rad_qk)
         n_tan = index(tower.x_tan, rd.charlattice)
         assert rads.groups.sigma_order * n_tan == rads.groups.lambda_order
+
+
+def _assert_simultaneous_radical_is_the_intersection(rd, q):
+    # radicals cuts rad(kappa) by q against X; intersect meets rad(q) and
+    # rad(kappa) through the exact Smith-form kernel instead.
+    rads = Analysis(rd, q).rads
+    assert rads.rad_qk == intersect(rads.rad_q, rads.rad_kappa)
+
+
+@pytest.mark.parametrize("case", CASES, ids=str)
+def test_simultaneous_radical_is_the_intersection(case):
+    _assert_simultaneous_radical_is_the_intersection(*case_instance(case))
+
+
+def test_simultaneous_radical_is_the_intersection_on_random_instances():
+    rng = random.Random(15)
+    for _ in range(40):
+        _assert_simultaneous_radical_is_the_intersection(*random_instance(rng, max_rank=3, max_den=24))

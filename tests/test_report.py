@@ -107,3 +107,14 @@ def test_x_over_x_tan_is_computed_once_per_report(monkeypatch):
     assert pairs.count((x_tan, rd.charlattice)) == 1
     assert (rad_qk, rd.charlattice) not in pairs
     assert report["centers"]["indices"]["x_over_x_tan"] == index(x_tan, rd.charlattice)
+
+
+def test_a_report_cuts_its_lattices_without_a_smith_form(monkeypatch, capsys):
+    # Every cut is one HNF mod N of [M | I]; the Smith form runs only where
+    # group structure is read, under snf: in quotient and in extend_psi.
+    names = ("left_kernel", "intersect", "smith_normal_form", "snf", "quotient")
+    counts = count_stage_calls(monkeypatch, {name: getattr(intlat, name) for name in names})
+    assert main(["analyze", "--type", "A40", "--lattice", "sc", "--param", "1/6", "--json"]) == 0
+    capsys.readouterr()
+    assert counts["left_kernel"] == counts["intersect"] == 0
+    assert counts["smith_normal_form"] == counts["snf"] == counts["quotient"] + 1 > 1
