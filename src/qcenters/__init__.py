@@ -10,7 +10,7 @@ verdict, together with self-verifying identity checks.
 
 from .angles import AngleQZ
 from .centers import CenterTower, DualDatum, Verdicts, center_tower, dual_datum, verdicts, x_star
-from .cyclo import CycloNum, cyclotomic_poly, qbinom, qfact, qint, root_of_unity
+from .cyclo import CycloNum, cyclotomic_poly, qfact, root_of_unity
 from .intlat import (
     FiniteAbelianGroup,
     Lattice,
@@ -33,7 +33,6 @@ from .rootdata import (
     Weight,
     build_root_datum,
     two_rho,
-    weyl_reflect,
 )
 from .twistcheck import TwistWitness, commutator_identity, cross_commutator_check, serre_ratio_invariance
 
@@ -80,9 +79,7 @@ __all__ = [
     "intersect",
     "make_param",
     "pairing_diag",
-    "qbinom",
     "qfact",
-    "qint",
     "quotient",
     "radicals",
     "root_of_unity",
@@ -94,6 +91,5 @@ __all__ = [
     "to_text",
     "two_rho",
     "verdicts",
-    "weyl_reflect",
     "x_star",
 ]

@@ -24,13 +24,11 @@ inverse of alpha is the product c of its other Galois conjugates
 sigma_k(alpha), k in (Z/N)^x, divided by the norm alpha * c; c is built one
 conjugate at a time, since the l1 bound of all of them at once would make
 k far too wide.  inverse checks that the norm came out a nonzero rational
-and raises if not.  It serves only qint, qfact, qbinom and negative powers.
+and raises if not.  It serves only qfact and negative powers.
 
-Quantum integers use the symmetric Laurent form
-[n]_v = v^(n-1) + v^(n-3) + ... + v^(1-n), which is the right definition at
-v = +-1; they are built by [k+1] = v [k] + v^-k, which inverts v once.
-Gaussian binomials are computed by a Pascal recursion that never divides,
-so they stay exact at roots of unity.
+The quantum factorial `qfact` multiplies the balanced quantum integers
+[n]_v = v^(n-1) + v^(n-3) + ... + v^(1-n), the right definition at
+v = +-1, built by [k+1] = v [k] + v^-k, which inverts v once.
 """
 
 from __future__ import annotations
@@ -388,19 +386,6 @@ def _qints(v: CycloNum) -> Iterator[CycloNum]:
         yield cur
 
 
-def qint(n: int, v: CycloNum) -> CycloNum:
-    """Balanced quantum integer [n]_v = v^(n-1) + v^(n-3) + ... + v^(1-n).
-
-    Defined for all integers via [-n] = -[n]; the Laurent-sum form is the
-    correct specialization at v = +-1, where it gives (+-1)^(n-1) * n.
-    """
-    if n < 0:
-        return -qint(-n, v)
-    if n == 0:
-        return CycloNum.zero(v.conductor)
-    return next(itertools.islice(_qints(v), n - 1, None))
-
-
 def qfact(n: int, v: CycloNum) -> CycloNum:
     """Quantum factorial [n]_v! = [1][2]...[n]."""
     if n < 0:
@@ -409,25 +394,3 @@ def qfact(n: int, v: CycloNum) -> CycloNum:
     for k in itertools.islice(_qints(v), n):
         out = out * k
     return out
-
-
-def qbinom(m: int, n: int, v: CycloNum) -> CycloNum:
-    """Balanced Gaussian binomial via the division-free Pascal recursion
-    [m, n] = v^n [m-1, n] + v^(n-m) [m-1, n-1]."""
-    if not 0 <= n <= m:
-        raise CycloError("need 0 <= n <= m")
-    one = CycloNum.one(v.conductor)
-    if n == 0 or n == m:
-        return one
-    v_inv = v.inverse()
-    memo: dict[tuple[int, int], CycloNum] = {}
-
-    def rec(mm: int, nn: int) -> CycloNum:
-        if nn == 0 or nn == mm:
-            return one
-        key = (mm, nn)
-        if key not in memo:
-            memo[key] = v.power(nn) * rec(mm - 1, nn) + v_inv.power(mm - nn) * rec(mm - 1, nn - 1)
-        return memo[key]
-
-    return rec(m, n)

@@ -142,16 +142,25 @@ class QParam:
     def pos_root_ls(self) -> list[int]:
         return list(self.l_table)
 
+    @cached_property
+    def _rads(self) -> dict[Lattice, Lattice]:
+        """rad(ambient) per ambient lattice cut so far."""
+        return {}
+
     def rad(self, ambient: Optional[Lattice] = None) -> Lattice:
         """Radical {lam in ambient : q(lam, mu) = 1 for all mu in ambient}.
 
         Defaults to the weight lattice P; pass rd.charlattice for the
-        X-ambient radical used by the finite-group quotients.
+        X-ambient radical used by the finite-group quotients.  Each ambient
+        lattice is cut once per parameter: on simply connected data X = P,
+        and `classify` and `kappa.radicals` share one cut.
         """
         if ambient is None:
             ambient = self.rd.weight_lattice()
-        n, g = self.int_gram
-        return annihilator(ambient, n, congruent(ambient.gens, g))
+        if ambient not in self._rads:
+            n, g = self.int_gram
+            self._rads[ambient] = annihilator(ambient, n, congruent(ambient.gens, g))
+        return self._rads[ambient]
 
 
 def _reflection_fixes(alpha: Sequence[int], v: Sequence[int], i: int, n: int) -> bool:

@@ -7,18 +7,19 @@ diagonal Hopf-pairing values are evaluated exactly in a single cyclotomic
 field whose conductor is the lcm of every angle denominator that appears.
 The sign (-1)^(sum n_gamma ht gamma) and the phase q(sum n_gamma gamma, rho)
 of a coefficient are characters of n, so the coefficient is a product of
-one factor per root, f_gamma(n_gamma); each f_gamma is a cached row over
-0..l_gamma, built once per (q_gamma, q(gamma, rho), parity of ht gamma,
-l_gamma, conductor).  The tuple of rows of a parameter is cached too, per
-(parameter, conductor), so a coefficient hashes no angle.  A support with
-one nonzero entry reads its row entry; any other is an odometer step: the
-memoized coefficient of its parent (the support with its last nonzero
-entry set to zero) times the last entry, multiplied as a cached integer
-matrix (`cyclo.MulMatrix`, one per parameter, conductor, root and entry).
-In lexicographic order that is one d x d integer product per term, with no
-Kronecker packing.  The pairing values are products of cached rows too
-(`CycloNum.product`), walked apart, so that coeff * pairing = sign * phase
-checks one against the other.  Both rows are binomial walks
+one factor per root, f_gamma(n_gamma), entry n_gamma of a row over
+0..l_gamma.  A parameter has one table per conductor (`_table`): its rows,
+each distinct (q_gamma, q(gamma, rho), parity of ht gamma, l_gamma) row
+built once, and the last support `coeff` walked, with the coefficient at
+each of its prefixes.  A support with one nonzero entry reads its row
+entry; any other keeps the last walk up to the first entry where the two
+differ and walks on from there, multiplying by each later nonzero entry as
+a cached integer matrix (`cyclo.MulMatrix`, one per parameter, conductor,
+root and entry).  In lexicographic order, as `term_table` walks, that is
+at most one d x d integer product per term, with no Kronecker packing; any
+other order is exact too.  The pairing values are products of cached rows
+too (`CycloNum.product`), walked apart, so that coeff * pairing = sign *
+phase checks one against the other.  Both rows are binomial walks
 (`cyclo.binomial_walk`), by q^-v (q - q^-1) [v]_q = 1 - q^(-2v) and
 prod_{k=1}^{m-1} (1 - omega^k) = m for omega a primitive m-th root of
 unity: no field product, no inverse.
@@ -27,7 +28,6 @@ unity: no field product, no inverse.
 from __future__ import annotations
 
 import itertools
-from collections import OrderedDict
 from dataclasses import dataclass
 from functools import lru_cache
 from math import lcm, prod
@@ -75,7 +75,6 @@ def batch_conductor(q: QParam, rd: RootDatum) -> int:
     return lcm(2, *(a.order for pair in q.root_table for a in pair))
 
 
-@lru_cache(maxsize=None)
 def _coeff_row(qg: AngleQZ, phase: AngleQZ, height_parity: int, l: int, conductor: int) -> tuple[CycloNum, ...]:
     """Entries v = 0..l of (-1)^(v ht) zeta^(v phase) q^(-v(v+1)/2)
     (q - q^-1)^v [v]_q! at q = exp(2 pi i qg), zeta^phase = exp(2 pi i phase).
@@ -88,14 +87,25 @@ def _coeff_row(qg: AngleQZ, phase: AngleQZ, height_parity: int, l: int, conducto
     return tuple(row)
 
 
+@dataclass
+class _Table:
+    """The coefficient rows of a parameter at one conductor, in rd.pos_roots
+    order, and the last support `coeff` walked: its entries up to the last
+    nonzero one, with the coefficient at each of its prefixes (None while
+    the prefix is all zeros)."""
+
+    rows: tuple[tuple[CycloNum, ...], ...]
+    support: list[int]
+    values: list[Optional[CycloNum]]
+
+
 @lru_cache(maxsize=64)
-def _coeff_rows(q: QParam, conductor: int) -> tuple[tuple[CycloNum, ...], ...]:
-    """The coefficient rows of every positive root of q, in rd.pos_roots
-    order, read once per (parameter, conductor)."""
-    return tuple(
-        _coeff_row(qg, phase, r.height % 2, l, conductor)
-        for (qg, phase), l, r in zip(q.root_table, q.l_table, q.rd.pos_roots)
-    )
+def _table(q: QParam, conductor: int) -> _Table:
+    """The table of q at the conductor, with an empty walk; each distinct
+    (q_gamma, phase, parity, l) row is built once."""
+    keys = [(qg, phase, r.height % 2, l) for (qg, phase), l, r in zip(q.root_table, q.l_table, q.rd.pos_roots)]
+    built = {key: _coeff_row(*key, conductor) for key in dict.fromkeys(keys)}
+    return _Table(tuple(map(built.__getitem__, keys)), [], [])
 
 
 @lru_cache(maxsize=None)
@@ -120,55 +130,17 @@ def _pairing_row(angle: AngleQZ, conductor: int) -> tuple[CycloNum, ...]:
 def _entry_matrix(q: QParam, conductor: int, i: int, v: int) -> MulMatrix:
     """Multiplication by entry v of the coefficient row of root i of q, as
     an integer matrix, built once per (parameter, conductor, root, entry)."""
-    return MulMatrix.of(_coeff_rows(q, conductor)[i][v])
+    return MulMatrix.of(_table(q, conductor).rows[i][v])
 
 
-# Coefficients at supports that can be the parent of another support, keyed
-# on (parameter, conductor, support without trailing zeros); least recently
-# used first.
-_PREFIXES: OrderedDict[tuple, CycloNum] = OrderedDict()
-PREFIX_MEMO_SIZE = 256
-
-
-def _parent(s: tuple[int, ...]) -> tuple[int, ...]:
-    """s with its last nonzero entry set to zero, without trailing zeros; s
-    ends in a nonzero entry and has another one before it."""
-    i = len(s) - 1
-    while not s[i - 1]:
-        i -= 1
-    return s[:i]
-
-
-def _odometer(q: QParam, conductor: int, rows: tuple[tuple[CycloNum, ...], ...], s: tuple[int, ...]) -> CycloNum:
-    """The coefficient at the admissible support s, given without trailing
-    zeros and with two or more nonzero entries, as the coefficient at
-    _parent(s) times one entry matrix; rows are _coeff_rows(q, conductor).
-
-    The walk goes down the parents to the first one that is memoized or has
-    a single nonzero entry (its row entry), then back up, one entry-matrix
-    product per step, so its depth is a loop, not a recursion.  Every
-    support on the way that is shorter than the root count can be the parent
-    of a later one and is memoized.  In lexicographic order every parent is
-    an earlier support, memoized when it was asked for, so a term costs one
-    product."""
-    chain, value = [], None
-    while value is None:
-        chain.append(s)
-        s = _parent(s)
-        if not any(s[:-1]):
-            value = rows[len(s) - 1][s[-1]]
-        else:
-            key = (q, conductor, s)
-            value = _PREFIXES.get(key)
-            if value is not None:
-                _PREFIXES.move_to_end(key)
-    for s in reversed(chain):
-        value = _entry_matrix(q, conductor, len(s) - 1, s[-1]).times(value)
-        if len(s) < len(rows):
-            _PREFIXES[q, conductor, s] = value
-            if len(_PREFIXES) > PREFIX_MEMO_SIZE:
-                _PREFIXES.popitem(last=False)
-    return value
+def _common_prefix(a: Sequence[int], b: Sequence[int]) -> int:
+    """The number of leading entries that a and b share."""
+    k = 0
+    for x, y in zip(a, b):
+        if x != y:
+            break
+        k += 1
+    return k
 
 
 def coeff(n: RSupport, q: QParam, rd: RootDatum, conductor: Optional[int] = None) -> CycloNum:
@@ -181,18 +153,22 @@ def coeff(n: RSupport, q: QParam, rd: RootDatum, conductor: Optional[int] = None
     product over the nonzero n_gamma of entry n_gamma of the cached row of
     gamma; it is exactly zero iff some n_gamma >= l_gamma.  The rows of a
     parameter are built, and checked to vanish at l_gamma, by its first
-    coefficient and then read from a cache.  No nonzero entry gives one and
-    one gives its row entry; otherwise the value is the memoized coefficient
-    at the parent support (the last nonzero entry set to zero) times the
-    cached integer matrix of the last entry (`_odometer`).  rd must be the
-    parameter's root datum.
+    coefficient at a conductor and then read from its table.  No nonzero
+    entry gives one and one gives its row entry.  Otherwise the last walk of
+    the table is kept up to the first entry where n differs from it, and the
+    walk goes on over the rest of n in a loop, the coefficient at each
+    prefix being the one before it times the cached integer matrix of its
+    last entry where that entry is nonzero.  In lexicographic order that is
+    at most one matrix product per support.  rd must be the parameter's root
+    datum.
     """
     if rd is not q.rd and rd != q.rd:
         raise ValueError("the root datum is not the parameter's")
     if len(n.n) != len(rd.pos_roots):
         raise ValueError("support length must match the number of positive roots")
     big_n = conductor or batch_conductor(q, rd)
-    rows = _coeff_rows(q, big_n)
+    table = _table(q, big_n)
+    rows = table.rows
     last = count = 0
     for i, (v, row) in enumerate(zip(n.n, rows)):
         if v:
@@ -201,7 +177,16 @@ def coeff(n: RSupport, q: QParam, rd: RootDatum, conductor: Optional[int] = None
             last, count = i, count + 1
     if count < 2:
         return rows[last][n.n[last]] if count else CycloNum.one(big_n)
-    return _odometer(q, big_n, rows, n.n[: last + 1])
+    s = n.n[: last + 1]
+    start = _common_prefix(table.support, s)
+    del table.support[start:], table.values[start:]
+    value = table.values[-1] if start else None
+    for i in range(start, len(s)):
+        if s[i]:
+            value = rows[i][s[i]] if value is None else _entry_matrix(q, big_n, i, s[i]).times(value)
+        table.support.append(s[i])
+        table.values.append(value)
+    return value
 
 
 def pairing_diag(

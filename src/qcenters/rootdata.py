@@ -259,16 +259,6 @@ class RootDatum:
         return self.charlattice == self.root_lattice()
 
 
-def weyl_reflect(rd: RootDatum, i: int, lam: Weight) -> Weight:
-    """Simple reflection s_i(lam) = lam - <lam, a_i^vee> a_i."""
-    if not 0 <= i < rd.rank:
-        raise RootDatumError(f"simple index {i} out of range")
-    c = lam.coords[i]  # <lam, a_i^vee> is the i-th fundamental-weight coord
-    if c == 0:
-        return lam
-    return lam - rd.simple_root(i).scaled(c)
-
-
 def _longest_word(cartan: Sequence[Sequence[int]], rank: int) -> list[int]:
     """Greedy descent from rho: reflect at the lowest simple index with a
     positive pairing until the antidominant chamber is reached."""
@@ -465,10 +455,9 @@ def _enumerate_positive_roots(
 
 
 def two_rho(rd: RootDatum) -> Weight:
-    """Sum of the positive roots; equals twice the sum of fundamental weights."""
-    total = Weight.of([0] * rd.rank)
-    for root in rd.pos_roots:
-        total = total + Weight.of(root.fw_coords)
-    if list(total.coords) != [2] * rd.rank:
+    """Sum of the positive roots, column by column over their fw coordinates;
+    equals twice the sum of fundamental weights."""
+    total = Weight(tuple(map(sum, zip(*(root.fw_coords for root in rd.pos_roots)))))
+    if total.coords != (2,) * rd.rank:
         raise RootDatumError("sum of positive roots is not 2*rho")
     return total

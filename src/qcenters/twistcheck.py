@@ -20,7 +20,7 @@ from math import lcm
 
 from .angles import AngleQZ
 from .centers import DualDatum
-from .cyclo import CycloNum, _qints, root_of_unity
+from .cyclo import CycloNum, root_of_unity
 from .intlat import congruent, vanishes_mod
 from .kappa import OUTSIDE_DOMAIN, BiformQZ, _coords
 
@@ -89,20 +89,23 @@ def commutator_identity(eps_alpha: AngleQZ) -> bool:
     The binomial column [m choose 1] is the quantum integer [m]; at a sign
     this is eps^(m+1) m, which cancels the toral eigenvalue eps^m together
     with the leading eps in the commutator normalization.  One walk over
-    m = 1, 2, ... reads [m]_eps from the quantum-integer sequence and carries
-    eps^(1+m) and eps^(1-m); -m is checked by [-m] = -[m], and m = 0 holds
-    trivially.  The value depends only on the sign, so it is cached.
+    m = 1, 2, ... carries eps^(1+m) and eps^(1-m), the latter a running
+    power of the root of unity at -eps_alpha, and builds [m]_eps by the
+    running sum [m] = eps [m-1] + eps^(1-m), so nothing is inverted; -m is
+    checked by [-m] = -[m], and m = 0 holds trivially.  The value depends
+    only on the sign, so it is cached.
     """
     if not (eps_alpha.is_zero() or eps_alpha.is_half()):
         raise TwistPreconditionError(f"{eps_alpha} is not a sign")
     conductor = eps_alpha.den
     eps = root_of_unity(eps_alpha, conductor)
     eps_inv = root_of_unity(-eps_alpha, conductor)
-    up = down = eps  # eps^(1+m), eps^(1-m) at m = 0
-    for m, qint_m in zip(range(1, COMMUTATOR_MAX_EXPONENT + 1), _qints(eps)):
+    up, down, qint = eps, eps, CycloNum.zero(conductor)  # eps^(1+m), eps^(1-m), [m] at m = 0
+    for m in range(1, COMMUTATOR_MAX_EXPONENT + 1):
         up, down = up * eps, down * eps_inv
+        qint = eps * qint + down
         value = CycloNum.from_rational(conductor, m)
-        if up * qint_m != value or down * qint_m != value:
+        if up * qint != value or down * qint != value:
             return False
     return True
 

@@ -16,6 +16,9 @@ Positive roots are re-reflected through the rest of the longest word,
 matrices are inverted over Fraction, the commutator identity reads [m] off
 qbinom and eps^(1+m) off power, and Weyl invariance of a Gram matrix is
 checked by applying each simple reflection's full matrix R_s . G . R_s^T.
+The quantum integers (`qint`), Gaussian binomials (`qbinom`) and simple
+reflections of weights (`weyl_reflect`) that these oracles use live here:
+the package itself needs none of them.
 """
 
 from __future__ import annotations
@@ -30,10 +33,10 @@ from math import lcm, prod
 from typing import Callable, Sequence
 
 from qcenters.angles import HALF, ZERO, AngleQZ
-from qcenters.cyclo import CycloNum, _reduce, cyclotomic_poly, qbinom, qint, root_of_unity
+from qcenters.cyclo import CycloError, CycloNum, _qints, _reduce, cyclotomic_poly, root_of_unity
 from qcenters.intlat import Lattice, congruence_kernel, congruent, hnf, left_kernel, snf, vanishes_mod
 from qcenters.qparam import QParam, make_param
-from qcenters.rootdata import Root, Weight, build_root_datum, weyl_reflect
+from qcenters.rootdata import Root, RootDatum, RootDatumError, Weight, build_root_datum
 from qcenters.sampling import random_instance
 from qcenters.twistcheck import COMMUTATOR_MAX_EXPONENT
 
@@ -526,6 +529,51 @@ def word_walk_positive_roots(rd) -> list[Root]:
         dd = sum(rd.d[k] * coords[k] * sum(cartan[k][m] * coords[m] for m in range(rank)) for k in range(rank)) // 2
         roots.append(Root(tuple(coords), tuple(fw), sum(coords), rd.factor_of_index[base], dd))
     return roots
+
+
+def qint(n: int, v: CycloNum) -> CycloNum:
+    """Balanced quantum integer [n]_v = v^(n-1) + v^(n-3) + ... + v^(1-n).
+
+    Defined for all integers via [-n] = -[n]; the Laurent-sum form is the
+    correct specialization at v = +-1, where it gives (+-1)^(n-1) * n.
+    """
+    if n < 0:
+        return -qint(-n, v)
+    if n == 0:
+        return CycloNum.zero(v.conductor)
+    return next(itertools.islice(_qints(v), n - 1, None))
+
+
+def qbinom(m: int, n: int, v: CycloNum) -> CycloNum:
+    """Balanced Gaussian binomial via the division-free Pascal recursion
+    [m, n] = v^n [m-1, n] + v^(n-m) [m-1, n-1]."""
+    if not 0 <= n <= m:
+        raise CycloError("need 0 <= n <= m")
+    one = CycloNum.one(v.conductor)
+    if n == 0 or n == m:
+        return one
+    v_inv = v.inverse()
+    memo: dict[tuple[int, int], CycloNum] = {}
+
+    def rec(mm: int, nn: int) -> CycloNum:
+        if nn == 0 or nn == mm:
+            return one
+        key = (mm, nn)
+        if key not in memo:
+            memo[key] = v.power(nn) * rec(mm - 1, nn) + v_inv.power(mm - nn) * rec(mm - 1, nn - 1)
+        return memo[key]
+
+    return rec(m, n)
+
+
+def weyl_reflect(rd: RootDatum, i: int, lam: Weight) -> Weight:
+    """Simple reflection s_i(lam) = lam - <lam, a_i^vee> a_i."""
+    if not 0 <= i < rd.rank:
+        raise RootDatumError(f"simple index {i} out of range")
+    c = lam.coords[i]  # <lam, a_i^vee> is the i-th fundamental-weight coord
+    if c == 0:
+        return lam
+    return lam - rd.simple_root(i).scaled(c)
 
 
 def qbinom_commutator_identity(eps_alpha: AngleQZ) -> bool:

@@ -14,10 +14,11 @@ from math import lcm
 
 import pytest
 
+from helpers import qbinom
 from qcenters.angles import AngleQZ
 from qcenters.centers import center_tower
 from qcenters.cli import main as cli_main
-from qcenters.cyclo import qbinom, root_of_unity
+from qcenters.cyclo import root_of_unity
 from qcenters.intlat import index
 from qcenters.presets import PRESET_NAMES
 from qcenters.qparam import make_param

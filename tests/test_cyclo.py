@@ -13,6 +13,8 @@ from helpers import (
     fraction_inverse,
     fraction_lift,
     poly_mul,
+    qbinom,
+    qint,
     schoolbook_mul_vecs,
 )
 from qcenters import cyclo
@@ -21,9 +23,7 @@ from qcenters.cyclo import (
     CycloError,
     CycloNum,
     cyclotomic_poly,
-    qbinom,
     qfact,
-    qint,
     root_of_unity,
 )
 

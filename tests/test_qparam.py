@@ -4,11 +4,11 @@ from fractions import Fraction
 
 import pytest
 
-from helpers import count_stage_calls, reflection_oracle_accepts
-from qcenters import intlat, qparam, rootdata
+from helpers import count_calls, count_stage_calls, reflection_oracle_accepts, weyl_reflect
+from qcenters import intlat, qparam
 from qcenters.angles import AngleQZ
 from qcenters.qparam import classify, make_param, parse_param
-from qcenters.rootdata import Weight, build_root_datum, weyl_reflect
+from qcenters.rootdata import Weight, build_root_datum
 
 
 def test_make_param_display_families():
@@ -74,6 +74,19 @@ def test_rad_examples():
     for m in range(-16, 17):
         expected = (m % 8 == 0)
         assert q.rad().member([m]) == expected
+
+
+def test_rad_is_cut_once_per_ambient_lattice_on_each_parameter(monkeypatch):
+    # On simply connected data X = P, so classify and the X-ambient radical
+    # share one cut; an equal but distinct parameter cuts again.
+    rd = build_root_datum("A3", "sc")
+    q = make_param(rd, Fraction(1, 8))
+    cuts = count_calls(monkeypatch, qparam, "annihilator")
+    classify(q)
+    assert q.rad(rd.charlattice) is q.rad() and cuts == [1]
+    root_rad = q.rad(rd.root_lattice())
+    assert q.rad(rd.root_lattice()) is root_rad and root_rad != q.rad() and cuts == [2]
+    assert make_param(rd, Fraction(1, 8)).rad() == q.rad() and cuts == [3]
 
 
 def test_classify_examples():
@@ -188,9 +201,9 @@ def test_row_weyl_check_agrees_with_the_reflection_oracle(type_str):
 
 def test_parameter_layer_makes_no_matrix_products(monkeypatch):
     # make_param, l_table, root_table and simple_ls read single rows
-    # lambda . G: no L . G . R^T product and no reflected weight.
+    # lambda . G: no L . G . R^T product.
     rd = build_root_datum("A40", "sc")
-    counts = count_stage_calls(monkeypatch, {"congruent": intlat.congruent, "weyl_reflect": rootdata.weyl_reflect})
+    counts = count_stage_calls(monkeypatch, {"congruent": intlat.congruent})
     q = make_param(rd, Fraction(1, 6))
     assert len(q.l_table) == len(q.root_table) == 820 and len(q.simple_ls()) == 40
     assert counts == Counter()

@@ -7,10 +7,10 @@ from fractions import Fraction
 
 import pytest
 
-from helpers import count_calls, count_stage_calls
+from helpers import count_calls, count_inverses, count_stage_calls
 from qcenters import centers, intlat, kappa, qparam
 from qcenters.cli import main
-from qcenters.cyclo import CycloNum, qbinom
+from qcenters.cyclo import CycloNum
 from qcenters.qparam import QParam, make_param
 from qcenters.report import Analysis, build_report
 from qcenters.rootdata import build_root_datum
@@ -64,11 +64,12 @@ def test_e8_report_makes_few_cyclotomic_multiplies(monkeypatch):
     commutator_identity.cache_clear()
     muls = count_calls(monkeypatch, CycloNum, "__mul__")
     monkeypatch.setattr(CycloNum, "__rmul__", CycloNum.__mul__)
-    powers = count_calls(monkeypatch, CycloNum, "power")
-    binoms = [count_calls(monkeypatch, m, "qbinom") for name, m in sys.modules.items()
-              if name.split(".")[0] == "qcenters" and getattr(m, "qbinom", None) is qbinom]
+    powers, inverses = count_calls(monkeypatch, CycloNum, "power"), count_inverses(monkeypatch)
+    # qint, qbinom and weyl_reflect are test oracles: no package module binds them.
+    bound = [(name, attr) for name, m in sys.modules.items() if name.split(".")[0] == "qcenters"
+             for attr in ("qint", "qbinom", "weyl_reflect") if hasattr(m, attr)]
     build_report(rd, q, {})
-    assert powers[0] == 0 and all(calls[0] == 0 for calls in binoms)
+    assert bound == [] and powers[0] == inverses[0] == 0
     assert 0 < muls[0] <= 100
 
 

@@ -24,14 +24,12 @@ from qcenters.angles import ZERO, AngleQZ
 from qcenters.cyclo import CycloError, CycloNum, MulMatrix, root_of_unity
 from qcenters.qparam import InvariantViolation, QParam, make_param
 from qcenters.rmatrix import (
-    _PREFIXES,
-    PREFIX_MEMO_SIZE,
     NonInvertibleSpecialization,
     RSupport,
     _coeff_row,
-    _coeff_rows,
     _entry_matrix,
     _pairing_row,
+    _table,
     batch_conductor,
     coeff,
     pairing_diag,
@@ -196,13 +194,27 @@ def test_building_rows_multiplies_and_inverts_nothing(monkeypatch):
     q = make_param(rd, Fraction(1, 101))
     big_n = batch_conductor(q, rd)
     products, inverses = count_calls(monkeypatch, cyclo, "_mul_vecs"), count_inverses(monkeypatch)
-    _coeff_row.cache_clear()
-    _coeff_rows.cache_clear()
+    _table.cache_clear()
     _pairing_row.cache_clear()
-    coeff_rows = _coeff_rows(q, big_n)
+    coeff_rows = _table(q, big_n).rows
     pairing_rows = [_pairing_row(qg, big_n) for qg, _phase in q.root_table]
     assert big_n == 202 and [len(r) for r in coeff_rows] == [102] and [len(r) for r in pairing_rows] == [101]
     assert products == [0] and inverses == [0]
+
+
+def test_a_table_builds_each_distinct_row_once(monkeypatch, fresh_coeff_caches):
+    # On A1xA1 at equal scalars both roots have height 1 and equal q_gamma
+    # and phase, so they share one row; G2's six roots have six keys.
+    built = count_calls(monkeypatch, rmatrix, "_coeff_row")
+    for type_str, c, distinct in (("A1xA1", Fraction(1, 6), 1), ("G2", Fraction(1, 12), 6)):
+        rd = build_root_datum(type_str, "sc")
+        q = make_param(rd, c)
+        big_n = batch_conductor(q, rd)
+        built[0] = 0
+        rows = _table(q, big_n).rows
+        keys = {(qg, phase, r.height % 2, l) for (qg, phase), l, r in zip(q.root_table, q.l_table, rd.pos_roots)}
+        assert built[0] == len(keys) == distinct and len({id(row) for row in rows}) == distinct
+        assert _table(q, big_n) is _table(make_param(rd, c), big_n) and built[0] == distinct
 
 
 def _drop_one_factor(monkeypatch, index):
@@ -229,7 +241,7 @@ def test_a_coefficient_row_that_misses_its_zero_fails_its_check(monkeypatch):
     # Dropping the factor 1 - q^(-2l) leaves entry l nonzero.
     _drop_one_factor(monkeypatch, -1)
     with pytest.raises(InvariantViolation, match="does not vanish"):
-        _coeff_row.__wrapped__(AngleQZ(1, 23), AngleQZ(1, 23), 1, 23, 46)
+        _coeff_row(AngleQZ(1, 23), AngleQZ(1, 23), 1, 23, 46)
 
 
 ORACLE_CASES = [
@@ -259,10 +271,8 @@ def test_coeff_matches_the_per_term_oracle(type_str, c, first, scale):
 
 
 def _clear_coeff_caches():
-    _coeff_row.cache_clear()
-    _coeff_rows.cache_clear()
+    _table.cache_clear()
     _entry_matrix.cache_clear()
-    _PREFIXES.clear()
 
 
 @pytest.fixture
@@ -277,7 +287,7 @@ def _expected_coeffs(q, rd, supports, big_n):
     """Per support, the coefficient as one Kronecker product of its row
     entries (entry l_gamma of a row is zero), checked against the per-term
     oracle."""
-    rows = _coeff_rows(q, big_n)
+    rows = _table(q, big_n).rows
     out = {}
     for n in supports:
         value = CycloNum.product([row[min(v, len(row) - 1)] for v, row in zip(n, rows) if v], big_n)
@@ -301,7 +311,7 @@ def _sample_box(ls, first, extra, rng):
     return sorted(box)
 
 
-def _assert_memo_in_any_order(q, rd, supports, big_n, seed):
+def _assert_walks_in_any_order(q, rd, supports, big_n, seed):
     expected = _expected_coeffs(q, rd, supports, big_n)
     shuffled = list(supports)
     random.Random(seed).shuffle(shuffled)
@@ -315,7 +325,7 @@ def test_memoized_coeff_matches_the_product_and_the_oracle(case, fresh_coeff_cac
     rd, q = case_instance(case)
     big_n = batch_conductor(q, rd)
     supports = _sample_box(q.pos_root_ls(), 40, 40, random.Random(str(case)))
-    _assert_memo_in_any_order(q, rd, supports, big_n, seed=str(case))
+    _assert_walks_in_any_order(q, rd, supports, big_n, seed=str(case))
 
 
 @pytest.mark.parametrize("type_str,c,first,scale", ORACLE_CASES)
@@ -327,7 +337,7 @@ def test_memoized_coeff_matches_on_the_oracle_boxes(type_str, c, first, scale, f
     box = list(itertools.islice(itertools.product(*(range(l + 2) for l in q.pos_root_ls())), first))
     rng = random.Random(f"{type_str} {c}")
     supports = sorted(rng.sample(box, 600)) if len(box) > 600 else box
-    _assert_memo_in_any_order(q, rd, supports, scale * batch_conductor(q, rd), seed=1)
+    _assert_walks_in_any_order(q, rd, supports, scale * batch_conductor(q, rd), seed=1)
 
 
 def test_memoized_coeff_keeps_parameters_and_conductors_apart(fresh_coeff_caches):
@@ -348,8 +358,8 @@ def test_memoized_coeff_keeps_parameters_and_conductors_apart(fresh_coeff_caches
 
 
 def test_memoized_coeff_survives_eviction(fresh_coeff_caches):
-    # Reverse lexicographic order meets every parent before its children
-    # are memoized, and the walk stores far more than the memo holds.
+    # The walk is exact in any order: here the reverse lexicographic order,
+    # over the whole G2 box.
     rd = build_root_datum("G2", "sc")
     q = make_param(rd, Fraction(1, 12))
     big_n = batch_conductor(q, rd)
@@ -357,7 +367,6 @@ def test_memoized_coeff_survives_eviction(fresh_coeff_caches):
     expected = _expected_coeffs(q, rd, supports, big_n)
     _clear_coeff_caches()
     _assert_coeffs(q, rd, big_n, expected, reversed(supports))
-    assert len(_PREFIXES) == PREFIX_MEMO_SIZE and len(supports) > 4 * PREFIX_MEMO_SIZE
 
 
 def test_a_support_with_a_thousand_nonzero_entries_is_walked_without_recursion(fresh_coeff_caches):
@@ -367,7 +376,7 @@ def test_a_support_with_a_thousand_nonzero_entries_is_walked_without_recursion(f
     ones = (1,) * len(rd.pos_roots)
     assert len(ones) == 1035 and min(q.pos_root_ls()) > 1
     value = coeff(RSupport(ones), q, rd, conductor=big_n)
-    assert value == reduce(operator.mul, [row[1] for row in _coeff_rows(q, big_n)])
+    assert value == reduce(operator.mul, [row[1] for row in _table(q, big_n).rows])
 
 
 def _corrupt_one_matrix_entry(monkeypatch, root, v):
@@ -384,25 +393,29 @@ def _corrupt_one_matrix_entry(monkeypatch, root, v):
     monkeypatch.setattr(rmatrix, "_entry_matrix", corrupted)
 
 
-def _zero_the_first_nonzero_entry(s):
-    i = next(k for k, v in enumerate(s) if v)
-    return s[:i] + (0,) + s[i + 1 :]
+def _rewalk_one_entry_too_late(monkeypatch):
+    common = rmatrix._common_prefix
+
+    def too_late(a, b):
+        return min(common(a, b) + 1, len(a), len(b))
+
+    monkeypatch.setattr(rmatrix, "_common_prefix", too_late)
 
 
-@pytest.mark.parametrize("mutation", ["matrix", "parent"])
+@pytest.mark.parametrize("mutation", ["matrix", "walk"])
 def test_the_memo_differential_catches_a_broken_odometer(monkeypatch, fresh_coeff_caches, mutation):
     rd = build_root_datum("A2", "sc")
     q = make_param(rd, Fraction(1, 6))
     big_n = batch_conductor(q, rd)
     supports = list(itertools.product(*(range(l) for l in q.pos_root_ls())))
     expected = _expected_coeffs(q, rd, supports, big_n)
-    _assert_memo_in_any_order(q, rd, supports, big_n, seed=0)
+    _assert_walks_in_any_order(q, rd, supports, big_n, seed=0)
     if mutation == "matrix":
         _corrupt_one_matrix_entry(monkeypatch, 2, 1)
     else:
-        monkeypatch.setattr(rmatrix, "_parent", _zero_the_first_nonzero_entry)
+        _rewalk_one_entry_too_late(monkeypatch)
     with pytest.raises(AssertionError):
-        _assert_memo_in_any_order(q, rd, supports, big_n, seed=0)
+        _assert_walks_in_any_order(q, rd, supports, big_n, seed=0)
     for shuffled in (False, True):
         order = list(supports)
         if shuffled:
@@ -415,9 +428,10 @@ def test_the_memo_differential_catches_a_broken_odometer(monkeypatch, fresh_coef
 def test_term_table_work_per_term_is_flat(monkeypatch):
     # Weights, angles, their hashes and q-evaluations belong to the per-root
     # tables and rows, which are read once per parameter, so 100 and 3000
-    # terms make the same number of them.  A term is the memoized
-    # coefficient of its parent times one cached entry matrix: no Kronecker
-    # product, and at most one entry-matrix product per returned term.
+    # terms make the same number of them.  A term re-walks the table's last
+    # support from its first new entry, times one cached entry matrix per
+    # later nonzero entry: no Kronecker product, and in lexicographic order
+    # at most one entry-matrix product per returned term.
     calls = Counter()
 
     def counting(name, fn):

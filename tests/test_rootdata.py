@@ -2,10 +2,11 @@ import itertools
 import random
 from fractions import Fraction
 from math import prod
+from types import SimpleNamespace
 
 import pytest
 
-from helpers import count_calls, rational_inverse, word_walk_positive_roots
+from helpers import count_calls, rational_inverse, weyl_reflect, word_walk_positive_roots
 from qcenters import rootdata
 from qcenters.intlat import Lattice, index
 from qcenters.rootdata import (
@@ -15,7 +16,6 @@ from qcenters.rootdata import (
     _bareiss_inverse,
     build_root_datum,
     two_rho,
-    weyl_reflect,
 )
 
 ALL_SMALL_TYPES = [
@@ -94,6 +94,16 @@ def test_two_rho_examples():
     assert two_rho(build_root_datum("A1")).coords == (Fraction(2),)
     assert two_rho(build_root_datum("A2")).coords == (Fraction(2), Fraction(2))
     assert two_rho(build_root_datum("B2")).coords == (Fraction(2), Fraction(2))
+
+
+def test_two_rho_sums_columns_and_checks_the_sum(monkeypatch):
+    # The fw coordinates are summed as integers, with no Weight per root; a
+    # root set that does not sum to 2 rho still raises.
+    rd = build_root_datum("A12", "sc")
+    made = count_calls(monkeypatch, rootdata.Weight, "of")
+    assert two_rho(rd) == rootdata.Weight((2,) * 12) and made == [0]
+    with pytest.raises(RootDatumError, match="2\\*rho"):
+        two_rho(SimpleNamespace(rank=rd.rank, pos_roots=rd.pos_roots[:-1]))
 
 
 @pytest.mark.parametrize("type_str", ALL_SMALL_TYPES)

@@ -4,7 +4,7 @@ from math import lcm
 
 import pytest
 
-from helpers import qbinom_commutator_identity
+from helpers import count_inverses, qbinom, qbinom_commutator_identity
 from qcenters import twistcheck
 from qcenters.angles import HALF, ZERO, AngleQZ
 from qcenters.kappa import BiformQZ, KappaError
@@ -72,6 +72,14 @@ def test_commutator_identity_matches_qbinom_oracle(eps):
     assert commutator_identity(eps) == qbinom_commutator_identity(eps) is True
 
 
+def test_commutator_identity_inverts_nothing(monkeypatch):
+    inverses = count_inverses(monkeypatch)
+    commutator_identity.cache_clear()
+    assert commutator_identity(ZERO) and commutator_identity(HALF)
+    assert inverses == [0]
+    commutator_identity.cache_clear()
+
+
 def test_commutator_identity_detects_a_wrong_inverse(monkeypatch):
     # With eps^-1 (the second root of unity asked for) read as 1 at eps = -1,
     # eps^(1-m) at m = 1 reads eps = -1 and the m = 1 check fails.
@@ -90,7 +98,7 @@ def test_commutator_identity_detects_a_wrong_inverse(monkeypatch):
 
 def test_commutator_specific_values():
     # eps = -1, m = 3: (-1) * (-1)^3 * ((-1)^4 * 3) = 3, and m = 2 likewise.
-    from qcenters.cyclo import qbinom, root_of_unity
+    from qcenters.cyclo import root_of_unity
 
     minus = root_of_unity(HALF, 2)
     for m, expected in ((3, 3), (2, 2)):
