@@ -10,11 +10,14 @@ product as balanced base-2^k digits.  One width for many factors would grow
 with their count, so `CycloNum.product`, behind the R-matrix pairing values
 (`rmatrix.pairing_diag`), is a left fold of `__mul__`: `_mul_vecs` takes
 two vectors at a time, for `__mul__` and
-`inverse`.  Phi_N is monic and divides x^N - 1, so a cached table of the
-rows x^j mod Phi_N for j in [0, N), each kept as its nonzero entries, then
-reduces the product in integers (x^j is read as x^(j mod N)); the same rows
-give roots of unity, the Galois conjugates and the embeddings
-Q(zeta_N) -> Q(zeta_M), N | M, with no division.  The table is walked by
+`inverse`.  Phi_N is monic and divides x^N - 1, and for even N also
+x^(N/2) + 1, so x^m = -1 with m = N/2 for even N (and x^m = 1 with m = N
+for odd N).  A reduction first folds x^j into m slots (x^j is read as
+x^(j mod N), negated past m), then adds the cached fold row x^j mod Phi_N
+of each slot j in [d, m) (`_fold`), each row kept as its nonzero entries:
+the product is reduced in integers, and the same fold gives roots of unity,
+the Galois conjugates, the embeddings Q(zeta_N) -> Q(zeta_M), N | M, and
+the entries of `binomial_walk`, with no division.  The table is walked by
 shifting one place at a time and folding the top coefficient back by Phi_N
 (`_shifts`), and the same walk from any element e gives the rows x^i e of
 the integer matrix of multiplication by e (`MulMatrix`): where one factor
@@ -39,7 +42,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache, reduce
 from math import gcd, lcm, prod
-from operator import mul
+from operator import mul, neg, sub
 from typing import Iterable, Iterator, Sequence, Union
 
 from .angles import ZERO, AngleQZ
@@ -103,26 +106,43 @@ def _shifts(vec: Sequence[int], n: int) -> Iterator[list[int]]:
 
 
 @lru_cache(maxsize=None)
-def _powers(n: int) -> tuple[tuple[tuple[int, int], ...], ...]:
-    """The rows x^j mod Phi_n for j in [0, n), each as its nonzero
-    (index, coefficient) pairs on the power basis."""
+def _fold(n: int) -> tuple[int, tuple[tuple[tuple[int, int], ...], ...]]:
+    """m with x^m = -1 mod Phi_n (m = n/2) for even n, or m = n with x^m = 1
+    for odd n, and the rows x^j mod Phi_n for j in [d, m), d = deg Phi_n,
+    each as its nonzero (index, coefficient) pairs on the power basis."""
     phi = cyclotomic_poly(n)
     d = len(phi) - 1
-    units = [((j, 1),) for j in range(d)]
-    shifted = itertools.islice(_shifts([-c for c in phi[:d]], n), n - d)  # from x^d on
-    return tuple(units + [tuple((i, c) for i, c in enumerate(row) if c) for row in shifted])
+    m = n // 2 if n % 2 == 0 else n
+    shifted = itertools.islice(_shifts([-c for c in phi[:d]], n), m - d)  # from x^d on
+    return m, tuple(tuple((i, c) for i, c in enumerate(row) if c) for row in shifted)
+
+
+def _reduce_slots(slots: list[int], n: int) -> list[int]:
+    """The element sum_j slots[j] x^j, j < m, of Z[x]/(x^m -+ 1) modulo Phi_n:
+    the first d slots are already on the power basis, and each later one
+    adds its fold row."""
+    m, rows = _fold(n)
+    d = m - len(rows)
+    out = slots[:d]
+    for c, row in zip(slots[d:], rows):
+        if c:
+            for i, r in row:
+                out[i] += c * r
+    return out
 
 
 def _reduce(terms: Iterable[tuple[int, int]], n: int) -> list[int]:
-    """The sum of c x^j over the (j, c) pairs, modulo Phi_n, with x^j read
-    as x^(j mod n)."""
-    rows = _powers(n)
-    out = [0] * _phi_degree(n)
+    """The sum of c x^j over the (j, c) pairs, modulo Phi_n: x^j is read as
+    x^(j mod n), and past m as -x^(j mod n - m), before the fold rows."""
+    m, _rows = _fold(n)
+    slots = [0] * m
     for j, c in terms:
-        if c:
-            for i, r in rows[j % n]:
-                out[i] += c * r
-    return out
+        j %= n
+        if j < m:
+            slots[j] += c
+        else:
+            slots[j - m] -= c
+    return _reduce_slots(slots, n)
 
 
 def _substitute(a: Sequence[int], k: int, n: int) -> list[int]:
@@ -362,15 +382,25 @@ def binomial_walk(
 ) -> list[CycloNum]:
     """Running products over den of the factors sign zeta^shift (1 - v^(-2k)),
     k in ks, at v = exp(2*pi*i*angle), zeta^shift = exp(2*pi*i*shift): entry j
-    holds the first j factors.  A step is two rotations and one subtraction in
-    Z[x]/(x^N - 1); each entry is reduced mod Phi_N once, and sign is an
-    integer, as -1 = x^(N/2) needs an even N."""
+    holds the first j factors.  Entries live in Z[x]/(x^m -+ 1), m and its
+    sign as in the fold of Phi_N (x^(N/2) = -1 for even N), where a product
+    by x^-r is a rotation by r whose wrapped part is negated for even N, so
+    a rotation by r >= m is the negated one by r - m.  A step is two such
+    rotations and one subtraction, with sign = -1 swapping its operands;
+    each entry is then reduced mod Phi_N once, through the fold rows."""
+    if sign not in (1, -1):
+        raise CycloError("the sign of a binomial walk is +1 or -1")
     a, s = _exponent(angle, conductor), _exponent(shift, conductor)
-    entry, out = [1] + [0] * (conductor - 1), [CycloNum.from_rational(conductor, Fraction(1, den))]
+    m, _rows = _fold(conductor)
+    entry, out = [1] + [0] * (m - 1), [CycloNum.from_rational(conductor, Fraction(1, den))]
     for k in ks:
         r, t = -s % conductor, (2 * k * a - s) % conductor  # rotate by s and by s - 2ka
-        entry = [sign * (x - y) for x, y in zip(entry[r:] + entry[:r], entry[t:] + entry[:t])]
-        out.append(CycloNum(conductor, _reduce(enumerate(entry), conductor), den))
+        if sign < 0:
+            r, t = t, r
+        # x^-r e is ext[r : r + m] for every r < N: ext holds e, then e x^m, then e.
+        ext = entry + (list(map(neg, entry)) if m < conductor else entry) + entry
+        entry = list(map(sub, ext[r : r + m], ext[t : t + m]))
+        out.append(CycloNum(conductor, _reduce_slots(entry, conductor), den))
     return out
 
 

@@ -22,7 +22,9 @@ too (`CycloNum.product`), walked apart, so that coeff * pairing = sign *
 phase checks one against the other.  Both rows are binomial walks
 (`cyclo.binomial_walk`), by q^-v (q - q^-1) [v]_q = 1 - q^(-2v) and
 prod_{k=1}^{m-1} (1 - omega^k) = m for omega a primitive m-th root of
-unity: no field product, no inverse.
+unity: no field product, no inverse.  Every conductor here is even (lcm
+with 2), so zeta^(N/2) = -1 and a walk turns integer lists of length N/2,
+each entry then reduced by the fold rows x^j mod Phi_N, j in [d, N/2).
 """
 
 from __future__ import annotations

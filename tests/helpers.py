@@ -33,7 +33,7 @@ from math import lcm, prod
 from typing import Callable, Sequence
 
 from qcenters.angles import HALF, ZERO, AngleQZ
-from qcenters.cyclo import CycloError, CycloNum, _qints, _reduce, cyclotomic_poly, root_of_unity
+from qcenters.cyclo import CycloError, CycloNum, _qints, cyclotomic_poly, root_of_unity
 from qcenters.intlat import Lattice, congruence_kernel, congruent, hnf, left_kernel, snf, vanishes_mod
 from qcenters.qparam import QParam, make_param
 from qcenters.rootdata import Root, RootDatum, RootDatumError, Weight, build_root_datum
@@ -364,9 +364,25 @@ def fraction_inverse(n: int, coeffs: Sequence[Fraction]) -> tuple[Fraction, ...]
     return fraction_cyclo(n, [c / r0[0] for c in s0])
 
 
+def phi_remainder(poly: Sequence[int], n: int) -> list[int]:
+    """poly modulo Phi_n by integer long division from the top, which needs
+    no fraction as Phi_n is monic; each step subtracts only the nonzero
+    coefficients of Phi_n below its leading one."""
+    phi = cyclotomic_poly(n)
+    d = len(phi) - 1
+    low = [(i, c) for i, c in enumerate(phi[:d]) if c]
+    out = list(poly) + [0] * (d - len(poly))
+    for k in range(len(out) - 1, d - 1, -1):
+        top = out[k]
+        if top:
+            for i, c in low:
+                out[k - d + i] -= top * c
+    return out[:d]
+
+
 def schoolbook_mul_vecs(vecs: Sequence[Sequence[int]], n: int) -> list[int]:
     """Product of integer vectors in Z[x]/Phi_n: a schoolbook product with
-    each factor in turn, reduced through the x^j mod Phi_n rows each time."""
+    each factor in turn, reduced by long division by Phi_n each time."""
     out = [1] + [0] * (len(cyclotomic_poly(n)) - 2)
     for b in vecs:
         full = [0] * (len(out) + len(b) - 1)
@@ -374,7 +390,7 @@ def schoolbook_mul_vecs(vecs: Sequence[Sequence[int]], n: int) -> list[int]:
             if x:
                 for k, y in enumerate(b, i):
                     full[k] += x * y
-        out = _reduce(enumerate(full), n)
+        out = phi_remainder(full, n)
     return out
 
 

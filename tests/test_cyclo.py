@@ -12,6 +12,7 @@ from helpers import (
     fraction_cyclo,
     fraction_inverse,
     fraction_lift,
+    phi_remainder,
     poly_mul,
     qbinom,
     qint,
@@ -272,10 +273,73 @@ def test_quantum_numbers_invert_v_at_most_once(monkeypatch):
 
 def test_constructing_values_reads_the_cached_degree(monkeypatch):
     CycloNum.one(60)
+    root_of_unity(AngleQZ(1, 60), 60)  # builds the fold table of 60
     polys = count_calls(monkeypatch, cyclo, "cyclotomic_poly")
     z = root_of_unity(AngleQZ(1, 60), 60)
     assert (z * z - CycloNum.from_rational(60, 3)).conductor == 60
     assert polys[0] == 0
+
+
+def _totient(n: int) -> int:
+    return sum(1 for k in range(1, n + 1) if gcd(k, n) == 1)
+
+
+_WIDE = [401, 802, 1000, 2000]
+
+
+@pytest.mark.parametrize("n", [*range(1, 121), *_WIDE])
+def test_the_fold_table_holds_a_row_from_the_degree_to_the_fold(n):
+    # x^(n/2) = -1 for even n and x^n = 1 for odd n; rows x^j for j < d are
+    # the power basis itself, so only [d, m) needs one.
+    m, rows = cyclo._fold(n)
+    assert m == (n // 2 if n % 2 == 0 else n)
+    assert len(rows) == m - _totient(n)
+
+
+@pytest.mark.parametrize("n", [*range(1, 121), *_WIDE])
+def test_reduce_matches_long_division(n):
+    rng = random.Random(n)
+    for _ in range(3):
+        js = [rng.randrange(3 * n) for _ in range(rng.randint(1, 40))]
+        js += rng.sample(js, len(js) // 2) + [n, 2 * n - 1, n // 2]  # repeats, and j >= n
+        terms = [(j, rng.randint(-9, 9)) for j in js]
+        poly = [0] * (3 * n)
+        for j, c in terms:
+            poly[j] += c
+        assert cyclo._reduce(terms, n) == phi_remainder(poly, n), n
+
+
+@pytest.mark.parametrize(
+    "n, angle, shift, sign, den",
+    [
+        (15, Fraction(2, 15), Fraction(0), 1, 1),
+        (21, Fraction(1, 7), Fraction(1, 3), -1, 5),
+        (22, Fraction(3, 11), Fraction(1, 2), -1, 1),
+        (24, Fraction(5, 12), Fraction(1, 8), 1, 3),
+        (60, Fraction(7, 60), Fraction(11, 20), -1, 7),
+        (802, Fraction(1, 401), Fraction(3, 802), 1, 2),
+        (1000, Fraction(3, 500), Fraction(0), -1, 1),
+    ],
+)
+def test_binomial_walk_matches_running_products_by_long_division(n, angle, shift, sign, den):
+    # Factor k is sign (x^s - x^(s - 2ka)) with zeta^s the shift and v = x^a.
+    a, s = angle * n, shift * n
+    ks = range(1, 40)
+    walk = cyclo.binomial_walk(AngleQZ.of(angle), ks, n, shift=AngleQZ.of(shift), sign=sign, den=den)
+    entry = [1]
+    assert len(walk) == len(ks) + 1 and walk[0] == Fraction(1, den)
+    for k, value in zip(ks, walk[1:]):
+        full = [0] * (len(entry) + n)
+        for i, c in enumerate(entry):
+            full[i + int(s % n)] += sign * c
+            full[i + int((s - 2 * k * a) % n)] -= sign * c
+        entry = phi_remainder(full, n)
+        assert value == CycloNum(n, entry, den), (n, k)
+
+
+def test_binomial_walk_rejects_a_sign_other_than_plus_or_minus_one():
+    with pytest.raises(CycloError):
+        cyclo.binomial_walk(AngleQZ(1, 5), [1], 10, sign=2)
 
 
 def _random_vecs(rng: random.Random, n: int, m: int) -> list[list[int]]:
