@@ -284,7 +284,6 @@ class Verdicts:
     langlands_dual: bool
     pivot_trivial_on_xtan: bool
     modular: bool
-    witness_mug_not_tan: Optional[Weight]
 
 
 def verdicts(q: QParam, rd: RootDatum, tower: CenterTower, cls: ParamClass, g_star: DualDatum) -> Verdicts:
@@ -321,5 +320,4 @@ def verdicts(q: QParam, rd: RootDatum, tower: CenterTower, cls: ParamClass, g_st
         langlands_dual=langlands,
         pivot_trivial_on_xtan=pivot,
         modular=hypotheses and tan_eq_mug,
-        witness_mug_not_tan=tower.witness_mug_not_tan,
     )

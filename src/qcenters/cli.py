@@ -11,10 +11,7 @@ import ast
 import sys
 from typing import Any, Optional
 
-from .centers import DualDatumError
-from .intlat import LatticeError
-from .kappa import KappaError
-from .presets import PresetCase, PresetError, make_preset, parse_preset, PRESET_NAMES
+from .presets import PresetCase, make_preset, parse_preset, PRESET_NAMES
 from .qparam import InputError, InvariantViolation, QParam, make_param, parse_param
 from .report import (
     Analysis,
@@ -26,7 +23,7 @@ from .report import (
     to_text,
     twistcheck_section,
 )
-from .rootdata import RootDatum, RootDatumError, build_root_datum
+from .rootdata import RootDatum, build_root_datum
 from .selftest import run_selftest
 
 
@@ -198,9 +195,6 @@ def main(argv: Optional[list[str]] = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (InputError, PresetError, RootDatumError, LatticeError, DualDatumError, KappaError) as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return 1
     except (ValueError, OSError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 1

@@ -3,14 +3,13 @@
 An element of Q(zeta_N) is an integer coefficient vector on the power basis
 1, x, ..., x^(d-1) of Q[x]/Phi_N (d = deg Phi_N) over one positive
 denominator, reduced by the gcd, so equality is equality of that pair.
-Products go by Kronecker substitution: each integer vector a is read as
-the integer a(2^k), with 2^(k-1) above the product of the l1 norms of the
-factors, so one integer product holds the whole unreduced polynomial
-product as balanced base-2^k digits.  One width for many factors would grow
-with their count, so `CycloNum.product`, behind the R-matrix pairing values
-(`rmatrix.pairing_diag`), is a left fold of `__mul__`: `_mul_vecs` takes
-two vectors at a time, for `__mul__` and
-`inverse`.  Phi_N is monic and divides x^N - 1, and for even N also
+A product of two integer vectors a and b goes by Kronecker substitution
+(`_mul_vecs`): each is read as the integer a(2^k), with 2^(k-1) above
+||a||_1 ||b||_1, so one integer product holds the whole unreduced
+polynomial product as balanced base-2^k digits.  One width for many
+factors would grow with their count, so `CycloNum.product`, behind the
+R-matrix pairing values (`rmatrix.pairing_diag`), is a left fold of
+`__mul__`.  Phi_N is monic and divides x^N - 1, and for even N also
 x^(N/2) + 1, so x^m = -1 with m = N/2 for even N (and x^m = 1 with m = N
 for odd N).  A reduction first folds x^j into m slots (x^j is read as
 x^(j mod N), negated past m), then adds the cached fold row x^j mod Phi_N
@@ -41,7 +40,7 @@ import struct
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache, reduce
-from math import gcd, lcm, prod
+from math import gcd, lcm
 from operator import mul, neg, sub
 from typing import Iterable, Iterator, Sequence, Union
 
@@ -162,43 +161,41 @@ def _offset(width: int, length: int) -> int:
     return int.from_bytes((bytes(width - 1) + b"\x80") * length, "little")
 
 
-def _mul_vecs(vecs: Sequence[Sequence[int]], n: int) -> list[int]:
-    """Product of integer vectors in Z[x]/Phi_n, by Kronecker substitution.
+def _mul_vecs(a: Sequence[int], b: Sequence[int], n: int) -> list[int]:
+    """Product of two integer vectors in Z[x]/Phi_n, by Kronecker substitution.
 
-    Each vector a is read as the integer a(2^k) by Horner's rule, the
+    Each vector is read as the integer a(2^k) by Horner's rule, the two
     integers are multiplied once, and the unreduced product is read back as
     its balanced base-2^k digits, then reduced mod Phi_n once.  No
-    coefficient of the unreduced product exceeds prod ||a||_1 in absolute
+    coefficient of the unreduced product exceeds ||a||_1 ||b||_1 in absolute
     value, so 2^(k-1) is taken above that bound, with k/8 a power of two up
     to 8 and any whole number beyond.  Adding 2^(k-1) to every digit makes
     each one a nonnegative k-bit block of the product's little-endian bytes,
     so the digits are read in one pass: one struct unpack for blocks of up
     to 8 bytes, one int.from_bytes per byte slice for wider ones.  In small
     fields nearly every product fits 8 bytes, and there the struct unpack
-    reads the digits several times faster than slices do.  No factors give
-    one.
+    reads the digits several times faster than slices do.
     """
-    bound = prod(sum(map(abs, a)) for a in vecs)
+    bound = sum(map(abs, a)) * sum(map(abs, b))
     if not bound:
         return [0] * _phi_degree(n)
     width = bound.bit_length() // 8 + 1
     if width <= 8:
         width = 1 << (width - 1).bit_length()
     k = 8 * width
-    total, length = 1, 1
-    for a in vecs:
-        packed = 0
-        for c in reversed(a):
-            packed = (packed << k) + c
-        total *= packed
-        length += len(a) - 1
-    raw = (total + _offset(width, length)).to_bytes(width * length, "little")
+    pa = pb = 0
+    for c in reversed(a):
+        pa = (pa << k) + c
+    for c in reversed(b):
+        pb = (pb << k) + c
+    length = len(a) + len(b) - 1
+    raw = (pa * pb + _offset(width, length)).to_bytes(width * length, "little")
     if width in _BLOCK_FORMATS:
         blocks: Sequence[int] = struct.unpack(f"<{length}{_BLOCK_FORMATS[width]}", raw)
     else:
         blocks = [int.from_bytes(raw[i : i + width], "little") for i in range(0, len(raw), width)]
     half = 1 << (k - 1)
-    return _reduce(enumerate([b - half for b in blocks]), n)
+    return _reduce(enumerate([x - half for x in blocks]), n)
 
 
 @dataclass(frozen=True, eq=False)
@@ -293,7 +290,7 @@ class CycloNum:
             other = Fraction(other)
             return CycloNum(self.conductor, tuple(x * other.numerator for x in self.num), self.den * other.denominator)
         a, b = self._align(other)
-        return CycloNum(a.conductor, _mul_vecs((a.num, b.num), a.conductor), a.den * b.den)
+        return CycloNum(a.conductor, _mul_vecs(a.num, b.num, a.conductor), a.den * b.den)
 
     __rmul__ = __mul__
 
@@ -315,8 +312,8 @@ class CycloNum:
         c = [1] + [0] * (len(self.num) - 1)
         for k in range(2, n):
             if gcd(k, n) == 1:
-                c = _mul_vecs((c, _substitute(self.num, k, n)), n)
-        norm = _mul_vecs((c, self.num), n)
+                c = _mul_vecs(c, _substitute(self.num, k, n), n)
+        norm = _mul_vecs(c, self.num, n)
         if any(norm[1:]) or norm[0] == 0:
             raise AssertionError("the norm of a nonzero cyclotomic number is not a nonzero rational")
         sign = 1 if norm[0] > 0 else -1

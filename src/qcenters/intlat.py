@@ -1,18 +1,19 @@
 """Exact integer-lattice linear algebra.
 
 Sublattices of Z^r are stored by a canonical row-style Hermite normal form
-of a generator matrix, so lattice equality is plain matrix equality.  A
-Lattice caches its pivot columns, outside equality and hashing, and
-coords_of back-substitutes on them.  Every congruence cut, congruence_kernel
-and qparam.annihilator, is one HNF mod n of the rows [M | I] (_kernel_mod):
-the kernel {x : x . M = 0 mod n} contains n * Z^r, so every entry stays in
-[0, n], and the HNF rows with no entry in M's columns are the kernel's HNF.
-Smith normal form provides the invariant factors of finite quotients; its
-left_kernel and the exact intersect it backs are no part of any cut, and
-check congruence_kernel by an independent route.  The index of a sublattice
-of equal rank is the product of the ratios of the two HNFs' pivots.
-Everything runs on Python's arbitrary-precision integers; there is no
-floating point.
+of a generator matrix, so lattice equality is plain matrix equality.  hnf
+is the one constructor from generator rows; the congruence cuts below build
+their rows in that form already.  A Lattice caches its pivot columns,
+outside equality and hashing, and coords_of back-substitutes on them.
+Every congruence cut, congruence_kernel and qparam.annihilator, is one HNF
+mod n of the rows [M | I] (_kernel_mod): the kernel {x : x . M = 0 mod n}
+contains n * Z^r, so every entry stays in [0, n], and the HNF rows with no
+entry in M's columns are the kernel's HNF.  Smith normal form provides the
+invariant factors of finite quotients; its left_kernel and the exact
+intersect it backs are no part of any cut, and check congruence_kernel by
+an independent route.  The index of a sublattice of equal rank is the
+product of the ratios of the two HNFs' pivots.  Everything runs on Python's
+arbitrary-precision integers; there is no floating point.
 """
 
 from __future__ import annotations
@@ -121,24 +122,8 @@ class Lattice:
     gens: tuple[tuple[int, ...], ...]
 
     @staticmethod
-    def from_rows(rows: Iterable[Iterable[int]], ambient_rank: Optional[int] = None) -> "Lattice":
-        rows = _as_rows(rows)
-        if ambient_rank is None:
-            if not rows:
-                raise LatticeError("ambient rank required for empty generator set")
-            ambient_rank = len(rows[0])
-        if any(len(r) != ambient_rank for r in rows):
-            raise LatticeError("generator width does not match ambient rank")
-        reduced = _hnf_rows(rows, ambient_rank)
-        return Lattice(ambient_rank, tuple(tuple(r) for r in reduced))
-
-    @staticmethod
     def standard(rank: int) -> "Lattice":
         return Lattice(rank, tuple(tuple(1 if i == j else 0 for j in range(rank)) for i in range(rank)))
-
-    @staticmethod
-    def scaled(rank: int, n: int) -> "Lattice":
-        return Lattice.from_rows([[n if i == j else 0 for j in range(rank)] for i in range(rank)])
 
     @property
     def rank(self) -> int:
@@ -221,8 +206,17 @@ def vanishes_mod(m: Iterable[Iterable[int]], n: int) -> bool:
 
 
 def hnf(m: Iterable[Iterable[int]], ambient_rank: Optional[int] = None) -> Lattice:
-    """Canonical Hermite normal form of a generator matrix, as a Lattice."""
-    return Lattice.from_rows(m, ambient_rank)
+    """The lattice spanned by the rows of m, by their canonical Hermite normal
+    form; the ambient rank is the row width unless given, and must be given
+    when m has no rows."""
+    rows = _as_rows(m)
+    if ambient_rank is None:
+        if not rows:
+            raise LatticeError("ambient rank required for empty generator set")
+        ambient_rank = len(rows[0])
+    if any(len(r) != ambient_rank for r in rows):
+        raise LatticeError("generator width does not match ambient rank")
+    return Lattice(ambient_rank, tuple(map(tuple, _hnf_rows(rows, ambient_rank))))
 
 
 @dataclass(frozen=True)
@@ -468,4 +462,4 @@ def intersect(a: Lattice, b: Lattice) -> Lattice:
         return b
     # u A = v B exactly when (u, v) kills the rows of A stacked over -B.
     m = [list(g) for g in a.gens] + [[-x for x in g] for g in b.gens]
-    return Lattice.from_rows([a.vector_from_coords(row[: a.rank]) for row in left_kernel(m)], a.ambient_rank)
+    return hnf([a.vector_from_coords(row[: a.rank]) for row in left_kernel(m)], a.ambient_rank)

@@ -73,12 +73,12 @@ def dims_uqk(q: QParam, rads: Radicals) -> tuple[int, int, int]:
     return grouplikes * dim_u_plus**2, dim_u_plus, grouplikes
 
 
-def simples(q: QParam, rd: RootDatum, tower: CenterTower, rads: Radicals) -> tuple[FiniteAbelianGroup, FiniteAbelianGroup]:
+def simples(rd: RootDatum, tower: CenterTower, rads: Radicals) -> tuple[FiniteAbelianGroup, FiniteAbelianGroup]:
     """(label group over the toral algebra, label group over the fiber algebra):
     X / rad(q, kappa), which is the group Lambda of the radicals, and X / X^Tan."""
     group_uqk = rads.groups.lam
     group_uq = quotient(tower.x_tan, rd.charlattice)
-    if group_uq.order * rads.groups.sigma_order != group_uqk.order:
+    if group_uq.order * rads.groups.sigma.order != group_uqk.order:
         raise InvariantViolation("simple-label orbit count is inconsistent with |Sigma|")
     return group_uqk, group_uq
 
@@ -90,10 +90,10 @@ def dim_report(q: QParam, rd: RootDatum, tower: CenterTower, rads: Radicals, cls
     except HypothesisNotMet:
         sc_value = None
     dim_u, dim_u_plus, grouplikes = dims_uqk(q, rads)
-    sigma = rads.groups.sigma_order
+    sigma = rads.groups.sigma.order
     if fiber * sigma != dim_u:
         raise InvariantViolation("fiber dimension times |Sigma| does not equal dim u")
-    group_uqk, group_uq = simples(q, rd, tower, rads)
+    group_uqk, group_uq = simples(rd, tower, rads)
     return DimReport(
         fpdim_fiber=fiber,
         fpdim_sc_formula=sc_value,
@@ -105,5 +105,5 @@ def dim_report(q: QParam, rd: RootDatum, tower: CenterTower, rads: Radicals, cls
         simples_group_uq=group_uq,
         simples_group_uqk=group_uqk,
         grouplike_count=grouplikes,
-        theta_order=rads.groups.theta_order,
+        theta_order=rads.groups.theta.order,
     )

@@ -12,7 +12,7 @@ are checked on K over N = 4, psi restricts to kappa as C . Psi . C^T = K,
 and psi kills a sublattice with coordinate rows C when C . Psi = 0 =
 Psi . C^T.  The simultaneous radical of q and kappa, cut from rad(kappa)
 by the Gram of q against X, drives the finite character groups Sigma,
-Lambda, Theta.
+Lambda, Theta (`ToralGroups`); their orders are the `order` of each group.
 """
 
 from __future__ import annotations
@@ -113,18 +113,6 @@ class ToralGroups:
     lam: FiniteAbelianGroup  # of X / rad(q, kappa)
     theta: FiniteAbelianGroup  # of X* / rad(q, kappa)
 
-    @property
-    def sigma_order(self) -> int:
-        return self.sigma.order
-
-    @property
-    def lambda_order(self) -> int:
-        return self.lam.order
-
-    @property
-    def theta_order(self) -> int:
-        return self.theta.order
-
 
 @dataclass(frozen=True)
 class Radicals:
@@ -152,7 +140,7 @@ def radicals(q: QParam, kappa: BiformQZ, rd: RootDatum, x_star_lattice: Lattice,
         lam=quotient(rad_qk, rd.charlattice),
         theta=quotient(rad_qk, x_star_lattice),
     )
-    if n_tan is None or groups.sigma_order * n_tan != groups.lambda_order:
+    if n_tan is None or groups.sigma.order * n_tan != groups.lam.order:
         raise InvariantViolation("index multiplicativity |Sigma| * [X : X^Tan] = |Lambda| fails")
     return Radicals(rad_q=rad_q, rad_kappa=rad_kappa, rad_qk=rad_qk, groups=groups)
 

@@ -88,17 +88,15 @@ class QParam:
         n, g = self.int_gram
         return from_int_gram(n, congruent(basis, g))
 
-    def q_scalar(self, gamma: Union[Root, int]) -> AngleQZ:
+    def q_scalar(self, root: Root) -> AngleQZ:
         """Scalar parameter q_gamma: the Weyl-invariant extension c_H * d_gamma
         of the simple-root values q(alpha, omega_alpha)."""
-        root = self._as_root(gamma)
         return AngleQZ.of(self.c[root.factor] * root.d)
 
-    def l_of(self, gamma: Union[Root, int]) -> int:
+    def l_of(self, root: Root) -> int:
         """Order l_gamma of q(gamma, gamma) = v . gamma / N with v = gamma . G,
         cross-checked against the order N / gcd(N, 2v) of the character
         q^2(gamma, -) on the weight lattice."""
-        root = self._as_root(gamma)
         n, g = self.int_gram
         v = row_times(root.fw_coords, g)
         order_diag = n // gcd(n, sum(a * b for a, b in zip(v, root.fw_coords)))
@@ -108,11 +106,6 @@ class QParam:
                 f"ord q(g,g) = {order_diag} but ord q^2(g,-) = {order_char} at {root.root_coords}"
             )
         return order_diag
-
-    def _as_root(self, gamma: Union[Root, int]) -> Root:
-        if isinstance(gamma, Root):
-            return gamma
-        return self.rd.pos_roots[gamma]
 
     @cached_property
     def l_table(self) -> tuple[int, ...]:

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import replace
+from decimal import Decimal
 from fractions import Fraction
 from functools import cached_property
 from typing import Any, Optional
@@ -27,6 +28,9 @@ from .rootdata import RootDatum, Weight
 from .twistcheck import TwistWitness, run_all
 
 SCHEMA_VERSION = 1
+
+# Python's int <-> str conversions refuse more than 4300 digits by default.
+_DIGIT_LIMIT = 10**4300
 
 
 def _frac(x: Fraction) -> str:
@@ -67,6 +71,16 @@ def _dual(d: DualDatum) -> dict[str, Any]:
         "epsilon_scalars": [str(e) for e in d.epsilon_scalars],
         "l_simple": list(d.l_simple),
     }
+
+
+def _int(value: Optional[int]) -> Any:
+    """value itself (None included) while its decimal form has at most 4300
+    digits, else that decimal form as a string, written through `decimal`, to
+    which the limit does not apply.  The threshold is fixed, so the output
+    does not depend on the process's own limit."""
+    if value is None or -_DIGIT_LIMIT < value < _DIGIT_LIMIT:
+        return value
+    return str(Decimal(value))
 
 
 def _index_str(value: Optional[int]) -> Any:
@@ -211,17 +225,17 @@ def groups_section(a: Analysis) -> dict[str, Any]:
 def dims_section(a: Analysis) -> dict[str, Any]:
     dims = a.dims
     return {
-        "fpdim_fiber": dims.fpdim_fiber,
-        "fpdim_sc_formula": dims.fpdim_sc_formula,
-        "dim_uqk": dims.dim_uqk,
-        "dim_u_plus": dims.dim_u_plus,
-        "sigma_order": dims.sigma_order,
-        "simple_count_uq": dims.simple_count_uq,
-        "simple_count_uqk": dims.simple_count_uqk,
+        "fpdim_fiber": _int(dims.fpdim_fiber),
+        "fpdim_sc_formula": _int(dims.fpdim_sc_formula),
+        "dim_uqk": _int(dims.dim_uqk),
+        "dim_u_plus": _int(dims.dim_u_plus),
+        "sigma_order": _int(dims.sigma_order),
+        "simple_count_uq": _int(dims.simple_count_uq),
+        "simple_count_uqk": _int(dims.simple_count_uqk),
         "simples_group_uq": _group(dims.simples_group_uq),
         "simples_group_uqk": _group(dims.simples_group_uqk),
-        "grouplike_count": dims.grouplike_count,
-        "theta_order": dims.theta_order,
+        "grouplike_count": _int(dims.grouplike_count),
+        "theta_order": _int(dims.theta_order),
     }
 
 
@@ -244,10 +258,10 @@ def twistcheck_section(a: Analysis) -> dict[str, Any]:
 
 
 def rmatrix_section(a: Analysis, max_terms: Optional[int]) -> dict[str, Any]:
-    count, _ = support_size(a.q, a.rd, cap=0)
+    count = support_size(a.q)
     terms = term_table(a.q, a.rd, max_terms=max_terms)
     return {
-        "support_count": count,
+        "support_count": _int(count),
         "truncated": max_terms is not None and count > max_terms,
         "terms": [{"support": list(s.n), "coeff": _cyclo(c)} for s, c in terms],
     }

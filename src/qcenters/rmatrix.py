@@ -2,24 +2,26 @@
 
 A term of the expansion is indexed by a support n : Phi+ -> Z_{>=0}; its
 coefficient vanishes exactly when some n_gamma reaches l_gamma, so the
-admissible supports form a box of size prod l_gamma.  Coefficients and the
-diagonal Hopf-pairing values are evaluated exactly in a single cyclotomic
-field whose conductor is the lcm of every angle denominator that appears.
-The sign (-1)^(sum n_gamma ht gamma) and the phase q(sum n_gamma gamma, rho)
-of a coefficient are characters of n, so the coefficient is a product of
-one factor per root, f_gamma(n_gamma), entry n_gamma of a row over
-0..l_gamma.  A parameter has one table per conductor (`_table`): its rows,
-each distinct (q_gamma, q(gamma, rho), parity of ht gamma, l_gamma) row
-built once, and the last support `coeff` walked, with the coefficient at
-each of its prefixes.  A support with one nonzero entry reads its row
-entry; any other keeps the last walk up to the first entry where the two
-differ and walks on from there, multiplying by each later nonzero entry as
-a cached integer matrix (`cyclo.MulMatrix`, one per parameter, conductor,
-root and entry).  In lexicographic order, as `term_table` walks, that is
-at most one d x d integer product per term, with no Kronecker packing; any
-other order is exact too.  The pairing values are products of cached rows
-too (`CycloNum.product`), walked apart, so that coeff * pairing = sign *
-phase checks one against the other.  Both rows are binomial walks
+admissible supports form a box of size prod l_gamma, which `support_size`
+counts and `term_table` walks lazily, so no list of the box is ever built.
+Coefficients and the diagonal Hopf-pairing values are evaluated exactly in
+a single cyclotomic field whose conductor is the lcm of every angle
+denominator that appears.  The sign (-1)^(sum n_gamma ht gamma) and the
+phase q(sum n_gamma gamma, rho) of a coefficient are characters of n, so
+the coefficient is a product of one factor per root, f_gamma(n_gamma),
+entry n_gamma of a row over 0..l_gamma.  A parameter has one table per
+conductor (`_table`): its rows, each distinct (q_gamma, q(gamma, rho),
+parity of ht gamma, l_gamma) row built once, and the last support `coeff`
+walked, with the coefficient at each of its prefixes.  A support with one
+nonzero entry reads its row entry; any other keeps the last walk up to the
+first entry where the two differ and walks on from there, multiplying by
+each later nonzero entry as a cached integer matrix (`cyclo.MulMatrix`, one
+per parameter, conductor, root and entry).  In lexicographic order, as
+`term_table` walks, that is at most one d x d integer product per term,
+with no Kronecker packing; any other order is exact too.  The pairing
+values are products of cached rows too (`CycloNum.product`), walked apart
+and kept in a bounded cache, so that coeff * pairing = sign * phase checks
+one against the other.  Both rows are binomial walks
 (`cyclo.binomial_walk`), by q^-v (q - q^-1) [v]_q = 1 - q^(-2v) and
 prod_{k=1}^{m-1} (1 - omega^k) = m for omega a primitive m-th root of
 unity: no field product, no inverse.  Every conductor here is even (lcm
@@ -58,17 +60,9 @@ class RSupport:
             raise ValueError("support exponents must be nonnegative")
 
 
-def support_size(q: QParam, rd: RootDatum, cap: Optional[int] = 4096) -> tuple[int, Optional[list[RSupport]]]:
-    """Number of admissible supports, with the materialized list when it is
-    not larger than the cap."""
-    ls = q.pos_root_ls()
-    count = prod(ls)
-    supports = None
-    if cap is None or count <= cap:
-        supports = [RSupport(tuple(n)) for n in itertools.product(*(range(l) for l in ls))]
-        if len(supports) != count:
-            raise AssertionError("materialized support count disagrees with the product formula")
-    return count, supports
+def support_size(q: QParam) -> int:
+    """Number of admissible supports: the size prod l_gamma of the box."""
+    return prod(q.pos_root_ls())
 
 
 def batch_conductor(q: QParam, rd: RootDatum) -> int:
@@ -110,7 +104,7 @@ def _table(q: QParam, conductor: int) -> _Table:
     return _Table(tuple(map(built.__getitem__, keys)), [], [])
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=64)
 def _pairing_row(angle: AngleQZ, conductor: int) -> tuple[CycloNum, ...]:
     """Entries v = 0 .. m - 1, m = ord(2 angle), of v_g^(v(v+1)/2)
     (v_g - v_g^-1)^(-v) ([v]_{v_g}!)^(-1) at v_g = exp(2 pi i angle).

@@ -25,7 +25,7 @@ from functools import cached_property
 from math import lcm
 from typing import Iterable, Sequence, Union
 
-from .intlat import IntMatrix, Lattice, LatticeError, bilinear, congruent, hnf
+from .intlat import IntMatrix, Lattice, LatticeError, congruent, hnf
 
 
 class RootDatumError(ValueError):
@@ -246,11 +246,6 @@ class RootDatum:
         """(D, K) with the Killing matrix equal to K / D over integers."""
         den = lcm(*(x.denominator for row in self.killing for x in row))
         return den, [[int(x * den) for x in row] for row in self.killing]
-
-    def pairing(self, lam: Weight, mu: Weight) -> Fraction:
-        """Normalized Killing form (lam, mu)."""
-        den, k = self.killing_gram
-        return Fraction(bilinear(k, lam.coords, mu.coords), den)
 
     def is_simply_connected(self) -> bool:
         return self.charlattice == self.weight_lattice()

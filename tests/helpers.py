@@ -16,9 +16,10 @@ Positive roots are re-reflected through the rest of the longest word,
 matrices are inverted over Fraction, the commutator identity reads [m] off
 qbinom and eps^(1+m) off power, and Weyl invariance of a Gram matrix is
 checked by applying each simple reflection's full matrix R_s . G . R_s^T.
-The quantum integers (`qint`), Gaussian binomials (`qbinom`) and simple
-reflections of weights (`weyl_reflect`) that these oracles use live here:
-the package itself needs none of them.
+The quantum integers (`qint`), Gaussian binomials (`qbinom`), simple
+reflections of weights (`weyl_reflect`) and the Killing pairing of two
+weights (`killing_pairing`) that these oracles use live here: the package
+itself needs none of them.
 """
 
 from __future__ import annotations
@@ -94,7 +95,7 @@ def coset_order_profile(sub: Lattice, super_: Lattice, bound: int = 4096) -> Cou
                 modulus = lcm(modulus, abs(x))
     reps = []
     seen = set()
-    sub_in_super = Lattice.from_rows(coords, n)
+    sub_in_super = hnf(coords, n)
     assert modulus**n <= bound, "quotient too large for brute force"
     for tup in itertools.product(range(modulus), repeat=n):
         red = tuple(_reduce_mod(sub_in_super, list(tup)))
@@ -156,7 +157,7 @@ def exact_congruence_kernel(rows: Sequence[tuple[Sequence[int], int]], rank: int
         return Lattice.standard(rank)
     big = lcm(*(n for _c, n in constraints))
     m = [[c[i] * (big // n) for c, n in constraints] for i in range(rank)]
-    return Lattice.from_rows(left_kernel(m, big), rank)
+    return hnf(left_kernel(m, big), rank)
 
 
 def rational_coords(gens: Sequence[Sequence[int]], x: Sequence[int]) -> list[Fraction] | None:
@@ -580,6 +581,12 @@ def qbinom(m: int, n: int, v: CycloNum) -> CycloNum:
         return memo[key]
 
     return rec(m, n)
+
+
+def killing_pairing(rd: RootDatum, lam: Weight, mu: Weight) -> Fraction:
+    """The normalized Killing form (lam, mu), summed over Fraction entries of
+    rd.killing rather than its integer Gram matrix."""
+    return sum((x * a * b for row, a in zip(rd.killing, lam.coords) for x, b in zip(row, mu.coords)), Fraction(0))
 
 
 def weyl_reflect(rd: RootDatum, i: int, lam: Weight) -> Weight:

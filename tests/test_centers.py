@@ -135,9 +135,9 @@ def test_verdicts_examples():
     assert v.tan_equals_mug and v.thm_sc_hypotheses and v.thm_sc_conclusion_check
     assert v.langlands_dual and v.pivot_trivial_on_xtan and v.modular
 
-    v3 = Analysis(a1, make_param(a1, Fraction(1, 3))).verdicts
-    assert not v3.tan_equals_mug
-    assert v3.witness_mug_not_tan is not None
+    a3 = Analysis(a1, make_param(a1, Fraction(1, 3)))
+    assert not a3.verdicts.tan_equals_mug
+    assert a3.tower.witness_mug_not_tan is not None
 
     c2 = build_root_datum("C2", "sc")
     vc = Analysis(c2, make_param(c2, Fraction(1, 6))).verdicts

@@ -2,14 +2,22 @@ import hashlib
 import json
 import subprocess
 import sys
+from decimal import Decimal
+from fractions import Fraction
+from math import prod
 from pathlib import Path
 
 import pytest
 
+from qcenters import cli
+from qcenters.centers import DualDatumError
 from qcenters.cli import main, read_spec_file
+from qcenters.intlat import LatticeError
+from qcenters.kappa import KappaError
 from qcenters.presets import PRESET_NAMES, parse_preset, PresetError
-from qcenters.qparam import make_param
+from qcenters.qparam import InputError, InvariantViolation, make_param
 from qcenters.report import Analysis, build_report
+from qcenters.rootdata import RootDatumError, build_root_datum
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
 
@@ -56,6 +64,32 @@ def test_bad_inputs_exit_one(capsys):
     assert run_cli(["analyze", "--preset", "no-such-preset"], capsys)[0] == 1
     assert run_cli(["analyze", "--type", "A1"], capsys)[0] == 1
     assert run_cli(["analyze", "--type", "A1", "--lattice", "[[3]]", "--param", "1/2"], capsys)[0] == 1
+
+
+@pytest.mark.parametrize(
+    "error",
+    [InputError, PresetError, RootDatumError, LatticeError, DualDatumError, KappaError, ValueError],
+    ids=lambda cls: cls.__name__,
+)
+def test_input_errors_exit_one(error, monkeypatch, capsys):
+    def failing(*args, **kwargs):
+        raise error("boom")
+
+    monkeypatch.setattr(cli, "build_report", failing)
+    assert run_cli(["analyze", "--type", "A1", "--param", "1/4"], capsys) == (1, "", "error: boom\n")
+
+
+def test_missing_spec_file_exits_one(tmp_path, capsys):
+    code, out, err = run_cli(["analyze", "--spec", str(tmp_path / "missing.spec")], capsys)
+    assert (code, out) == (1, "") and err.startswith("error: ") and "missing.spec" in err
+
+
+def test_invariant_violation_exits_two(monkeypatch, capsys):
+    def failing(*args, **kwargs):
+        raise InvariantViolation("boom")
+
+    monkeypatch.setattr(cli, "build_report", failing)
+    assert run_cli(["analyze", "--type", "A1", "--param", "1/4"], capsys) == (2, "", "internal identity violated: boom\n")
 
 
 def test_rmatrix_command(capsys):
@@ -212,6 +246,55 @@ def test_large_rank_reports_keep_their_bytes(type_str, digest, capsys):
     code, out, _err = run_cli(["analyze", "--type", type_str, "--lattice", "sc", "--param", "1/6", "--json"], capsys)
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+def test_dimensions_past_the_integer_string_limit_are_decimal_strings(capsys):
+    # fpdim_fiber has 5042 digits and dim_uqk 5054, past the 4300 that
+    # int <-> str conversion allows by default.
+    argv = ["analyze", "--type", "A40", "--param", "1/2000"]
+    code, out, _err = run_cli([*argv, "--json"], capsys)
+    assert code == 0
+    dims = json.loads(out)["dims"]
+    rd = build_root_datum("A40", "sc")
+    expected = Analysis(rd, make_param(rd, Fraction(1, 2000))).dims
+    for field in ("fpdim_fiber", "fpdim_sc_formula", "dim_uqk"):
+        assert dims[field] == str(Decimal(getattr(expected, field))), field
+    assert isinstance(dims["dim_u_plus"], int) and dims["dim_u_plus"] == expected.dim_u_plus
+    code, out, _err = run_cli(argv, capsys)
+    assert code == 0 and f"FPdim(fiber) = {dims['fpdim_fiber']}" in out
+
+
+def test_support_count_past_the_integer_string_limit_is_a_decimal_string(capsys):
+    rd = build_root_datum("A60", "sc")
+    count = prod(make_param(rd, Fraction(1, 2000)).pos_root_ls())
+    argv = ["--type", "A60", "--param", "1/2000", "--max-terms", "0"]
+    code, out, _err = run_cli(["rmatrix", *argv], capsys)
+    assert code == 0
+    section = json.loads(out)
+    assert section["support_count"] == str(Decimal(count)) and len(section["support_count"]) > 4300
+    assert section["truncated"] is True and section["terms"] == []
+    code, out, _err = run_cli(["analyze", *argv], capsys)
+    assert code == 0 and f"braiding support count: {section['support_count']} (truncated list)" in out
+
+
+def test_dimensions_below_the_integer_string_limit_stay_numbers(capsys):
+    # A30 at 1/2000: dim_uqk has 2891 digits.
+    code, out, _err = run_cli(["analyze", "--type", "A30", "--param", "1/2000", "--json"], capsys)
+    assert code == 0
+    dims = json.loads(out)["dims"]
+    assert isinstance(dims["dim_uqk"], int) and len(str(dims["dim_uqk"])) == 2891
+    assert all(isinstance(dims[field], int) for field in ("fpdim_fiber", "fpdim_sc_formula", "dim_u_plus"))
+
+
+def test_decimal_string_threshold_does_not_follow_the_process_limit():
+    argv = ["analyze", "--type", "A40", "--param", "1/2000", "--json"]
+    outs = [
+        subprocess.run(
+            [sys.executable, *flags, "-m", "qcenters.cli", *argv], capture_output=True, text=True, check=True
+        ).stdout
+        for flags in ([], ["-X", "int_max_str_digits=0"])
+    ]
+    assert outs[0] == outs[1] and '"fpdim_fiber": "' in outs[0]
 
 
 def test_selftest_smoke(capsys):

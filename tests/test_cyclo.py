@@ -356,9 +356,9 @@ def _random_vecs(rng: random.Random, n: int, m: int) -> list[list[int]]:
 @pytest.mark.parametrize("n", [*range(1, 49), 500, 1000, 2000])
 def test_kronecker_product_matches_the_schoolbook_oracle(n):
     rng = random.Random(n)
-    for m in range(1, 7):
-        vecs = _random_vecs(rng, n, m)
-        assert cyclo._mul_vecs(vecs, n) == schoolbook_mul_vecs(vecs, n), (n, m)
+    for m in range(6):
+        a, b = _random_vecs(rng, n, 2)
+        assert cyclo._mul_vecs(a, b, n) == schoolbook_mul_vecs([a, b], n), (n, m)
 
 
 @pytest.mark.parametrize("k", [8, 16, 32, 64, 72, 128])
@@ -369,9 +369,9 @@ def test_kronecker_product_reads_digits_at_the_edge_of_the_width(k):
     n = 7
     for top in (2 ** (k - 1) - 1, 2 ** (k - 1), 2**k - 1):
         for a, b in ((top, 1), (-top, 1), (top, -1), (-top, -1)):
-            vecs = [[0, 0, a, 0, 0, 0], [0, 0, 0, 0, 0, b], [1, 0, 0, 0, 0, 0]]
+            vecs = [[0, 0, a, 0, 0, 0], [0, 0, 0, 0, 0, b]]
             expected = schoolbook_mul_vecs(vecs, n)
-            assert cyclo._mul_vecs(vecs, n) == expected, (k, a, b)
+            assert cyclo._mul_vecs(*vecs, n) == expected, (k, a, b)
             # x^7 = 1, so the product sits on x^0: one digit at +-top.
             assert expected == [a * b, 0, 0, 0, 0, 0]
 
@@ -379,10 +379,11 @@ def test_kronecker_product_reads_digits_at_the_edge_of_the_width(k):
 def test_kronecker_product_of_no_factors_and_of_a_zero_factor():
     for n in (1, 2, 5, 12):
         d = len(cyclotomic_poly(n)) - 1
-        assert cyclo._mul_vecs([], n) == [1] + [0] * (d - 1)
+        one = [1] + [0] * (d - 1)
+        assert CycloNum.product([], n).num == tuple(one)
         ones = [1] * d
-        assert cyclo._mul_vecs([ones, [0] * d, ones], n) == [0] * d
-        assert cyclo._mul_vecs([ones], n) == schoolbook_mul_vecs([ones], n)
+        assert cyclo._mul_vecs(ones, [0] * d, n) == cyclo._mul_vecs([0] * d, ones, n) == [0] * d
+        assert cyclo._mul_vecs(ones, one, n) == schoolbook_mul_vecs([ones], n)
 
 
 def test_product_matches_repeated_multiplication():
@@ -404,9 +405,9 @@ def test_product_multiplies_two_vectors_at_a_time(monkeypatch):
     # widths are each set by two l1 norms.
     arities, mul_vecs = [], cyclo._mul_vecs
 
-    def recording(vecs, n):
-        arities.append(len(vecs))
-        return mul_vecs(vecs, n)
+    def recording(*args):
+        arities.append(len(args) - 1)
+        return mul_vecs(*args)
 
     monkeypatch.setattr(cyclo, "_mul_vecs", recording)
     rng = random.Random(15)

@@ -108,7 +108,7 @@ def _det(m):
 
 
 def test_index_examples():
-    assert index(Lattice.scaled(2, 2), Lattice.standard(2)) == 4
+    assert index(hnf([[2, 0], [0, 2]]), Lattice.standard(2)) == 4
     # A1 with l = 2: [P : lQ] = [P : Q] * [Q : lQ] = 2 * 2.
     p = Lattice.standard(1)
     lq = hnf([[4]])
@@ -238,7 +238,7 @@ def test_index_of_equal_rank_below_ambient_rank(seed):
 
 
 def test_intersect_quotient_member_examples():
-    assert intersect(Lattice.scaled(2, 2), Lattice.scaled(2, 3)) == Lattice.scaled(2, 6)
+    assert intersect(hnf([[2, 0], [0, 2]]), hnf([[3, 0], [0, 3]])) == hnf([[6, 0], [0, 6]])
 
     # A1, l = 3, X = P: P / 3Q is cyclic of order 6.
     p = Lattice.standard(1)
@@ -292,7 +292,7 @@ def test_non_integer_entries_rejected():
 
 
 def test_coords_of_rejects_a_non_integer_vector():
-    lat = Lattice.from_rows([[2, 4], [0, 6]])
+    lat = hnf([[2, 4], [0, 6]])
     with pytest.raises(LatticeError):
         lat.member([Fraction(5, 2), 4])
     with pytest.raises(LatticeError):
@@ -301,7 +301,7 @@ def test_coords_of_rejects_a_non_integer_vector():
 
 
 def test_vector_from_coords_rejects_a_non_integer_or_misfit_coordinate_vector():
-    lat = Lattice.from_rows([[2, 4], [0, 6]])
+    lat = hnf([[2, 4], [0, 6]])
     with pytest.raises(LatticeError):
         lat.vector_from_coords([Fraction(1, 2), 0])
     assert lat.vector_from_coords([Fraction(1), 0]) == [2, 4]

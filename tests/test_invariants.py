@@ -47,12 +47,12 @@ def test_dims_uqk_examples():
     rd, q, tower, rads = _full("A1", "sc", Fraction(1, 4))
     dim_u, dim_u_plus, grouplikes = dims_uqk(q, rads)
     assert (dim_u, dim_u_plus, grouplikes) == (32, 2, 8)
-    assert dim_u // rads.groups.sigma_order == 16
+    assert dim_u // rads.groups.sigma.order == 16
 
     rd, q, tower, rads = _full("A1", "adjoint", Fraction(1, 3))
     dim_u, dim_u_plus, grouplikes = dims_uqk(q, rads)
     assert (dim_u, dim_u_plus, grouplikes) == (27, 3, 3)
-    assert rads.groups.sigma_order == 1
+    assert rads.groups.sigma.order == 1
 
     rd, q, tower, rads = _full("A2", "sc", Fraction(1, 2))  # quasi-classical
     dim_u, dim_u_plus, grouplikes = dims_uqk(q, rads)
@@ -61,16 +61,16 @@ def test_dims_uqk_examples():
 
 def test_simples_examples():
     rd, q, tower, rads = _full("A1", "sc", Fraction(1, 4))
-    group_uqk, group_uq = simples(q, rd, tower, rads)
+    group_uqk, group_uq = simples(rd, tower, rads)
     assert group_uq.invariant_factors == (4,)
     assert group_uqk.invariant_factors == (8,)
 
     rd, q, tower, rads = _full("A1", "sc", Fraction(1, 3))
-    _uqk, group_uq = simples(q, rd, tower, rads)
+    _uqk, group_uq = simples(rd, tower, rads)
     assert group_uq.invariant_factors == (6,)
 
     rd, q, tower, rads = _full("A1", "adjoint", Fraction(1, 3))
-    _uqk, group_uq = simples(q, rd, tower, rads)
+    _uqk, group_uq = simples(rd, tower, rads)
     assert group_uq.invariant_factors == (3,)
 
 

@@ -108,17 +108,17 @@ def test_radicals_examples():
     assert rads.rad_q.gens == ((8,),)
     assert rads.rad_kappa == tower.x_tan  # rank-1 kappa vanishes
     assert rads.rad_qk.gens == ((8,),)
-    assert rads.groups.sigma_order == 2
-    assert rads.groups.lambda_order == 8
-    assert rads.groups.theta_order == 4
+    assert rads.groups.sigma.order == 2
+    assert rads.groups.lam.order == 8
+    assert rads.groups.theta.order == 4
 
     rd3, q3, tower3 = _setup("A1", "sc", Fraction(1, 3))
     k3 = build_kappa(q3, tower3.x_tan)
     r3 = radicals(q3, k3, rd3, tower3.x_star, tower3.index_x_tan)
     assert r3.rad_q.gens == ((6,),)
     assert r3.rad_qk.gens == ((6,),)
-    assert r3.groups.sigma_order == 1
-    assert r3.groups.lambda_order == 6
+    assert r3.groups.sigma.order == 1
+    assert r3.groups.lam.order == 6
 
 
 def test_extend_psi_identity_cases():
@@ -198,7 +198,7 @@ def test_radical_containments_randomized():
         assert rads.rad_q.contains_lattice(rads.rad_qk)
         assert rads.rad_kappa.contains_lattice(rads.rad_qk)
         n_tan = index(tower.x_tan, rd.charlattice)
-        assert rads.groups.sigma_order * n_tan == rads.groups.lambda_order
+        assert rads.groups.sigma.order * n_tan == rads.groups.lam.order
 
 
 def _assert_simultaneous_radical_is_the_intersection(rd, q):

@@ -15,10 +15,10 @@ def test_make_param_display_families():
     a1 = build_root_datum("A1", "sc")
     # exp(pi i (-,-)/2): c = 1/(2l) with l = 2.
     q = make_param(a1, Fraction(1, 4))
-    assert q.l_of(0) == 2
+    assert q.l_of(a1.pos_roots[0]) == 2
     # exp(2 pi i (-,-)/3): c = 1/l with l = 3.
     q = make_param(a1, Fraction(1, 3))
-    assert q.l_of(0) == 3
+    assert q.l_of(a1.pos_roots[0]) == 3
     # Independent factor parameters evaluate blockwise.
     prod = build_root_datum("A1xA1", "sc")
     qq = make_param(prod, [Fraction(1, 4), Fraction(1, 3)])
@@ -43,15 +43,17 @@ def test_eval_examples():
 
 def test_l_of_examples():
     a1 = build_root_datum("A1", "sc")
-    assert make_param(a1, Fraction(1, 4)).l_of(0) == 2
-    assert make_param(a1, Fraction(1, 3)).l_of(0) == 3
-    assert make_param(a1, Fraction(1, 2)).l_of(0) == 1
+    alpha = a1.pos_roots[0]
+    assert make_param(a1, Fraction(1, 4)).l_of(alpha) == 2
+    assert make_param(a1, Fraction(1, 3)).l_of(alpha) == 3
+    assert make_param(a1, Fraction(1, 2)).l_of(alpha) == 1
 
 
 def test_q_scalar_examples():
     a1 = build_root_datum("A1", "sc")
-    assert make_param(a1, Fraction(1, 4)).q_scalar(0) == AngleQZ(1, 4)
-    assert make_param(a1, Fraction(1, 3)).q_scalar(0) == AngleQZ(1, 3)
+    alpha = a1.pos_roots[0]
+    assert make_param(a1, Fraction(1, 4)).q_scalar(alpha) == AngleQZ(1, 4)
+    assert make_param(a1, Fraction(1, 3)).q_scalar(alpha) == AngleQZ(1, 3)
     c2 = build_root_datum("C2", "sc")
     q = make_param(c2, Fraction(1, 6))  # pi/l with l = 3
     long_root = next(r for r in c2.pos_roots if r.height == 1 and r.d == 2)
@@ -144,8 +146,8 @@ def test_l_of_agreement_randomized(type_str):
     for _ in range(15):
         c = [Fraction(rng.randint(1, 23), rng.randint(1, 24)) for _ in rd.dynkin.factors]
         q = make_param(rd, c)
-        for idx in range(len(rd.pos_roots)):
-            q.l_of(idx)
+        for root in rd.pos_roots:
+            q.l_of(root)
 
 
 def _row_check_accepts(rd, n, g):

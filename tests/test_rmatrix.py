@@ -5,6 +5,7 @@ import random
 from collections import Counter
 from fractions import Fraction
 from functools import reduce
+from math import prod
 
 import pytest
 
@@ -42,13 +43,34 @@ from qcenters.centers import center_tower
 
 def test_support_size_examples():
     a1 = build_root_datum("A1", "sc")
-    count, supports = support_size(make_param(a1, Fraction(1, 4)), a1)
-    assert count == 2
-    assert [s.n for s in supports] == [(0,), (1,)]
+    q = make_param(a1, Fraction(1, 4))
+    assert support_size(q) == 2
+    assert [s.n for s, _c in term_table(q, a1)] == [(0,), (1,)]
 
     a2 = build_root_datum("A2", "sc")
-    assert support_size(make_param(a2, Fraction(1, 6)), a2)[0] == 27
-    assert support_size(make_param(a2, Fraction(1, 2)), a2)[0] == 1  # quasi-classical
+    assert support_size(make_param(a2, Fraction(1, 6))) == 27
+    assert support_size(make_param(a2, Fraction(1, 2))) == 1  # quasi-classical
+
+
+def test_support_size_counts_the_box_that_term_table_walks(monkeypatch):
+    walked = 0
+    for case in CASES:
+        rd, q = case_instance(case)
+        count = support_size(q)
+        assert count == prod(q.pos_root_ls()), case
+        if count <= 5000:
+            assert count == len(term_table(q, rd)), case
+            walked += 1
+    assert walked == 30
+
+    # E8 at c = 1/10 has 5^120 admissible supports; none is built or walked.
+    def no_box(*args, **kwargs):
+        raise AssertionError("support_size must not build supports")
+
+    monkeypatch.setattr(rmatrix, "RSupport", no_box)
+    monkeypatch.setattr(rmatrix, "term_table", no_box)
+    e8 = build_root_datum("E8", "sc")
+    assert support_size(make_param(e8, Fraction(1, 10))) == 5**120
 
 
 def test_coeff_a1_values():
@@ -99,9 +121,7 @@ def test_coeff_pairing_inverse_relation(type_str, c):
     rd = build_root_datum(type_str, "sc")
     q = make_param(rd, c)
     big_n = batch_conductor(q, rd)
-    _count, supports = support_size(q, rd)
-    ls = q.pos_root_ls()
-    for s in supports:
+    for s in map(RSupport, itertools.product(*(range(l) for l in q.pos_root_ls()))):
         value = coeff(s, q, rd, conductor=big_n)
         pairing = pairing_diag(s, rd, q, conductor=big_n)
         marker = marker_angle(q, rd, s.n)
@@ -139,6 +159,19 @@ def test_pairing_row_inverts_once_for_all_v(monkeypatch):
         with pytest.raises(NonInvertibleSpecialization):
             pairing_diag(RSupport((ord2,)), a1, [angle], conductor=conductor)
         assert calls[0] == 0, angle
+
+
+def test_pairing_row_cache_is_bounded():
+    # One wide row can hold megabytes, so the cache keeps a fixed number of
+    # rows however many distinct (angle, conductor) pairs a process reads.
+    bound = _pairing_row.cache_info().maxsize
+    assert bound is not None
+    _pairing_row.cache_clear()
+    for k in range(1, bound + 11):
+        _pairing_row(AngleQZ(1, 3), 6 * k)
+        assert _pairing_row.cache_info().currsize <= bound
+    assert _pairing_row.cache_info().currsize == bound
+    _pairing_row.cache_clear()
 
 
 def test_odd_conductor_applies_the_height_sign_as_an_integer():
@@ -513,9 +546,9 @@ def test_quasi_classical_collapse():
     a2 = build_root_datum("A2", "sc")
     q = make_param(a2, Fraction(1, 2))
     assert all(l == 1 for l in q.pos_root_ls())
-    count, supports = support_size(q, a2)
-    assert count == 1 and supports[0].n == (0, 0, 0)
-    assert coeff(supports[0], q, a2) == 1
+    [(support, value)] = term_table(q, a2)
+    assert support_size(q) == 1 and support.n == (0, 0, 0)
+    assert value == 1 and coeff(support, q, a2) == 1
 
 
 def test_term_table_cap():
