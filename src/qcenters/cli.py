@@ -1,7 +1,8 @@
 """Command-line front end.
 
 Subcommands: analyze, dual, rmatrix, verify-twist, presets, selftest.
-Exit codes: 0 success, 1 bad input, 2 violated internal identity.
+Exit codes: 0 success, 1 bad input (usage errors included), 2 violated
+internal identity.
 """
 
 from __future__ import annotations
@@ -150,6 +151,13 @@ def _cmd_selftest(args: argparse.Namespace) -> int:
     return 2 if bad else 0
 
 
+def _max_terms(text: str) -> int:
+    """The --max-terms value: a nonnegative integer."""
+    if not text.isdecimal():
+        raise argparse.ArgumentTypeError(f"expected a nonnegative integer, got {text!r}")
+    return int(text)
+
+
 def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--type", help="Dynkin type string, e.g. A2 or A2xB3")
     parser.add_argument("--lattice", help='"sc", "adjoint", or generator rows like [[1,0],[0,2]]')
@@ -169,7 +177,7 @@ def main(argv: Optional[list[str]] = None) -> int:
 
     p_analyze = sub.add_parser("analyze", help="full report for one (type, lattice, param) triple")
     _add_common(p_analyze)
-    p_analyze.add_argument("--max-terms", type=int, default=None, help="include the braiding term list, capped")
+    p_analyze.add_argument("--max-terms", type=_max_terms, help="include the braiding term list, capped")
     p_analyze.set_defaults(func=_cmd_analyze)
 
     p_dual = sub.add_parser("dual", help="dual root data only")
@@ -178,7 +186,7 @@ def main(argv: Optional[list[str]] = None) -> int:
 
     p_rmatrix = sub.add_parser("rmatrix", help="admissible braiding supports with exact coefficients")
     _add_common(p_rmatrix)
-    p_rmatrix.add_argument("--max-terms", type=int, default=None)
+    p_rmatrix.add_argument("--max-terms", type=_max_terms)
     p_rmatrix.set_defaults(func=_cmd_rmatrix)
 
     p_twist = sub.add_parser("verify-twist", help="scalar rescaling identity checks")
@@ -192,7 +200,10 @@ def main(argv: Optional[list[str]] = None) -> int:
     p_selftest.add_argument("--seed", type=int, default=0)
     p_selftest.set_defaults(func=_cmd_selftest)
 
-    args = parser.parse_args(argv)
+    try:
+        args = parser.parse_args(argv)
+    except SystemExit as exc:  # argparse exits 2 on a usage error, 0 after --help
+        return 1 if exc.code else 0
     try:
         return args.func(args)
     except (ValueError, OSError) as exc:

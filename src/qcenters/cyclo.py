@@ -3,29 +3,24 @@
 An element of Q(zeta_N) is an integer coefficient vector on the power basis
 1, x, ..., x^(d-1) of Q[x]/Phi_N (d = deg Phi_N) over one positive
 denominator, reduced by the gcd, so equality is equality of that pair.
-A product of two integer vectors a and b goes by Kronecker substitution
-(`_mul_vecs`): each is read as the integer a(2^k), with 2^(k-1) above
-||a||_1 ||b||_1, so one integer product holds the whole unreduced
-polynomial product as balanced base-2^k digits.  One width for many
-factors would grow with their count, so `CycloNum.product`, behind the
-R-matrix pairing values (`rmatrix.pairing_diag`), is a left fold of
-`__mul__`.  Phi_N is monic and divides x^N - 1, and for even N also
-x^(N/2) + 1, so x^m = -1 with m = N/2 for even N (and x^m = 1 with m = N
-for odd N).  A reduction first folds x^j into m slots (x^j is read as
-x^(j mod N), negated past m), then adds the cached fold row x^j mod Phi_N
-of each slot j in [d, m) (`_fold`), each row kept as its nonzero entries:
-the product is reduced in integers, and the same fold gives roots of unity,
-the Galois conjugates, the embeddings Q(zeta_N) -> Q(zeta_M), N | M, and
-the entries of `binomial_walk`, with no division.  The table is walked by
-shifting one place at a time and folding the top coefficient back by Phi_N
-(`_shifts`), and the same walk from any element e gives the rows x^i e of
-the integer matrix of multiplication by e (`MulMatrix`): where one factor
-is used many times, as the R-matrix coefficient entries are, a product by
-it is d^2 integer products with no packing and no reduction.  The
-inverse of alpha is the product c of its other Galois conjugates
-sigma_k(alpha), k in (Z/N)^x, divided by the norm alpha * c; c is built one
-conjugate at a time, since the l1 bound of all of them at once would make
-k far too wide.  inverse checks that the norm came out a nonzero rational
+A product of two elements is the schoolbook sum of the terms a_i b_j
+x^(i+j) (`_mul_vecs`), and `CycloNum.product`, behind the R-matrix pairing
+values (`rmatrix.pairing_diag`), is a left fold of `__mul__`.  Phi_N is
+monic and divides x^N - 1, and for even N also x^(N/2) + 1, so x^m = -1
+with m = N/2 for even N (and x^m = 1 with m = N for odd N).  A reduction
+first folds x^j into m slots (x^j is read as x^(j mod N), negated past m),
+then adds the cached fold row x^j mod Phi_N of each slot j in [d, m)
+(`_fold`), each row kept as its nonzero entries: the product is reduced in
+integers, and the same fold gives roots of unity, the Galois conjugates,
+the embeddings Q(zeta_N) -> Q(zeta_M), N | M, and the entries of
+`binomial_walk`, with no division.  The table is walked by shifting one
+place at a time and folding the top coefficient back by Phi_N (`_shifts`),
+and the same walk from any element e gives the rows x^i e of the integer
+matrix of multiplication by e (`MulMatrix`): where one factor is used many
+times, as the R-matrix coefficient entries are, a product by it is d^2
+integer products and no reduction.  The inverse of alpha is the product c
+of its other Galois conjugates sigma_k(alpha), k in (Z/N)^x, divided by the
+norm alpha * c.  inverse checks that the norm came out a nonzero rational
 and raises if not.  It serves only qfact and negative powers.
 
 The quantum factorial `qfact` multiplies the balanced quantum integers
@@ -36,7 +31,6 @@ v = +-1, built by [k+1] = v [k] + v^-k, which inverts v once.
 from __future__ import annotations
 
 import itertools
-import struct
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache, reduce
@@ -150,52 +144,12 @@ def _substitute(a: Sequence[int], k: int, n: int) -> list[int]:
     return _reduce(((i * k, c) for i, c in enumerate(a)), n)
 
 
-# struct formats that read a little-endian block of 1, 2, 4 or 8 bytes as an
-# unsigned integer.
-_BLOCK_FORMATS = {1: "B", 2: "H", 4: "I", 8: "Q"}
-
-
-@lru_cache(maxsize=256)
-def _offset(width: int, length: int) -> int:
-    """2^(8 width - 1) in each of `length` base-2^(8 width) digits."""
-    return int.from_bytes((bytes(width - 1) + b"\x80") * length, "little")
-
-
 def _mul_vecs(a: Sequence[int], b: Sequence[int], n: int) -> list[int]:
-    """Product of two integer vectors in Z[x]/Phi_n, by Kronecker substitution.
-
-    Each vector is read as the integer a(2^k) by Horner's rule, the two
-    integers are multiplied once, and the unreduced product is read back as
-    its balanced base-2^k digits, then reduced mod Phi_n once.  No
-    coefficient of the unreduced product exceeds ||a||_1 ||b||_1 in absolute
-    value, so 2^(k-1) is taken above that bound, with k/8 a power of two up
-    to 8 and any whole number beyond.  Adding 2^(k-1) to every digit makes
-    each one a nonnegative k-bit block of the product's little-endian bytes,
-    so the digits are read in one pass: one struct unpack for blocks of up
-    to 8 bytes, one int.from_bytes per byte slice for wider ones.  In small
-    fields nearly every product fits 8 bytes, and there the struct unpack
-    reads the digits several times faster than slices do.
-    """
-    bound = sum(map(abs, a)) * sum(map(abs, b))
-    if not bound:
-        return [0] * _phi_degree(n)
-    width = bound.bit_length() // 8 + 1
-    if width <= 8:
-        width = 1 << (width - 1).bit_length()
-    k = 8 * width
-    pa = pb = 0
-    for c in reversed(a):
-        pa = (pa << k) + c
-    for c in reversed(b):
-        pb = (pb << k) + c
-    length = len(a) + len(b) - 1
-    raw = (pa * pb + _offset(width, length)).to_bytes(width * length, "little")
-    if width in _BLOCK_FORMATS:
-        blocks: Sequence[int] = struct.unpack(f"<{length}{_BLOCK_FORMATS[width]}", raw)
-    else:
-        blocks = [int.from_bytes(raw[i : i + width], "little") for i in range(0, len(raw), width)]
-    half = 1 << (k - 1)
-    return _reduce(enumerate([x - half for x in blocks]), n)
+    """Product of two integer vectors in Z[x]/Phi_n: the schoolbook terms
+    a_i b_j x^(i+j) over the nonzero entries, reduced mod Phi_n once by the
+    fold."""
+    nonzero = [(j, y) for j, y in enumerate(b) if y]
+    return _reduce(((i + j, x * y) for i, x in enumerate(a) if x for j, y in nonzero), n)
 
 
 @dataclass(frozen=True, eq=False)
@@ -246,9 +200,8 @@ class CycloNum:
     @staticmethod
     def product(factors: Sequence["CycloNum"], conductor: int) -> "CycloNum":
         """Product of the factors in Q(zeta_conductor), as a left fold of
-        two-factor products, so each Kronecker width is set by two l1 norms
-        only; one when there are no factors, the factor itself when there is
-        one."""
+        two-factor products; one when there are no factors, the factor
+        itself when there is one."""
         if not factors:
             return CycloNum.one(conductor)
         return reduce(mul, (f.lift(conductor) for f in factors[1:]), factors[0].lift(conductor))
@@ -341,10 +294,10 @@ class MulMatrix:
     """Multiplication by a fixed element e = num / den of Q(zeta_N) as an
     integer matrix M on the power basis: row i of M is x^i num mod Phi_N,
     stored by columns, so a * e has numerator (sum_i a_i M[i][j])_j over
-    a.den * den.  That is d^2 integer products and no Kronecker packing or
-    reduction, which is the cheaper route in small fields when one factor
-    is reused many times.  The result goes through the CycloNum constructor,
-    so it is in the same canonical (num, den) form as any other product."""
+    a.den * den.  That is d^2 integer products and no reduction, which is
+    the cheaper route in small fields when one factor is reused many times.
+    The result goes through the CycloNum constructor, so it is in the same
+    canonical (num, den) form as any other product."""
 
     conductor: int
     cols: tuple[tuple[int, ...], ...]

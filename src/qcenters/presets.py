@@ -108,7 +108,8 @@ def _check_adjoint_lusztig(ell: int) -> Callable[[dict[str, Any], RootDatum, QPa
         expected_grouplikes = ell ** rd.rank
         if dims["grouplike_count"] != expected_grouplikes:
             fails.append(f"expected {expected_grouplikes} grouplikes")
-        if report["groups"]["lambda"]["invariant_factors"] != [ell] * rd.rank:
+        factors = [ell] * rd.rank if ell > 1 else []  # (Z/1)^r has no invariant factors
+        if report["groups"]["lambda"]["invariant_factors"] != factors:
             fails.append(f"expected grouplike group (Z/{ell})^{rd.rank}")
         lie_dim = rd.rank + 2 * len(rd.pos_roots)
         if dims["fpdim_fiber"] != ell**lie_dim:
@@ -118,11 +119,19 @@ def _check_adjoint_lusztig(ell: int) -> Callable[[dict[str, Any], RootDatum, QPa
     return check
 
 
+def _positive(overrides: dict[str, Any], key: str, default: int) -> int:
+    """Pop the override `key` (default if absent), which must be an integer >= 1."""
+    value = overrides.pop(key, default)
+    if not str(value).isdecimal() or int(value) < 1:
+        raise PresetError(f"preset argument {key} must be an integer >= 1, got {value!r}")
+    return int(value)
+
+
 def make_preset(name: str, **overrides: Any) -> PresetCase:
     """Instantiate a named preset; overrides are integers n, l and type."""
     if name == "sl2n-even":
-        n = int(overrides.pop("n", 1))
-        ell = int(overrides.pop("l", 2))
+        n = _positive(overrides, "n", 1)
+        ell = _positive(overrides, "l", 2)
         if ell % 2:
             raise PresetError("sl2n-even needs an even order l")
         case = PresetCase(
@@ -134,8 +143,8 @@ def make_preset(name: str, **overrides: Any) -> PresetCase:
             check=_check_even_regular,
         )
     elif name == "sl2n-odd":
-        n = int(overrides.pop("n", 1))
-        ell = int(overrides.pop("l", 3))
+        n = _positive(overrides, "n", 1)
+        ell = _positive(overrides, "l", 3)
         if n % 2 == 0 or ell % 2 == 0:
             raise PresetError("sl2n-odd needs odd n and odd l")
         case = PresetCase(
@@ -147,8 +156,8 @@ def make_preset(name: str, **overrides: Any) -> PresetCase:
             check=_check_strict_inclusion(lambda rd: _odd_half_sum_witness(rd, ell), "the half-sum witness"),
         )
     elif name == "sp2n-odd-halfpi":
-        n = int(overrides.pop("n", 2))
-        ell = int(overrides.pop("l", 3))
+        n = _positive(overrides, "n", 2)
+        ell = _positive(overrides, "l", 3)
         if ell % 2 == 0:
             raise PresetError("sp2n-odd-halfpi needs odd l")
         case = PresetCase(
@@ -161,7 +170,7 @@ def make_preset(name: str, **overrides: Any) -> PresetCase:
             check=_check_strict_inclusion(lambda rd: rd.simple_root(rd.rank - 1).scaled(Fraction(ell, 2)), "l*beta/2"),
         )
     elif name == "sl3-odd":
-        ell = int(overrides.pop("l", 3))
+        ell = _positive(overrides, "l", 3)
         if ell % 2 == 0:
             raise PresetError("sl3-odd needs odd l")
         case = PresetCase(
@@ -174,7 +183,7 @@ def make_preset(name: str, **overrides: Any) -> PresetCase:
         )
     elif name == "adjoint-odd-lusztig":
         type_str = str(overrides.pop("type", "A1"))
-        ell = int(overrides.pop("l", 3))
+        ell = _positive(overrides, "l", 3)
         scaffold = build_root_datum(type_str, "adjoint")
         det = index(scaffold.root_lattice(), scaffold.weight_lattice())
         if ell % 2 == 0 or gcd(ell, scaffold.lacing) != 1 or det is None or gcd(ell, det) != 1:
@@ -188,7 +197,7 @@ def make_preset(name: str, **overrides: Any) -> PresetCase:
             check=_check_adjoint_lusztig(ell),
         )
     elif name == "g2-small":
-        ell = int(overrides.pop("l", 6))
+        ell = _positive(overrides, "l", 6)
         if ell % 6:
             raise PresetError("g2-small needs 6 | l so that the lacing number divides l")
         case = PresetCase(

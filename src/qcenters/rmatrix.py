@@ -17,11 +17,11 @@ nonzero entry reads its row entry; any other keeps the last walk up to the
 first entry where the two differ and walks on from there, multiplying by
 each later nonzero entry as a cached integer matrix (`cyclo.MulMatrix`, one
 per parameter, conductor, root and entry).  In lexicographic order, as
-`term_table` walks, that is at most one d x d integer product per term,
-with no Kronecker packing; any other order is exact too.  The pairing
-values are products of cached rows too (`CycloNum.product`), walked apart
-and kept in a bounded cache, so that coeff * pairing = sign * phase checks
-one against the other.  Both rows are binomial walks
+`term_table` walks, that is at most one d x d integer product per term;
+any other order is exact too.  The pairing values are products of cached
+rows too (`CycloNum.product`), walked apart and kept in a bounded cache, so
+that coeff * pairing = sign * phase checks one against the other.  Both
+rows are binomial walks
 (`cyclo.binomial_walk`), by q^-v (q - q^-1) [v]_q = 1 - q^(-2v) and
 prod_{k=1}^{m-1} (1 - omega^k) = m for omega a primitive m-th root of
 unity: no field product, no inverse.  Every conductor here is even (lcm

@@ -324,6 +324,12 @@ def test_entrypoint_subprocess():
         ["--spec", "{spec}"],
         ["--spec", "{int_type}"],
         ["--spec", "{list_type}"],
+        ["--preset", "sl2n-even:l=0"],
+        ["--preset", "g2-small:l=0"],
+        ["--preset", "adjoint-odd-lusztig:l=-1"],
+        ["--preset", "sl2n-even:l=-2"],
+        ["--preset", "sl3-odd:l=-3"],
+        ["--preset", "sl2n-even:n=0"],
     ],
 )
 def test_malformed_inputs_exit_one_without_traceback(argv, tmp_path):
@@ -344,6 +350,40 @@ def test_malformed_inputs_exit_one_without_traceback(argv, tmp_path):
     assert proc.stderr.startswith("error: ")
     assert "Traceback" not in proc.stderr
     assert proc.stdout == ""
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["bogus"],
+        ["analyze", "--frob", "1"],
+        ["analyze", "--max-terms", "abc"],
+        ["analyze", "--type", "A2", "--param", "1/6", "--max-terms", "-1"],
+        ["rmatrix", "--type", "A2", "--param", "1/6", "--max-terms", "-1"],
+    ],
+)
+def test_usage_errors_exit_one_without_traceback(argv):
+    # argparse exits 2 on a usage error; 2 is kept for violated identities.
+    proc = subprocess.run([sys.executable, "-m", "qcenters.cli", *argv], capture_output=True, text=True)
+    assert proc.returncode == 1
+    assert "error:" in proc.stderr and "Traceback" not in proc.stderr
+    assert proc.stdout == ""
+    if "--max-terms" in argv:
+        assert "argument --max-terms" in proc.stderr
+
+
+def test_help_exits_zero(capsys):
+    code, out, _err = run_cli(["analyze", "--help"], capsys)
+    assert code == 0 and "--max-terms" in out
+
+
+def test_preset_orders_must_be_positive_integers(capsys):
+    for spec in ("sl2n-even:l=0", "sl2n-odd:n=-1", "sl3-odd:l=x", "sl2n-even:l=2.0", "g2-small:l=-6"):
+        with pytest.raises(PresetError, match="integer >= 1"):
+            parse_preset(spec)
+    # Order 1 is valid, and its Lambda = (Z/1)^r lists no invariant factor.
+    code, _out, err = run_cli(["analyze", "--preset", "adjoint-odd-lusztig:A2,l=1"], capsys)
+    assert (code, err) == (0, "")
 
 
 def test_star_import_resolves_every_exported_name():

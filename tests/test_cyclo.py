@@ -364,8 +364,8 @@ def test_kronecker_product_matches_the_schoolbook_oracle(n):
 @pytest.mark.parametrize("k", [8, 16, 32, 64, 72, 128])
 def test_kronecker_product_reads_digits_at_the_edge_of_the_width(k):
     # Monomial factors are the ones whose product has a coefficient equal to
-    # the bound prod ||a||_1 on the digits.  2^(k-1) - 1 is the largest digit
-    # that k bits hold; 2^(k-1) and 2^k - 1 need the next width.
+    # the bound ||a||_1 ||b||_1; the coefficients 2^(k-1) - 1, 2^(k-1) and
+    # 2^k - 1 sit at each power of two, past one machine word from k = 64 on.
     n = 7
     for top in (2 ** (k - 1) - 1, 2 ** (k - 1), 2**k - 1):
         for a, b in ((top, 1), (-top, 1), (top, -1), (-top, -1)):
@@ -401,8 +401,7 @@ def test_product_matches_repeated_multiplication():
 
 
 def test_product_multiplies_two_vectors_at_a_time(monkeypatch):
-    # One Kronecker width for all k factors would grow with k; the fold's
-    # widths are each set by two l1 norms.
+    # A product of k factors is a left fold of k - 1 two-vector products.
     arities, mul_vecs = [], cyclo._mul_vecs
 
     def recording(*args):

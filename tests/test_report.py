@@ -8,7 +8,7 @@ from fractions import Fraction
 import pytest
 
 from helpers import count_calls, count_inverses, count_stage_calls
-from qcenters import centers, intlat, kappa, qparam
+from qcenters import centers, cyclo, intlat, kappa, qparam
 from qcenters.cli import main
 from qcenters.cyclo import CycloNum
 from qcenters.qparam import QParam, make_param
@@ -71,6 +71,25 @@ def test_e8_report_makes_few_cyclotomic_multiplies(monkeypatch):
     build_report(rd, q, {})
     assert bound == [] and powers[0] == inverses[0] == 0
     assert 0 < muls[0] <= 100
+
+
+def test_report_products_stay_in_conductor_two(monkeypatch):
+    # The one product path is the schoolbook sum, which costs d^2 terms in a
+    # field of degree d: reports (term lists included) may multiply only in
+    # Q(zeta_1) and Q(zeta_2), where d = 1.
+    cases = [("A2", (6,)), ("C3", (8,)), ("G2", (12,)), ("E8", (10,)), ("A5xD6", (6, 8))]
+    conductors, mul_vecs = [], cyclo._mul_vecs
+
+    def recording(a, b, n):
+        conductors.append(n)
+        return mul_vecs(a, b, n)
+
+    monkeypatch.setattr(cyclo, "_mul_vecs", recording)
+    commutator_identity.cache_clear()
+    for type_str, dens in cases:
+        rd = build_root_datum(type_str, "sc")
+        build_report(rd, make_param(rd, [Fraction(1, d) for d in dens]), {}, max_terms=50)
+    assert conductors and max(conductors) <= 2
 
 
 def test_a_second_report_makes_no_cyclotomic_multiply(monkeypatch):

@@ -317,7 +317,7 @@ def fresh_coeff_caches():
 
 
 def _expected_coeffs(q, rd, supports, big_n):
-    """Per support, the coefficient as one Kronecker product of its row
+    """Per support, the coefficient as one `CycloNum.product` of its row
     entries (entry l_gamma of a row is zero), checked against the per-term
     oracle."""
     rows = _table(q, big_n).rows
@@ -463,7 +463,7 @@ def test_term_table_work_per_term_is_flat(monkeypatch):
     # tables and rows, which are read once per parameter, so 100 and 3000
     # terms make the same number of them.  A term re-walks the table's last
     # support from its first new entry, times one cached entry matrix per
-    # later nonzero entry: no Kronecker product, and in lexicographic order
+    # later nonzero entry: no `_mul_vecs` product, and in lexicographic order
     # at most one entry-matrix product per returned term.
     calls = Counter()
 
