@@ -4,6 +4,8 @@ The angle a/b represents exp(2*pi*i*a/b), so 0 is the unit 1 and 1/2 is -1.
 The group law is addition mod 1 and the order of a/b is b.  Forms are
 computed as integer Gram matrices over one modulus N; `from_int_gram` reads
 such a matrix back as angles where values leave the integer pipeline.
+`AngleQZ.ratio(x, n)` is the one constructor from integers: x mod n, reduced
+by one gcd.  The group law and every integer-to-angle read go through it.
 """
 
 from __future__ import annotations
@@ -30,25 +32,29 @@ class AngleQZ:
             raise ValueError("angle must be in lowest terms")
 
     @staticmethod
-    def of(value: Fraction | int) -> "AngleQZ":
-        f = Fraction(value) % 1
-        return AngleQZ(f.numerator, f.denominator)
+    def ratio(x: int, n: int) -> "AngleQZ":
+        """The angle x/n mod 1 for integers x and n > 0 (0 is 0/1)."""
+        x %= n
+        g = gcd(x, n)
+        return AngleQZ(x // g, n // g)
 
-    def as_fraction(self) -> Fraction:
-        return Fraction(self.num, self.den)
+    @staticmethod
+    def of(value: Fraction | int) -> "AngleQZ":
+        """The angle of a rational, through `ratio` on its numerator and denominator."""
+        return AngleQZ.ratio(value.numerator, value.denominator)
 
     def __add__(self, other: "AngleQZ") -> "AngleQZ":
-        return AngleQZ.of(self.as_fraction() + other.as_fraction())
+        return AngleQZ.ratio(self.num * other.den + other.num * self.den, self.den * other.den)
 
     def __sub__(self, other: "AngleQZ") -> "AngleQZ":
-        return AngleQZ.of(self.as_fraction() - other.as_fraction())
+        return AngleQZ.ratio(self.num * other.den - other.num * self.den, self.den * other.den)
 
     def __neg__(self) -> "AngleQZ":
-        return AngleQZ.of(-self.as_fraction())
+        return AngleQZ.ratio(-self.num, self.den)
 
     def scaled(self, k: int) -> "AngleQZ":
         """k-fold sum of the angle (the k-th power of the root of unity)."""
-        return AngleQZ.of(self.as_fraction() * k)
+        return AngleQZ.ratio(self.num * k, self.den)
 
     @property
     def order(self) -> int:
@@ -66,7 +72,7 @@ class AngleQZ:
 
 def from_int_gram(n: int, m: Sequence[Sequence[int]]) -> tuple[tuple[AngleQZ, ...], ...]:
     """The angle matrix m[i][j] / N mod 1."""
-    return tuple(tuple(AngleQZ.of(Fraction(x, n)) for x in row) for row in m)
+    return tuple(tuple(AngleQZ.ratio(x, n) for x in row) for row in m)
 
 
 ZERO = AngleQZ(0, 1)

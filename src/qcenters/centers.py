@@ -14,7 +14,6 @@ quotient datum keeps the same roots but the character lattice X^Tan.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from math import prod
 from typing import Optional, Sequence
 
@@ -83,7 +82,7 @@ def center_tower(q: QParam, rd: RootDatum) -> CenterTower:
     diags = [[row[k]] for k, row in enumerate(congruent(mug.gens, g))]
     for (x,) in diags:
         if 2 * x % n:
-            raise InvariantViolation(f"q(lam,lam) = {Fraction(x, n) % 1} is not a sign on X^Mug")
+            raise InvariantViolation(f"q(lam,lam) = {AngleQZ.ratio(x, n)} is not a sign on X^Mug")
     tan = annihilator(mug, n, diags)
 
     # Direct per-generator membership verification of every tower member.
@@ -146,12 +145,12 @@ def _dual_cartan(q: QParam, rd: RootDatum) -> list[list[int]]:
     for i in range(rd.rank):
         row = []
         for j in range(rd.rank):
-            entry = Fraction(ls[j] * rd.cartan[i][j], ls[i])
-            if entry.denominator != 1:
+            entry, rest = divmod(ls[j] * rd.cartan[i][j], ls[i])
+            if rest:
                 raise DualDatumError(
                     f"rescaled Cartan integer ({ls[j]}/{ls[i]}) * {rd.cartan[i][j]} is not integral"
                 )
-            row.append(int(entry))
+            row.append(entry)
         cartan_star.append(row)
     # Symmetrizable with d*_i = l_i^2 d_i; fails only on implementation error.
     for i in range(rd.rank):
@@ -229,6 +228,8 @@ def _cartan_iso(a: Sequence[Sequence[int]], b: Sequence[Sequence[int]]) -> bool:
 
     prof_a = [profile(a, i) for i in range(n)]
     prof_b = [profile(b, i) for i in range(n)]
+    if sorted(prof_a) != sorted(prof_b):
+        return False
     assignment: dict[int, int] = {}
     used: set[int] = set()
 

@@ -18,7 +18,6 @@ Lambda, Theta (`ToralGroups`); their orders are the `order` of each group.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from math import lcm
 from typing import Optional, Sequence
 
@@ -69,7 +68,7 @@ class BiformQZ:
         """Evaluate on ambient fw-coordinate vectors lying in the domain."""
         cx, cy = _coords(self.basis, (x, y), OUTSIDE_DOMAIN)
         n, g = self.int_gram
-        return AngleQZ.of(Fraction(bilinear(g, cx, cy), n))
+        return AngleQZ.ratio(bilinear(g, cx, cy), n)
 
 
 def build_kappa(q: QParam, x_tan: Lattice) -> BiformQZ:
@@ -86,10 +85,10 @@ def build_kappa(q: QParam, x_tan: Lattice) -> BiformQZ:
     k = [[0] * len(eps) for _ in eps]
     for i, row in enumerate(eps):
         if row[i]:
-            raise KappaError(f"restricted parameter has nonzero diagonal value {AngleQZ.of(Fraction(row[i], n))}")
+            raise KappaError(f"restricted parameter has nonzero diagonal value {AngleQZ.ratio(row[i], n)}")
         for j, x in enumerate(row):
             if 2 * x not in (0, n):
-                raise KappaError(f"restricted parameter value {AngleQZ.of(Fraction(x, n))} is not a sign")
+                raise KappaError(f"restricted parameter value {AngleQZ.ratio(x, n)} is not a sign")
             if j > i and x:
                 k[i][j], k[j][i] = 1, 3
     form = BiformQZ(basis=x_tan, int_gram=(4, k))

@@ -119,16 +119,20 @@ def _check_adjoint_lusztig(ell: int) -> Callable[[dict[str, Any], RootDatum, QPa
     return check
 
 
-def _positive(overrides: dict[str, Any], key: str, default: int) -> int:
-    """Pop the override `key` (default if absent), which must be an integer >= 1."""
+def _positive(overrides: dict[str, Any], key: str, default: int, least: int = 1) -> int:
+    """Pop the override `key` (default if absent), which must be an integer >= least."""
     value = overrides.pop(key, default)
-    if not str(value).isdecimal() or int(value) < 1:
-        raise PresetError(f"preset argument {key} must be an integer >= 1, got {value!r}")
+    if not str(value).isdecimal() or int(value) < least:
+        raise PresetError(f"preset argument {key} must be an integer >= {least}, got {value!r}")
     return int(value)
 
 
 def make_preset(name: str, **overrides: Any) -> PresetCase:
-    """Instantiate a named preset; overrides are integers n, l and type."""
+    """Instantiate a named preset; overrides are integers n, l and type.
+
+    Each description states the preset's range of n and l; arguments outside
+    it raise PresetError naming the argument before any root datum is built.
+    """
     if name == "sl2n-even":
         n = _positive(overrides, "n", 1)
         ell = _positive(overrides, "l", 2)
@@ -139,7 +143,7 @@ def make_preset(name: str, **overrides: Any) -> PresetCase:
             type_str=f"A{2 * n - 1}",
             lattice="sc",
             c=(Fraction(1, 2 * ell),),
-            description=f"SL({2*n}) at the even-order form of order 2l = {2*ell}",
+            description=f"SL({2*n}) at the even-order form of order 2l = {2*ell} (n >= 1, even l >= 2)",
             check=_check_even_regular,
         )
     elif name == "sl2n-odd":
@@ -152,11 +156,11 @@ def make_preset(name: str, **overrides: Any) -> PresetCase:
             type_str=f"A{2 * n - 1}",
             lattice="sc",
             c=(Fraction(1, ell),),
-            description=f"SL({2*n}) at an odd order l = {ell}: strict Tannakian center",
+            description=f"SL({2*n}) at an odd order l = {ell}: strict Tannakian center (odd n >= 1, odd l >= 1)",
             check=_check_strict_inclusion(lambda rd: _odd_half_sum_witness(rd, ell), "the half-sum witness"),
         )
     elif name == "sp2n-odd-halfpi":
-        n = _positive(overrides, "n", 2)
+        n = _positive(overrides, "n", 2, least=2)  # C_n needs rank n >= 2
         ell = _positive(overrides, "l", 3)
         if ell % 2 == 0:
             raise PresetError("sp2n-odd-halfpi needs odd l")
@@ -165,7 +169,7 @@ def make_preset(name: str, **overrides: Any) -> PresetCase:
             type_str=f"C{n}",
             lattice="sc",
             c=(Fraction(1, 2 * ell),),
-            description=f"Sp({2*n}) at the half-angle form with odd l = {ell}",
+            description=f"Sp({2*n}) at the half-angle form with odd l = {ell} (n >= 2, odd l >= 1)",
             # beta is the unique long simple root.
             check=_check_strict_inclusion(lambda rd: rd.simple_root(rd.rank - 1).scaled(Fraction(ell, 2)), "l*beta/2"),
         )
@@ -178,7 +182,7 @@ def make_preset(name: str, **overrides: Any) -> PresetCase:
             type_str="A2",
             lattice="sc",
             c=(Fraction(1, ell),),
-            description=f"SL(3) at odd order l = {ell}: centers agree at lQ anyway",
+            description=f"SL(3) at odd order l = {ell}: centers agree at lQ anyway (odd l >= 1)",
             check=_check_tan_is_lq,
         )
     elif name == "adjoint-odd-lusztig":
@@ -193,7 +197,8 @@ def make_preset(name: str, **overrides: Any) -> PresetCase:
             type_str=type_str,
             lattice="adjoint",
             c=tuple(Fraction(1, ell) for _ in scaffold.dynkin.factors),
-            description=f"adjoint {type_str} at generic odd order l = {ell}",
+            description=f"adjoint {type_str} at generic odd order l = {ell} "
+            "(odd l >= 1 coprime to the lacing number and det(Cartan))",
             check=_check_adjoint_lusztig(ell),
         )
     elif name == "g2-small":
@@ -205,7 +210,7 @@ def make_preset(name: str, **overrides: Any) -> PresetCase:
             type_str="G2",
             lattice="sc",
             c=(Fraction(1, 2 * ell),),
-            description=f"G2 at the even-order form with l = {ell}",
+            description=f"G2 at the even-order form with l = {ell} (l >= 6 with 6 | l)",
             check=_check_even_regular,
         )
     else:

@@ -71,17 +71,23 @@ class QParam:
 
     @cached_property
     def int_gram(self) -> tuple[int, IntMatrix]:
-        """(N, G) with q(omega_i, omega_j) = G[i][j] / N mod 1."""
+        """(N, G) with q(omega_i, omega_j) = G[i][j] / N mod 1, read off the
+        integer Killing Gram (D, K): over M = lcm(c denominators) * D the
+        entries are c_i * M * K[i][j] / D mod M, and N = M / gcd(M, entries)
+        is the least common denominator of the reduced values."""
         rd = self.rd
-        c = [self.c[f] for f in rd.factor_of_index]
-        values = [[ci * k % 1 for k in row] for ci, row in zip(c, rd.killing)]
-        n = lcm(*(x.denominator for row in values for x in row))
-        return n, [[int(x * n) for x in row] for row in values]
+        d, k = rd.killing_gram
+        den = lcm(*(c.denominator for c in self.c))
+        m = den * d
+        scale = [self.c[f].numerator * (den // self.c[f].denominator) for f in rd.factor_of_index]
+        values = [[s * x % m for x in row] for s, row in zip(scale, k)]
+        step = gcd(m, *(x for row in values for x in row))
+        return m // step, [[x // step for x in row] for row in values]
 
     def eval(self, lam: Weight, mu: Weight) -> AngleQZ:
         """Exact angle of q(lam, mu) for weights lam, mu in P."""
         n, g = self.int_gram
-        return AngleQZ.of(Fraction(bilinear(g, lam.coords, mu.coords), n))
+        return AngleQZ.ratio(bilinear(g, lam.coords, mu.coords), n)
 
     def angle_gram(self, basis: Sequence[Sequence[int]]) -> tuple[tuple[AngleQZ, ...], ...]:
         """Gram matrix of q-angles on the given fw-coordinate vectors."""
@@ -91,7 +97,8 @@ class QParam:
     def q_scalar(self, root: Root) -> AngleQZ:
         """Scalar parameter q_gamma: the Weyl-invariant extension c_H * d_gamma
         of the simple-root values q(alpha, omega_alpha)."""
-        return AngleQZ.of(self.c[root.factor] * root.d)
+        c = self.c[root.factor]
+        return AngleQZ.ratio(c.numerator * root.d, c.denominator)
 
     def l_of(self, root: Root) -> int:
         """Order l_gamma of q(gamma, gamma) = v . gamma / N with v = gamma . G,
@@ -119,7 +126,7 @@ class QParam:
         q(gamma, rho) = sum(gamma . G) / N."""
         n, g = self.int_gram
         return tuple(
-            (self.q_scalar(r), AngleQZ.of(Fraction(sum(row_times(r.fw_coords, g)), n))) for r in self.rd.pos_roots
+            (self.q_scalar(r), AngleQZ.ratio(sum(row_times(r.fw_coords, g)), n)) for r in self.rd.pos_roots
         )
 
     @cached_property

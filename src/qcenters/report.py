@@ -10,11 +10,11 @@ round-trips through the parser unchanged.
 
 from __future__ import annotations
 
-import json
 from dataclasses import replace
 from decimal import Decimal
 from fractions import Fraction
 from functools import cached_property
+from json.encoder import encode_basestring_ascii as _quote
 from typing import Any, Optional
 
 from .centers import CenterTower, DualDatum, Verdicts, center_tower, dual_datum, verdicts
@@ -300,8 +300,45 @@ def build_report(
     return report
 
 
+_CONSTANTS = {None: "null", True: "true", False: "false"}
+
+
 def to_json(report: dict[str, Any]) -> str:
-    return json.dumps(report, indent=2, sort_keys=True) + "\n"
+    """The report as `json.dumps(report, indent=2, sort_keys=True) + "\\n"`,
+    byte for byte, in one pass: keys sorted, two-space indent, strings with
+    ASCII escapes.  Values are dicts with str keys, lists, tuples, str, int,
+    bool and None; any other type, float included, raises TypeError."""
+    return _encode(report, "\n") + "\n"
+
+
+def _encode(x: Any, newline: str) -> str:
+    """The JSON of x, where newline is the line break plus the indent of the
+    line x starts on.  A list of only ints or only strs is one join."""
+    kind = type(x)
+    if kind is str:
+        return _quote(x)
+    if kind is int:
+        return int.__repr__(x)
+    if x is None or kind is bool:
+        return _CONSTANTS[x]
+    inner = newline + "  "
+    if kind is dict:
+        if not x:
+            return "{}"
+        pairs = [_quote(k) + ": " + _encode(x[k], inner) for k in sorted(x)]
+        return "{" + inner + ("," + inner).join(pairs) + newline + "}"
+    if kind is list or kind is tuple:
+        if not x:
+            return "[]"
+        kinds = set(map(type, x))
+        if kinds == {int}:
+            items = map(int.__repr__, x)
+        elif kinds == {str}:
+            items = map(_quote, x)
+        else:
+            items = [_encode(v, inner) for v in x]
+        return "[" + inner + ("," + inner).join(items) + newline + "]"
+    raise TypeError(f"Object of type {kind.__name__} is not JSON serializable")
 
 
 def to_text(report: dict[str, Any]) -> str:

@@ -14,7 +14,6 @@ and in the signs eps_alpha that the commutator identity lifts to Q(zeta_2).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 from math import lcm
 
@@ -72,7 +71,7 @@ def serre_ratio_invariance(dual: DualDatum, kappa: BiformQZ) -> list[TwistWitnes
                 TwistWitness(
                     pair=(i, j),
                     serre_exponent=m,
-                    values=tuple(AngleQZ.of(Fraction(v, big)) for v in values),
+                    values=tuple(AngleQZ.ratio(v, big) for v in values),
                     verdict=all(v == values[0] for v in values),
                 )
             )

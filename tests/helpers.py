@@ -6,6 +6,8 @@ solutions are counted by direct enumeration, congruence kernels are also
 taken by the exact HNF of their Smith-form kernel rows, lattice coordinates
 are solved over Fraction, the Q/Z-valued forms are
 evaluated by Fraction and angle sums instead of integer Gram matrices,
+angles are reduced by `Fraction % 1` and the parameter's Gram matrix is
+read off c_H * K mod 1 over Fractions,
 cyclotomic numbers are Fraction polynomials reduced by long division, with
 the inverse from the extended Euclidean algorithm, integer cyclotomic
 products use the schoolbook double loop, one factor at a time, R-matrix
@@ -180,6 +182,22 @@ def rational_coords(gens: Sequence[Sequence[int]], x: Sequence[int]) -> list[Fra
     return [row[k] for row in a[:k]]
 
 
+def fraction_angle(value: Fraction | int) -> AngleQZ:
+    """The angle of a rational, reduced into [0, 1) by `Fraction % 1`."""
+    f = Fraction(value) % 1
+    return AngleQZ(f.numerator, f.denominator)
+
+
+def fraction_int_gram(q) -> tuple[int, list[list[int]]]:
+    """(N, G) from c_H * K mod 1 over Fractions, with N the lcm of the
+    reduced denominators and G = N * (c_H * K mod 1)."""
+    rd = q.rd
+    c = [q.c[f] for f in rd.factor_of_index]
+    values = [[ci * k % 1 for k in row] for ci, row in zip(c, rd.killing)]
+    n = lcm(*(x.denominator for row in values for x in row))
+    return n, [[int(x * n) for x in row] for row in values]
+
+
 def fraction_eval(q, lam: Sequence[int], mu: Sequence[int]) -> AngleQZ:
     """q(lam, mu) = sum_ij c_H(i) lam_i mu_j K_ij mod 1, summed over Fractions."""
     rd = q.rd
@@ -187,7 +205,7 @@ def fraction_eval(q, lam: Sequence[int], mu: Sequence[int]) -> AngleQZ:
     for i, a in enumerate(lam):
         for j, b in enumerate(mu):
             total += q.c[rd.factor_of_index[i]] * a * b * rd.killing[i][j]
-    return AngleQZ.of(total)
+    return fraction_angle(total)
 
 
 def fraction_angle_gram(q, basis: Sequence[Sequence[int]]) -> list[list[AngleQZ]]:
@@ -285,7 +303,7 @@ def ambient_extend_psi_gram(kappa, x: Lattice) -> list[list[AngleQZ]]:
         row = []
         for j in range(r):
             value = angle_sum_eval(kappa, [diag[i] * c for c in f_rows[i]], [diag[j] * c for c in f_rows[j]])
-            row.append(AngleQZ.of(Fraction(value.num, value.den * diag[i] * diag[j])))
+            row.append(fraction_angle(Fraction(value.num, value.den * diag[i] * diag[j])))
         adapted.append(row)
     gram = []
     for k in range(r):

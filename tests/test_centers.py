@@ -7,6 +7,7 @@ import pytest
 
 from qcenters.angles import AngleQZ
 from qcenters.centers import (
+    _cartan_iso,
     center_tower,
     classify_cartan,
     dual_datum,
@@ -292,6 +293,14 @@ def test_cartan_iso_handles_permutation():
     b2a = build_root_datum("B2xA1", "sc")  # nonstandard order on input
     assert classify_cartan(a2.cartan) == classify_cartan(b2a.cartan)
     assert classify_cartan(a2.cartan) != classify_cartan(build_root_datum("A3").cartan)
+
+
+def test_cartan_iso_rejects_unequal_profiles_and_matches_equal_ones():
+    b3, c3 = _factor_cartan("B", 3)[0], _factor_cartan("C", 3)[0]
+    a3, d3 = _factor_cartan("A", 3)[0], _factor_cartan("D", 3)[0]
+    assert not _cartan_iso(b3, c3) and not _cartan_iso(b3, a3)
+    assert _cartan_iso(a3, d3)
+    assert _cartan_iso(b3, [list(row) for row in b3])
 
 
 def test_dual_integral_for_killing_proportional_parameters():

@@ -14,7 +14,7 @@ from qcenters.centers import DualDatumError
 from qcenters.cli import main, read_spec_file
 from qcenters.intlat import LatticeError
 from qcenters.kappa import KappaError
-from qcenters.presets import PRESET_NAMES, parse_preset, PresetError
+from qcenters.presets import PRESET_NAMES, PresetError, make_preset, parse_preset
 from qcenters.qparam import InputError, InvariantViolation, make_param
 from qcenters.report import Analysis, build_report
 from qcenters.rootdata import RootDatumError, build_root_datum
@@ -384,6 +384,19 @@ def test_preset_orders_must_be_positive_integers(capsys):
     # Order 1 is valid, and its Lambda = (Z/1)^r lists no invariant factor.
     code, _out, err = run_cli(["analyze", "--preset", "adjoint-odd-lusztig:A2,l=1"], capsys)
     assert (code, err) == (0, "")
+
+
+def test_sp2n_preset_needs_rank_two_before_any_root_datum(monkeypatch, capsys):
+    from qcenters import presets
+
+    def no_root_datum(*args):
+        raise AssertionError("a root datum was built for an out-of-range preset")
+
+    monkeypatch.setattr(presets, "build_root_datum", no_root_datum)
+    code, out, err = run_cli(["analyze", "--preset", "sp2n-odd-halfpi:n=1"], capsys)
+    assert (code, out) == (1, "")
+    assert "preset argument n must be an integer >= 2" in err
+    assert "n >= 2" in make_preset("sp2n-odd-halfpi").description
 
 
 def test_star_import_resolves_every_exported_name():

@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from helpers import count_calls, count_stage_calls, reflection_oracle_accepts, weyl_reflect
+from helpers import count_calls, count_stage_calls, fraction_int_gram, reflection_oracle_accepts, weyl_reflect
 from qcenters import intlat, qparam
 from qcenters.angles import AngleQZ
 from qcenters.qparam import classify, make_param, parse_param
@@ -131,6 +131,25 @@ def test_display_families_maximally_nondegenerate(type_str):
         ell = base * k
         for c in (Fraction(1, 2 * ell), Fraction(1, ell)):
             assert classify(make_param(rd, c)).max_nondegenerate
+
+
+@pytest.mark.parametrize(
+    "type_str",
+    ["A1", "A4", "B2", "B5", "C3", "C6", "D4", "D7", "E6", "E7", "E8", "F4", "G2",
+     "A3xB2", "A1xA1xG2", "C2xD5xA1", "E6xE6"],
+)
+def test_int_gram_matches_the_fraction_route(type_str):
+    # Random c per factor: negative, above 1, zero, integral, and with a
+    # different denominator on each factor.
+    rd = build_root_datum(type_str, "sc")
+    rng = random.Random(type_str)
+    factors = len(rd.dynkin.factors)
+    choices = [[Fraction(0)] * factors, [Fraction(rng.randint(-9, 9)) for _ in range(factors)]]
+    for _ in range(25):
+        choices.append([Fraction(rng.randint(-200, 200), rng.randint(1, 60)) for _ in range(factors)])
+    for c in choices:
+        q = make_param(rd, c)
+        assert q.int_gram == fraction_int_gram(q), c
 
 
 @pytest.mark.parametrize(

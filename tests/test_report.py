@@ -6,13 +6,15 @@ import sys
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from helpers import count_calls, count_inverses, count_stage_calls
 from qcenters import centers, cyclo, intlat, kappa, qparam
 from qcenters.cli import main
 from qcenters.cyclo import CycloNum
 from qcenters.qparam import QParam, make_param
-from qcenters.report import Analysis, build_report
+from qcenters.report import Analysis, build_report, to_json
 from qcenters.rootdata import build_root_datum
 from qcenters.twistcheck import commutator_identity
 
@@ -138,3 +140,45 @@ def test_a_report_cuts_its_lattices_without_a_smith_form(monkeypatch, capsys):
     capsys.readouterr()
     assert counts["left_kernel"] == counts["intersect"] == 0
     assert counts["smith_normal_form"] == counts["snf"] == counts["quotient"] + 1 > 1
+
+
+# JSON trees as reports hold them, plus the awkward cases of the format:
+# keys with quotes, backslashes, control and non-ASCII characters, empty
+# containers, tuples, mixed lists, and True/1 and False/0 side by side.
+odd_text = st.text() | st.sampled_from(['"', "\\", "\n\t\x00\x1f\x7f", "\u00e9", "\u2603", "\U0001f600", "a\"b\\c", ""])
+json_leaves = (
+    st.none()
+    | st.booleans()
+    | st.integers()
+    | st.integers(min_value=-(10**60), max_value=10**60)
+    | st.sampled_from([True, 1, False, 0, -1])
+    | odd_text
+)
+json_trees = st.recursive(
+    json_leaves,
+    lambda kids: st.lists(kids, max_size=6)
+    | st.lists(kids, max_size=6).map(tuple)
+    | st.lists(st.integers(), max_size=6)
+    | st.lists(odd_text, max_size=6)
+    | st.dictionaries(odd_text, kids, max_size=6),
+    max_leaves=40,
+)
+
+
+@given(json_trees)
+@example({"a": [True, 1, False, 0], "b": [{}, [], (), {"": None}], "\"\\\n\u00e9": (1, "x", None)})
+@example([[1, 2], ["a", "b"], [1, "a"], [True, 1], [None]])
+def test_to_json_is_json_dumps_byte_for_byte(tree):
+    assert to_json(tree) == json.dumps(tree, indent=2, sort_keys=True) + "\n"
+
+
+@given(json_trees, st.floats(allow_nan=False))
+def test_to_json_rejects_floats(tree, x):
+    for doc in ({"tree": tree, "x": x}, [tree, x], [x]):
+        with pytest.raises(TypeError, match="float"):
+            to_json(doc)
+
+
+def test_to_json_rejects_non_string_keys():
+    with pytest.raises(TypeError, match="int"):
+        to_json({"a": {1: 2}})
