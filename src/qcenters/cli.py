@@ -1,8 +1,11 @@
 """Command-line front end.
 
-Subcommands: analyze, dual, rmatrix, verify-twist, presets, selftest.
-Exit codes: 0 success, 1 bad input (usage errors included), 2 violated
-internal identity.
+Subcommands: analyze, dual, rmatrix, verify-twist, presets, selftest.  The
+first four print views of one report (`analyze` all of it, the others one
+section) through one handler, as `report.to_text` text or `--json`.
+Exit codes: 0 success, 1 bad input (usage errors, conflicting flags and
+unknown spec keys included), 2 violated internal identity (failed twist
+checks or preset conclusions included).
 """
 
 from __future__ import annotations
@@ -28,9 +31,13 @@ from .rootdata import RootDatum, build_root_datum
 from .selftest import run_selftest
 
 
+SPEC_KEYS = ("type", "lattice", "param")
+
+
 def read_spec_file(path: str) -> dict[str, Any]:
     """Parse a key-value spec document: `type = "A2xB3"`, `lattice = "sc"` or
-    a row matrix, `param = "1/6"`.  Values use Python literal syntax."""
+    a row matrix, `param = "1/6"`.  Values use Python literal syntax; any
+    other key is an error."""
     spec: dict[str, Any] = {}
     with open(path, "r", encoding="utf-8") as handle:
         for lineno, raw in enumerate(handle, 1):
@@ -39,33 +46,38 @@ def read_spec_file(path: str) -> dict[str, Any]:
                 continue
             if "=" not in line:
                 raise InputError(f"{path}:{lineno}: expected `key = value`")
-            key, value = line.split("=", 1)
+            key, value = (part.strip() for part in line.split("=", 1))
+            if key not in SPEC_KEYS:
+                raise InputError(f"{path}:{lineno}: unknown key {key!r} (expected type, lattice or param)")
             try:
-                spec[key.strip()] = ast.literal_eval(value.strip())
+                spec[key] = ast.literal_eval(value)
             except (ValueError, SyntaxError) as exc:
                 raise InputError(f"{path}:{lineno}: bad value: {exc}") from exc
     return spec
 
 
 def _resolve_inputs(args: argparse.Namespace) -> tuple[RootDatum, QParam, dict[str, Any], Optional[PresetCase]]:
-    """(root datum, parameter, input echo, preset case or None)."""
-    if getattr(args, "preset", None):
+    """(root datum, parameter, input echo, preset case or None).  A preset
+    takes no other input flag, and a spec file no flag for a key it sets."""
+    given = {key: getattr(args, key) for key in (*SPEC_KEYS, "spec") if getattr(args, key)}
+    if args.preset:
+        if given:
+            raise InputError(f"--preset cannot be combined with --{next(iter(given))}")
         case = parse_preset(args.preset)
         rd, q = case.build()
         return rd, q, case.input_echo(), case
 
-    type_str: Optional[str] = getattr(args, "type", None)
-    lattice: Any = getattr(args, "lattice", None) or "sc"
-    param: Optional[str] = getattr(args, "param", None)
-    if getattr(args, "spec", None):
-        spec = read_spec_file(args.spec)
-        type_str = spec.get("type", type_str)
-        lattice = spec.get("lattice", lattice)
-        if "param" in spec:
-            param = str(spec["param"])
+    if "spec" in given:
+        spec = read_spec_file(given.pop("spec"))
+        clash = [key for key in SPEC_KEYS if key in spec and key in given]
+        if clash:
+            raise InputError(f"{args.spec}: key {clash[0]!r} is also given as --{clash[0]}")
+        given.update(spec)
+    type_str = given.get("type")
+    lattice: Any = given.get("lattice", "sc")
     if not type_str:
         raise InputError("missing --type (or --preset / --spec)")
-    if not param:
+    if "param" not in given:
         raise InputError("missing --param (or --preset / --spec)")
     if isinstance(lattice, str) and lattice.startswith("["):
         try:
@@ -73,7 +85,7 @@ def _resolve_inputs(args: argparse.Namespace) -> tuple[RootDatum, QParam, dict[s
         except (ValueError, SyntaxError) as exc:
             raise InputError(f"bad lattice {lattice!r}: {exc}") from exc
     rd = build_root_datum(type_str, lattice)
-    values = parse_param(param, len(rd.dynkin.factors))
+    values = parse_param(str(given["param"]), len(rd.dynkin.factors))
     q = make_param(rd, values)
     echo = {
         "type": type_str,
@@ -83,53 +95,20 @@ def _resolve_inputs(args: argparse.Namespace) -> tuple[RootDatum, QParam, dict[s
     return rd, q, echo, None
 
 
-def _cmd_analyze(args: argparse.Namespace) -> int:
+def _cmd_report(args: argparse.Namespace) -> int:
+    """Print the full report, or the one-section view args.view builds, as
+    text or JSON.  Exit 2 when the printed twist checks fail, or when a
+    preset's conclusion fails on the full report; else 0."""
     rd, q, echo, case = _resolve_inputs(args)
-    report = build_report(rd, q, echo, max_terms=args.max_terms)
-    sys.stdout.write(to_json(report) if args.json else to_text(report))
-    if case is not None:
-        failures = case.check(report, rd, q)
-        if failures:
-            for f in failures:
-                sys.stderr.write(f"preset conclusion failed: {f}\n")
-            return 2
-    return 0
-
-
-def _cmd_dual(args: argparse.Namespace) -> int:
-    rd, q, echo, _case = _resolve_inputs(args)
-    payload = document(echo, dual_section(Analysis(rd, q)))
-    if args.json:
-        sys.stdout.write(to_json(payload))
+    if args.view is None:
+        doc = build_report(rd, q, echo, max_terms=args.max_terms)
     else:
-        for key in ("g_star", "g_check"):
-            d = payload[key]
-            sys.stdout.write(
-                f"{key}: type {d['dynkin_type']}, Cartan {d['cartan']}, "
-                f"char lattice {d['char_lattice']}, eps {d['epsilon_scalars']}\n"
-            )
-    return 0
-
-
-def _cmd_rmatrix(args: argparse.Namespace) -> int:
-    rd, q, echo, _case = _resolve_inputs(args)
-    sys.stdout.write(to_json(document(echo, rmatrix_section(Analysis(rd, q), args.max_terms))))
-    return 0
-
-
-def _cmd_verify_twist(args: argparse.Namespace) -> int:
-    rd, q, echo, _case = _resolve_inputs(args)
-    analysis = Analysis(rd, q)
-    payload = document(echo, twistcheck_section(analysis))
-    if args.json:
-        sys.stdout.write(to_json(payload))
-    else:
-        witnesses, comm_ok, cross_ok = analysis.twist
-        for w in witnesses:
-            sys.stdout.write(f"serre ratio {w.pair} (m = {w.serre_exponent}): {'ok' if w.verdict else 'FAIL'}\n")
-        sys.stdout.write(f"commutator identity: {'ok' if comm_ok else 'FAIL'}\n")
-        sys.stdout.write(f"cross-commutator antisymmetry: {'ok' if cross_ok else 'FAIL'}\n")
-    return 0 if payload["all_pass"] else 2
+        doc = document(echo, args.view(Analysis(rd, q), args.max_terms))
+    sys.stdout.write(to_json(doc) if args.json else to_text(doc))
+    failures = case.check(doc, rd, q) if case is not None and args.view is None else []
+    for f in failures:
+        sys.stderr.write(f"preset conclusion failed: {f}\n")
+    return 2 if failures or doc.get("twistcheck", doc).get("all_pass") is False else 0
 
 
 def _cmd_presets(args: argparse.Namespace) -> int:
@@ -158,13 +137,19 @@ def _max_terms(text: str) -> int:
     return int(text)
 
 
-def _add_common(parser: argparse.ArgumentParser) -> None:
+def _add_report(sub: Any, name: str, help_text: str, view: Any, max_terms: bool = False, json: bool = False) -> None:
+    """A report command: the full report when view is None, else the
+    one-section view `view(analysis, max_terms)`; JSON by default when json."""
+    parser = sub.add_parser(name, help=help_text)
     parser.add_argument("--type", help="Dynkin type string, e.g. A2 or A2xB3")
     parser.add_argument("--lattice", help='"sc", "adjoint", or generator rows like [[1,0],[0,2]]')
     parser.add_argument("--param", help='parameter: "1/6", "1/6,1/4", "pi/l:3", "2pi/l:3"')
     parser.add_argument("--preset", help="named preset, e.g. sl2n-odd or sl3-odd-5")
     parser.add_argument("--spec", help="path to a key-value spec file (type/lattice/param)")
-    parser.add_argument("--json", action="store_true", help="emit JSON instead of text")
+    parser.add_argument("--json", action="store_true", default=json, help="emit JSON instead of text")
+    if max_terms:
+        parser.add_argument("--max-terms", type=_max_terms, help="include the braiding term list, capped")
+    parser.set_defaults(func=_cmd_report, view=view, max_terms=None)
 
 
 def main(argv: Optional[list[str]] = None) -> int:
@@ -175,23 +160,11 @@ def main(argv: Optional[list[str]] = None) -> int:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_analyze = sub.add_parser("analyze", help="full report for one (type, lattice, param) triple")
-    _add_common(p_analyze)
-    p_analyze.add_argument("--max-terms", type=_max_terms, help="include the braiding term list, capped")
-    p_analyze.set_defaults(func=_cmd_analyze)
-
-    p_dual = sub.add_parser("dual", help="dual root data only")
-    _add_common(p_dual)
-    p_dual.set_defaults(func=_cmd_dual)
-
-    p_rmatrix = sub.add_parser("rmatrix", help="admissible braiding supports with exact coefficients")
-    _add_common(p_rmatrix)
-    p_rmatrix.add_argument("--max-terms", type=_max_terms)
-    p_rmatrix.set_defaults(func=_cmd_rmatrix)
-
-    p_twist = sub.add_parser("verify-twist", help="scalar rescaling identity checks")
-    _add_common(p_twist)
-    p_twist.set_defaults(func=_cmd_verify_twist)
+    _add_report(sub, "analyze", "full report for one (type, lattice, param) triple", None, max_terms=True)
+    _add_report(sub, "dual", "dual root data only", lambda a, _: dual_section(a))
+    _add_report(sub, "rmatrix", "admissible braiding supports with exact coefficients", rmatrix_section,
+                max_terms=True, json=True)
+    _add_report(sub, "verify-twist", "scalar rescaling identity checks", lambda a, _: twistcheck_section(a))
 
     p_presets = sub.add_parser("presets", help="list the named presets")
     p_presets.set_defaults(func=_cmd_presets)

@@ -1,6 +1,8 @@
 """Report assembly: one cached Analysis per (root datum, parameter) pair,
 serialized section by section into one deterministic JSON/text document.
-The dual, rmatrix and verify-twist commands print single sections of it.
+The dual, rmatrix and verify-twist commands print one-section views of it,
+`{schema, input, **section}`; `to_json` and `to_text` are the only
+serializers, and each renders the full report and a view alike.
 
 All angles are serialized as "a/b" strings, rationals likewise, lattices as
 their HNF generator rows, and cyclotomic numbers as a conductor plus
@@ -342,47 +344,60 @@ def _encode(x: Any, newline: str) -> str:
 
 
 def to_text(report: dict[str, Any]) -> str:
-    """Human-readable summary mirroring the standard notation."""
+    """Human-readable summary, in the standard notation, of every section the
+    document holds: the full report, or a one-section view."""
+    for key, name in (("g_star", "dual"), ("serre_ratio", "twistcheck"), ("support_count", "rmatrix")):
+        if key in report:
+            report = {name: report}
     lines = []
-    rdat = report["root_datum"]
-    lines.append(f"type {rdat['dynkin_type']}  (lacing {rdat['lacing']}, "
-                 f"{'simply connected' if rdat['simply_connected'] else 'adjoint' if rdat['adjoint'] else 'intermediate X'})")
-    lines.append(f"parameter c = {', '.join(report['parameter']['c_per_factor'])} per factor")
-    lines.append(f"l per simple root: {report['l_table']['per_simple']}")
-    lines.append(f"l per positive root: {report['l_table']['per_pos_root']}")
-    c = report["centers"]
-    lines.append("center tower (HNF rows):")
-    lines.append(f"  lQ     = {c['lQ']}")
-    lines.append(f"  X^Tan  = {c['x_tan']}")
-    lines.append(f"  X^Mug  = {c['x_mug']}")
-    lines.append(f"  X*     = {c['x_star']}")
-    lines.append(f"  indices: [X:X^Tan] = {c['indices']['x_over_x_tan']}, "
-                 f"[X^Mug:X^Tan] = {c['indices']['x_mug_over_x_tan']}, "
-                 f"[X^Tan:lQ] = {c['indices']['x_tan_over_lQ']}")
-    if c["witness_mug_not_tan"] is not None:
-        lines.append(f"  witness in X^Mug - X^Tan: {c['witness_mug_not_tan']}")
-    v = c["verdicts"]
-    lines.append(f"verdicts: X^Tan = X^Mug: {v['tan_equals_mug']}, sc/even hypotheses: {v['thm_sc_hypotheses']}, "
-                 f"Langlands dual: {v['langlands_dual']}, pivot trivial on X^Tan: {v['pivot_trivial_on_xtan']}, "
-                 f"modular: {v['modular']}")
-    lines.append(f"dual datum G*: type {report['dual']['g_star']['dynkin_type']}, "
-                 f"Cartan {report['dual']['g_star']['cartan']}, eps scalars {report['dual']['g_star']['epsilon_scalars']}")
-    lines.append(f"dual datum Gv: char lattice {report['dual']['g_check']['char_lattice']}")
-    g = report["groups"]
-    lines.append(f"Sigma: order {g['sigma']['order']} {g['sigma']['invariant_factors']}, "
-                 f"Lambda: order {g['lambda']['order']} {g['lambda']['invariant_factors']}, "
-                 f"Theta: order {g['theta']['order']} {g['theta']['invariant_factors']}")
-    d = report["dims"]
-    lines.append(f"FPdim(fiber) = {d['fpdim_fiber']}"
-                 + (f" = sc formula {d['fpdim_sc_formula']}" if d["fpdim_sc_formula"] is not None else ""))
-    lines.append(f"dim u = {d['dim_uqk']} = {d['grouplike_count']} * {d['dim_u_plus']}^2, |Sigma| = {d['sigma_order']}")
-    lines.append(f"simples: u_q labels X/X^Tan = {d['simples_group_uq']['invariant_factors']} "
-                 f"({d['simple_count_uq']}), toral labels X/rad(q,kappa) = "
-                 f"{d['simples_group_uqk']['invariant_factors']} ({d['simple_count_uqk']})")
-    t = report["twisting"]
-    lines.append(f"kappa gram on X^Tan basis: {t['kappa']['gram']}")
-    lines.append(f"psi gram on X basis: {t['psi']['gram']} (vanishes on rad(q,kappa): {t['psi_vanishes_on_rad_qk']})")
-    lines.append(f"twist checks pass: {report['twistcheck']['all_pass']}")
+    if "centers" in report:
+        rdat = report["root_datum"]
+        lines.append(f"type {rdat['dynkin_type']}  (lacing {rdat['lacing']}, "
+                     f"{'simply connected' if rdat['simply_connected'] else 'adjoint' if rdat['adjoint'] else 'intermediate X'})")
+        lines.append(f"parameter c = {', '.join(report['parameter']['c_per_factor'])} per factor")
+        lines.append(f"l per simple root: {report['l_table']['per_simple']}")
+        lines.append(f"l per positive root: {report['l_table']['per_pos_root']}")
+        c = report["centers"]
+        lines.append("center tower (HNF rows):")
+        lines.append(f"  lQ     = {c['lQ']}")
+        lines.append(f"  X^Tan  = {c['x_tan']}")
+        lines.append(f"  X^Mug  = {c['x_mug']}")
+        lines.append(f"  X*     = {c['x_star']}")
+        lines.append(f"  indices: [X:X^Tan] = {c['indices']['x_over_x_tan']}, "
+                     f"[X^Mug:X^Tan] = {c['indices']['x_mug_over_x_tan']}, "
+                     f"[X^Tan:lQ] = {c['indices']['x_tan_over_lQ']}")
+        if c["witness_mug_not_tan"] is not None:
+            lines.append(f"  witness in X^Mug - X^Tan: {c['witness_mug_not_tan']}")
+        v = c["verdicts"]
+        lines.append(f"verdicts: X^Tan = X^Mug: {v['tan_equals_mug']}, sc/even hypotheses: {v['thm_sc_hypotheses']}, "
+                     f"Langlands dual: {v['langlands_dual']}, pivot trivial on X^Tan: {v['pivot_trivial_on_xtan']}, "
+                     f"modular: {v['modular']}")
+        g = report["groups"]
+        lines.append(f"Sigma: order {g['sigma']['order']} {g['sigma']['invariant_factors']}, "
+                     f"Lambda: order {g['lambda']['order']} {g['lambda']['invariant_factors']}, "
+                     f"Theta: order {g['theta']['order']} {g['theta']['invariant_factors']}")
+        d = report["dims"]
+        lines.append(f"FPdim(fiber) = {d['fpdim_fiber']}"
+                     + (f" = sc formula {d['fpdim_sc_formula']}" if d["fpdim_sc_formula"] is not None else ""))
+        lines.append(f"dim u = {d['dim_uqk']} = {d['grouplike_count']} * {d['dim_u_plus']}^2, |Sigma| = {d['sigma_order']}")
+        lines.append(f"simples: u_q labels X/X^Tan = {d['simples_group_uq']['invariant_factors']} "
+                     f"({d['simple_count_uq']}), toral labels X/rad(q,kappa) = "
+                     f"{d['simples_group_uqk']['invariant_factors']} ({d['simple_count_uqk']})")
+        t = report["twisting"]
+        lines.append(f"kappa gram on X^Tan basis: {t['kappa']['gram']}")
+        lines.append(f"psi gram on X basis: {t['psi']['gram']} (vanishes on rad(q,kappa): {t['psi_vanishes_on_rad_qk']})")
+    if "dual" in report:
+        for key in ("g_star", "g_check"):
+            d = report["dual"][key]
+            lines.append(f"{key}: type {d['dynkin_type']}, Cartan {d['cartan']}, "
+                         f"char lattice {d['char_lattice']}, eps {d['epsilon_scalars']}")
+    if "twistcheck" in report:
+        t = report["twistcheck"]
+        for w in t["serre_ratio"]:
+            lines.append(f"serre ratio {tuple(w['pair'])} (m = {w['serre_exponent']}): {'ok' if w['verdict'] else 'FAIL'}")
+        lines.append(f"commutator identity: {'ok' if t['commutator'] else 'FAIL'}")
+        lines.append(f"cross-commutator antisymmetry: {'ok' if t['cross_commutator'] else 'FAIL'}")
+        lines.append(f"twist checks pass: {t['all_pass']}")
     if "rmatrix" in report:
         r = report["rmatrix"]
         lines.append(f"braiding support count: {r['support_count']}" + (" (truncated list)" if r["truncated"] else ""))

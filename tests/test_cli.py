@@ -330,6 +330,13 @@ def test_entrypoint_subprocess():
         ["--preset", "sl2n-even:l=-2"],
         ["--preset", "sl3-odd:l=-3"],
         ["--preset", "sl2n-even:n=0"],
+        ["--spec", "{typo}"],
+        ["--preset", "sl3-odd", "--type", "B2"],
+        ["--preset", "sl3-odd", "--lattice", "adjoint"],
+        ["--preset", "sl3-odd", "--param", "1/6"],
+        ["--preset", "sl3-odd", "--spec", "{good}"],
+        ["--spec", "{good}", "--type", "B2"],
+        ["--spec", "{good}", "--param", "1/4"],
     ],
 )
 def test_malformed_inputs_exit_one_without_traceback(argv, tmp_path):
@@ -337,6 +344,8 @@ def test_malformed_inputs_exit_one_without_traceback(argv, tmp_path):
         "spec": 'type = "A2"\nparam = "1/0"\n',
         "int_type": 'type = 5\nparam = "1/6"\n',
         "list_type": 'type = ["A2"]\nparam = "1/6"\n',
+        "typo": 'type = "A2"\nlattce = "adjoint"\nparam = "1/6"\n',
+        "good": 'type = "A2"\nparam = "1/6"\n',
     }
     for name, text in specs.items():
         (tmp_path / f"{name}.spec").write_text(text)
@@ -350,6 +359,52 @@ def test_malformed_inputs_exit_one_without_traceback(argv, tmp_path):
     assert proc.stderr.startswith("error: ")
     assert "Traceback" not in proc.stderr
     assert proc.stdout == ""
+
+
+def test_unknown_spec_keys_and_conflicting_flags_are_named(tmp_path, capsys):
+    typo = tmp_path / "typo.spec"
+    typo.write_text('type = "A2"\nlattce = "adjoint"\nparam = "1/6"\n')
+    code, out, err = run_cli(["analyze", "--spec", str(typo)], capsys)
+    assert (code, out) == (1, "") and f"{typo}:2:" in err and "'lattce'" in err
+    for flag, value in (("--type", "B2"), ("--lattice", "adjoint"), ("--param", "1/6"), ("--spec", str(typo))):
+        code, out, err = run_cli(["analyze", "--preset", "sl3-odd", flag, value], capsys)
+        assert (code, out) == (1, "") and flag in err, flag
+    good = tmp_path / "good.spec"
+    good.write_text('type = "A2"\nparam = "1/6"\n')
+    code, out, err = run_cli(["dual", "--spec", str(good), "--type", "B2"], capsys)
+    assert (code, out) == (1, "") and "--type" in err
+    # A flag for a key the spec does not set still completes it.
+    code, out, _err = run_cli(["analyze", "--spec", str(good), "--lattice", "adjoint", "--json"], capsys)
+    assert code == 0 and json.loads(out)["input"]["lattice"] == "adjoint"
+
+
+def test_failed_twist_checks_exit_two_from_every_view(monkeypatch, capsys):
+    from qcenters import report
+    from qcenters.twistcheck import TwistWitness
+
+    monkeypatch.setattr(report, "run_all", lambda *args: ([TwistWitness((0, 1), 2, (), False)], True, True))
+    argv = ["--type", "A2", "--param", "1/6"]
+    for command in ("analyze", "verify-twist"):
+        code, out, _err = run_cli([command, *argv], capsys)
+        assert code == 2 and "serre ratio (0, 1) (m = 2): FAIL" in out, command
+    code, out, _err = run_cli(["analyze", *argv, "--json"], capsys)
+    assert code == 2 and json.loads(out)["twistcheck"]["all_pass"] is False
+
+
+@pytest.mark.parametrize("type_str, param", [("C2", "1/8"), ("A2", "1/6")])
+def test_text_views_keep_their_facts(type_str, param, capsys):
+    argv = ["--type", type_str, "--param", param]
+    views = {}
+    for command in ("dual", "verify-twist", "analyze"):
+        code, out, _err = run_cli([command, *argv], capsys)
+        assert code == 0
+        views[command] = out.splitlines()
+    dual = json.loads(run_cli(["dual", *argv, "--json"], capsys)[1])
+    for key in ("g_star", "g_check"):
+        assert [line for line in views["dual"] if f"char lattice {dual[key]['char_lattice']}" in line], key
+    witnesses = json.loads(run_cli(["verify-twist", *argv, "--json"], capsys)[1])["serre_ratio"]
+    assert len([line for line in views["verify-twist"] if line.startswith("serre ratio ")]) == len(witnesses) > 0
+    assert set(views["dual"] + views["verify-twist"]) <= set(views["analyze"])
 
 
 @pytest.mark.parametrize(
