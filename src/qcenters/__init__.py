@@ -6,6 +6,9 @@ X^Mug <= X*, dual root data with their quasi-classical parameter, the
 alternating twisting forms kappa/psi, small-quantum-group dimensions and
 simple-module label groups, braiding coefficient data, and a modularity
 verdict, together with self-verifying identity checks.
+
+`Analysis(rd, q)` computes each of these stages once, on first use; its
+`dims` (`invariants.dim_report`) holds every dimension and label group.
 """
 
 from .angles import AngleQZ
@@ -21,7 +24,7 @@ from .intlat import (
     quotient,
     snf,
 )
-from .invariants import DimReport, dim_report, dims_uqk, fpdim_fiber, fpdim_sc, simples
+from .invariants import DimReport, dim_report
 from .kappa import BiformQZ, Radicals, ToralGroups, build_kappa, extend_psi, radicals
 from .qparam import InvariantViolation, ParamClass, QParam, classify, make_param
 from .report import Analysis, build_report, to_json, to_text
@@ -69,11 +72,8 @@ __all__ = [
     "cross_commutator_check",
     "cyclotomic_poly",
     "dim_report",
-    "dims_uqk",
     "dual_datum",
     "extend_psi",
-    "fpdim_fiber",
-    "fpdim_sc",
     "hnf",
     "index",
     "intersect",
@@ -84,7 +84,6 @@ __all__ = [
     "radicals",
     "root_of_unity",
     "serre_ratio_invariance",
-    "simples",
     "snf",
     "support_size",
     "to_json",

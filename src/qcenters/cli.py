@@ -3,9 +3,9 @@
 Subcommands: analyze, dual, rmatrix, verify-twist, presets, selftest.  The
 first four print views of one report (`analyze` all of it, the others one
 section) through one handler, as `report.to_text` text or `--json`.
-Exit codes: 0 success, 1 bad input (usage errors, conflicting flags and
-unknown spec keys included), 2 violated internal identity (failed twist
-checks or preset conclusions included).
+Exit codes: 0 success, 1 bad input (usage errors, conflicting flags, and
+unknown or repeated spec keys included), 2 violated internal identity
+(failed twist checks or preset conclusions included).
 """
 
 from __future__ import annotations
@@ -37,8 +37,9 @@ SPEC_KEYS = ("type", "lattice", "param")
 def read_spec_file(path: str) -> dict[str, Any]:
     """Parse a key-value spec document: `type = "A2xB3"`, `lattice = "sc"` or
     a row matrix, `param = "1/6"`.  Values use Python literal syntax; any
-    other key is an error."""
+    other key, or a key given twice, is an error."""
     spec: dict[str, Any] = {}
+    seen: dict[str, int] = {}
     with open(path, "r", encoding="utf-8") as handle:
         for lineno, raw in enumerate(handle, 1):
             line = raw.split("#", 1)[0].strip()
@@ -49,6 +50,9 @@ def read_spec_file(path: str) -> dict[str, Any]:
             key, value = (part.strip() for part in line.split("=", 1))
             if key not in SPEC_KEYS:
                 raise InputError(f"{path}:{lineno}: unknown key {key!r} (expected type, lattice or param)")
+            if key in seen:
+                raise InputError(f"{path}:{lineno}: key {key!r} is also given at {path}:{seen[key]}")
+            seen[key] = lineno
             try:
                 spec[key] = ast.literal_eval(value)
             except (ValueError, SyntaxError) as exc:
@@ -146,7 +150,8 @@ def _add_report(sub: Any, name: str, help_text: str, view: Any, max_terms: bool 
     parser.add_argument("--param", help='parameter: "1/6", "1/6,1/4", "pi/l:3", "2pi/l:3"')
     parser.add_argument("--preset", help="named preset, e.g. sl2n-odd or sl3-odd-5")
     parser.add_argument("--spec", help="path to a key-value spec file (type/lattice/param)")
-    parser.add_argument("--json", action="store_true", default=json, help="emit JSON instead of text")
+    parser.add_argument("--json", action="store_true", default=json,
+                        help="JSON output (the default here)" if json else "emit JSON instead of text")
     if max_terms:
         parser.add_argument("--max-terms", type=_max_terms, help="include the braiding term list, capped")
     parser.set_defaults(func=_cmd_report, view=view, max_terms=None)

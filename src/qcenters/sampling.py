@@ -30,15 +30,11 @@ def random_instance(
     """One random (root datum, parameter) pair within the given bounds."""
     rank = rng.randint(1, max_rank)
     type_str = rng.choice(_TYPES_BY_RANK[rank])
-    scaffold = build_root_datum(type_str, "sc")
     choice = rng.random()
-    if choice < 0.4:
-        lattice = "sc"
-    elif choice < 0.7:
-        lattice = "adjoint"
+    if choice < 0.7:
+        rd = build_root_datum(type_str, "sc" if choice < 0.4 else "adjoint")
     else:
-        lattice = _random_intermediate(rng, scaffold)
-    rd = build_root_datum(type_str, lattice)
+        rd = build_root_datum(type_str, _random_intermediate(rng, build_root_datum(type_str, "sc")))
     n_factors = len(rd.dynkin.factors)
     cs = []
     for _ in range(n_factors):

@@ -1,11 +1,17 @@
 """Randomized property suites runnable from the command line.
 
-Each suite draws seeded random instances and asserts the structural
-identities the theory guarantees: the center chain, the brute-force
-cross-check of the Tannakian sublattice, the dimension identities, the
-twisting-form identities, and the normal-form properties of the integer
-lattice layer.  A nonzero failure count means either a bug or an input
-outside the validity envelope.
+Three suites, each from its own `random.Random(seed)`:
+
+- one sweep over 50 random instances that builds one `Analysis` per
+  instance and runs every report stage, each of which raises on a violated
+  identity (the center chain, the dimension identities and the rest), then
+  requires the twist checks to pass and re-checks kappa and psi through
+  `eval`;
+- a brute-force cross-check of the Tannakian sublattice;
+- the normal-form properties of the integer lattice layer.
+
+A nonzero failure count means either a bug or an input outside the
+validity envelope.
 """
 
 from __future__ import annotations
@@ -19,7 +25,7 @@ from typing import Callable
 from .centers import center_tower
 from .intlat import Lattice, congruence_kernel, congruent, hnf, index, left_kernel, smith_normal_form
 from .qparam import QParam
-from .report import Analysis
+from .report import Analysis, twistcheck_section
 from .rootdata import RootDatum, Weight
 from .sampling import random_instance
 
@@ -33,22 +39,6 @@ class SuiteResult:
     @property
     def ok(self) -> bool:
         return not self.failures
-
-
-def chain_suite(rng: random.Random, runs: int = 50) -> SuiteResult:
-    """lQ <= X^Tan <= X^Mug <= X* on random instances (raises on violation)."""
-    failures = []
-    for k in range(runs):
-        rd, q = random_instance(rng, max_rank=3, max_den=24)
-        try:
-            tower = center_tower(q, rd)
-        except Exception as exc:  # noqa: BLE001 - report, don't crash the suite
-            failures.append(f"run {k}: {exc}")
-            continue
-        for sub, sup in ((tower.lq, tower.x_tan), (tower.x_tan, tower.x_mug), (tower.x_mug, tower.x_star)):
-            if not sup.contains_lattice(sub):
-                failures.append(f"run {k}: chain inclusion broken for {rd.dynkin} c={q.c}")
-    return SuiteResult("center chain", runs, failures)
 
 
 def _tan_modulus(q: QParam, rd: RootDatum) -> int:
@@ -102,43 +92,37 @@ def bruteforce_tan_suite(rng: random.Random, runs: int = 20, max_index: int = 10
     return SuiteResult("brute-force Tannakian cross-check", done, failures)
 
 
-def dims_suite(rng: random.Random, runs: int = 50) -> SuiteResult:
-    """fpdim identities and label-group consistency on random instances.
-
-    dim_report raises on any violated identity, so a clean pass is the check.
-    """
-    failures = []
-    for k in range(runs):
-        rd, q = random_instance(rng, max_rank=3, max_den=24)
-        try:
-            Analysis(rd, q).dims
-        except Exception as exc:  # noqa: BLE001
-            failures.append(f"run {k} ({rd.dynkin}, c={q.c}): {exc}")
-    return SuiteResult("dimension identities", runs, failures)
-
-
-def kappa_suite(rng: random.Random, runs: int = 30) -> SuiteResult:
-    """kappa alternating/square-root identities and exact psi restriction."""
+def instance_suite(rng: random.Random, runs: int = 50) -> SuiteResult:
+    """Every report stage on random instances, in report order: tower,
+    verdicts, dual data, kappa, radicals, psi and dims raise on a violated
+    identity, and the twist checks must all pass.  Then kappa's zero
+    diagonal, antisymmetry and 2 kappa = q, and psi restricting to kappa, are
+    re-checked through eval on X^Tan."""
     failures = []
     for k in range(runs):
         rd, q = random_instance(rng, max_rank=3, max_den=24)
         a = Analysis(rd, q)
+        where = f"run {k} ({rd.dynkin}, c={q.c})"
         try:
-            tower, kappa, psi = a.tower, a.kappa, a.psi
-        except Exception as exc:  # noqa: BLE001
-            failures.append(f"run {k} ({rd.dynkin}, c={q.c}): {exc}")
+            a.verdicts, a.g_check, a.rads, a.psi, a.dims  # computed for the checks they make
+            twist_ok = twistcheck_section(a)["all_pass"]
+        except Exception as exc:  # noqa: BLE001 - report, don't crash the suite
+            failures.append(f"{where}: {exc}")
             continue
-        for gi in tower.x_tan.gens:
-            for gj in tower.x_tan.gens:
+        if not twist_ok:
+            failures.append(f"{where}: twist checks fail")
+        kappa, psi = a.kappa, a.psi
+        for gi in a.tower.x_tan.gens:
+            for gj in a.tower.x_tan.gens:
                 if psi.eval(gi, gj) != kappa.eval(gi, gj):
-                    failures.append(f"run {k}: psi restriction mismatch")
+                    failures.append(f"{where}: psi restriction mismatch")
                 if not (kappa.eval(gi, gj) + kappa.eval(gj, gi)).is_zero():
-                    failures.append(f"run {k}: kappa not antisymmetric")
+                    failures.append(f"{where}: kappa not antisymmetric")
                 if kappa.eval(gi, gj).scaled(2) != q.eval(Weight.of(gi), Weight.of(gj)):
-                    failures.append(f"run {k}: kappa squared mismatch")
+                    failures.append(f"{where}: kappa squared mismatch")
             if not kappa.eval(gi, gi).is_zero():
-                failures.append(f"run {k}: kappa diagonal nonzero")
-    return SuiteResult("twisting-form identities", runs, failures)
+                failures.append(f"{where}: kappa diagonal nonzero")
+    return SuiteResult("report stages and twisting-form identities", runs, failures)
 
 
 def normal_form_suite(rng: random.Random, runs: int = 60) -> SuiteResult:
@@ -178,10 +162,8 @@ def normal_form_suite(rng: random.Random, runs: int = 60) -> SuiteResult:
 
 
 ALL_SUITES: list[Callable[[random.Random], SuiteResult]] = [
-    chain_suite,
+    instance_suite,
     bruteforce_tan_suite,
-    dims_suite,
-    kappa_suite,
     normal_form_suite,
 ]
 

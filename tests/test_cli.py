@@ -300,7 +300,7 @@ def test_decimal_string_threshold_does_not_follow_the_process_limit():
 def test_selftest_smoke(capsys):
     code, out, _err = run_cli(["selftest", "--seed", "7"], capsys)
     assert code == 0
-    assert out.count("[pass]") == 5
+    assert out.count("[pass]") == 3
 
 
 def test_entrypoint_subprocess():
@@ -337,6 +337,7 @@ def test_entrypoint_subprocess():
         ["--preset", "sl3-odd", "--spec", "{good}"],
         ["--spec", "{good}", "--type", "B2"],
         ["--spec", "{good}", "--param", "1/4"],
+        ["--spec", "{twice}"],
     ],
 )
 def test_malformed_inputs_exit_one_without_traceback(argv, tmp_path):
@@ -346,10 +347,12 @@ def test_malformed_inputs_exit_one_without_traceback(argv, tmp_path):
         "list_type": 'type = ["A2"]\nparam = "1/6"\n',
         "typo": 'type = "A2"\nlattce = "adjoint"\nparam = "1/6"\n',
         "good": 'type = "A2"\nparam = "1/6"\n',
+        "twice": 'type = "A2"\nparam = "1/6"\ntype = "B2"\n',
     }
+    paths = {name: tmp_path / f"{name}.spec" for name in specs}
     for name, text in specs.items():
-        (tmp_path / f"{name}.spec").write_text(text)
-    argv = [a.format(**{name: tmp_path / f"{name}.spec" for name in specs}) for a in argv]
+        paths[name].write_text(text)
+    argv = [a.format(**paths) for a in argv]
     proc = subprocess.run(
         [sys.executable, "-m", "qcenters.cli", "analyze", *argv],
         capture_output=True,
@@ -359,6 +362,9 @@ def test_malformed_inputs_exit_one_without_traceback(argv, tmp_path):
     assert proc.stderr.startswith("error: ")
     assert "Traceback" not in proc.stderr
     assert proc.stdout == ""
+    if str(paths["twice"]) in argv:
+        twice = paths["twice"]
+        assert proc.stderr == f"error: {twice}:3: key 'type' is also given at {twice}:1\n"
 
 
 def test_unknown_spec_keys_and_conflicting_flags_are_named(tmp_path, capsys):
@@ -430,6 +436,13 @@ def test_usage_errors_exit_one_without_traceback(argv):
 def test_help_exits_zero(capsys):
     code, out, _err = run_cli(["analyze", "--help"], capsys)
     assert code == 0 and "--max-terms" in out
+
+
+def test_rmatrix_help_words_json_as_its_default(capsys):
+    code, out, _err = run_cli(["rmatrix", "--help"], capsys)
+    assert code == 0 and "--json JSON output (the default here)" in " ".join(out.split())
+    code, out, _err = run_cli(["analyze", "--help"], capsys)
+    assert code == 0 and "--json emit JSON instead of text" in " ".join(out.split())
 
 
 def test_preset_orders_must_be_positive_integers(capsys):

@@ -1,77 +1,96 @@
 import random
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
 
-from qcenters.invariants import HypothesisNotMet, dims_uqk, fpdim_fiber, fpdim_sc, simples
-from qcenters.qparam import InvariantViolation, classify, make_param
+from qcenters import invariants
+from qcenters.intlat import FiniteAbelianGroup
+from qcenters.invariants import dim_report
+from qcenters.qparam import InvariantViolation, make_param
 from qcenters.report import Analysis
 from qcenters.rootdata import build_root_datum
 from qcenters.sampling import random_instance
 
 
-def _full(type_str, lattice, c):
+def _analysis(type_str, lattice, c):
     rd = build_root_datum(type_str, lattice)
-    a = Analysis(rd, make_param(rd, c))
-    return rd, a.q, a.tower, a.rads
+    return Analysis(rd, make_param(rd, c))
+
+
+def _dims(type_str, lattice, c):
+    return _analysis(type_str, lattice, c).dims
 
 
 def test_fpdim_fiber_examples():
-    rd, q, tower, rads = _full("A1", "sc", Fraction(1, 4))
-    assert fpdim_fiber(q, tower) == 16
-    rd, q, tower, rads = _full("A1", "sc", Fraction(1, 3))
-    assert fpdim_fiber(q, tower) == 54
-    rd, q, tower, rads = _full("A1", "adjoint", Fraction(1, 3))
-    assert fpdim_fiber(q, tower) == 27
+    assert _dims("A1", "sc", Fraction(1, 4)).fpdim_fiber == 16
+    assert _dims("A1", "sc", Fraction(1, 3)).fpdim_fiber == 54
+    assert _dims("A1", "adjoint", Fraction(1, 3)).fpdim_fiber == 27
 
 
 def test_fpdim_sc_examples():
-    rd, q, tower, rads = _full("A1", "sc", Fraction(1, 4))
-    assert fpdim_sc(q, rd, fpdim_fiber(q, tower), classify(q)) == 16  # 2 * 2 * 4
-
-    rd, q, tower, rads = _full("A2", "sc", Fraction(1, 6))
-    assert fpdim_sc(q, rd, fpdim_fiber(q, tower), classify(q)) == 3 * 9 * 729  # 19683
-    with pytest.raises(InvariantViolation):
-        fpdim_sc(q, rd, 3 * 9 * 729 + 1, classify(q))  # the fiber formula must agree
-
-    rd, q, tower, rads = _full("A1", "sc", Fraction(1, 3))
-    with pytest.raises(HypothesisNotMet):
-        fpdim_sc(q, rd, fpdim_fiber(q, tower), classify(q))  # odd-order scalar parameter
-
-    rd, q, tower, rads = _full("A1", "adjoint", Fraction(1, 4))
-    with pytest.raises(HypothesisNotMet):
-        fpdim_sc(q, rd, fpdim_fiber(q, tower), classify(q))  # not simply connected
+    assert _dims("A1", "sc", Fraction(1, 4)).fpdim_sc_formula == 16  # 2 * 2 * 4
+    assert _dims("A2", "sc", Fraction(1, 6)).fpdim_sc_formula == 3 * 9 * 729  # 19683
+    assert _dims("A1", "sc", Fraction(1, 3)).fpdim_sc_formula is None  # odd-order scalar parameter
+    assert _dims("A1", "adjoint", Fraction(1, 4)).fpdim_sc_formula is None  # not simply connected
 
 
 def test_dims_uqk_examples():
-    rd, q, tower, rads = _full("A1", "sc", Fraction(1, 4))
-    dim_u, dim_u_plus, grouplikes = dims_uqk(q, rads)
-    assert (dim_u, dim_u_plus, grouplikes) == (32, 2, 8)
-    assert dim_u // rads.groups.sigma.order == 16
+    dims = _dims("A1", "sc", Fraction(1, 4))
+    assert (dims.dim_uqk, dims.dim_u_plus, dims.grouplike_count) == (32, 2, 8)
+    assert dims.dim_uqk // dims.sigma_order == 16
 
-    rd, q, tower, rads = _full("A1", "adjoint", Fraction(1, 3))
-    dim_u, dim_u_plus, grouplikes = dims_uqk(q, rads)
-    assert (dim_u, dim_u_plus, grouplikes) == (27, 3, 3)
-    assert rads.groups.sigma.order == 1
+    dims = _dims("A1", "adjoint", Fraction(1, 3))
+    assert (dims.dim_uqk, dims.dim_u_plus, dims.grouplike_count) == (27, 3, 3)
+    assert dims.sigma_order == 1
 
-    rd, q, tower, rads = _full("A2", "sc", Fraction(1, 2))  # quasi-classical
-    dim_u, dim_u_plus, grouplikes = dims_uqk(q, rads)
-    assert dim_u_plus == 1 and dim_u == grouplikes
+    dims = _dims("A2", "sc", Fraction(1, 2))  # quasi-classical
+    assert dims.dim_u_plus == 1 and dims.dim_uqk == dims.grouplike_count
 
 
 def test_simples_examples():
-    rd, q, tower, rads = _full("A1", "sc", Fraction(1, 4))
-    group_uqk, group_uq = simples(rd, tower, rads)
-    assert group_uq.invariant_factors == (4,)
-    assert group_uqk.invariant_factors == (8,)
+    dims = _dims("A1", "sc", Fraction(1, 4))
+    assert dims.simples_group_uq.invariant_factors == (4,)
+    assert dims.simples_group_uqk.invariant_factors == (8,)
+    assert _dims("A1", "sc", Fraction(1, 3)).simples_group_uq.invariant_factors == (6,)
+    assert _dims("A1", "adjoint", Fraction(1, 3)).simples_group_uq.invariant_factors == (3,)
 
-    rd, q, tower, rads = _full("A1", "sc", Fraction(1, 3))
-    _uqk, group_uq = simples(rd, tower, rads)
-    assert group_uq.invariant_factors == (6,)
 
-    rd, q, tower, rads = _full("A1", "adjoint", Fraction(1, 3))
-    _uqk, group_uq = simples(rd, tower, rads)
-    assert group_uq.invariant_factors == (3,)
+def _stages(a, tower=None, rads=None):
+    """dim_report's arguments from the stages of `a`, with tower or rads replaced."""
+    return a.q, a.rd, tower or a.tower, rads or a.rads, a.param_class
+
+
+def test_infinite_tan_index_is_refused():
+    a = _analysis("A1", "sc", Fraction(1, 4))
+    dim_report(*_stages(a))
+    with pytest.raises(InvariantViolation, match=r"X\^Tan has infinite index in X"):
+        dim_report(*_stages(a, tower=replace(a.tower, index_x_tan=None)))
+
+
+def test_fiber_formulas_that_disagree_are_refused(monkeypatch):
+    a = _analysis("A2", "sc", Fraction(1, 6))
+    dim_report(*_stages(a))
+    monkeypatch.setattr(invariants, "index", lambda sub, sup: 4)  # |Z(SL3)| is 3
+    with pytest.raises(InvariantViolation, match="the two fiber-dimension formulas disagree"):
+        dim_report(*_stages(a))
+
+
+def test_fiber_times_sigma_must_equal_dim_u():
+    a = _analysis("A1", "sc", Fraction(1, 4))
+    dim_report(*_stages(a))
+    assert a.rads.groups.sigma.order == 2
+    groups = replace(a.rads.groups, sigma=FiniteAbelianGroup(()))
+    with pytest.raises(InvariantViolation, match=r"fiber dimension times \|Sigma\| does not equal dim u"):
+        dim_report(*_stages(a, rads=replace(a.rads, groups=groups)))
+
+
+def test_label_groups_must_differ_by_sigma(monkeypatch):
+    a = _analysis("A1", "sc", Fraction(1, 4))
+    dim_report(*_stages(a))
+    monkeypatch.setattr(invariants, "quotient", lambda sub, sup: FiniteAbelianGroup((3,)))
+    with pytest.raises(InvariantViolation, match=r"simple-label orbit count is inconsistent with \|Sigma\|"):
+        dim_report(*_stages(a))
 
 
 @pytest.mark.parametrize("type_str,ell", [("A1", 3), ("A2", 5)])

@@ -1,0 +1,68 @@
+import random
+
+from qcenters import sampling
+from qcenters.sampling import random_instance
+
+# The first ten instances of seeds 0 and 7 (max rank 3, max denominator 24),
+# as (type, generator rows of X, parameter).  Building a root datum draws
+# nothing from the rng, so these must not move with how many are built.
+FIRST_INSTANCES = {
+    0: [
+        ("G2", [[1, 0], [0, 1]], "16/17"),
+        ("C2", [[2, 0], [0, 1]], "3/10"),
+        ("A1", [[2]], "3/4"),
+        ("A1", [[2]], "1/2"),
+        ("C2", [[2, 0], [0, 1]], "5/7"),
+        ("G2", [[1, 0], [0, 1]], "13/24"),
+        ("A1xA1xA1", [[2, 0, 0], [0, 2, 0], [0, 0, 2]], "4/5,4/11,11/24"),
+        ("A3", [[1, 0, 0], [0, 1, 0], [0, 0, 1]], "8/19"),
+        ("A1", [[2]], "2/3"),
+        ("A1xA2", [[1, 0, 0], [0, 1, 0], [0, 0, 1]], "5/9,4/23"),
+    ],
+    7: [
+        ("B2", [[1, 0], [0, 1]], "1/2"),
+        ("A3", [[1, 0, 0], [0, 1, 0], [0, 0, 1]], "1/2"),
+        ("A1", [[2]], "1/3"),
+        ("A1", [[1]], "4/19"),
+        ("A1", [[2]], "1/13"),
+        ("A1", [[2]], "3/5"),
+        ("B2", [[1, 0], [0, 2]], "10/19"),
+        ("A1xA1xA1", [[1, 0, 0], [0, 1, 0], [0, 0, 1]], "7/19,1/6,1/6"),
+        ("A3", [[1, 0, 1], [0, 1, 2], [0, 0, 4]], "11/16"),
+        ("A1xA2", [[2, 0, 0], [0, 1, 0], [0, 0, 1]], "8/23,2/3"),
+    ],
+}
+
+
+def test_first_instances_of_two_seeds_are_pinned():
+    for seed, expected in FIRST_INSTANCES.items():
+        rng = random.Random(seed)
+        drawn = []
+        for _ in expected:
+            rd, q = random_instance(rng, max_rank=3, max_den=24)
+            param = ",".join(f"{c.numerator}/{c.denominator}" for c in q.c)
+            drawn.append((str(rd.dynkin), rd.charlattice.rows(), param))
+        assert drawn == expected, seed
+
+
+def test_one_root_datum_per_sc_or_adjoint_instance(monkeypatch):
+    calls = []
+    build = sampling.build_root_datum
+
+    def counting(type_str, lattice):
+        calls.append(lattice)
+        return build(type_str, lattice)
+
+    monkeypatch.setattr(sampling, "build_root_datum", counting)
+    rng = random.Random(0)
+    kinds = set()
+    for _ in range(40):
+        calls.clear()
+        random_instance(rng, max_rank=3, max_den=24)
+        if calls[-1] in ("sc", "adjoint"):
+            assert len(calls) == 1
+            kinds.add(calls[-1])
+        else:  # an intermediate lattice, drawn from the sc root lattice
+            assert calls[0] == "sc" and len(calls) == 2
+            kinds.add("intermediate")
+    assert kinds == {"sc", "adjoint", "intermediate"}
