@@ -2,7 +2,10 @@
 
 An element of Q(zeta_N) is an integer coefficient vector on the power basis
 1, x, ..., x^(d-1) of Q[x]/Phi_N (d = deg Phi_N) over one positive
-denominator, reduced by the gcd, so equality is equality of that pair.
+denominator, reduced by the gcd, so equality is equality of that pair; an
+integral element (denominator 1) is reduced as it stands, so the gcd runs
+only for denominators above 1.  Elements and multiplication matrices are
+frozen slotted dataclasses, with no per-instance dict.
 A product of two elements is the schoolbook sum of the terms a_i b_j
 x^(i+j) (`_mul_vecs`), and `CycloNum.product`, behind the R-matrix pairing
 values (`rmatrix.pairing_diag`), is a left fold of `__mul__`.  Phi_N is
@@ -17,8 +20,9 @@ the embeddings Q(zeta_N) -> Q(zeta_M), N | M, and the entries of
 place at a time and folding the top coefficient back by Phi_N (`_shifts`),
 and the same walk from any element e gives the rows x^i e of the integer
 matrix of multiplication by e (`MulMatrix`): where one factor is used many
-times, as the R-matrix coefficient entries are, a product by it is d^2
-integer products and no reduction.  The inverse of alpha is the product c
+times, as the R-matrix coefficient entries are (their matrices are kept by
+the R-matrix coefficient tables), a product by it is d^2 integer products
+and no reduction.  The inverse of alpha is the product c
 of its other Galois conjugates sigma_k(alpha), k in (Z/N)^x, divided by the
 norm alpha * c.  inverse checks that the norm came out a nonzero rational
 and raises if not.  It serves only qfact and negative powers.
@@ -152,14 +156,15 @@ def _mul_vecs(a: Sequence[int], b: Sequence[int], n: int) -> list[int]:
     return _reduce(((i + j, x * y) for i, x in enumerate(a) if x for j, y in nonzero), n)
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, slots=True)
 class CycloNum:
     """Element num / den of Q(zeta_N), num an integer vector modulo Phi_N.
 
     The constructor reduces num and den by their gcd, so two elements of one
-    field are equal exactly when their (num, den) pairs are.  Equality lifts
-    across conductors, so one(2) == one(4); no hash agrees with that, so
-    CycloNum is unhashable.
+    field are equal exactly when their (num, den) pairs are; an integral
+    element (den = 1) is already reduced, so only den > 1 runs the gcd.
+    Equality lifts across conductors, so one(2) == one(4); no hash agrees
+    with that, so CycloNum is unhashable.
     """
 
     conductor: int
@@ -170,13 +175,15 @@ class CycloNum:
         num, den = self.num, self.den
         if len(num) != _phi_degree(self.conductor):
             raise CycloError("coefficient vector length must equal deg Phi_N")
-        if den < 1:
-            raise CycloError("denominator must be positive")
-        g = gcd(den, *num)
-        if g != 1:
-            object.__setattr__(self, "num", tuple(c // g for c in num))
-            object.__setattr__(self, "den", den // g)
-        elif type(num) is not tuple:
+        if den != 1:
+            if den < 1:
+                raise CycloError("denominator must be positive")
+            g = gcd(den, *num)
+            if g != 1:
+                object.__setattr__(self, "num", tuple(c // g for c in num))
+                object.__setattr__(self, "den", den // g)
+                return
+        if type(num) is not tuple:
             object.__setattr__(self, "num", tuple(num))
 
     @property
@@ -289,7 +296,7 @@ class CycloNum:
         return " + ".join(terms) if terms else "0"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class MulMatrix:
     """Multiplication by a fixed element e = num / den of Q(zeta_N) as an
     integer matrix M on the power basis: row i of M is x^i num mod Phi_N,
@@ -312,7 +319,7 @@ class MulMatrix:
         """a * e, for a in the same field."""
         if a.conductor != self.conductor:
             raise CycloError("a multiplication matrix acts only inside its own field")
-        return CycloNum(self.conductor, [sum(map(mul, a.num, col)) for col in self.cols], a.den * self.den)
+        return CycloNum(self.conductor, tuple([sum(map(mul, a.num, col)) for col in self.cols]), a.den * self.den)
 
 
 def _exponent(angle: AngleQZ, conductor: int) -> int:

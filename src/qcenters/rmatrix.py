@@ -11,14 +11,17 @@ phase q(sum n_gamma gamma, rho) of a coefficient are characters of n, so
 the coefficient is a product of one factor per root, f_gamma(n_gamma),
 entry n_gamma of a row over 0..l_gamma.  A parameter has one table per
 conductor (`_table`): its rows, each distinct (q_gamma, q(gamma, rho),
-parity of ht gamma, l_gamma) row built once, and the last support `coeff`
-walked, with the coefficient at each of its prefixes.  A support with one
-nonzero entry reads its row entry; any other keeps the last walk up to the
-first entry where the two differ and walks on from there, multiplying by
-each later nonzero entry as a cached integer matrix (`cyclo.MulMatrix`, one
-per parameter, conductor, root and entry).  In lexicographic order, as
-`term_table` walks, that is at most one d x d integer product per term;
-any other order is exact too.  The pairing values are products of cached
+parity of ht gamma, l_gamma) row built once, the tuple of l_gamma, the
+integer matrices of the row entries (`cyclo.MulMatrix`, one lazily filled
+map per distinct row, shared by the roots of that row, and freed with the
+table when the table LRU evicts it), and the last support `coeff` walked,
+with the coefficient at each of its prefixes.  A support is zero when some
+entry reaches l_gamma; any other, whatever its number of nonzero entries,
+keeps the last walk up to the first entry where the two differ and walks on
+from there, reading its first nonzero entry off the row and multiplying by
+the matrix of each later one.  In lexicographic order, as `term_table`
+walks, that is at most one d x d integer product per term; any other order
+is exact too.  The pairing values are products of cached
 rows too (`CycloNum.product`), walked apart and kept in a bounded cache, so
 that coeff * pairing = sign * phase checks one against the other.  Both
 rows are binomial walks
@@ -35,6 +38,7 @@ import itertools
 from dataclasses import dataclass
 from functools import lru_cache
 from math import lcm, prod
+from operator import ge, ne
 from typing import Optional, Sequence, Union
 
 from .angles import AngleQZ
@@ -49,15 +53,21 @@ class NonInvertibleSpecialization(ValueError):
     This is the obstruction that truncates the braiding expansion."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class RSupport:
-    """Exponent vector over the ordered positive roots."""
+    """Exponent vector over the ordered positive roots: a tuple of
+    nonnegative integers, whatever integer sequence it is given."""
 
     n: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        if any(v < 0 for v in self.n):
-            raise ValueError("support exponents must be nonnegative")
+        n = self.n
+        if type(n) is not tuple:
+            n = tuple(n)
+            object.__setattr__(self, "n", n)
+        # A sum of ints is an int, and any float or Fraction entry makes it not one.
+        if n and (min(n) < 0 or type(sum(n)) is not int):
+            raise ValueError(f"support exponents must be nonnegative integers, not {n!r}")
 
 
 def support_size(q: QParam) -> int:
@@ -83,25 +93,45 @@ def _coeff_row(qg: AngleQZ, phase: AngleQZ, height_parity: int, l: int, conducto
     return tuple(row)
 
 
-@dataclass
+class _EntryMatrices(dict):
+    """The multiplication matrices (`cyclo.MulMatrix`) of the entries of one
+    coefficient row, keyed by entry and each built on first use."""
+
+    __slots__ = ("row",)
+
+    def __init__(self, row: tuple[CycloNum, ...]) -> None:
+        super().__init__()
+        self.row = row
+
+    def __missing__(self, v: int) -> MulMatrix:
+        matrix = self[v] = MulMatrix.of(self.row[v])
+        return matrix
+
+
+@dataclass(slots=True)
 class _Table:
     """The coefficient rows of a parameter at one conductor, in rd.pos_roots
-    order, and the last support `coeff` walked: its entries up to the last
-    nonzero one, with the coefficient at each of its prefixes (None while
-    the prefix is all zeros)."""
+    order, with l_gamma and the entry matrices of each row (roots with one
+    row share one map), and the last support `coeff` walked, with the
+    coefficient at each of its prefixes: values[i] for the first i entries,
+    None while that prefix is all zeros."""
 
     rows: tuple[tuple[CycloNum, ...], ...]
-    support: list[int]
+    ls: tuple[int, ...]
+    matrices: tuple[_EntryMatrices, ...]
+    support: tuple[int, ...]
     values: list[Optional[CycloNum]]
 
 
 @lru_cache(maxsize=64)
 def _table(q: QParam, conductor: int) -> _Table:
-    """The table of q at the conductor, with an empty walk; each distinct
-    (q_gamma, phase, parity, l) row is built once."""
+    """The table of q at the conductor, its walk at the zero support; each
+    distinct (q_gamma, phase, parity, l) row and its matrix map are built
+    once."""
     keys = [(qg, phase, r.height % 2, l) for (qg, phase), l, r in zip(q.root_table, q.l_table, q.rd.pos_roots)]
-    built = {key: _coeff_row(*key, conductor) for key in dict.fromkeys(keys)}
-    return _Table(tuple(map(built.__getitem__, keys)), [], [])
+    maps = {key: _EntryMatrices(_coeff_row(*key, conductor)) for key in dict.fromkeys(keys)}
+    matrices = tuple(map(maps.__getitem__, keys))
+    return _Table(tuple(m.row for m in matrices), q.l_table, matrices, (0,) * len(keys), [None] * (len(keys) + 1))
 
 
 @lru_cache(maxsize=64)
@@ -122,21 +152,9 @@ def _pairing_row(angle: AngleQZ, conductor: int) -> tuple[CycloNum, ...]:
     return tuple(reversed(row))
 
 
-@lru_cache(maxsize=1024)
-def _entry_matrix(q: QParam, conductor: int, i: int, v: int) -> MulMatrix:
-    """Multiplication by entry v of the coefficient row of root i of q, as
-    an integer matrix, built once per (parameter, conductor, root, entry)."""
-    return MulMatrix.of(_table(q, conductor).rows[i][v])
-
-
 def _common_prefix(a: Sequence[int], b: Sequence[int]) -> int:
-    """The number of leading entries that a and b share."""
-    k = 0
-    for x, y in zip(a, b):
-        if x != y:
-            break
-        k += 1
-    return k
+    """The number of leading entries that a and b, of one length, share."""
+    return next(itertools.compress(itertools.count(), map(ne, a, b)), len(a))
 
 
 def coeff(n: RSupport, q: QParam, rd: RootDatum, conductor: Optional[int] = None) -> CycloNum:
@@ -149,40 +167,39 @@ def coeff(n: RSupport, q: QParam, rd: RootDatum, conductor: Optional[int] = None
     product over the nonzero n_gamma of entry n_gamma of the cached row of
     gamma; it is exactly zero iff some n_gamma >= l_gamma.  The rows of a
     parameter are built, and checked to vanish at l_gamma, by its first
-    coefficient at a conductor and then read from its table.  No nonzero
-    entry gives one and one gives its row entry.  Otherwise the last walk of
-    the table is kept up to the first entry where n differs from it, and the
-    walk goes on over the rest of n in a loop, the coefficient at each
-    prefix being the one before it times the cached integer matrix of its
-    last entry where that entry is nonzero.  In lexicographic order that is
-    at most one matrix product per support.  rd must be the parameter's root
-    datum.
+    coefficient at a conductor and then read from its table.  The last walk
+    of the table is kept up to the first entry where n differs from it, and
+    the walk goes on over the rest of n, the coefficient at each prefix
+    being the one before it times the table's matrix of its last entry
+    where that entry is nonzero (the row entry itself while the prefix
+    before it is all zeros).  In lexicographic order that is at most one
+    matrix product per support.  rd must be the parameter's root datum.
     """
     if rd is not q.rd and rd != q.rd:
         raise ValueError("the root datum is not the parameter's")
-    if len(n.n) != len(rd.pos_roots):
+    s = n.n
+    if len(s) != len(rd.pos_roots):
         raise ValueError("support length must match the number of positive roots")
     big_n = conductor or batch_conductor(q, rd)
     table = _table(q, big_n)
-    rows = table.rows
-    last = count = 0
-    for i, (v, row) in enumerate(zip(n.n, rows)):
-        if v:
-            if v >= len(row) - 1:
-                return CycloNum.zero(big_n)
-            last, count = i, count + 1
-    if count < 2:
-        return rows[last][n.n[last]] if count else CycloNum.one(big_n)
-    s = n.n[: last + 1]
-    start = _common_prefix(table.support, s)
-    del table.support[start:], table.values[start:]
-    value = table.values[-1] if start else None
-    for i in range(start, len(s)):
-        if s[i]:
-            value = rows[i][s[i]] if value is None else _entry_matrix(q, big_n, i, s[i]).times(value)
-        table.support.append(s[i])
-        table.values.append(value)
-    return value
+    if any(map(ge, s, table.ls)):
+        return CycloNum.zero(big_n)
+    start = _common_prefix(s, table.support)
+    values = table.values
+    del values[start + 1 :]
+    value = values[start]
+    try:
+        for v, matrices in zip(s[start:], table.matrices[start:]):
+            if v:
+                value = matrices.row[v] if value is None else matrices[v].times(value)
+            values.append(value)
+    except BaseException:
+        # A walk cut short (a MemoryError building a wide matrix, an
+        # interrupt) left values of no recorded support: start over from zero.
+        table.support, table.values = (0,) * len(s), [None] * (len(s) + 1)
+        raise
+    table.support = s
+    return CycloNum.one(big_n) if value is None else value
 
 
 def pairing_diag(

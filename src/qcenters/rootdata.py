@@ -297,6 +297,26 @@ def _positive_roots_orbit(cartan: Sequence[Sequence[int]], support: Sequence[Seq
     return found
 
 
+def assemble_cartan(dynkin: DynkinType) -> tuple[list[list[int]], list[int], list[int]]:
+    """The block-diagonal Cartan matrix of the type, its symmetrizers d_i and
+    the almost-simple factor of each simple index.  The simple roots, in
+    fundamental-weight coordinates, are the columns of the Cartan matrix."""
+    rank = dynkin.rank
+    cartan = [[0] * rank for _ in range(rank)]
+    d: list[int] = []
+    factor_of_index: list[int] = []
+    offset = 0
+    for fi, (family, n) in enumerate(dynkin.factors):
+        a, dv = _factor_cartan(family, n)
+        for i in range(n):
+            for j in range(n):
+                cartan[offset + i][offset + j] = a[i][j]
+        d.extend(dv)
+        factor_of_index.extend([fi] * n)
+        offset += n
+    return cartan, d, factor_of_index
+
+
 def build_root_datum(dynkin: Union[DynkinType, str], lattice_spec: LatticeSpec = "sc") -> RootDatum:
     """Assemble and validate a root datum for the given type and character
     lattice ("sc", "adjoint", or explicit generator rows in fw coordinates)."""
@@ -304,20 +324,8 @@ def build_root_datum(dynkin: Union[DynkinType, str], lattice_spec: LatticeSpec =
         dynkin = DynkinType.parse(dynkin)
     elif not isinstance(dynkin, DynkinType):
         raise RootDatumError(f"Dynkin type must be a string such as 'A2xB3', not {dynkin!r}")
-    blocks = [_factor_cartan(f, n) for f, n in dynkin.factors]
+    cartan, d, factor_of_index = assemble_cartan(dynkin)
     rank = dynkin.rank
-    cartan = [[0] * rank for _ in range(rank)]
-    d: list[int] = []
-    factor_of_index: list[int] = []
-    offset = 0
-    for fi, (a, dv) in enumerate(blocks):
-        n = len(dv)
-        for i in range(n):
-            for j in range(n):
-                cartan[offset + i][offset + j] = a[i][j]
-        d.extend(dv)
-        factor_of_index.extend([fi] * n)
-        offset += n
 
     for i in range(rank):
         for j in range(rank):

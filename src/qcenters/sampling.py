@@ -13,7 +13,7 @@ import random
 from fractions import Fraction
 from .intlat import Lattice, hnf
 from .qparam import QParam, make_param
-from .rootdata import RootDatum, build_root_datum
+from .rootdata import DynkinType, RootDatum, assemble_cartan, build_root_datum
 
 _TYPES_BY_RANK = {
     1: ["A1"],
@@ -34,7 +34,7 @@ def random_instance(
     if choice < 0.7:
         rd = build_root_datum(type_str, "sc" if choice < 0.4 else "adjoint")
     else:
-        rd = build_root_datum(type_str, _random_intermediate(rng, build_root_datum(type_str, "sc")))
+        rd = build_root_datum(type_str, _random_intermediate(rng, DynkinType.parse(type_str)))
     n_factors = len(rd.dynkin.factors)
     cs = []
     for _ in range(n_factors):
@@ -44,9 +44,12 @@ def random_instance(
     return rd, make_param(rd, cs)
 
 
-def _random_intermediate(rng: random.Random, scaffold: RootDatum) -> Lattice:
-    """A random lattice between Q and P: Q plus a few random weight vectors."""
-    rows = [list(r) for r in scaffold.root_lattice().gens]
-    for _ in range(rng.randint(1, scaffold.rank)):
-        rows.append([rng.randint(-2, 2) for _ in range(scaffold.rank)])
-    return hnf(rows, scaffold.rank)
+def _random_intermediate(rng: random.Random, dynkin: DynkinType) -> Lattice:
+    """A random lattice between Q and P: Q plus a few random weight vectors.
+    Q is spanned by the simple roots, the columns of the Cartan matrix."""
+    cartan, _d, _factors = assemble_cartan(dynkin)
+    rank = len(cartan)
+    rows = [list(r) for r in hnf([list(col) for col in zip(*cartan)], rank).gens]
+    for _ in range(rng.randint(1, rank)):
+        rows.append([rng.randint(-2, 2) for _ in range(rank)])
+    return hnf(rows, rank)

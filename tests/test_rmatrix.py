@@ -1,11 +1,13 @@
+import gc
 import itertools
 import json
 import operator
 import random
 from collections import Counter
+from dataclasses import FrozenInstanceError
 from fractions import Fraction
 from functools import reduce
-from math import prod
+from math import gcd, prod
 
 import pytest
 
@@ -22,13 +24,13 @@ from helpers import (
 )
 from qcenters import cyclo, rmatrix
 from qcenters.angles import ZERO, AngleQZ
-from qcenters.cyclo import CycloError, CycloNum, MulMatrix, root_of_unity
+from qcenters.cyclo import CycloError, CycloNum, MulMatrix, binomial_walk, root_of_unity
 from qcenters.qparam import InvariantViolation, QParam, make_param
 from qcenters.rmatrix import (
     NonInvertibleSpecialization,
     RSupport,
     _coeff_row,
-    _entry_matrix,
+    _EntryMatrices,
     _pairing_row,
     _table,
     batch_conductor,
@@ -305,7 +307,6 @@ def test_coeff_matches_the_per_term_oracle(type_str, c, first, scale):
 
 def _clear_coeff_caches():
     _table.cache_clear()
-    _entry_matrix.cache_clear()
 
 
 @pytest.fixture
@@ -402,6 +403,35 @@ def test_memoized_coeff_survives_eviction(fresh_coeff_caches):
     _assert_coeffs(q, rd, big_n, expected, reversed(supports))
 
 
+def test_a_walk_cut_short_leaves_no_stale_prefix(monkeypatch, fresh_coeff_caches):
+    # (2, 1, 1) walks from (1, 1, 0) at the first entry, and building the
+    # matrix of its last entry fails after the prefix (2, 1) was walked; the
+    # next support, (1, 1, 1), shares (1, 1) with the recorded walk, so a
+    # stale prefix value would come back as a wrong coefficient.
+    rd = build_root_datum("A2", "sc")
+    q = make_param(rd, Fraction(1, 6))
+    big_n = batch_conductor(q, rd)
+    supports = [(1, 1, 0), (2, 1, 1), (1, 1, 1)]
+    expected = _expected_coeffs(q, rd, supports, big_n)
+    _clear_coeff_caches()
+    target = _table(q, big_n).rows[2]
+    build = _EntryMatrices.__missing__
+    failures = [0]
+
+    def failing_once(matrices, v):
+        if matrices.row is target and not failures[0]:
+            failures[0] += 1
+            raise MemoryError("no room for the matrix")
+        return build(matrices, v)
+
+    monkeypatch.setattr(_EntryMatrices, "__missing__", failing_once)
+    _assert_coeffs(q, rd, big_n, expected, supports[:1])
+    with pytest.raises(MemoryError):
+        coeff(RSupport(supports[1]), q, rd, conductor=big_n)
+    assert failures == [1]
+    _assert_coeffs(q, rd, big_n, expected, supports[2:] + supports)
+
+
 def test_a_support_with_a_thousand_nonzero_entries_is_walked_without_recursion(fresh_coeff_caches):
     rd = build_root_datum("A45", "sc")
     q = make_param(rd, Fraction(1, 6))
@@ -412,18 +442,21 @@ def test_a_support_with_a_thousand_nonzero_entries_is_walked_without_recursion(f
     assert value == reduce(operator.mul, [row[1] for row in _table(q, big_n).rows])
 
 
-def _corrupt_one_matrix_entry(monkeypatch, root, v):
-    build = rmatrix._entry_matrix
+def _corrupt_one_matrix_entry(monkeypatch, row, v):
+    """Corrupt the matrix of entry v of the coefficient row equal to `row`,
+    in every table built from now on."""
+    build = _EntryMatrices.__missing__
 
-    def corrupted(q, conductor, i, w):
-        m = build(q, conductor, i, w)
-        if (i, w) != (root, v):
+    def corrupted(matrices, w):
+        m = build(matrices, w)
+        if w != v or matrices.row != row:
             return m
         cols = [list(col) for col in m.cols]
         cols[0][0] += 1
-        return MulMatrix(m.conductor, tuple(map(tuple, cols)), m.den)
+        m = matrices[w] = MulMatrix(m.conductor, tuple(map(tuple, cols)), m.den)
+        return m
 
-    monkeypatch.setattr(rmatrix, "_entry_matrix", corrupted)
+    monkeypatch.setattr(_EntryMatrices, "__missing__", corrupted)
 
 
 def _rewalk_one_entry_too_late(monkeypatch):
@@ -444,7 +477,12 @@ def test_the_memo_differential_catches_a_broken_odometer(monkeypatch, fresh_coef
     expected = _expected_coeffs(q, rd, supports, big_n)
     _assert_walks_in_any_order(q, rd, supports, big_n, seed=0)
     if mutation == "matrix":
-        _corrupt_one_matrix_entry(monkeypatch, 2, 1)
+        # The simple roots 0 and 2 of A2 share one row and its matrices; a
+        # walk reads a first nonzero entry off its row, so root 0's matrices
+        # are never used and the corruption hits root 2 alone.
+        rows = _table(q, big_n).rows
+        assert rows[0] is rows[2] and rows[1] is not rows[0]
+        _corrupt_one_matrix_entry(monkeypatch, rows[2], 1)
     else:
         _rewalk_one_entry_too_late(monkeypatch)
     with pytest.raises(AssertionError):
@@ -494,6 +532,90 @@ def test_term_table_work_per_term_is_flat(monkeypatch):
     assert calls["product"] == calls["_mul_vecs"] == 0
     assert 0 < calls["times"] <= len(terms) == 3000
     assert calls["mul"] <= sum(8 * (l + 1) for l in q.pos_root_ls())
+
+
+def test_a_support_is_a_tuple_of_nonnegative_integers():
+    # A list is stored as a tuple, so equal supports are equal and hash
+    # equal whatever sequence built them.
+    a2 = build_root_datum("A2", "sc")
+    q = make_param(a2, Fraction(1, 6))
+    s = RSupport([1, 0, 1])
+    assert type(s.n) is tuple and s == RSupport((1, 0, 1)) and hash(s) == hash(RSupport((1, 0, 1)))
+    assert len({s, RSupport((1, 0, 1))}) == 1
+    assert coeff(s, q, a2) == coeff(RSupport((1, 0, 1)), q, a2)
+    assert RSupport(()).n == () and RSupport((True, 0)).n == (1, 0)
+    for bad in ((1.0, 0, 1), (Fraction(1), 0, 1), (1, Fraction(1, 2), 0), (0, -1, 2)):
+        with pytest.raises(ValueError, match="support exponents must be nonnegative integers"):
+            RSupport(bad)
+
+
+def test_field_elements_matrices_and_supports_are_slotted_and_frozen():
+    e = CycloNum(6, (1, 2))
+    for obj, attr in ((e, "den"), (MulMatrix.of(e), "den"), (RSupport((1, 2)), "n")):
+        assert not hasattr(obj, "__dict__"), type(obj)
+        with pytest.raises(FrozenInstanceError):
+            setattr(obj, attr, 3)
+    with pytest.raises(TypeError):
+        hash(e)
+
+
+def _assert_canonical(x):
+    """x is stored as the constructor's gcd path leaves num / den: a tuple
+    num with gcd(den, *num) = 1, the pair that a scaled copy reduces to."""
+    assert type(x.num) is tuple and gcd(x.den, *x.num) == 1
+    again = CycloNum(x.conductor, [3 * c for c in x.num], 3 * x.den)
+    assert (again.conductor, again.num, again.den) == (x.conductor, x.num, x.den)
+
+
+@pytest.mark.parametrize("type_str,c", [("A2", Fraction(1, 6)), ("B2", Fraction(3, 10)), ("G2", Fraction(1, 12))])
+def test_walks_and_matrix_products_come_out_canonical(type_str, c, fresh_coeff_caches):
+    # Coefficient rows and products are integral, so they skip the gcd;
+    # pairing rows have den = ord(2 q_gamma) > 1, and so do their products
+    # with a coefficient, either way round.
+    rd = build_root_datum(type_str, "sc")
+    q = make_param(rd, c)
+    big_n = batch_conductor(q, rd)
+    terms = term_table(q, rd)
+    rows = _table(q, big_n).rows
+    pairing_rows = [_pairing_row(qg, big_n) for qg, _phase in q.root_table]
+    for qg, phase in q.root_table:
+        for x in binomial_walk(qg, range(1, 4), big_n, shift=phase, sign=-1, den=3):
+            _assert_canonical(x)
+    assert any(x.den > 1 for row in pairing_rows for x in row)
+    for row in [*rows, *pairing_rows]:
+        for x in row:
+            _assert_canonical(x)
+    for s, value in terms:
+        _assert_canonical(value)
+        for x in (row[v] for row, v in zip(pairing_rows, s.n) if v):
+            for out in (MulMatrix.of(x).times(value), MulMatrix.of(value).times(x)):
+                _assert_canonical(out)
+                assert out == value * x
+
+
+@pytest.mark.parametrize("type_str,c,distinct", [("A1xA1", [Fraction(1, 6)] * 2, 1), ("A2", Fraction(1, 6), 2), ("G2", Fraction(1, 12), 6)])
+def test_roots_with_one_row_share_its_matrices_and_the_table_owns_them(type_str, c, distinct, fresh_coeff_caches):
+    def live_matrices():
+        gc.collect()
+        return sum(type(o) is MulMatrix for o in gc.get_objects())
+
+    rd = build_root_datum(type_str, "sc")
+    q = make_param(rd, c)
+    big_n = batch_conductor(q, rd)
+    before = live_matrices()
+    table = _table(q, big_n)
+    term_table(q, rd)
+    maps = {id(m): m for m in table.matrices}
+    assert len(maps) == distinct
+    for i, j in itertools.combinations(range(len(table.rows)), 2):
+        if table.rows[i] == table.rows[j]:
+            assert table.rows[i] is table.rows[j] and table.matrices[i] is table.matrices[j]
+    assert all(m.row is row for m, row in zip(table.matrices, table.rows))
+    built = sum(map(len, maps.values()))
+    assert built > 0 and live_matrices() == before + built
+    del table, maps
+    _table.cache_clear()
+    assert live_matrices() == before
 
 
 def test_coeff_rejects_a_root_datum_that_is_not_the_parameters():

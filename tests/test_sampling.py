@@ -45,7 +45,7 @@ def test_first_instances_of_two_seeds_are_pinned():
         assert drawn == expected, seed
 
 
-def test_one_root_datum_per_sc_or_adjoint_instance(monkeypatch):
+def test_one_root_datum_per_instance(monkeypatch):
     calls = []
     build = sampling.build_root_datum
 
@@ -59,10 +59,6 @@ def test_one_root_datum_per_sc_or_adjoint_instance(monkeypatch):
     for _ in range(40):
         calls.clear()
         random_instance(rng, max_rank=3, max_den=24)
-        if calls[-1] in ("sc", "adjoint"):
-            assert len(calls) == 1
-            kinds.add(calls[-1])
-        else:  # an intermediate lattice, drawn from the sc root lattice
-            assert calls[0] == "sc" and len(calls) == 2
-            kinds.add("intermediate")
+        assert len(calls) == 1
+        kinds.add(calls[0] if calls[0] in ("sc", "adjoint") else "intermediate")
     assert kinds == {"sc", "adjoint", "intermediate"}
