@@ -18,7 +18,7 @@ from math import prod
 from typing import Optional, Sequence
 
 from .angles import AngleQZ
-from .intlat import IntMatrix, Lattice, congruent, hnf, index, vanishes_mod
+from .intlat import IntMatrix, Lattice, LatticeError, _coords_matrix, _index_of, congruent, hnf, index, vanishes_mod
 from .qparam import InvariantViolation, ParamClass, QParam, annihilator
 from .rootdata import _RANK_BOUNDS, DynkinType, RootDatum, Weight, _factor_cartan, two_rho
 
@@ -95,11 +95,16 @@ def center_tower(q: QParam, rd: RootDatum) -> CenterTower:
         if not tan.member(scaled.coords):
             raise InvariantViolation("l_alpha * alpha escapes X^Tan")
 
+    # Each link's coordinate matrix gives both its inclusion and its index.
+    links = []
     for sub, sup, name in ((lq, tan, "lQ <= X^Tan"), (tan, mug, "X^Tan <= X^Mug"), (mug, star, "X^Mug <= X*")):
-        if not sup.contains_lattice(sub):
-            raise InvariantViolation(f"chain inclusion {name} fails")
+        try:
+            links.append(_index_of(sub, sup, _coords_matrix(sub, sup)))
+        except LatticeError:
+            raise InvariantViolation(f"chain inclusion {name} fails") from None
+    index_lq_in_tan, index_tan_in_mug, index_mug_in_star = links
 
-    chain = (index(star, rd.charlattice), index(mug, star), index(tan, mug))
+    chain = (index(star, rd.charlattice), index_mug_in_star, index_tan_in_mug)
     index_x_tan = index(tan, rd.charlattice)
     if index_x_tan != (None if None in chain else prod(chain)):
         raise InvariantViolation("index multiplicativity [X : X^Tan] = [X : X*][X* : X^Mug][X^Mug : X^Tan] fails")
@@ -118,7 +123,7 @@ def center_tower(q: QParam, rd: RootDatum) -> CenterTower:
         index_x_star=chain[0],
         index_mug_in_star=chain[1],
         index_tan_in_mug=chain[2],
-        index_lq_in_tan=index(lq, tan),
+        index_lq_in_tan=index_lq_in_tan,
         index_x_tan=index_x_tan,
         witness_mug_not_tan=first_missing(mug, tan),
         witness_star_not_mug=first_missing(star, mug),
@@ -163,10 +168,10 @@ def _dual_cartan(q: QParam, rd: RootDatum) -> list[list[int]]:
 def _epsilon_scalars(q: QParam, rd: RootDatum) -> list[AngleQZ]:
     """Sign scalars of the restricted parameter, computed two ways."""
     ls = q.simple_ls()
+    simple = {r.root_coords.index(1): r for r in rd.pos_roots if r.height == 1}
     scalars = []
     for i in range(rd.rank):
-        simple = next(r for r in rd.pos_roots if r.height == 1 and r.root_coords[i] == 1)
-        via_power = q.q_scalar(simple).scaled(ls[i] ** 2)
+        via_power = q.q_scalar(simple[i]).scaled(ls[i] ** 2)
         star_root = rd.simple_root(i).scaled(ls[i])
         star_fundamental = rd.fundamental_weight(i).scaled(ls[i])
         via_form = q.eval(star_root, star_fundamental)

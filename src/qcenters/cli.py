@@ -157,6 +157,19 @@ def _add_report(sub: Any, name: str, help_text: str, view: Any, max_terms: bool 
     parser.set_defaults(func=_cmd_report, view=view, max_terms=None)
 
 
+def _attach_negative_param(argv: list[str]) -> list[str]:
+    """argv with a --param value that starts with a minus and a digit, as in
+    `--param -1/6`, attached as `--param=-1/6`: argparse reads any other
+    word that starts with a minus as an option, not as the flag's value."""
+    out: list[str] = []
+    for word in argv:
+        if out and out[-1] == "--param" and word[:1] == "-" and word[1:2].isdigit():
+            out[-1] = f"--param={word}"
+        else:
+            out.append(word)
+    return out
+
+
 def main(argv: Optional[list[str]] = None) -> int:
     parser = argparse.ArgumentParser(
         prog="qcenters",
@@ -179,7 +192,7 @@ def main(argv: Optional[list[str]] = None) -> int:
     p_selftest.set_defaults(func=_cmd_selftest)
 
     try:
-        args = parser.parse_args(argv)
+        args = parser.parse_args(_attach_negative_param(sys.argv[1:] if argv is None else argv))
     except SystemExit as exc:  # argparse exits 2 on a usage error, 0 after --help
         return 1 if exc.code else 0
     try:

@@ -3,17 +3,26 @@
 Sublattices of Z^r are stored by a canonical row-style Hermite normal form
 of a generator matrix, so lattice equality is plain matrix equality.  hnf
 is the one constructor from generator rows; the congruence cuts below build
-their rows in that form already.  A Lattice caches its pivot columns,
-outside equality and hashing, and coords_of back-substitutes on them.
-Every congruence cut, congruence_kernel and qparam.annihilator, is one HNF
-mod n of the rows [M | I] (_kernel_mod): the kernel {x : x . M = 0 mod n}
+their rows in that form already.  A Lattice caches its pivot columns, and
+whether each row is zero right of its pivot, outside equality and hashing;
+coords_of back-substitutes on them, and a row that is zero right of its
+pivot updates its pivot entry alone.  The coordinate rows of every
+congruence cut, congruence_kernel and qparam.annihilator, are one HNF mod n
+of the rows [M | I] (_kernel_mod): the kernel {x : x . M = 0 mod n}
 contains n * Z^r, so every entry stays in [0, n], and the HNF rows with no
-entry in M's columns are the kernel's HNF.  Smith normal form provides the
-invariant factors of finite quotients; its left_kernel and the exact
-intersect it backs are no part of any cut, and check congruence_kernel by
-an independent route.  The index of a sublattice of equal rank is the
-product of the ratios of the two HNFs' pivots.  Everything runs on Python's
-arbitrary-precision integers; there is no floating point.
+entry in M's columns are the kernel's HNF.  That HNF is upper triangular
+with a positive diagonal, so its product with an ambient lattice's HNF rows
+is already in echelon form on the ambient's pivots, and
+_reduce_above_pivots finishes the cut's canonical HNF with no second hnf.
+One Smith elimination loop (_smith) serves two callers: quotient reads the
+invariant factors of a finite quotient off it with no transforms, and
+smith_normal_form / snf also carry U and V, for kappa.extend_psi and for
+left_kernel.  left_kernel and the exact intersect it backs are no part of
+any cut, and check the cuts by an independent route.  The index of a
+sublattice of equal rank is the product of the ratios of the two HNFs'
+pivots, the diagonal of the triangular coordinate matrix of the inclusion.
+Everything runs on Python's arbitrary-precision integers; there is no
+floating point.
 """
 
 from __future__ import annotations
@@ -26,6 +35,7 @@ from typing import Iterable, Optional, Sequence
 
 
 IntMatrix = list[list[int]]
+_INT = frozenset((int,))
 
 
 class LatticeError(ValueError):
@@ -137,25 +147,39 @@ class Lattice:
         """Pivot column of each HNF row; cached, outside equality and hash."""
         return tuple(next(j for j, v in enumerate(row) if v) for row in self.gens)
 
+    @cached_property
+    def _back_substitution(self) -> tuple[tuple[tuple[int, ...], int, bool], ...]:
+        """(row, pivot column, whether the row is zero right of its pivot, as
+        every row of a diagonal lattice is) per HNF row; cached beside the
+        pivots, outside equality and hash."""
+        return tuple((row, p, not any(row[p + 1 :])) for row, p in zip(self.gens, self.pivots))
+
     def coords_of(self, x: Sequence[int]) -> Optional[list[int]]:
         """Integer coordinates of x on the HNF basis, or None if x is outside.
 
         Back-substitution on the pivots: a row touches the remainder only from
-        its pivot column on, and only when its coordinate is nonzero."""
-        x = list(x)
-        rem = [int(v) for v in x]
-        if rem != x:
-            raise LatticeError(f"non-integer vector {x!r}")
+        its pivot column on, and only when its coordinate is nonzero; a row
+        that is zero right of its pivot touches its pivot entry alone.  A
+        vector of ints is taken as it is; any other entry goes through int()
+        and must be equal to it, so that integral Fractions pass."""
+        rem = list(x)
+        if not _INT.issuperset(map(type, rem)):
+            x, rem = rem, [int(v) for v in rem]
+            if rem != x:
+                raise LatticeError(f"non-integer vector {x!r}")
         if len(rem) != self.ambient_rank:
             raise LatticeError("vector has wrong ambient rank")
         coords = []
-        for row, p in zip(self.gens, self.pivots):
+        for row, p, alone in self._back_substitution:
             c, r = divmod(rem[p], row[p])
-            if r != 0:
+            if r:
                 return None
             coords.append(c)
             if c:
-                rem[p:] = [a - c * b for a, b in zip(rem[p:], row[p:])]
+                if alone:
+                    rem[p] = 0
+                else:
+                    rem[p:] = [a - c * b for a, b in zip(rem[p:], row[p:])]
         if any(rem):
             return None
         return coords
@@ -243,45 +267,49 @@ class FiniteAbelianGroup:
         return " x ".join(f"Z/{d}" for d in self.invariant_factors)
 
 
-def smith_normal_form(m: Iterable[Iterable[int]]) -> tuple[IntMatrix, IntMatrix, IntMatrix]:
-    """Return (D, U, V) with U*m*V = D diagonal, d_i | d_{i+1}, U, V unimodular."""
-    a = _as_rows(m)
+def _smith(a: IntMatrix, u: Optional[IntMatrix] = None, v: Optional[IntMatrix] = None) -> list[int]:
+    """Diagonalize a in place into Smith form and return its diagonal.
+
+    The one elimination loop: when u and v are given, every row operation
+    is applied to u and every column operation to v as well, so that
+    U m V = D for identity matrices passed in; without them the loop builds
+    no transforms.  Each step takes the first entry of least absolute value
+    in the remaining block, row by row, clears its row and column, and
+    repairs divisibility by adding an offending row."""
     nrows = len(a)
     ncols = len(a[0]) if a else 0
-    u = [[1 if i == j else 0 for j in range(nrows)] for i in range(nrows)]
-    v = [[1 if i == j else 0 for j in range(ncols)] for i in range(ncols)]
+    by_rows = [a] if u is None else [a, u]
+    by_cols = [a] if v is None else [a, v]
 
     def row_op(i: int, j: int, q: int) -> None:  # row_i -= q * row_j
-        a[i] = [x - q * y for x, y in zip(a[i], a[j])]
-        u[i] = [x - q * y for x, y in zip(u[i], u[j])]
+        for m in by_rows:
+            m[i] = [x - q * y for x, y in zip(m[i], m[j])]
 
     def col_op(i: int, j: int, q: int) -> None:  # col_i -= q * col_j
-        for row in a:
-            row[i] -= q * row[j]
-        for row in v:
-            row[i] -= q * row[j]
+        for m in by_cols:
+            for row in m:
+                row[i] -= q * row[j]
 
     def swap_rows(i: int, j: int) -> None:
-        a[i], a[j] = a[j], a[i]
-        u[i], u[j] = u[j], u[i]
+        for m in by_rows:
+            m[i], m[j] = m[j], m[i]
 
     def swap_cols(i: int, j: int) -> None:
-        for row in a:
-            row[i], row[j] = row[j], row[i]
-        for row in v:
-            row[i], row[j] = row[j], row[i]
-
-    def negate_row(i: int) -> None:
-        a[i] = [-x for x in a[i]]
-        u[i] = [-x for x in u[i]]
+        for m in by_cols:
+            for row in m:
+                row[i], row[j] = row[j], row[i]
 
     for k in range(min(nrows, ncols)):
         while True:
-            best = None
+            best, least = None, 0
             for i in range(k, nrows):
+                row = a[i]
                 for j in range(k, ncols):
-                    if a[i][j] != 0 and (best is None or abs(a[i][j]) < abs(a[best[0]][best[1]])):
-                        best = (i, j)
+                    x = abs(row[j])
+                    if x and (not least or x < least):
+                        best, least = (i, j), x
+                if least == 1:  # no later entry is smaller
+                    break
             if best is None:
                 break
             i, j = best
@@ -290,7 +318,8 @@ def smith_normal_form(m: Iterable[Iterable[int]]) -> tuple[IntMatrix, IntMatrix,
             if j != k:
                 swap_cols(k, j)
             if a[k][k] < 0:
-                negate_row(k)
+                for m in by_rows:
+                    m[k] = [-x for x in m[k]]
             clean = True
             for i in range(k + 1, nrows):
                 if a[i][k] != 0:
@@ -311,8 +340,23 @@ def smith_normal_form(m: Iterable[Iterable[int]]) -> tuple[IntMatrix, IntMatrix,
             if offender is None:
                 break
             row_op(k, offender, -1)
-    d = [row[:] for row in a]
-    return d, u, v
+    return [a[i][i] for i in range(min(nrows, ncols))]
+
+
+def smith_normal_form(m: Iterable[Iterable[int]]) -> tuple[IntMatrix, IntMatrix, IntMatrix]:
+    """Return (D, U, V) with U*m*V = D diagonal, d_i | d_{i+1}, U, V unimodular."""
+    a = _as_rows(m)
+    nrows = len(a)
+    ncols = len(a[0]) if a else 0
+    u = [[1 if i == j else 0 for j in range(nrows)] for i in range(nrows)]
+    v = [[1 if i == j else 0 for j in range(ncols)] for i in range(ncols)]
+    _smith(a, u, v)
+    return a, u, v
+
+
+def _torsion(diag: Iterable[int]) -> FiniteAbelianGroup:
+    """The cokernel torsion of a Smith diagonal: its entries > 1."""
+    return FiniteAbelianGroup(tuple(x for x in diag if x > 1))
 
 
 def snf(m: Iterable[Iterable[int]]) -> tuple[FiniteAbelianGroup, IntMatrix, IntMatrix, list[int]]:
@@ -322,13 +366,9 @@ def snf(m: Iterable[Iterable[int]]) -> tuple[FiniteAbelianGroup, IntMatrix, IntM
     diagonal entries > 1.  The full diagonal, 1s and zeros included, is
     returned so callers can detect rank defects.
     """
-    rows = _as_rows(m)
-    nrows = len(rows)
-    ncols = len(rows[0]) if rows else 0
-    d, u, v = smith_normal_form(rows)
-    diag = [d[i][i] for i in range(min(nrows, ncols))]
-    factors = tuple(x for x in diag if x > 1)
-    return FiniteAbelianGroup(factors), u, v, diag
+    d, u, v = smith_normal_form(m)
+    diag = [d[i][i] for i in range(min(len(d), len(v)))]
+    return _torsion(diag), u, v, diag
 
 
 def left_kernel(m: Iterable[Iterable[int]], n: int = 0) -> IntMatrix:
@@ -351,6 +391,7 @@ def left_kernel(m: Iterable[Iterable[int]], n: int = 0) -> IntMatrix:
 
 
 def _coords_matrix(sub: Lattice, super_: Lattice) -> IntMatrix:
+    """Coordinates of sub's HNF rows on super_'s; LatticeError if one is outside."""
     coords = []
     for g in sub.gens:
         c = super_.coords_of(g)
@@ -360,12 +401,8 @@ def _coords_matrix(sub: Lattice, super_: Lattice) -> IntMatrix:
     return coords
 
 
-def index(sub: Lattice, super_: Lattice) -> Optional[int]:
-    """|super/sub| when finite, None when the ranks differ ("infinite").
-
-    Raises LatticeError if sub is not contained in super.
-    """
-    coords = _coords_matrix(sub, super_)
+def _index_of(sub: Lattice, super_: Lattice, coords: IntMatrix) -> Optional[int]:
+    """[super_ : sub] from the coordinate matrix of the inclusion."""
     if sub.rank < super_.rank:
         return None
     # Both HNFs have the same pivot columns, so coords is upper triangular
@@ -373,15 +410,22 @@ def index(sub: Lattice, super_: Lattice) -> Optional[int]:
     return prod(row[i] for i, row in enumerate(coords))
 
 
+def index(sub: Lattice, super_: Lattice) -> Optional[int]:
+    """|super/sub| when finite, None when the ranks differ ("infinite").
+
+    Raises LatticeError if sub is not contained in super.
+    """
+    return _index_of(sub, super_, _coords_matrix(sub, super_))
+
+
 def quotient(sub: Lattice, super_: Lattice) -> FiniteAbelianGroup:
-    """Invariant factors of super/sub; requires sub of finite index in super."""
+    """Invariant factors of super/sub; requires sub of finite index in super.
+    They are the Smith invariants of the inclusion's coordinate matrix,
+    taken with no transforms."""
     coords = _coords_matrix(sub, super_)
     if sub.rank < super_.rank:
         raise LatticeError("quotient by a lower-rank sublattice is infinite")
-    if not coords:
-        return FiniteAbelianGroup(())
-    group, _u, _v, _diag = snf(coords)
-    return group
+    return _torsion(_smith(coords))
 
 
 def _kernel_mod(m: IntMatrix, n: int) -> IntMatrix:

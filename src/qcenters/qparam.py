@@ -34,10 +34,11 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from math import gcd, lcm
+from operator import mul
 from typing import Optional, Sequence, Union
 
 from .angles import AngleQZ, from_int_gram
-from .intlat import IntMatrix, Lattice, _kernel_mod, bilinear, congruent, hnf, row_times, vanishes_mod
+from .intlat import IntMatrix, Lattice, _kernel_mod, _reduce_above_pivots, bilinear, congruent, row_times, vanishes_mod
 from .rootdata import Root, RootDatum, Weight
 
 
@@ -106,8 +107,8 @@ class QParam:
         q^2(gamma, -) on the weight lattice."""
         n, g = self.int_gram
         v = row_times(root.fw_coords, g)
-        order_diag = n // gcd(n, sum(a * b for a, b in zip(v, root.fw_coords)))
-        order_char = n // gcd(n, *(2 * x for x in v))
+        order_diag = n // gcd(n, sum(map(mul, v, root.fw_coords)))
+        order_char = n // gcd(n, 2 * gcd(*v))
         if order_diag != order_char:
             raise InvariantViolation(
                 f"ord q(g,g) = {order_diag} but ord q^2(g,-) = {order_char} at {root.root_coords}"
@@ -172,9 +173,15 @@ def _reflection_fixes(alpha: Sequence[int], v: Sequence[int], i: int, n: int) ->
 
 def annihilator(ambient: Lattice, n: int, m: Sequence[Sequence[int]]) -> Lattice:
     """HNF lattice of x = sum_k x_k * ambient.gens[k] with
-    sum_k x_k * m[k][j] = 0 mod n for every column j: the coordinate rows x
-    are one HNF mod n of [m | I] (`intlat._kernel_mod`)."""
-    return hnf([ambient.vector_from_coords(row) for row in _kernel_mod(m, n)], ambient.ambient_rank)
+    sum_k x_k * m[k][j] = 0 mod n for every column j.
+
+    The coordinate rows x are one HNF mod n of [m | I]
+    (`intlat._kernel_mod`): upper triangular with a positive diagonal.  So
+    row k of X . B, for B the HNF rows of ambient, is zero left of B's
+    k-th pivot column and positive there: X . B is in echelon form on the
+    ambient's pivots, and reducing above them gives the canonical HNF."""
+    rows = [row_times(x, ambient.gens) for x in _kernel_mod(m, n)]
+    return Lattice(ambient.ambient_rank, tuple(map(tuple, _reduce_above_pivots(rows, ambient.pivots))))
 
 
 def make_param(rd: RootDatum, c: Union[Fraction, int, str, Sequence[Union[Fraction, int, str]]]) -> QParam:

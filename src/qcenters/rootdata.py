@@ -19,7 +19,7 @@ integer-row computation.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from math import lcm
@@ -224,6 +224,7 @@ class RootDatum:
     pos_roots: tuple[Root, ...]
     w0_word: tuple[int, ...]
     factor_of_index: tuple[int, ...]  # simple index -> almost-simple factor
+    q_lattice: Lattice = field(compare=False, repr=False)  # Q, the HNF of the simple roots; read by root_lattice()
 
     @property
     def rank(self) -> int:
@@ -233,7 +234,8 @@ class RootDatum:
         return Lattice.standard(self.rank)
 
     def root_lattice(self) -> Lattice:
-        return hnf([list(a) for a in self.simple_roots], self.rank)
+        """Q, built once with the datum."""
+        return self.q_lattice
 
     def simple_root(self, i: int) -> Weight:
         return Weight.of(self.simple_roots[i])
@@ -243,9 +245,10 @@ class RootDatum:
 
     @cached_property
     def killing_gram(self) -> tuple[int, IntMatrix]:
-        """(D, K) with the Killing matrix equal to K / D over integers."""
+        """(D, K) with the Killing matrix equal to K / D over integers, read
+        off the entries' numerators and denominators."""
         den = lcm(*(x.denominator for row in self.killing for x in row))
-        return den, [[int(x * den) for x in row] for row in self.killing]
+        return den, [[x.numerator * (den // x.denominator) for x in row] for row in self.killing]
 
     def is_simply_connected(self) -> bool:
         return self.charlattice == self.weight_lattice()
@@ -347,13 +350,13 @@ def build_root_datum(dynkin: Union[DynkinType, str], lattice_spec: LatticeSpec =
     simple_roots = tuple(tuple(cartan[i][j] for i in range(rank)) for j in range(rank))
     lacing = lcm(*(_LACING[f] for f, _n in dynkin.factors))
 
-    root_rows = [list(col) for col in simple_roots]
+    q_lat = hnf([list(col) for col in simple_roots], rank)
     if isinstance(lattice_spec, Lattice):
         charlattice = lattice_spec
     elif lattice_spec in ("sc", "simply_connected"):
         charlattice = Lattice.standard(rank)
     elif lattice_spec == "adjoint":
-        charlattice = hnf(root_rows, rank)
+        charlattice = q_lat
     elif isinstance(lattice_spec, str):
         raise RootDatumError(f"unknown lattice preset {lattice_spec!r}")
     else:
@@ -365,7 +368,6 @@ def build_root_datum(dynkin: Union[DynkinType, str], lattice_spec: LatticeSpec =
         raise RootDatumError("character lattice has wrong ambient rank")
     if charlattice.rank != rank:
         raise RootDatumError("character lattice must have full rank")
-    q_lat = hnf(root_rows, rank)
     for row in q_lat.gens:
         if not charlattice.member(row):
             raise RootDatumError("character lattice does not contain the root lattice Q")
@@ -393,6 +395,7 @@ def build_root_datum(dynkin: Union[DynkinType, str], lattice_spec: LatticeSpec =
         pos_roots=tuple(pos),
         w0_word=tuple(word),
         factor_of_index=tuple(factor_of_index),
+        q_lattice=q_lat,
     )
 
     # (a_i, a_j) = d_i * A[i][j], checked against the assembled Killing matrix K / D.

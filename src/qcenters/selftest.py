@@ -8,7 +8,8 @@ Three suites, each from its own `random.Random(seed)`:
   requires the twist checks to pass and re-checks kappa and psi through
   `eval`;
 - a brute-force cross-check of the Tannakian sublattice;
-- the normal-form properties of the integer lattice layer.
+- the normal-form properties of the integer lattice layer, with the
+  report path's cut and quotient checked against an independent route.
 
 A nonzero failure count means either a bug or an input outside the
 validity envelope.
@@ -23,8 +24,8 @@ from math import lcm
 from typing import Callable
 
 from .centers import center_tower
-from .intlat import Lattice, congruence_kernel, congruent, hnf, index, left_kernel, smith_normal_form
-from .qparam import QParam
+from .intlat import Lattice, congruence_kernel, congruent, hnf, index, left_kernel, quotient, smith_normal_form, snf
+from .qparam import QParam, annihilator
 from .report import Analysis, twistcheck_section
 from .rootdata import RootDatum, Weight
 from .sampling import random_instance
@@ -126,8 +127,9 @@ def instance_suite(rng: random.Random, runs: int = 50) -> SuiteResult:
 
 
 def normal_form_suite(rng: random.Random, runs: int = 60) -> SuiteResult:
-    """HNF idempotence, SNF exactness, index multiplicativity, and the
-    congruence kernel against its exact route."""
+    """HNF idempotence, SNF exactness, index multiplicativity, quotient
+    against snf, and the congruence kernel and the annihilator cut against
+    their exact route."""
     failures = []
     for k in range(runs):
         rows = rng.randint(1, 4)
@@ -151,6 +153,12 @@ def normal_form_suite(rng: random.Random, runs: int = 60) -> SuiteResult:
         iac = index(a_lat, c_lat)
         if None in (iab, ibc, iac) or iab * ibc != iac:
             failures.append(f"run {k}: index multiplicativity fails")
+        # quotient's transform-free invariants against snf, which carries U
+        # and V: of m itself when its rows have full rank, and of a <= b.
+        if lat.rank == cols and quotient(lat, Lattice.standard(cols)) != snf(m)[0]:
+            failures.append(f"run {k}: quotient differs from the Smith form of m")
+        if quotient(a_lat, b_lat) != snf([b_lat.coords_of(g) for g in a_lat.gens])[0]:
+            failures.append(f"run {k}: quotient differs from the Smith form of the inclusion")
         # The HNF mod L of congruence_kernel against the exact HNF of the same
         # Smith-form kernel rows, with the columns of m as the constraints.
         constraints = [(list(col), rng.choice([1, 2, 3, 4, 6, 7, 12])) for col in zip(*m)]
@@ -158,6 +166,13 @@ def normal_form_suite(rng: random.Random, runs: int = 60) -> SuiteResult:
         scaled = [[c[i] * (big // n) for c, n in constraints] for i in range(rows)]
         if congruence_kernel(constraints, rows) != hnf(left_kernel(scaled, big), rows):
             failures.append(f"run {k}: congruence kernel differs from the exact route")
+        # The annihilator cut of the row lattice of m by its own rows mod L,
+        # finished on the ambient's pivots, against the HNF of the ambient
+        # vectors of the Smith-form kernel rows.
+        cut = lat.rows()
+        exact = hnf([lat.vector_from_coords(x) for x in left_kernel(cut, big)], cols)
+        if annihilator(lat, big, cut) != exact:
+            failures.append(f"run {k}: annihilator differs from the exact route")
     return SuiteResult("integer normal forms", runs, failures)
 
 

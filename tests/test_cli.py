@@ -216,6 +216,18 @@ def test_spec_file_roundtrip(tmp_path, capsys):
     assert json.loads(out)["root_datum"]["char_lattice"] == [[1, 1], [0, 3]]
 
 
+@pytest.mark.parametrize("type_str, param", [("A2", "-1/6"), ("A2xB2", "-1/6,1/4")])
+def test_a_negative_param_reads_the_same_as_a_flag_or_a_spec_key(type_str, param, tmp_path, capsys):
+    spec = tmp_path / "negative.spec"
+    spec.write_text(f'type = "{type_str}"\nparam = "{param}"\n')
+    forms = (["--type", type_str, "--param", param], ["--type", type_str, f"--param={param}"], ["--spec", str(spec)])
+    outs = [run_cli(["analyze", *argv, "--json"], capsys) for argv in forms]
+    assert outs[0] == outs[1] == outs[2]
+    code, out, err = outs[0]
+    assert (code, err) == (0, "")
+    assert json.loads(out)["input"]["param"] == param.split(",")
+
+
 def test_json_reports_roundtrip_bytes(capsys):
     code, out, _err = run_cli(["analyze", "--preset", "g2-small", "--json"], capsys)
     assert code == 0
@@ -421,6 +433,7 @@ def test_text_views_keep_their_facts(type_str, param, capsys):
         ["analyze", "--max-terms", "abc"],
         ["analyze", "--type", "A2", "--param", "1/6", "--max-terms", "-1"],
         ["rmatrix", "--type", "A2", "--param", "1/6", "--max-terms", "-1"],
+        ["analyze", "--type", "A2", "--param", "--json"],
     ],
 )
 def test_usage_errors_exit_one_without_traceback(argv):
@@ -431,6 +444,8 @@ def test_usage_errors_exit_one_without_traceback(argv):
     assert proc.stdout == ""
     if "--max-terms" in argv:
         assert "argument --max-terms" in proc.stderr
+    if argv[-2:] == ["--param", "--json"]:  # --json is a flag, not the value of --param
+        assert "argument --param: expected one argument" in proc.stderr
 
 
 def test_help_exits_zero(capsys):

@@ -1,10 +1,11 @@
 import itertools
 import random
+import re
 from fractions import Fraction
 from math import lcm
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
 from helpers import (
@@ -18,6 +19,7 @@ from qcenters.intlat import (
     FiniteAbelianGroup,
     Lattice,
     LatticeError,
+    _kernel_mod,
     congruence_kernel,
     hnf,
     index,
@@ -27,6 +29,7 @@ from qcenters.intlat import (
     smith_normal_form,
     snf,
 )
+from qcenters.qparam import annihilator
 
 small_matrix = st.integers(1, 4).flatmap(
     lambda c: st.lists(st.lists(st.integers(-9, 9), min_size=c, max_size=c), min_size=1, max_size=4)
@@ -297,7 +300,12 @@ def test_coords_of_rejects_a_non_integer_vector():
         lat.member([Fraction(5, 2), 4])
     with pytest.raises(LatticeError):
         lat.coords_of([2.5, 4])
-    assert lat.coords_of([Fraction(2), 4]) == [1, 0]
+    for bad in (1.5, Fraction(1, 2)):
+        with pytest.raises(LatticeError, match=re.escape(f"non-integer vector {[bad, 4]!r}")):
+            lat.coords_of([bad, 4])
+    for two in (Fraction(2), 2.0, 2):
+        assert lat.coords_of([two, 4]) == [1, 0]
+    assert Lattice.standard(2).coords_of([True, 3]) == [1, 3]
 
 
 def test_vector_from_coords_rejects_a_non_integer_or_misfit_coordinate_vector():
@@ -376,7 +384,11 @@ def test_equal_lattices_hash_equal_with_or_without_cached_pivots():
     a = hnf([[0, 2, 4], [0, 0, 6]], 3)
     b = hnf([[0, 2, -2], [0, 2, 4]], 3)
     assert a.pivots == (1, 2)
-    assert "pivots" in vars(a) and "pivots" not in vars(b)
+    # Each row's flag: zero right of its pivot, so back-substitution
+    # touches its pivot entry alone.
+    assert a._back_substitution == (((0, 2, 4), 1, False), ((0, 0, 6), 2, True))
+    assert {"pivots", "_back_substitution"} <= set(vars(a))
+    assert "pivots" not in vars(b) and "_back_substitution" not in vars(b)
     assert a == b and hash(a) == hash(b)
     assert {a: "cut"}[b] == "cut"
     assert b.pivots == (1, 2) and a == b and hash(a) == hash(b)
@@ -481,3 +493,142 @@ def test_congruence_kernel_matches_the_exact_route(rows, rank):
     m = [[c[i] * (big // n) for c, n in rows] for i in range(rank)]
     gens = left_kernel(m, big) + [[big * (i == j) for j in range(rank)] for i in range(rank)]
     assert _sympy_row_lattice([list(g) for g in lat.gens]) == _sympy_row_lattice(gens)
+
+
+# Differential tests of the report path's lattice kernels: the annihilator
+# cut finished on the ambient's pivots, quotient's transform-free Smith
+# invariants, and coords_of's pivot-only rows and integer type check.
+
+ambient_lattices = st.integers(1, 5).flatmap(
+    lambda r: st.lists(st.lists(st.integers(-6, 6), min_size=r, max_size=r), min_size=1, max_size=r).map(
+        lambda rows: hnf(rows, r)
+    )
+)
+
+
+@st.composite
+def cuts(draw):
+    """(ambient, n, m): an ambient HNF lattice of full or deficient rank, a
+    modulus 1-60 and constraints with one row per ambient generator, the
+    first constraint column all zero when drawn so."""
+    ambient = draw(ambient_lattices)
+    n = draw(st.integers(1, 60))
+    width = draw(st.integers(1, 4))
+    m = [draw(st.lists(st.integers(-60, 60), min_size=width, max_size=width)) for _ in ambient.gens]
+    if draw(st.booleans()):
+        for row in m:
+            row[0] = 0
+    return ambient, n, m
+
+
+@seed(25)
+@settings(max_examples=200, deadline=None)
+@given(cuts())
+def test_annihilator_equals_the_hnf_of_its_generators(cut):
+    ambient, n, m = cut
+    got = annihilator(ambient, n, m)
+    # The generators of the cut: ambient vectors of the kernel rows mod n,
+    # from the Smith-form route and from the HNF mod n, each normalized by hnf.
+    for kernel in (left_kernel(m, n), _kernel_mod(m, n)):
+        assert got == hnf([ambient.vector_from_coords(x) for x in kernel], ambient.ambient_rank)
+    assert got.rank == ambient.rank and ambient.contains_lattice(got)
+
+
+def test_annihilator_on_edge_cases():
+    ambient = hnf([[0, 2, 4], [0, 0, 6]], 3)
+    assert annihilator(ambient, 7, [[0], [0]]) == ambient
+    assert annihilator(ambient, 1, [[5], [3]]) == ambient
+    assert annihilator(ambient, 4, [[1], [0]]) == hnf([[0, 8, 16], [0, 0, 6]], 3)
+    assert annihilator(hnf([[0, 0]], 2), 5, []) == hnf([[0, 0]], 2)
+
+
+@st.composite
+def sublattice_pairs(draw):
+    """(sub, super): super of full or deficient rank, sub spanned by the
+    rows of T . super.gens for a random nonsingular integer T."""
+    sup = draw(ambient_lattices)
+    k = sup.rank
+    while True:
+        t = [draw(st.lists(st.integers(-5, 5), min_size=k, max_size=k)) for _ in range(k)]
+        sub = hnf([sup.vector_from_coords(row) for row in t], sup.ambient_rank)
+        if sub.rank == k:
+            return sub, sup
+
+
+@seed(25)
+@settings(max_examples=200, deadline=None)
+@given(sublattice_pairs())
+def test_quotient_invariant_factors_equal_snf(pair):
+    sub, sup = pair
+    coords = [sup.coords_of(g) for g in sub.gens]
+    group, _u, _v, _diag = snf(coords)
+    assert quotient(sub, sup) == group
+    assert quotient(sub, sup).order == index(sub, sup)
+
+
+@st.composite
+def mixed_lattices(draw):
+    """An HNF lattice whose rows are a mix of pivot-only rows (zero right of
+    the pivot) and dense rows, on random pivot columns."""
+    r = draw(st.integers(1, 6))
+    cols = sorted(draw(st.sets(st.integers(0, r - 1), min_size=1, max_size=r)))
+    rows = []
+    for c in cols:
+        pivot = draw(st.integers(1, 5))
+        width = r - c - 1
+        dense = draw(st.lists(st.integers(-6, 6), min_size=width, max_size=width))
+        tail = [0] * width if draw(st.booleans()) else dense
+        rows.append([0] * c + [pivot] + tail)
+    return hnf(rows, r)
+
+
+@seed(25)
+@settings(max_examples=200, deadline=None)
+@given(mixed_lattices(), st.data())
+def test_coords_of_with_pivot_only_rows_agrees_with_rational_coordinates(lat, data):
+    r, gens = lat.ambient_rank, lat.rows()
+    for (row, p, alone), g in zip(lat._back_substitution, gens):
+        assert list(row) == g and p == next(j for j, x in enumerate(g) if x)
+        assert alone == (not any(g[p + 1 :]))
+    coords = data.draw(st.lists(st.integers(-6, 6), min_size=lat.rank, max_size=lat.rank))
+    outside = data.draw(st.lists(st.integers(-8, 8), min_size=r, max_size=r))
+    for x in (lat.vector_from_coords(coords), outside):
+        expected = rational_coords(gens, x)
+        if expected is not None and any(c.denominator != 1 for c in expected):
+            expected = None
+        assert lat.coords_of(x) == expected
+    assert lat.coords_of(lat.vector_from_coords(coords)) == coords
+
+
+def _conversion_path(lat, x):
+    """coords_of as it reads a vector that is not all ints: every entry
+    through int(), which must equal it."""
+    x = list(x)
+    rem = [int(v) for v in x]
+    if rem != x:
+        raise LatticeError(f"non-integer vector {x!r}")
+    return lat.coords_of(rem)
+
+
+entries = st.one_of(
+    st.integers(-12, 12),
+    st.integers(-12, 12).map(float),
+    st.integers(-12, 12).map(Fraction),
+    st.booleans(),
+    st.sampled_from([1.5, -0.5, Fraction(1, 2), Fraction(-7, 3)]),
+)
+
+
+@seed(25)
+@settings(max_examples=300, deadline=None)
+@given(st.lists(entries, min_size=2, max_size=2))
+def test_the_type_check_path_agrees_with_the_conversion_path(x):
+    lat = hnf([[2, 4], [0, 6]])
+    try:
+        expected = _conversion_path(lat, x)
+    except LatticeError as exc:
+        with pytest.raises(LatticeError) as raised:
+            lat.coords_of(x)
+        assert str(raised.value) == str(exc)
+    else:
+        assert lat.coords_of(x) == expected

@@ -132,14 +132,24 @@ def test_x_over_x_tan_is_computed_once_per_report(monkeypatch):
 
 
 def test_a_report_cuts_its_lattices_without_a_smith_form(monkeypatch, capsys):
-    # Every cut is one HNF mod N of [M | I]; the Smith form runs only where
-    # group structure is read, under snf: in quotient and in extend_psi.
+    # Every cut is one HNF mod N of [M | I]; Smith elimination runs only where
+    # group structure is read.  quotient takes the invariant factors with no
+    # transforms, so the Smith form with U and V runs once, under snf in
+    # extend_psi.
     names = ("left_kernel", "intersect", "smith_normal_form", "snf", "quotient")
     counts = count_stage_calls(monkeypatch, {name: getattr(intlat, name) for name in names})
+    counted_snf = kappa.snf
+
+    def psi_snf(m):
+        counts["snf in kappa"] += 1
+        return counted_snf(m)
+
+    monkeypatch.setattr(kappa, "snf", psi_snf)
     assert main(["analyze", "--type", "A40", "--lattice", "sc", "--param", "1/6", "--json"]) == 0
     capsys.readouterr()
     assert counts["left_kernel"] == counts["intersect"] == 0
-    assert counts["smith_normal_form"] == counts["snf"] == counts["quotient"] + 1 > 1
+    assert counts["smith_normal_form"] == counts["snf"] == counts["snf in kappa"] == 1
+    assert counts["quotient"] > 1
 
 
 # JSON trees as reports hold them, plus the awkward cases of the format:
