@@ -8,7 +8,10 @@ simple roots and against X, X^Tan annihilates the diagonal of G on X^Mug,
 and the pivot character is (2 rho) . G on the X^Tan generators.  The dual
 datum has simple roots l_alpha * alpha with the rescaled Cartan integers,
 carrying the restricted parameter epsilon whose scalar values are signs; the
-quotient datum keeps the same roots but the character lattice X^Tan.
+quotient datum keeps the same roots but the character lattice X^Tan.  The
+integrality of the rescaled Cartan integers forces Cartan* to equal A or A^T
+on each factor, so the dual Dynkin type is read off by comparing rows: a
+factor keeps its family or takes its Langlands dual (B <-> C).
 """
 
 from __future__ import annotations
@@ -20,7 +23,7 @@ from typing import Optional, Sequence
 from .angles import AngleQZ
 from .intlat import IntMatrix, Lattice, LatticeError, _coords_matrix, _index_of, congruent, hnf, index, vanishes_mod
 from .qparam import InvariantViolation, ParamClass, QParam, annihilator
-from .rootdata import _RANK_BOUNDS, DynkinType, RootDatum, Weight, _factor_cartan, two_rho
+from .rootdata import DynkinType, RootDatum, Weight, two_rho
 
 
 class DualDatumError(ValueError):
@@ -183,6 +186,28 @@ def _epsilon_scalars(q: QParam, rd: RootDatum) -> list[AngleQZ]:
     return scalars
 
 
+_LANGLANDS_FAMILY = {"B": "C", "C": "B"}
+_REPORTED_NAME = {("C", 2): ("B", 2), ("D", 3): ("A", 3)}
+
+
+def _dual_type(rd: RootDatum, cartan_star: Sequence[Sequence[int]]) -> Optional[DynkinType]:
+    """Dynkin type of a matrix equal to A or A^T on the rows of each factor of
+    rd, or None where some factor's rows match neither.  The rows are compared
+    at full width, so the zeros between factors are checked too.  C2 reports
+    as B2, D3 as A3, and the factors are sorted."""
+    transpose = list(zip(*rd.cartan))
+    factors, start = [], 0
+    for family, n in rd.dynkin.factors:
+        rows = [tuple(row) for row in cartan_star[start : start + n]]
+        if rows != list(rd.cartan[start : start + n]):
+            if rows != transpose[start : start + n]:
+                return None
+            family = _LANGLANDS_FAMILY.get(family, family)
+        factors.append(_REPORTED_NAME.get((family, n), (family, n)))
+        start += n
+    return DynkinType(tuple(sorted(factors)))
+
+
 def dual_datum(q: QParam, rd: RootDatum, char_lattice: Lattice) -> DualDatum:
     """Dual datum with the given character lattice (X* for G*, X^Tan for Gv)."""
     ls = q.simple_ls()
@@ -192,97 +217,21 @@ def dual_datum(q: QParam, rd: RootDatum, char_lattice: Lattice) -> DualDatum:
         star_roots=star_roots,
         cartan_star=tuple(tuple(row) for row in cartan_star),
         char_lattice=char_lattice,
-        dual_type=classify_cartan(cartan_star),
+        dual_type=_dual_type(rd, cartan_star),
         epsilon_scalars=tuple(_epsilon_scalars(q, rd)),
         l_simple=tuple(ls),
     )
 
 
-def _components(cartan: Sequence[Sequence[int]]) -> list[list[int]]:
-    n = len(cartan)
-    seen = [False] * n
-    comps = []
-    for start in range(n):
-        if seen[start]:
-            continue
-        stack = [start]
-        seen[start] = True
-        comp = []
-        while stack:
-            i = stack.pop()
-            comp.append(i)
-            for j in range(n):
-                if not seen[j] and cartan[i][j] != 0:
-                    seen[j] = True
-                    stack.append(j)
-        comps.append(sorted(comp))
-    return comps
-
-
-def _cartan_iso(a: Sequence[Sequence[int]], b: Sequence[Sequence[int]]) -> bool:
-    """Simultaneous row/column permutation matching two Cartan matrices of the
-    same connected rank (backtracking with degree pruning)."""
-    n = len(a)
-    if len(b) != n:
-        return False
-
-    def profile(m: Sequence[Sequence[int]], i: int) -> tuple:
-        row = sorted(x for j, x in enumerate(m[i]) if j != i and x != 0)
-        col = sorted(m[j][i] for j in range(n) if j != i and m[j][i] != 0)
-        return tuple(row), tuple(col)
-
-    prof_a = [profile(a, i) for i in range(n)]
-    prof_b = [profile(b, i) for i in range(n)]
-    if sorted(prof_a) != sorted(prof_b):
-        return False
-    assignment: dict[int, int] = {}
-    used: set[int] = set()
-
-    def backtrack(i: int) -> bool:
-        if i == n:
-            return True
-        for j in range(n):
-            if j in used or prof_a[i] != prof_b[j]:
-                continue
-            if any(a[i][k] != b[j][assignment[k]] or a[k][i] != b[assignment[k]][j] for k in assignment):
-                continue
-            assignment[i] = j
-            used.add(j)
-            if backtrack(i + 1):
-                return True
-            del assignment[i]
-            used.remove(j)
-        return False
-
-    return backtrack(0)
-
-
-def _candidate_types(rank: int) -> list[tuple[str, int]]:
-    """Admissible factor types of the given rank, in A..G order."""
-    return [(family, rank) for family, admissible in _RANK_BOUNDS.items() if admissible(rank)]
-
-
-def classify_cartan(cartan: Sequence[Sequence[int]]) -> Optional[DynkinType]:
-    """Recognize a valid Cartan matrix's Dynkin type, or None if no admissible
-    type matches (B2 and C2 both report as B2; D3 reports as A3)."""
-    factors = []
-    for comp in _components(cartan):
-        block = [[cartan[i][j] for j in comp] for i in comp]
-        match = None
-        for family, rank in _candidate_types(len(comp)):
-            candidate, _d = _factor_cartan(family, rank)
-            if _cartan_iso(block, candidate):
-                match = (family, rank)
-                break
-        if match is None:
-            return None
-        factors.append(match)
-    return DynkinType(tuple(sorted(factors)))
-
-
 @dataclass(frozen=True)
 class Verdicts:
-    """Headline conclusions for a (root datum, parameter) pair."""
+    """Headline conclusions for a (root datum, parameter) pair.
+
+    `langlands_dual` says that Cartan* is A^T up to relabelling the simple
+    roots.  `modular` is true exactly when the simply-connected/even-order
+    theorem applies and X^Tan = X^Mug; false means "not established by that
+    theorem", not "not modular".
+    """
 
     tan_equals_mug: bool
     thm_sc_hypotheses: bool
@@ -302,8 +251,7 @@ def verdicts(q: QParam, rd: RootDatum, tower: CenterTower, cls: ParamClass, g_st
     hypotheses = rd.is_simply_connected() and cls.max_nondegenerate and cls.all_even
     tan_eq_mug = tower.x_tan == tower.x_mug
 
-    transpose = tuple(tuple(rd.cartan[j][i] for j in range(rd.rank)) for i in range(rd.rank))
-    langlands = g_star.dual_type is not None and g_star.dual_type == classify_cartan(transpose)
+    langlands = g_star.dual_type == _dual_type(rd, list(zip(*rd.cartan)))
 
     n, g = q.int_gram
     pivot = vanishes_mod(congruent([two_rho(rd).coords], g, tower.x_tan.gens), n)
@@ -313,7 +261,7 @@ def verdicts(q: QParam, rd: RootDatum, tower: CenterTower, cls: ParamClass, g_st
         # Cartan* is A^T up to relabelling the simple roots.  In G2 with 3 not
         # dividing l every l_i is equal and Cartan* = A, which is A^T with the
         # two nodes swapped.
-        conclusion = tan_eq_mug and tower.x_tan == tower.lq and _cartan_iso(g_star.cartan_star, transpose)
+        conclusion = tan_eq_mug and tower.x_tan == tower.lq and langlands
         if not conclusion:
             raise InvariantViolation("even-order simply-connected conclusions failed under their hypotheses")
     if tower.x_tan == tower.lq and not pivot:

@@ -14,6 +14,8 @@ products use the schoolbook double loop, one factor at a time, R-matrix
 coefficients are evaluated term by term, from the weight sum of the support
 and one quantum factorial per root, and the R-matrix rows are running
 products of root-of-unity factors, with one inverse per pairing row.
+Dynkin types are recognized by a backtracking isomorphism search over every
+admissible type, not by reading rows against the datum's own Cartan matrix.
 Positive roots are re-reflected through the rest of the longest word,
 matrices are inverted over Fraction, the commutator identity reads [m] off
 qbinom and eps^(1+m) off power, and Weyl invariance of a Gram matrix is
@@ -33,13 +35,13 @@ from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
 from math import lcm, prod
-from typing import Callable, Sequence
+from typing import Callable, Optional, Sequence
 
 from qcenters.angles import HALF, ZERO, AngleQZ
 from qcenters.cyclo import CycloError, CycloNum, _qints, cyclotomic_poly, root_of_unity
 from qcenters.intlat import Lattice, congruence_kernel, congruent, hnf, left_kernel, snf, vanishes_mod
 from qcenters.qparam import QParam, make_param
-from qcenters.rootdata import Root, RootDatum, RootDatumError, Weight, build_root_datum
+from qcenters.rootdata import _RANK_BOUNDS, DynkinType, Root, RootDatum, RootDatumError, Weight, _factor_cartan, build_root_datum
 from qcenters.sampling import random_instance
 from qcenters.twistcheck import COMMUTATOR_MAX_EXPONENT
 
@@ -652,3 +654,85 @@ def simple_ls_from_l_table(q) -> list[int]:
             idx = next(i for i, c in enumerate(root.root_coords) if c)
             by_simple[idx] = l
     return [by_simple[i] for i in range(q.rd.rank)]
+
+
+def _components(cartan: Sequence[Sequence[int]]) -> list[list[int]]:
+    n = len(cartan)
+    seen = [False] * n
+    comps = []
+    for start in range(n):
+        if seen[start]:
+            continue
+        stack = [start]
+        seen[start] = True
+        comp = []
+        while stack:
+            i = stack.pop()
+            comp.append(i)
+            for j in range(n):
+                if not seen[j] and cartan[i][j] != 0:
+                    seen[j] = True
+                    stack.append(j)
+        comps.append(sorted(comp))
+    return comps
+
+
+def _cartan_iso(a: Sequence[Sequence[int]], b: Sequence[Sequence[int]]) -> bool:
+    """Simultaneous row/column permutation matching two Cartan matrices of the
+    same connected rank (backtracking with degree pruning)."""
+    n = len(a)
+    if len(b) != n:
+        return False
+
+    def profile(m: Sequence[Sequence[int]], i: int) -> tuple:
+        row = sorted(x for j, x in enumerate(m[i]) if j != i and x != 0)
+        col = sorted(m[j][i] for j in range(n) if j != i and m[j][i] != 0)
+        return tuple(row), tuple(col)
+
+    prof_a = [profile(a, i) for i in range(n)]
+    prof_b = [profile(b, i) for i in range(n)]
+    if sorted(prof_a) != sorted(prof_b):
+        return False
+    assignment: dict[int, int] = {}
+    used: set[int] = set()
+
+    def backtrack(i: int) -> bool:
+        if i == n:
+            return True
+        for j in range(n):
+            if j in used or prof_a[i] != prof_b[j]:
+                continue
+            if any(a[i][k] != b[j][assignment[k]] or a[k][i] != b[assignment[k]][j] for k in assignment):
+                continue
+            assignment[i] = j
+            used.add(j)
+            if backtrack(i + 1):
+                return True
+            del assignment[i]
+            used.remove(j)
+        return False
+
+    return backtrack(0)
+
+
+def _candidate_types(rank: int) -> list[tuple[str, int]]:
+    """Admissible factor types of the given rank, in A..G order."""
+    return [(family, rank) for family, admissible in _RANK_BOUNDS.items() if admissible(rank)]
+
+
+def classify_cartan(cartan: Sequence[Sequence[int]]) -> Optional[DynkinType]:
+    """Recognize a valid Cartan matrix's Dynkin type, or None if no admissible
+    type matches (B2 and C2 both report as B2; D3 reports as A3)."""
+    factors = []
+    for comp in _components(cartan):
+        block = [[cartan[i][j] for j in comp] for i in comp]
+        match = None
+        for family, rank in _candidate_types(len(comp)):
+            candidate, _d = _factor_cartan(family, rank)
+            if _cartan_iso(block, candidate):
+                match = (family, rank)
+                break
+        if match is None:
+            return None
+        factors.append(match)
+    return DynkinType(tuple(sorted(factors)))

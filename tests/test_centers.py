@@ -6,19 +6,14 @@ from math import lcm
 import pytest
 
 from qcenters.angles import AngleQZ
-from qcenters.centers import (
-    _cartan_iso,
-    center_tower,
-    classify_cartan,
-    dual_datum,
-    verdicts,
-    x_star,
-)
+from qcenters.centers import center_tower, dual_datum, verdicts, x_star
 from qcenters.intlat import hnf, index
 from qcenters.qparam import InvariantViolation, QParam, make_param
 from qcenters.report import Analysis
 from qcenters.rootdata import _RANK_BOUNDS, DynkinType, Weight, _factor_cartan, build_root_datum
 from qcenters.sampling import random_instance
+
+from helpers import _cartan_iso, classify_cartan
 
 
 def test_x_star_examples():
@@ -186,6 +181,30 @@ def test_verdicts_catch_wrong_simple_ls(type_str, den, monkeypatch):
         verdicts(a.q, rd, *stages, g_star)
 
 
+def test_stray_entry_between_factors_has_no_dual_type(monkeypatch):
+    # A bond between the two A1 factors makes an A2 matrix, which a search
+    # over all types would name; its rows match neither A nor A^T of A1xA1.
+    from qcenters import centers
+
+    rd = build_root_datum("A1xA1", "sc")
+    a = Analysis(rd, make_param(rd, Fraction(1, 4)))
+    assert a.verdicts.thm_sc_hypotheses
+    dual_cartan = centers._dual_cartan
+
+    def bonded(q, rd):
+        m = dual_cartan(q, rd)
+        m[0][1] -= 1
+        m[1][0] -= 1
+        return m
+
+    monkeypatch.setattr(centers, "_dual_cartan", bonded)
+    g_star = dual_datum(a.q, rd, a.g_star.char_lattice)
+    assert g_star.cartan_star == ((2, -1), (-1, 2))
+    assert g_star.dual_type is None
+    with pytest.raises(InvariantViolation, match="even-order simply-connected"):
+        verdicts(a.q, rd, a.tower, a.param_class, g_star)
+
+
 def test_projective_sp6_even_order_divergence():
     # Non-simply-connected counterpoint: adjoint C3 at the half-angle form of
     # order 8 has even scalar orders yet a strictly Tannakian-deficient
@@ -223,7 +242,10 @@ def test_chain_randomized():
     rng = random.Random(42)
     for _ in range(50):
         rd, q = random_instance(rng, max_rank=3, max_den=24)
-        tower = center_tower(q, rd)
+        a = Analysis(rd, q)
+        tower = a.tower
+        transpose = [list(col) for col in zip(*rd.cartan)]
+        assert a.verdicts.langlands_dual == _cartan_iso(a.g_star.cartan_star, transpose)
         assert tower.x_tan.contains_lattice(tower.lq)
         assert tower.x_mug.contains_lattice(tower.x_tan)
         assert tower.x_star.contains_lattice(tower.x_mug)
@@ -307,13 +329,22 @@ def test_dual_integral_for_killing_proportional_parameters():
     # For parameters proportional to the Killing form per factor, the ratio
     # l_i / l_j always divides the Cartan entry it scales, so the rescaled
     # Cartan matrix stays integral; sweep small denominators to confirm the
-    # non-integrality gate stays silent on the admitted parameter class.
-    for type_str in ["B2", "C3", "G2", "F4"]:
+    # non-integrality gate stays silent on the admitted parameter class.  The
+    # dual type read off the rows agrees with the isomorphism-search oracle on
+    # every admissible factor and on products, with and without transposed
+    # factors.
+    products = ["B3xC3", "G2xF4", "B2xA1", "C2xB2", "D3xA3"]
+    for type_str in [f"{family}{rank}" for family, rank in ADMISSIBLE_FACTORS] + products:
         rd = build_root_datum(type_str, "sc")
         for den in range(1, 25):
             for num in range(1, min(den, 8)):
                 q = make_param(rd, Fraction(num, den))
-                dual_datum(q, rd, x_star(q, rd))
+                dual = dual_datum(q, rd, x_star(q, rd))
+                assert dual.dual_type == classify_cartan(dual.cartan_star)
+    # With no factor of B3xC3 transposed, the factors themselves swap.
+    rd = build_root_datum("B3xC3", "sc")
+    a = Analysis(rd, make_param(rd, Fraction(1, 5)))
+    assert a.g_star.cartan_star == rd.cartan and a.verdicts.langlands_dual
 
 
 def test_tower_checks_index_multiplicativity(monkeypatch):
