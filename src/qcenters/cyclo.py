@@ -5,7 +5,11 @@ An element of Q(zeta_N) is an integer coefficient vector on the power basis
 denominator, reduced by the gcd, so equality is equality of that pair; an
 integral element (denominator 1) is reduced as it stands, so the gcd runs
 only for denominators above 1.  Elements and multiplication matrices are
-frozen slotted dataclasses, with no per-instance dict.
+frozen slotted dataclasses, with no per-instance dict.  CycloNum's
+constructor is written out (dataclass init=False): one frame that checks
+the length against deg Phi_N and the denominator, runs the gcd for den > 1
+and stores the fields through the slot descriptors, with none of the
+generated __init__'s frozen-setattr calls and no __post_init__ frame.
 A product of two elements is the schoolbook sum of the terms a_i b_j
 x^(i+j) (`_mul_vecs`), and `CycloNum.product`, behind the R-matrix pairing
 values (`rmatrix.pairing_diag`), is a left fold of `__mul__`.  Phi_N is
@@ -156,7 +160,7 @@ def _mul_vecs(a: Sequence[int], b: Sequence[int], n: int) -> list[int]:
     return _reduce(((i + j, x * y) for i, x in enumerate(a) if x for j, y in nonzero), n)
 
 
-@dataclass(frozen=True, eq=False, slots=True)
+@dataclass(frozen=True, eq=False, slots=True, init=False)
 class CycloNum:
     """Element num / den of Q(zeta_N), num an integer vector modulo Phi_N.
 
@@ -169,22 +173,20 @@ class CycloNum:
 
     conductor: int
     num: tuple[int, ...]  # any integer sequence is accepted and stored as a tuple
-    den: int = 1
+    den: int
 
-    def __post_init__(self) -> None:
-        num, den = self.num, self.den
-        if len(num) != _phi_degree(self.conductor):
+    def __init__(self, conductor: int, num: Sequence[int], den: int = 1) -> None:
+        if len(num) != _phi_degree(conductor):
             raise CycloError("coefficient vector length must equal deg Phi_N")
         if den != 1:
             if den < 1:
                 raise CycloError("denominator must be positive")
             g = gcd(den, *num)
             if g != 1:
-                object.__setattr__(self, "num", tuple(c // g for c in num))
-                object.__setattr__(self, "den", den // g)
-                return
-        if type(num) is not tuple:
-            object.__setattr__(self, "num", tuple(num))
+                num, den = [c // g for c in num], den // g
+        _set_conductor(self, conductor)
+        _set_num(self, num if type(num) is tuple else tuple(num))
+        _set_den(self, den)
 
     @property
     def coeffs(self) -> tuple[Fraction, ...]:
@@ -294,6 +296,10 @@ class CycloNum:
     def __str__(self) -> str:
         terms = [f"{c}*z^{i}" for i, c in enumerate(self.coeffs) if c != 0]
         return " + ".join(terms) if terms else "0"
+
+
+# The constructor stores through the slot descriptors, past the frozen __setattr__.
+_set_conductor, _set_num, _set_den = (CycloNum.__dict__[f].__set__ for f in ("conductor", "num", "den"))
 
 
 @dataclass(frozen=True, slots=True)

@@ -148,6 +148,13 @@ class QParam:
         """rad(ambient) per ambient lattice cut so far."""
         return {}
 
+    @cached_property
+    def coeff_tables(self) -> dict:
+        """`rmatrix`'s coefficient table per conductor, each built on first
+        use and freed with the parameter; keyed by the int conductor, so a
+        lookup hashes in C."""
+        return {}
+
     def rad(self, ambient: Optional[Lattice] = None) -> Lattice:
         """Radical {lam in ambient : q(lam, mu) = 1 for all mu in ambient}.
 

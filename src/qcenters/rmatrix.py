@@ -9,23 +9,25 @@ a single cyclotomic field whose conductor is the lcm of every angle
 denominator that appears.  The sign (-1)^(sum n_gamma ht gamma) and the
 phase q(sum n_gamma gamma, rho) of a coefficient are characters of n, so
 the coefficient is a product of one factor per root, f_gamma(n_gamma),
-entry n_gamma of a row over 0..l_gamma.  A parameter has one table per
-conductor (`_table`): its rows, each distinct (q_gamma, q(gamma, rho),
-parity of ht gamma, l_gamma) row built once, the tuple of l_gamma, the
-integer matrices of the row entries (`cyclo.MulMatrix`, one lazily filled
-map per distinct row, shared by the roots of that row, and freed with the
-table when the table LRU evicts it), and the last support `coeff` walked,
-with the coefficient at each of its prefixes.  A support is zero when some
-entry reaches l_gamma; any other, whatever its number of nonzero entries,
-keeps the last walk up to the first entry where the two differ and walks on
-from there, reading its first nonzero entry off the row and multiplying by
-the matrix of each later one.  In lexicographic order, as `term_table`
-walks, that is at most one d x d integer product per term; any other order
-is exact too.  The pairing values are products of cached
-rows too (`CycloNum.product`), walked apart and kept in a bounded cache, so
-that coeff * pairing = sign * phase checks one against the other.  Both
-rows are binomial walks
-(`cyclo.binomial_walk`), by q^-v (q - q^-1) [v]_q = 1 - q^(-2v) and
+entry n_gamma of a row over 0..l_gamma.  A parameter owns one table per
+conductor (`_table`), kept in its `QParam.coeff_tables` dict, so a lookup
+hashes an int and the tables are freed with the parameter: its rows, each
+distinct (q_gamma, q(gamma, rho), parity of ht gamma, l_gamma) row built
+once, the tuple of l_gamma, the integer matrices of the row entries
+(`cyclo.MulMatrix`, one lazily filled map per distinct row, shared by the
+roots of that row), and the last support `coeff` walked, with the
+coefficient at each of its prefixes.  A support is zero when some entry
+reaches l_gamma; any other, whatever its number of nonzero entries, keeps
+the last walk up to the first entry where the two differ and walks on from
+there, overwriting the prefix values in place, reading its first nonzero
+entry off the row and multiplying by the matrix of each later one.  Where
+only the last entry changed, as in most steps of a lexicographic walk,
+`_common_prefix` finds that by one comparison of the prefixes before it.
+In lexicographic order, as `term_table` walks, a term is at most one d x d
+integer product; any other order is exact too.  The pairing values are
+products of cached rows too (`CycloNum.product`), walked apart and kept in
+a bounded cache, so that coeff * pairing = sign * phase checks one against
+the other.  Both rows are binomial walks (`cyclo.binomial_walk`), by q^-v (q - q^-1) [v]_q = 1 - q^(-2v) and
 prod_{k=1}^{m-1} (1 - omega^k) = m for omega a primitive m-th root of
 unity: no field product, no inverse.  Every conductor here is even (lcm
 with 2), so zeta^(N/2) = -1 and a walk turns integer lists of length N/2,
@@ -39,7 +41,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from math import lcm, prod
 from operator import ge, ne
-from typing import Optional, Sequence, Union
+from typing import Iterable, Optional, Sequence, Union
 
 from .angles import AngleQZ
 from .cyclo import CycloNum, MulMatrix, binomial_walk
@@ -53,26 +55,29 @@ class NonInvertibleSpecialization(ValueError):
     This is the obstruction that truncates the braiding expansion."""
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, init=False)
 class RSupport:
     """Exponent vector over the ordered positive roots: a tuple of
     nonnegative integers, whatever integer sequence it is given."""
 
     n: tuple[int, ...]
 
-    def __post_init__(self) -> None:
-        n = self.n
+    def __init__(self, n: Iterable[int]) -> None:
         if type(n) is not tuple:
             n = tuple(n)
-            object.__setattr__(self, "n", n)
         # A sum of ints is an int, and any float or Fraction entry makes it not one.
         if n and (min(n) < 0 or type(sum(n)) is not int):
             raise ValueError(f"support exponents must be nonnegative integers, not {n!r}")
+        _set_n(self, n)
+
+
+# The constructor stores through the slot descriptor, past the frozen __setattr__.
+_set_n = RSupport.__dict__["n"].__set__
 
 
 def support_size(q: QParam) -> int:
     """Number of admissible supports: the size prod l_gamma of the box."""
-    return prod(q.pos_root_ls())
+    return prod(q.l_table)
 
 
 def batch_conductor(q: QParam, rd: RootDatum) -> int:
@@ -123,15 +128,18 @@ class _Table:
     values: list[Optional[CycloNum]]
 
 
-@lru_cache(maxsize=64)
 def _table(q: QParam, conductor: int) -> _Table:
-    """The table of q at the conductor, its walk at the zero support; each
-    distinct (q_gamma, phase, parity, l) row and its matrix map are built
-    once."""
-    keys = [(qg, phase, r.height % 2, l) for (qg, phase), l, r in zip(q.root_table, q.l_table, q.rd.pos_roots)]
-    maps = {key: _EntryMatrices(_coeff_row(*key, conductor)) for key in dict.fromkeys(keys)}
-    matrices = tuple(map(maps.__getitem__, keys))
-    return _Table(tuple(m.row for m in matrices), q.l_table, matrices, (0,) * len(keys), [None] * (len(keys) + 1))
+    """The table of q at the conductor, kept in `q.coeff_tables`; a new one
+    has its walk at the zero support, and each distinct (q_gamma, phase,
+    parity, l) row and its matrix map are built once."""
+    table = q.coeff_tables.get(conductor)
+    if table is None:
+        keys = [(qg, phase, r.height % 2, l) for (qg, phase), l, r in zip(q.root_table, q.l_table, q.rd.pos_roots)]
+        maps = {key: _EntryMatrices(_coeff_row(*key, conductor)) for key in dict.fromkeys(keys)}
+        matrices = tuple(map(maps.__getitem__, keys))
+        table = _Table(tuple(m.row for m in matrices), q.l_table, matrices, (0,) * len(keys), [None] * (len(keys) + 1))
+        q.coeff_tables[conductor] = table
+    return table
 
 
 @lru_cache(maxsize=64)
@@ -153,7 +161,13 @@ def _pairing_row(angle: AngleQZ, conductor: int) -> tuple[CycloNum, ...]:
 
 
 def _common_prefix(a: Sequence[int], b: Sequence[int]) -> int:
-    """The number of leading entries that a and b, of one length, share."""
+    """The number of leading entries that a and b, of one length, share.
+
+    When they differ in the last entry alone, as most consecutive supports
+    of a lexicographic walk do, that is read off by one comparison of the
+    two prefixes before it, with no scan in Python."""
+    if a and a[-1] != b[-1] and a[:-1] == b[:-1]:
+        return len(a) - 1
     return next(itertools.compress(itertools.count(), map(ne, a, b)), len(a))
 
 
@@ -186,13 +200,14 @@ def coeff(n: RSupport, q: QParam, rd: RootDatum, conductor: Optional[int] = None
         return CycloNum.zero(big_n)
     start = _common_prefix(s, table.support)
     values = table.values
-    del values[start + 1 :]
     value = values[start]
+    matrices = table.matrices
     try:
-        for v, matrices in zip(s[start:], table.matrices[start:]):
+        for i in range(start, len(s)):
+            v = s[i]
             if v:
-                value = matrices.row[v] if value is None else matrices[v].times(value)
-            values.append(value)
+                value = matrices[i].row[v] if value is None else matrices[i][v].times(value)
+            values[i + 1] = value
     except BaseException:
         # A walk cut short (a MemoryError building a wide matrix, an
         # interrupt) left values of no recorded support: start over from zero.
@@ -233,7 +248,7 @@ def term_table(q: QParam, rd: RootDatum, max_terms: Optional[int] = None) -> lis
     """All admissible supports with their exact coefficients, in lexicographic
     support order, optionally truncated to max_terms entries.  The box is
     walked lazily, so only the returned supports are ever built."""
-    box = itertools.product(*(range(l) for l in q.pos_root_ls()))
+    box = itertools.product(*(range(l) for l in q.l_table))
     big_n = batch_conductor(q, rd)
     out = []
     for s in map(RSupport, itertools.islice(box, max_terms)):

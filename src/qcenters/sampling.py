@@ -27,7 +27,10 @@ def random_instance(
     max_rank: int = 3,
     max_den: int = 24,
 ) -> tuple[RootDatum, QParam]:
-    """One random (root datum, parameter) pair within the given bounds."""
+    """One random (root datum, parameter) pair within the given bounds;
+    max_rank must lie in the ranks the type table covers."""
+    if max_rank not in _TYPES_BY_RANK:
+        raise ValueError(f"max_rank must be in {min(_TYPES_BY_RANK)}..{max(_TYPES_BY_RANK)}, not {max_rank!r}")
     rank = rng.randint(1, max_rank)
     type_str = rng.choice(_TYPES_BY_RANK[rank])
     choice = rng.random()

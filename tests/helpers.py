@@ -14,6 +14,8 @@ products use the schoolbook double loop, one factor at a time, R-matrix
 coefficients are evaluated term by term, from the weight sum of the support
 and one quantum factorial per root, and the R-matrix rows are running
 products of root-of-unity factors, with one inverse per pairing row.
+The CycloNum and RSupport constructors are compared with the generated
+dataclass constructors followed by their former __post_init__ checks.
 Dynkin types are recognized by a backtracking isomorphism search over every
 admissible type, not by reading rows against the datum's own Cartan matrix.
 Positive roots are re-reflected through the rest of the longest word,
@@ -31,14 +33,16 @@ from __future__ import annotations
 import itertools
 import random
 import sys
+import weakref
 from collections import Counter
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import lcm, prod
+from math import gcd, lcm, prod
 from typing import Callable, Optional, Sequence
 
 from qcenters.angles import HALF, ZERO, AngleQZ
-from qcenters.cyclo import CycloError, CycloNum, _qints, cyclotomic_poly, root_of_unity
+from qcenters.cyclo import CycloError, CycloNum, _phi_degree, _qints, cyclotomic_poly, root_of_unity
 from qcenters.intlat import Lattice, congruence_kernel, congruent, hnf, left_kernel, snf, vanishes_mod
 from qcenters.qparam import QParam, make_param
 from qcenters.rootdata import _RANK_BOUNDS, DynkinType, Root, RootDatum, RootDatumError, Weight, _factor_cartan, build_root_datum
@@ -415,6 +419,48 @@ def schoolbook_mul_vecs(vecs: Sequence[Sequence[int]], n: int) -> list[int]:
     return out
 
 
+@dataclass(frozen=True, eq=False, slots=True)
+class PostInitCycloNum:
+    """The CycloNum constructor as the generated dataclass __init__ and a
+    __post_init__ check: length deg Phi_N, den >= 1, gcd reduction for
+    den > 1 and a tuple num."""
+
+    conductor: int
+    num: tuple[int, ...]
+    den: int = 1
+
+    def __post_init__(self) -> None:
+        num, den = self.num, self.den
+        if len(num) != _phi_degree(self.conductor):
+            raise CycloError("coefficient vector length must equal deg Phi_N")
+        if den != 1:
+            if den < 1:
+                raise CycloError("denominator must be positive")
+            g = gcd(den, *num)
+            if g != 1:
+                object.__setattr__(self, "num", tuple(c // g for c in num))
+                object.__setattr__(self, "den", den // g)
+                return
+        if type(num) is not tuple:
+            object.__setattr__(self, "num", tuple(num))
+
+
+@dataclass(frozen=True, slots=True)
+class PostInitRSupport:
+    """The RSupport constructor as the generated dataclass __init__ and a
+    __post_init__ check: a tuple of nonnegative integers."""
+
+    n: tuple[int, ...]
+
+    def __post_init__(self) -> None:
+        n = self.n
+        if type(n) is not tuple:
+            n = tuple(n)
+            object.__setattr__(self, "n", n)
+        if n and (min(n) < 0 or type(sum(n)) is not int):
+            raise ValueError(f"support exponents must be nonnegative integers, not {n!r}")
+
+
 def count_calls(monkeypatch, owner, name: str) -> list[int]:
     """Patch owner.name to count its calls in the returned one-item list."""
     calls = [0]
@@ -492,10 +538,17 @@ def coeff_root_factor(angle: AngleQZ, v: int, conductor: int) -> CycloNum:
     return rows[v][0]
 
 
-@lru_cache(maxsize=None)
+_Q_SCALARS: "weakref.WeakKeyDictionary[QParam, tuple[AngleQZ, ...]]" = weakref.WeakKeyDictionary()
+
+
 def _q_scalars(q) -> tuple[AngleQZ, ...]:
-    """q_gamma for every positive root of q, read once per parameter."""
-    return tuple(q.q_scalar(r) for r in q.rd.pos_roots)
+    """q_gamma for every positive root of q, read once per parameter; held
+    weakly, so a parameter (and the coefficient tables it owns) is freed
+    when its test drops it."""
+    scalars = _Q_SCALARS.get(q)
+    if scalars is None:
+        scalars = _Q_SCALARS[q] = tuple(q.q_scalar(r) for r in q.rd.pos_roots)
+    return scalars
 
 
 def oracle_coeff(q, rd, n: Sequence[int], conductor: int) -> CycloNum:

@@ -4,15 +4,19 @@ import json
 import operator
 import random
 from collections import Counter
-from dataclasses import FrozenInstanceError
+from dataclasses import FrozenInstanceError, fields
 from fractions import Fraction
 from functools import reduce
 from math import gcd, prod
 
 import pytest
+from hypothesis import given, seed, settings
+from hypothesis import strategies as st
 
 from helpers import (
     CASES,
+    PostInitCycloNum,
+    PostInitRSupport,
     case_instance,
     count_calls,
     count_inverses,
@@ -229,7 +233,6 @@ def test_building_rows_multiplies_and_inverts_nothing(monkeypatch):
     q = make_param(rd, Fraction(1, 101))
     big_n = batch_conductor(q, rd)
     products, inverses = count_calls(monkeypatch, cyclo, "_mul_vecs"), count_inverses(monkeypatch)
-    _table.cache_clear()
     _pairing_row.cache_clear()
     coeff_rows = _table(q, big_n).rows
     pairing_rows = [_pairing_row(qg, big_n) for qg, _phase in q.root_table]
@@ -239,7 +242,9 @@ def test_building_rows_multiplies_and_inverts_nothing(monkeypatch):
 
 def test_a_table_builds_each_distinct_row_once(monkeypatch, fresh_coeff_caches):
     # On A1xA1 at equal scalars both roots have height 1 and equal q_gamma
-    # and phase, so they share one row; G2's six roots have six keys.
+    # and phase, so they share one row; G2's six roots have six keys.  A
+    # parameter owns its tables, so asking again builds nothing, and an
+    # equal parameter builds its own.
     built = count_calls(monkeypatch, rmatrix, "_coeff_row")
     for type_str, c, distinct in (("A1xA1", Fraction(1, 6), 1), ("G2", Fraction(1, 12), 6)):
         rd = build_root_datum(type_str, "sc")
@@ -249,7 +254,11 @@ def test_a_table_builds_each_distinct_row_once(monkeypatch, fresh_coeff_caches):
         rows = _table(q, big_n).rows
         keys = {(qg, phase, r.height % 2, l) for (qg, phase), l, r in zip(q.root_table, q.l_table, rd.pos_roots)}
         assert built[0] == len(keys) == distinct and len({id(row) for row in rows}) == distinct
-        assert _table(q, big_n) is _table(make_param(rd, c), big_n) and built[0] == distinct
+        assert _table(q, big_n) is _table(q, big_n) and built[0] == distinct
+        assert q.coeff_tables == {big_n: _table(q, big_n)}
+        p = make_param(rd, c)
+        assert p == q and not p.coeff_tables
+        assert _table(p, big_n) is not _table(q, big_n) and built[0] == 2 * distinct
 
 
 def _drop_one_factor(monkeypatch, index):
@@ -305,16 +314,26 @@ def test_coeff_matches_the_per_term_oracle(type_str, c, first, scale):
         assert value.conductor == big_n and value == oracle_coeff(q, rd, n, big_n), n
 
 
-def _clear_coeff_caches():
-    _table.cache_clear()
+def _clear_coeff_caches(*params):
+    """Drop the coefficient tables of the parameters, so that their next
+    walk starts cold."""
+    for q in params:
+        q.coeff_tables.clear()
+
+
+def _live_tables():
+    gc.collect()
+    return sum(type(o) is rmatrix._Table for o in gc.get_objects())
 
 
 @pytest.fixture
 def fresh_coeff_caches():
-    """Cold coefficient caches before the test, and none of its values after."""
-    _clear_coeff_caches()
+    """Cold coefficient caches before the test, and none of its values after:
+    the parameters a test makes start with no tables, and every table they
+    build is freed with them, by the end of the test."""
+    before = _live_tables()
     yield
-    _clear_coeff_caches()
+    assert _live_tables() <= before
 
 
 def _expected_coeffs(q, rd, supports, big_n):
@@ -350,7 +369,7 @@ def _assert_walks_in_any_order(q, rd, supports, big_n, seed):
     shuffled = list(supports)
     random.Random(seed).shuffle(shuffled)
     for order in (supports, shuffled):
-        _clear_coeff_caches()
+        _clear_coeff_caches(q)
         _assert_coeffs(q, rd, big_n, expected, order)
 
 
@@ -385,7 +404,7 @@ def test_memoized_coeff_keeps_parameters_and_conductors_apart(fresh_coeff_caches
         for scale in (1, 2):
             big_n = scale * batch_conductor(q, rd)
             walks.append((q, big_n, _expected_coeffs(q, rd, supports, big_n), supports))
-    _clear_coeff_caches()
+    _clear_coeff_caches(*(q for q, *_rest in walks))
     for k in range(150):
         for q, big_n, expected, supports in walks:
             _assert_coeffs(q, rd, big_n, expected, [supports[k]])
@@ -399,7 +418,7 @@ def test_memoized_coeff_survives_eviction(fresh_coeff_caches):
     big_n = batch_conductor(q, rd)
     supports = list(itertools.product(*(range(l) for l in q.pos_root_ls())))
     expected = _expected_coeffs(q, rd, supports, big_n)
-    _clear_coeff_caches()
+    _clear_coeff_caches(q)
     _assert_coeffs(q, rd, big_n, expected, reversed(supports))
 
 
@@ -413,7 +432,7 @@ def test_a_walk_cut_short_leaves_no_stale_prefix(monkeypatch, fresh_coeff_caches
     big_n = batch_conductor(q, rd)
     supports = [(1, 1, 0), (2, 1, 1), (1, 1, 1)]
     expected = _expected_coeffs(q, rd, supports, big_n)
-    _clear_coeff_caches()
+    _clear_coeff_caches(q)
     target = _table(q, big_n).rows[2]
     build = _EntryMatrices.__missing__
     failures = [0]
@@ -468,7 +487,18 @@ def _rewalk_one_entry_too_late(monkeypatch):
     monkeypatch.setattr(rmatrix, "_common_prefix", too_late)
 
 
-@pytest.mark.parametrize("mutation", ["matrix", "walk"])
+def _take_the_shortcut_unchecked(monkeypatch):
+    """Answer "all but the last entry" whenever the last entries differ,
+    whatever the entries before them are."""
+    common = rmatrix._common_prefix
+
+    def shortcut(a, b):
+        return len(a) - 1 if a[-1] != b[-1] else common(a, b)
+
+    monkeypatch.setattr(rmatrix, "_common_prefix", shortcut)
+
+
+@pytest.mark.parametrize("mutation", ["matrix", "walk", "shortcut"])
 def test_the_memo_differential_catches_a_broken_odometer(monkeypatch, fresh_coeff_caches, mutation):
     rd = build_root_datum("A2", "sc")
     q = make_param(rd, Fraction(1, 6))
@@ -483,15 +513,17 @@ def test_the_memo_differential_catches_a_broken_odometer(monkeypatch, fresh_coef
         rows = _table(q, big_n).rows
         assert rows[0] is rows[2] and rows[1] is not rows[0]
         _corrupt_one_matrix_entry(monkeypatch, rows[2], 1)
-    else:
+    elif mutation == "walk":
         _rewalk_one_entry_too_late(monkeypatch)
+    else:
+        _take_the_shortcut_unchecked(monkeypatch)
     with pytest.raises(AssertionError):
         _assert_walks_in_any_order(q, rd, supports, big_n, seed=0)
     for shuffled in (False, True):
         order = list(supports)
         if shuffled:
             random.Random(0).shuffle(order)
-        _clear_coeff_caches()
+        _clear_coeff_caches(q)
         with pytest.raises(AssertionError):
             _assert_coeffs(q, rd, big_n, expected, order)
 
@@ -524,7 +556,6 @@ def test_term_table_work_per_term_is_flat(monkeypatch):
     counts = {}
     for max_terms in (100, 3000):
         q = make_param(rd, Fraction(1, 10))
-        _clear_coeff_caches()
         calls.clear()
         terms = term_table(q, rd, max_terms=max_terms)
         counts[max_terms] = {k: v for k, v in calls.items() if k not in ("mul", "product", "_mul_vecs", "times")}
@@ -557,6 +588,64 @@ def test_field_elements_matrices_and_supports_are_slotted_and_frozen():
             setattr(obj, attr, 3)
     with pytest.raises(TypeError):
         hash(e)
+
+
+# Integers, bools, floats and Fractions, as entries and as denominators.
+_scalars = st.one_of(
+    st.integers(-12, 24),
+    st.booleans(),
+    st.floats(-4, 4, allow_nan=False),
+    st.fractions(-4, 4, max_denominator=6),
+)
+
+
+def _as(kind, entries):
+    """The entries as a list, a tuple or a generator."""
+    return list(entries) if kind == "list" else tuple(entries) if kind == "tuple" else (x for x in entries)
+
+
+def _built(cls, *args):
+    """The instance, or the class and message of the error it raised."""
+    try:
+        return cls(*args)
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+def _assert_built_alike(new, ref):
+    """Same fields, field types and repr, or the same error class and
+    message; a built instance is slotted and frozen."""
+    if isinstance(ref, tuple):
+        assert new == ref
+        return
+    names = [f.name for f in fields(new)]
+    assert [(getattr(new, f), type(getattr(new, f))) for f in names] == [
+        (getattr(ref, f), type(getattr(ref, f))) for f in names
+    ]
+    assert repr(new) == repr(ref).replace(type(ref).__name__, type(new).__name__, 1)
+    assert not hasattr(new, "__dict__")
+    for f in names:
+        with pytest.raises(FrozenInstanceError):
+            setattr(new, f, 1)
+        with pytest.raises(FrozenInstanceError):
+            delattr(new, f)
+
+
+@seed(27)
+@settings(max_examples=400, deadline=None)
+@given(st.data())
+def test_hand_written_constructors_validate_as_the_post_init_checks_did(data):
+    conductor = data.draw(st.sampled_from([1, 2, 3, 4, 5, 6, 8, 10, 12]))
+    length = max(0, len(cyclo.cyclotomic_poly(conductor)) - 1 + data.draw(st.sampled_from([-1, 0, 0, 0, 1])))
+    num = data.draw(st.lists(st.one_of(st.integers(-60, 60), _scalars), min_size=length, max_size=length))
+    den = data.draw(st.one_of(st.integers(-3, 12), st.sampled_from([1, 2, 6, 12]), _scalars))
+    common = data.draw(st.sampled_from([1, 1, 2, 6]))  # a common factor for the gcd to take out
+    num, den = [x * common for x in num], den * common
+    n = data.draw(st.lists(st.one_of(st.integers(-2, 5), _scalars), max_size=6))
+    kind = data.draw(st.sampled_from(["list", "tuple", "generator"]))
+    # A generator is used up by the first constructor, so each gets its own.
+    _assert_built_alike(_built(CycloNum, conductor, _as(kind, num), den), _built(PostInitCycloNum, conductor, _as(kind, num), den))
+    _assert_built_alike(_built(RSupport, _as(kind, n)), _built(PostInitRSupport, _as(kind, n)))
 
 
 def _assert_canonical(x):
@@ -614,7 +703,8 @@ def test_roots_with_one_row_share_its_matrices_and_the_table_owns_them(type_str,
     built = sum(map(len, maps.values()))
     assert built > 0 and live_matrices() == before + built
     del table, maps
-    _table.cache_clear()
+    assert live_matrices() == before + built
+    del q
     assert live_matrices() == before
 
 

@@ -1,5 +1,7 @@
 import random
 
+import pytest
+
 from qcenters import sampling
 from qcenters.sampling import random_instance
 
@@ -62,3 +64,14 @@ def test_one_root_datum_per_instance(monkeypatch):
         assert len(calls) == 1
         kinds.add(calls[0] if calls[0] in ("sc", "adjoint") else "intermediate")
     assert kinds == {"sc", "adjoint", "intermediate"}
+
+
+def test_a_max_rank_outside_the_type_table_is_rejected_before_any_draw():
+    # The table holds ranks 1-3; a bound past it used to fail with a bare
+    # KeyError on whichever draw landed past 3, and 0 with randrange's error.
+    for max_rank in (0, 4, 10):
+        rng = random.Random(0)
+        state = rng.getstate()
+        with pytest.raises(ValueError, match=rf"max_rank must be in 1\.\.3, not {max_rank}"):
+            random_instance(rng, max_rank=max_rank)
+        assert rng.getstate() == state
