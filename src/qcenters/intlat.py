@@ -28,7 +28,7 @@ floating point.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
 from math import gcd, lcm, prod
 from operator import mul
 from typing import Iterable, Optional, Sequence
@@ -132,7 +132,10 @@ class Lattice:
     gens: tuple[tuple[int, ...], ...]
 
     @staticmethod
+    @cache
     def standard(rank: int) -> "Lattice":
+        """Z^rank, one object per rank, so every caller shares its cached
+        pivots and back-substitution table."""
         return Lattice(rank, tuple(tuple(1 if i == j else 0 for j in range(rank)) for i in range(rank)))
 
     @property

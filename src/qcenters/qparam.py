@@ -39,12 +39,7 @@ from typing import Optional, Sequence, Union
 
 from .angles import AngleQZ, from_int_gram
 from .intlat import IntMatrix, Lattice, _kernel_mod, _reduce_above_pivots, bilinear, congruent, row_times, vanishes_mod
-from .rootdata import Root, RootDatum, Weight
-
-
-class InvariantViolation(AssertionError):
-    """An identity the theory guarantees failed; indicates a bug or an input
-    outside the validity envelope."""
+from .rootdata import InvariantViolation, Root, RootDatum, Weight  # InvariantViolation is re-exported
 
 
 class InputError(ValueError):

@@ -5,15 +5,36 @@ factor, so P is exactly Z^r and membership of a weight in the character
 lattice X is a pure integer-matrix test.  Simple roots in this basis are the
 columns of the Cartan matrix.  The Killing form is normalized so that
 (alpha, alpha) = 2 at every short root of every almost-simple factor, and is
-evaluated as an integer Gram matrix over one common denominator; it comes
-from the integer pair (det A, adj A) of a fraction-free inverse.
+evaluated as an integer Gram matrix (D, K) over one common denominator,
+read straight off the integer pair (det A, adj A).
+
+That pair comes from Gaussian elimination along the Dynkin forest, leaves
+first: the off-diagonal pattern of a finite-type Cartan matrix is a forest,
+and eliminating a leaf changes its parent's diagonal entry alone, so there
+is no fill-in (Parter 1961, "The use of linear graphs in Gauss
+elimination").  The forward pass costs O(deg) rows of length r per node and
+the back pass one row per node, O(r^2) in all, where Gauss-Jordan on
+[A | I] costs O(r^3).
 
 The positive roots are read off a reduced word of the longest element by
-carrying the images w(alpha_k) of the simple roots as integer columns, one
-simple reflection per root, so the enumeration costs O(|Phi+| r).  It is
-cross-checked against an orbit closure, and every validation (symmetry,
-normalization, the longest word reaching the antidominant chamber) is an
-integer-row computation.
+carrying the images w(alpha_k) of the simple roots as columns, one simple
+reflection per root.  Right multiplication by s_i moves only the columns of
+i and of its Dynkin neighbours, and a column is one packed integer of 2r
+bytes, so a step costs O(deg) integer operations, each in C, and the walk
+O(|Phi+| deg) of them; only the dense tuples of each emitted Root are O(r),
+unpacked in C.  The greedy descent
+that finds the word also touches only the reflected node's neighbours, with
+a heap of the indices where the weight is still positive.
+
+The enumeration is cross-checked against an orbit closure, and the word
+against two identities: its length is |Phi+|, and applied to rho once it
+gives w0(rho) = -rho.  As rho is regular, w0 is the one Weyl group element
+sending it to -rho, so this one walk implies that every fundamental weight
+lands in the antidominant chamber, which r walks checked before.  Killing
+symmetry, the vanishing of cross-factor pairings and the normalization
+(alpha_i, alpha_j) = d_i A_ij are integer-row checks.  A failed check is an
+InvariantViolation (an internal fault); RootDatumError is kept for a bad
+type string or lattice specification.
 """
 
 from __future__ import annotations
@@ -21,15 +42,22 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cached_property
-from math import lcm
+from heapq import heappop, heappush
+from itertools import chain
+from math import gcd, lcm
+from struct import Struct
 from typing import Iterable, Sequence, Union
 
-from .intlat import IntMatrix, Lattice, LatticeError, congruent, hnf
+from .intlat import IntMatrix, Lattice, LatticeError, hnf, row_times
 
 
 class RootDatumError(ValueError):
     """Raised on inadmissible Dynkin input or invalid lattice specifications."""
+
+
+class InvariantViolation(AssertionError):
+    """An identity the theory guarantees failed; indicates a bug or an input
+    outside the validity envelope."""
 
 
 _RANK_BOUNDS = {
@@ -134,28 +162,70 @@ def _factor_cartan(family: str, n: int) -> tuple[list[list[int]], list[int]]:
     return a, d
 
 
-def _bareiss_inverse(m: Sequence[Sequence[int]]) -> tuple[int, IntMatrix]:
-    """(det, adj) with m . adj = det . I, by fraction-free (Bareiss)
-    Gauss-Jordan elimination on [m | I].
+def _forest_adjugate(cartan: Sequence[Sequence[int]], support: Sequence[Sequence[int]]) -> tuple[int, IntMatrix]:
+    """(det, adj) with cartan . adj = det . I, by elimination along the
+    Dynkin forest, leaves first; support[v] lists v and its neighbours.
 
-    After the step on column k every entry is a (k+1)-minor of [m | I], so
-    each division by the previous pivot is exact.  No rows are swapped: the
-    leading principal minors must be nonzero, as they are for a Cartan
-    matrix of finite type (d_i A_ij is positive definite)."""
-    n = len(m)
-    a = [list(row) + [int(i == j) for j in range(n)] for i, row in enumerate(m)]
-    prev = 1
-    for k in range(n):
-        pivot_row = a[k]
-        pivot = pivot_row[k]
-        if pivot == 0:
-            raise RootDatumError("Cartan matrix has a vanishing leading principal minor")
-        for i in range(n):
-            if i != k:
-                f = a[i][k]
-                a[i] = [(pivot * x - f * y) // prev for x, y in zip(a[i], pivot_row)]
-        prev = pivot
-    return prev, [row[n:] for row in a]
+    Each tree is rooted at its lowest index.  With S(v) the principal minor
+    on the subtree of v and P(v) the product of S over v's children, the
+    forward pass leaves row v of A X = I as
+    S(v) x_v + A[v][p] P(v) x_p = R_v, where x_v is row v of X = A^-1, p the
+    parent of v, and R_v = P(v) e_v - sum_c A[v][c] (P(v) / S(c)) R_c, by
+    the Schur complement S(v) = A[v][v] P(v) - sum_c A[v][c] A[c][v] P(c)
+    P(v) / S(c).  The back pass, from each root down, reads adj_root =
+    (det / S(root)) R_root and adj_c = (det R_c - A[c][v] P(c) adj_v) / S(c),
+    every division exact.  The S(v) of the roots eliminated so far multiply
+    to the leading principal minors in elimination order, so a vanishing one
+    raises, as no pivot may vanish."""
+    rank = len(cartan)
+    order: list[int] = []
+    children: list[list[int]] = [[] for _ in range(rank)]
+    roots: list[int] = []
+    seen = [False] * rank
+    for root in range(rank):
+        if seen[root]:
+            continue
+        seen[root] = True
+        roots.append(root)
+        stack = [root]
+        while stack:
+            v = stack.pop()
+            order.append(v)
+            for k in support[v]:
+                if not seen[k]:
+                    seen[k] = True
+                    children[v].append(k)
+                    stack.append(k)
+    minor = [0] * rank  # S(v)
+    below = [1] * rank  # P(v)
+    rows: list[list[int]] = [[]] * rank  # R_v
+    for v in reversed(order):
+        p = 1
+        for c in children[v]:
+            p *= minor[c]
+        row = [0] * rank
+        row[v] = p
+        s = cartan[v][v] * p
+        for c in children[v]:
+            rest = p // minor[c]
+            s -= cartan[v][c] * cartan[c][v] * below[c] * rest
+            f = cartan[v][c] * rest
+            row = [x - f * y for x, y in zip(row, rows[c])]
+        if s == 0:
+            raise InvariantViolation("Cartan matrix has a vanishing leading principal minor")
+        minor[v], below[v], rows[v] = s, p, row
+    det = 1
+    for root in roots:
+        det *= minor[root]
+    adj: list[list[int]] = [[]] * rank
+    for root in roots:
+        f = det // minor[root]
+        adj[root] = [f * x for x in rows[root]]
+    for v in order:
+        for c in children[v]:
+            f = cartan[c][v] * below[c]
+            adj[c] = [(det * x - f * y) // minor[c] for x, y in zip(rows[c], adj[v])]
+    return det, adj
 
 
 def _integer(v: Union[int, Fraction]) -> int:
@@ -225,6 +295,8 @@ class RootDatum:
     w0_word: tuple[int, ...]
     factor_of_index: tuple[int, ...]  # simple index -> almost-simple factor
     q_lattice: Lattice = field(compare=False, repr=False)  # Q, the HNF of the simple roots; read by root_lattice()
+    # (D, K) with the Killing matrix equal to K / D over integers, in lowest terms.
+    killing_gram: tuple[int, IntMatrix] = field(compare=False, repr=False)
 
     @property
     def rank(self) -> int:
@@ -243,13 +315,6 @@ class RootDatum:
     def fundamental_weight(self, i: int) -> Weight:
         return Weight.of([int(i == j) for j in range(self.rank)])
 
-    @cached_property
-    def killing_gram(self) -> tuple[int, IntMatrix]:
-        """(D, K) with the Killing matrix equal to K / D over integers, read
-        off the entries' numerators and denominators."""
-        den = lcm(*(x.denominator for row in self.killing for x in row))
-        return den, [[x.numerator * (den // x.denominator) for x in row] for row in self.killing]
-
     def is_simply_connected(self) -> bool:
         return self.charlattice == self.weight_lattice()
 
@@ -257,47 +322,60 @@ class RootDatum:
         return self.charlattice == self.root_lattice()
 
 
-def _longest_word(cartan: Sequence[Sequence[int]], rank: int) -> list[int]:
+def _longest_word(cartan: Sequence[Sequence[int]], support: Sequence[Sequence[int]]) -> list[int]:
     """Greedy descent from rho: reflect at the lowest simple index with a
-    positive pairing until the antidominant chamber is reached."""
-    v = [1] * rank  # rho in fundamental-weight coordinates
+    positive pairing until the antidominant chamber is reached.
+
+    s_i moves v on the support of column i alone: v_i turns negative and
+    only i's neighbours grow.  So the heap, which takes an index when its
+    coordinate turns positive, holds exactly the positive indices."""
+    v = [1] * len(cartan)  # rho in fundamental-weight coordinates
+    positive = list(range(len(cartan)))  # sorted, so already a heap
     word: list[int] = []
-    while True:
-        i = next((k for k in range(rank) if v[k] > 0), None)
-        if i is None:
-            return word
-        # s_i in fw coords: v -= v_i * (column i of cartan)
+    while positive:
+        i = heappop(positive)
         c = v[i]
-        v = [a - c * cartan[k][i] for k, a in enumerate(v)]
+        for k in support[i]:
+            before = v[k]
+            v[k] = before - c * cartan[k][i]
+            if before <= 0 < v[k]:
+                heappush(positive, k)
         word.append(i)
+    return word
 
 
 def _positive_roots_orbit(cartan: Sequence[Sequence[int]], support: Sequence[Sequence[int]]) -> set[tuple[int, ...]]:
-    """Positive roots by orbit closure from the simple roots.
+    """Positive roots by orbit closure from the simple roots, climbing.
 
-    Each root carries its fundamental-weight coordinates, so <gamma, a_i^vee>
-    is read off, s_i moves root coordinate i alone, and the image is
-    positive exactly when that coordinate stays >= 0."""
+    Every positive root that is not simple is s_i of a lower positive root
+    gamma with p = <gamma, a_i^vee> < 0, and s_i moves root coordinate i
+    alone, by -p.  Each root carries its nonzero fundamental-weight
+    coordinates, so p is read off and only the i with p < 0 are tried.
+    Root coordinates, at most 6, are kept as bytes, the set's keys."""
     rank = len(cartan)
-    frontier = [([int(i == j) for j in range(rank)], [cartan[j][i] for j in range(rank)]) for i in range(rank)]
-    found = {tuple(coords) for coords, _fw in frontier}
+    frontier = [(bytes(int(i == j) for j in range(rank)), {k: cartan[k][i] for k in support[i]}) for i in range(rank)]
+    found = {coords for coords, _fw in frontier}
     while frontier:
         nxt = []
         for coords, fw in frontier:
-            for i, p in enumerate(fw):
-                if p == 0 or coords[i] < p:
+            for i, p in fw.items():
+                if p >= 0:
                     continue
-                img = coords[:]
+                img = bytearray(coords)
                 img[i] -= p
-                key = tuple(img)
+                key = bytes(img)
                 if key not in found:
                     found.add(key)
-                    img_fw = fw[:]
+                    img_fw = fw.copy()
                     for k in support[i]:
-                        img_fw[k] -= p * cartan[k][i]
-                    nxt.append((img, img_fw))
+                        c = img_fw.get(k, 0) - p * cartan[k][i]
+                        if c:
+                            img_fw[k] = c
+                        else:
+                            del img_fw[k]
+                    nxt.append((key, img_fw))
         frontier = nxt
-    return found
+    return {tuple(coords) for coords in found}
 
 
 def assemble_cartan(dynkin: DynkinType) -> tuple[list[list[int]], list[int], list[int]]:
@@ -333,19 +411,26 @@ def build_root_datum(dynkin: Union[DynkinType, str], lattice_spec: LatticeSpec =
     for i in range(rank):
         for j in range(rank):
             if i != j and cartan[i][j] > 0:
-                raise RootDatumError("off-diagonal Cartan entries must be <= 0")
+                raise InvariantViolation("off-diagonal Cartan entries must be <= 0")
             if d[i] * cartan[i][j] != d[j] * cartan[j][i]:
-                raise RootDatumError("Cartan matrix is not symmetrized by d")
+                raise InvariantViolation("Cartan matrix is not symmetrized by d")
+    # i and its neighbours: the support of row i of A, and of column i, as d symmetrizes A.
+    support = [[k for k, a in enumerate(row) if a] for row in cartan]
 
     # Killing Gram matrix of fundamental weights: (w_i, w_j) = d_i * (A^-1)[i][j].
-    det, adj = _bareiss_inverse(cartan)
+    det, adj = _forest_adjugate(cartan, support)
     for i in range(rank):
         for j in range(rank):
             if d[i] * adj[i][j] != d[j] * adj[j][i]:
-                raise RootDatumError("Killing matrix is not symmetric")
+                raise InvariantViolation("Killing matrix is not symmetric")
             if factor_of_index[i] != factor_of_index[j] and adj[i][j] != 0:
-                raise RootDatumError("cross-factor Killing pairing must vanish")
-    killing = [[Fraction(d[i] * adj[i][j], det) for j in range(rank)] for i in range(rank)]
+                raise InvariantViolation("cross-factor Killing pairing must vanish")
+    numerators = [[di * x for x in row] for di, row in zip(d, adj)]
+    # K / D in lowest terms: D is the lcm of the reduced denominators of the entries.
+    g = gcd(det, *chain.from_iterable(numerators))
+    killing_gram = det // g, [[x // g for x in row] for row in numerators]
+    fraction = {x: Fraction(x, det) for x in set(chain.from_iterable(numerators))}.__getitem__
+    killing = tuple(tuple(map(fraction, row)) for row in numerators)
 
     simple_roots = tuple(tuple(cartan[i][j] for i in range(rank)) for j in range(rank))
     lacing = lcm(*(_LACING[f] for f, _n in dynkin.factors))
@@ -372,23 +457,29 @@ def build_root_datum(dynkin: Union[DynkinType, str], lattice_spec: LatticeSpec =
         if not charlattice.member(row):
             raise RootDatumError("character lattice does not contain the root lattice Q")
 
-    word = _longest_word(cartan, rank)
-    # i and its neighbours: the support of row i of A, and of column i, as d symmetrizes A.
-    support = [[k for k in range(rank) if cartan[i][k]] for i in range(rank)]
-    pos = _enumerate_positive_roots(cartan, d, factor_of_index, word, support)
-
+    word = _longest_word(cartan, support)
     orbit = _positive_roots_orbit(cartan, support)
+    if len(word) != len(orbit):
+        raise InvariantViolation("longest word has wrong length")
+    # w0 (rho) = -rho, the word applied to rho once; s_s(v) = v - v_s a_s
+    # moves v on the support of column s.
+    v = [1] * rank
+    for s in word:
+        c = v[s]
+        for m in support[s]:
+            v[m] -= c * cartan[m][s]
+    if v != [-1] * rank:
+        raise InvariantViolation("longest word does not reach the antidominant chamber")
+    pos = _enumerate_positive_roots(cartan, d, factor_of_index, word, support)
     enumerated = {r.root_coords for r in pos}
     if enumerated != orbit or len(enumerated) != len(pos):
-        raise RootDatumError("longest-word enumeration disagrees with orbit closure")
-    if len(word) != len(pos):
-        raise RootDatumError("longest word has wrong length")
+        raise InvariantViolation("longest-word enumeration disagrees with orbit closure")
 
     rd = RootDatum(
         dynkin=dynkin,
         cartan=tuple(tuple(row) for row in cartan),
         d=tuple(d),
-        killing=tuple(tuple(row) for row in killing),
+        killing=killing,
         simple_roots=simple_roots,
         charlattice=charlattice,
         lacing=lacing,
@@ -396,30 +487,28 @@ def build_root_datum(dynkin: Union[DynkinType, str], lattice_spec: LatticeSpec =
         w0_word=tuple(word),
         factor_of_index=tuple(factor_of_index),
         q_lattice=q_lat,
+        killing_gram=killing_gram,
     )
 
-    # (a_i, a_j) = d_i * A[i][j], checked against the assembled Killing matrix K / D.
-    den, k = rd.killing_gram
-    if congruent(simple_roots, k) != [[den * d[i] * cartan[i][j] for j in range(rank)] for i in range(rank)]:
-        raise RootDatumError("Killing normalization check failed")
-
-    # w0 sends the dominant chamber to the antidominant chamber; in fw
-    # coordinates s_s(v) = v - v_s a_s moves v on the support of column s.
-    for i in range(rank):
-        v = [int(i == j) for j in range(rank)]
-        for s in word:
-            c = v[s]
-            if c:
-                for m in support[s]:
-                    v[m] -= c * cartan[m][s]
-        if any(c > 0 for c in v):
-            raise RootDatumError("longest word does not reach the antidominant chamber")
+    # (a_i, w_j) = d_i delta_ij against the assembled Killing matrix K / D; as
+    # a_j = sum_m A[m][j] w_m, this is (a_i, a_j) = d_i A[i][j] times A^-1.
+    den, k = killing_gram
+    if [row_times(alpha, k) for alpha in simple_roots] != [[den * di * (i == j) for j in range(rank)] for i, di in enumerate(d)]:
+        raise InvariantViolation("Killing normalization check failed")
     return rd
 
 
-def _column_update(col_k: list[int], a: int, col_i: list[int]) -> list[int]:
+def _column_update(col_k: int, a: int, col_i: int) -> int:
     """col_k - a col_i: column k of w s_i from the columns of w, a = A[i][k]."""
-    return [x - a * y for x, y in zip(col_k, col_i)]
+    return col_k - a * col_i
+
+
+# A walk column packs 2r signed coordinates into one integer, one byte each:
+# sum_m c_m 256^m.  Linear maps act on the packed integer exactly, and every
+# coordinate of a root is at most 6 in absolute value, so adding 128 to
+# every byte (the walk's bias) makes each byte c_m + 128 with no carry, and
+# flipping its top bit (_TWOS_COMPLEMENT) leaves c_m as a signed byte.
+_TWOS_COMPLEMENT = bytes(b ^ 0x80 for b in range(256))
 
 
 def _enumerate_positive_roots(
@@ -434,26 +523,22 @@ def _enumerate_positive_roots(
     gamma_j = s_(i_t) ... s_(i_(j+1)) (a_(i_j)).
 
     The walk runs j = t, ..., 1 and keeps the columns w_j(a_k), each in root
-    coordinates followed by fundamental-weight coordinates.  Right
-    multiplication by s_i sends column k to col_k - A[i][k] col_i, which
-    moves only column i and the columns of the neighbours of i, so each root
-    costs O(r) and the enumeration O(|Phi+| r)."""
+    coordinates followed by fundamental-weight coordinates, packed into one
+    integer.  Right multiplication by s_i sends column k to col_k - A[i][k]
+    col_i, which moves only column i and the columns of the neighbours of i,
+    so each step is O(deg) integer operations.  gamma_j has the length of
+    a_(i_j), as w_j is an isometry."""
     rank = len(d)
-    cols = [[int(m == k) for m in range(rank)] + [cartan[m][k] for m in range(rank)] for k in range(rank)]
+    width = 2 * rank
+    bias = int.from_bytes(b"\x80" * width, "little")
+    unpack = Struct(f"<{width}b").unpack  # signed bytes to a tuple of ints
+    cols = [(1 << 8 * k) + sum(cartan[m][k] << 8 * (rank + m) for m in support[k]) for k in range(rank)]
     roots = []
     for i in reversed(word):
         col = cols[i]
-        coords, fw = col[:rank], col[rank:]
-        roots.append(
-            Root(
-                root_coords=tuple(coords),
-                fw_coords=tuple(fw),
-                height=sum(coords),
-                factor=factor_of_index[i],
-                # Half the squared length: (gamma, gamma) = sum_k d_k c_k <gamma, a_k^vee>.
-                d=sum(dk * c * f for dk, c, f in zip(d, coords, fw)) // 2,
-            )
-        )
+        fields = unpack((col + bias).to_bytes(width, "little").translate(_TWOS_COMPLEMENT))
+        coords = fields[:rank]
+        roots.append(Root(coords, fields[rank:], sum(coords), factor_of_index[i], d[i]))
         for k in support[i]:
             cols[k] = _column_update(cols[k], cartan[i][k], col)
     roots.reverse()
@@ -465,5 +550,5 @@ def two_rho(rd: RootDatum) -> Weight:
     equals twice the sum of fundamental weights."""
     total = Weight(tuple(map(sum, zip(*(root.fw_coords for root in rd.pos_roots)))))
     if total.coords != (2,) * rd.rank:
-        raise RootDatumError("sum of positive roots is not 2*rho")
+        raise InvariantViolation("sum of positive roots is not 2*rho")
     return total

@@ -19,7 +19,9 @@ dataclass constructors followed by their former __post_init__ checks.
 Dynkin types are recognized by a backtracking isomorphism search over every
 admissible type, not by reading rows against the datum's own Cartan matrix.
 Positive roots are re-reflected through the rest of the longest word,
-matrices are inverted over Fraction, the commutator identity reads [m] off
+matrices are inverted over Fraction, (det, adj) of a Cartan matrix comes
+from dense Bareiss Gauss-Jordan elimination rather than along its Dynkin
+forest, the commutator identity reads [m] off
 qbinom and eps^(1+m) off power, and Weyl invariance of a Gram matrix is
 checked by applying each simple reflection's full matrix R_s . G . R_s^T.
 The quantum integers (`qint`), Gaussian binomials (`qbinom`), simple
@@ -45,7 +47,17 @@ from qcenters.angles import HALF, ZERO, AngleQZ
 from qcenters.cyclo import CycloError, CycloNum, _phi_degree, _qints, cyclotomic_poly, root_of_unity
 from qcenters.intlat import Lattice, congruence_kernel, congruent, hnf, left_kernel, snf, vanishes_mod
 from qcenters.qparam import QParam, make_param
-from qcenters.rootdata import _RANK_BOUNDS, DynkinType, Root, RootDatum, RootDatumError, Weight, _factor_cartan, build_root_datum
+from qcenters.rootdata import (
+    _RANK_BOUNDS,
+    DynkinType,
+    InvariantViolation,
+    Root,
+    RootDatum,
+    RootDatumError,
+    Weight,
+    _factor_cartan,
+    build_root_datum,
+)
 from qcenters.sampling import random_instance
 from qcenters.twistcheck import COMMUTATOR_MAX_EXPONENT
 
@@ -287,6 +299,30 @@ def rational_inverse(m: Sequence[Sequence[Fraction]]) -> list[list[Fraction]]:
                 factor = a[i][col]
                 a[i] = [x - factor * y for x, y in zip(a[i], a[col])]
     return [row[n:] for row in a]
+
+
+def bareiss_inverse(m: Sequence[Sequence[int]]) -> tuple[int, list[list[int]]]:
+    """(det, adj) with m . adj = det . I, by fraction-free (Bareiss)
+    Gauss-Jordan elimination on [m | I].
+
+    After the step on column k every entry is a (k+1)-minor of [m | I], so
+    each division by the previous pivot is exact.  No rows are swapped: the
+    leading principal minors must be nonzero, as they are for a Cartan
+    matrix of finite type (d_i A_ij is positive definite)."""
+    n = len(m)
+    a = [list(row) + [int(i == j) for j in range(n)] for i, row in enumerate(m)]
+    prev = 1
+    for k in range(n):
+        pivot_row = a[k]
+        pivot = pivot_row[k]
+        if pivot == 0:
+            raise InvariantViolation("Cartan matrix has a vanishing leading principal minor")
+        for i in range(n):
+            if i != k:
+                f = a[i][k]
+                a[i] = [(pivot * x - f * y) // prev for x, y in zip(a[i], pivot_row)]
+        prev = pivot
+    return prev, [row[n:] for row in a]
 
 
 def _int_inverse(m: Sequence[Sequence[int]]) -> list[list[int]]:
@@ -619,6 +655,24 @@ def word_walk_positive_roots(rd) -> list[Root]:
         dd = sum(rd.d[k] * coords[k] * sum(cartan[k][m] * coords[m] for m in range(rank)) for k in range(rank)) // 2
         roots.append(Root(tuple(coords), tuple(fw), sum(coords), rd.factor_of_index[base], dd))
     return roots
+
+
+def column_walk_positive_roots(rd) -> list[Root]:
+    """The enumeration of rd.w0_word from dense list columns w(alpha_k), root
+    coordinates then fw coordinates, updating every column that A[i][k]
+    moves; heights and half squared lengths are summed from the coordinates."""
+    cartan, rank = rd.cartan, rd.rank
+    cols = [[int(m == k) for m in range(rank)] + [cartan[m][k] for m in range(rank)] for k in range(rank)]
+    roots = []
+    for i in reversed(rd.w0_word):
+        col = cols[i]
+        coords, fw = col[:rank], col[rank:]
+        dd = sum(dk * c * f for dk, c, f in zip(rd.d, coords, fw)) // 2
+        roots.append(Root(tuple(coords), tuple(fw), sum(coords), rd.factor_of_index[i], dd))
+        for k in range(rank):
+            if cartan[i][k]:
+                cols[k] = [x - cartan[i][k] * y for x, y in zip(cols[k], col)]
+    return roots[::-1]
 
 
 def qint(n: int, v: CycloNum) -> CycloNum:

@@ -16,7 +16,8 @@ from qcenters.intlat import LatticeError
 from qcenters.kappa import KappaError
 from qcenters.presets import PRESET_NAMES, PresetError, make_preset, parse_preset
 from qcenters.qparam import InputError, InvariantViolation, make_param
-from qcenters.report import Analysis, build_report
+from qcenters.report import Analysis, build_report, to_json, to_text
+from qcenters import rootdata
 from qcenters.rootdata import RootDatumError, build_root_datum
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
@@ -90,6 +91,32 @@ def test_invariant_violation_exits_two(monkeypatch, capsys):
 
     monkeypatch.setattr(cli, "build_report", failing)
     assert run_cli(["analyze", "--type", "A1", "--param", "1/4"], capsys) == (2, "", "internal identity violated: boom\n")
+
+
+def test_root_datum_fault_exits_two(monkeypatch, capsys):
+    # An orbit closure that disagrees with the walk is an internal fault.
+    def orbit(cartan, support):
+        found = original(cartan, support)
+        found.discard(max(found))
+        found.add((7,) * len(cartan))
+        return found
+
+    original = rootdata._positive_roots_orbit
+    monkeypatch.setattr(rootdata, "_positive_roots_orbit", orbit)
+    assert run_cli(["analyze", "--type", "B3", "--param", "1/4"], capsys) == (
+        2, "", "internal identity violated: longest-word enumeration disagrees with orbit closure\n"
+    )
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["--type", "B1"], "inadmissible factor B1"),
+        (["--type", "A2", "--lattice", "[[2, 0], [0, 1]]"], "character lattice does not contain the root lattice Q"),
+    ],
+)
+def test_root_datum_input_errors_exit_one(argv, message, capsys):
+    assert run_cli(["analyze", *argv, "--param", "1/4"], capsys) == (1, "", f"error: {message}\n")
 
 
 def test_rmatrix_command(capsys):
@@ -248,16 +275,24 @@ def test_presets_match_golden_files(name, capsys):
         ("A40", "4d2e5dea28bdc744cd4e0d12e02ffccd5ebf99ce1700a52959f303b503a5e193"),
         ("A60", "f68d16e633c18e75dd15d1f2758c1685d02763e3e845c585a11c926c26c361d1"),
         ("A80", "6a2f593058365b15a66f1d6fcfa58765a55bbd4f54b8f889a53c4678c6cd88eb"),
+        # Recorded before the root datum was eliminated along its Dynkin forest.
+        ("A100", "c0a65dde89884f22eec210c019604b6150fba691ce21c0ffd5e5125f605e30f8"),
     ],
 )
-def test_large_rank_reports_keep_their_bytes(type_str, digest, capsys):
+def test_large_rank_reports_keep_their_bytes(type_str, digest, monkeypatch, capsys):
     # Digests of the reports whose cuts took a Smith-form left kernel first
     # (then its exact HNF at A40 and A60, its HNF mod L at A80); they pin the
     # one HNF mod N of [M | I] to the same lattices at ranks where the Smith
-    # form's kernel rows are thousands of bits wide.
+    # form's kernel rows are thousands of bits wide.  The same document also
+    # renders as text, and its JSON parses.
+    docs = []
+    monkeypatch.setattr(cli, "to_json", lambda doc: docs.append(doc) or to_json(doc))
     code, out, _err = run_cli(["analyze", "--type", type_str, "--lattice", "sc", "--param", "1/6", "--json"], capsys)
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == digest
+    assert json.loads(out)["root_datum"]["dynkin_type"] == type_str
+    text = to_text(docs[0])
+    assert text.startswith(f"type {type_str}  (lacing 1, simply connected)\nparameter c = 1/6 per factor\n")
 
 
 def test_dimensions_past_the_integer_string_limit_are_decimal_strings(capsys):

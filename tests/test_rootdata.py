@@ -1,19 +1,28 @@
 import itertools
 import random
 from fractions import Fraction
-from math import prod
+from math import lcm, prod
 from types import SimpleNamespace
 
 import pytest
 
-from helpers import count_calls, killing_pairing, rational_inverse, weyl_reflect, word_walk_positive_roots
+from helpers import (
+    bareiss_inverse,
+    column_walk_positive_roots,
+    count_calls,
+    killing_pairing,
+    rational_inverse,
+    weyl_reflect,
+    word_walk_positive_roots,
+)
 from qcenters import rootdata
 from qcenters.intlat import Lattice, index
 from qcenters.rootdata import (
     DynkinType,
+    InvariantViolation,
+    Root,
     RootDatumError,
     Weight,
-    _bareiss_inverse,
     build_root_datum,
     two_rho,
 )
@@ -102,7 +111,7 @@ def test_two_rho_sums_columns_and_checks_the_sum(monkeypatch):
     rd = build_root_datum("A12", "sc")
     made = count_calls(monkeypatch, rootdata.Weight, "of")
     assert two_rho(rd) == rootdata.Weight((2,) * 12) and made == [0]
-    with pytest.raises(RootDatumError, match="2\\*rho"):
+    with pytest.raises(InvariantViolation, match="2\\*rho"):
         two_rho(SimpleNamespace(rank=rd.rank, pos_roots=rd.pos_roots[:-1]))
 
 
@@ -211,7 +220,7 @@ def test_root_datum_matches_word_walk_and_fraction_oracles(type_str):
 @pytest.mark.parametrize("type_str", ORACLE_TYPES)
 def test_bareiss_inverse_gives_det_and_adjugate(type_str):
     rd = build_root_datum(type_str)
-    det, adj = _bareiss_inverse(rd.cartan)
+    det, adj = bareiss_inverse(rd.cartan)
     assert det == prod(CARTAN_DETERMINANT[f](n) for f, n in rd.dynkin.factors)
     assert adj == [[det * x for x in row] for row in rational_inverse(rd.cartan)]
 
@@ -232,11 +241,11 @@ def test_bareiss_inverse_on_random_integer_matrices():
         b = [[rng.randint(-4, 4) for _ in range(n)] for _ in range(n)]
         # B B^T + I is positive definite, so every leading principal minor is nonzero.
         m = [[sum(x * y for x, y in zip(r, s)) + (i == j) for j, s in enumerate(b)] for i, r in enumerate(b)]
-        det, adj = _bareiss_inverse(m)
+        det, adj = bareiss_inverse(m)
         assert det == _leibniz_det(m)
         assert adj == [[det * x for x in row] for row in rational_inverse(m)]
-    with pytest.raises(RootDatumError, match="leading principal minor"):
-        _bareiss_inverse([[0, 1], [1, 0]])
+    with pytest.raises(InvariantViolation, match="leading principal minor"):
+        bareiss_inverse([[0, 1], [1, 0]])
 
 
 def test_enumeration_column_updates_are_linear(monkeypatch):
@@ -245,3 +254,142 @@ def test_enumeration_column_updates_are_linear(monkeypatch):
     valence = max(sum(1 for j, a in enumerate(row) if a and j != i) for i, row in enumerate(rd.cartan))
     assert len(rd.pos_roots) == 465
     assert calls[0] <= len(rd.pos_roots) * (valence + 1)
+
+
+def _supports(m):
+    return [[k for k, a in enumerate(row) if a] for row in m]
+
+
+def _seeded_products(seed, count):
+    rng = random.Random(seed)
+    pool = [f"A{n}" for n in range(1, 7)] + [f"{f}{n}" for f in "BC" for n in range(2, 6)]
+    pool += ["D4", "D5", "E6", "F4", "G2"]
+    return ["x".join(rng.choice(pool) for _ in range(rng.randint(2, 3))) for _ in range(count)]
+
+
+ORACLES_TO_RANK_40 = {
+    "A": [f"A{n}" for n in range(1, 41)],
+    "B": [f"B{n}" for n in range(2, 41)],
+    "C": [f"C{n}" for n in range(2, 41)],
+    "D": [f"D{n}" for n in range(3, 41)],
+    "EFG": ["E6", "E7", "E8", "F4", "G2"],
+    "products": _seeded_products(3, 12),
+}
+
+
+@pytest.mark.parametrize("family", list(ORACLES_TO_RANK_40))
+def test_forest_elimination_and_walks_match_the_oracles_to_rank_40(family):
+    # (det, adj) against dense Bareiss, (D, K) against the lowest common
+    # denominator of the Fraction Killing matrix, the word against the greedy
+    # descent and the roots against dense list columns, and, where the
+    # quadratic re-reflection is affordable, against the word-walk oracle.
+    for type_str in ORACLES_TO_RANK_40[family]:
+        rd = build_root_datum(type_str)
+        cartan = [list(row) for row in rd.cartan]
+        assert rootdata._forest_adjugate(cartan, _supports(cartan)) == bareiss_inverse(cartan), type_str
+        den = lcm(*(x.denominator for row in rd.killing for x in row))
+        assert rd.killing_gram == (den, [[x.numerator * (den // x.denominator) for x in row] for row in rd.killing])
+        assert rd.w0_word == _greedy_longest_word(rd), type_str
+        assert list(rd.pos_roots) == column_walk_positive_roots(rd), type_str
+        if rd.rank <= 12:
+            assert list(rd.pos_roots) == word_walk_positive_roots(rd), type_str
+
+
+def _corrupt(monkeypatch, name, corruption):
+    """Route rootdata.<name> through corruption(original, *args)."""
+    original = getattr(rootdata, name)
+    monkeypatch.setattr(rootdata, name, lambda *args: corruption(original, *args))
+
+
+@pytest.mark.parametrize("type_str", ["A3", "G2", "D4xA1"])
+def test_a_word_missing_its_last_letter_has_the_wrong_length(monkeypatch, type_str):
+    _corrupt(monkeypatch, "_longest_word", lambda f, *args: f(*args)[:-1])
+    with pytest.raises(InvariantViolation, match="^longest word has wrong length$"):
+        build_root_datum(type_str)
+
+
+def test_a_dropped_neighbour_fails_the_chamber_check(monkeypatch):
+    # Without its neighbour 1, node 0 of G2 still descends in |Phi+| = 6
+    # steps, to an antidominant weight other than -rho.
+    def drop(f, cartan, support):
+        support[0].remove(1)
+        return f(cartan, support)
+
+    _corrupt(monkeypatch, "_longest_word", drop)
+    with pytest.raises(InvariantViolation, match="^longest word does not reach the antidominant chamber$"):
+        build_root_datum("G2")
+
+
+@pytest.mark.parametrize("type_str", ["A3", "B3", "C3", "D4", "F4", "G2", "E6", "A1xA2"])
+def test_no_dropped_neighbour_goes_unnoticed(monkeypatch, type_str):
+    cartan = build_root_datum(type_str).cartan
+    edges = [(i, j) for i, row in enumerate(cartan) for j, a in enumerate(row) if a and i != j]
+    for i, j in edges:
+        def drop(f, cartan, support, i=i, j=j):
+            support[i].remove(j)
+            return f(cartan, support)
+
+        _corrupt(monkeypatch, "_longest_word", drop)
+        with pytest.raises(InvariantViolation):
+            build_root_datum(type_str)
+        monkeypatch.undo()
+
+
+@pytest.mark.parametrize(
+    "type_str, entries, message",
+    [
+        ("A3", [(0, 1)], "Killing matrix is not symmetric"),
+        ("B3", [(2, 2)], "Killing normalization check failed"),
+        ("A1xA2", [(0, 1), (1, 0)], "cross-factor Killing pairing must vanish"),
+    ],
+)
+def test_a_perturbed_adjugate_fails_its_killing_check(monkeypatch, type_str, entries, message):
+    def perturb(f, *args):
+        det, adj = f(*args)
+        for i, j in entries:
+            adj[i][j] += 1
+        return det, adj
+
+    _corrupt(monkeypatch, "_forest_adjugate", perturb)
+    with pytest.raises(InvariantViolation, match=f"^{message}$"):
+        build_root_datum(type_str)
+
+
+@pytest.mark.parametrize("corruption", ["shifted", "repeated"])
+def test_a_corrupted_root_fails_the_orbit_cross_check(monkeypatch, corruption):
+    def corrupt(f, *args):
+        roots = f(*args)
+        r = roots[0]
+        if corruption == "shifted":
+            roots[0] = Root(tuple(c + (k == 0) for k, c in enumerate(r.root_coords)), r.fw_coords, r.height, r.factor, r.d)
+        else:
+            roots[1] = r
+        return roots
+
+    _corrupt(monkeypatch, "_enumerate_positive_roots", corrupt)
+    with pytest.raises(InvariantViolation, match="^longest-word enumeration disagrees with orbit closure$"):
+        build_root_datum("B3")
+
+
+@pytest.mark.parametrize("m", [[[0, -1], [-1, 0]], [[1, -1], [-1, 1]], [[2, -1, 0], [-1, 2, -2], [0, -2, 2]]])
+def test_forest_elimination_stops_at_a_vanishing_minor(m):
+    with pytest.raises(InvariantViolation, match="^Cartan matrix has a vanishing leading principal minor$"):
+        rootdata._forest_adjugate(m, _supports(m))
+
+
+@pytest.mark.parametrize(
+    "type_str, corrupt, message",
+    [
+        ("A2", lambda a, d: a[0].__setitem__(1, 1), "off-diagonal Cartan entries must be <= 0"),
+        ("B2", lambda a, d: d.reverse(), "Cartan matrix is not symmetrized by d"),
+    ],
+)
+def test_a_corrupted_cartan_matrix_is_an_internal_fault(monkeypatch, type_str, corrupt, message):
+    def assemble(f, dynkin):
+        cartan, d, factor_of_index = f(dynkin)
+        corrupt(cartan, d)
+        return cartan, d, factor_of_index
+
+    _corrupt(monkeypatch, "assemble_cartan", assemble)
+    with pytest.raises(InvariantViolation, match=f"^{message}$"):
+        build_root_datum(type_str)
