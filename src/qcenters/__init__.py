@@ -17,6 +17,7 @@ from .cyclo import CycloNum, cyclotomic_poly, qfact, root_of_unity
 from .intlat import (
     FiniteAbelianGroup,
     Lattice,
+    annihilator,
     congruence_kernel,
     hnf,
     index,
@@ -61,6 +62,7 @@ __all__ = [
     "TwistWitness",
     "Verdicts",
     "Weight",
+    "annihilator",
     "build_kappa",
     "build_report",
     "build_root_datum",

@@ -18,16 +18,25 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import prod
-from typing import Optional, Sequence
+from typing import Any, Callable, Optional, Sequence
 
 from .angles import AngleQZ
-from .intlat import IntMatrix, Lattice, LatticeError, _coords_matrix, _index_of, congruent, hnf, index, vanishes_mod
-from .qparam import InvariantViolation, ParamClass, QParam, annihilator
+from .intlat import IntMatrix, Lattice, LatticeError, annihilator, congruent, hnf, index, vanishes_mod
+from .qparam import InvariantViolation, ParamClass, QParam
 from .rootdata import DynkinType, RootDatum, Weight, two_rho
 
 
 class DualDatumError(ValueError):
     """Rescaled Cartan integers fell outside the integral validity envelope."""
+
+
+def held(read: Callable[[Lattice, Lattice], Any], sub: Lattice, sup: Lattice, inclusion: str) -> Any:
+    """read(sub, sup), an index or quotient, where sub <= sup holds by
+    construction: a LatticeError there is an internal fault, not bad input."""
+    try:
+        return read(sub, sup)
+    except LatticeError:
+        raise InvariantViolation(f"inclusion {inclusion} fails") from None
 
 
 def _doubled(g: IntMatrix) -> IntMatrix:
@@ -98,17 +107,12 @@ def center_tower(q: QParam, rd: RootDatum) -> CenterTower:
         if not tan.member(scaled.coords):
             raise InvariantViolation("l_alpha * alpha escapes X^Tan")
 
-    # Each link's coordinate matrix gives both its inclusion and its index.
-    links = []
-    for sub, sup, name in ((lq, tan, "lQ <= X^Tan"), (tan, mug, "X^Tan <= X^Mug"), (mug, star, "X^Mug <= X*")):
-        try:
-            links.append(_index_of(sub, sup, _coords_matrix(sub, sup)))
-        except LatticeError:
-            raise InvariantViolation(f"chain inclusion {name} fails") from None
-    index_lq_in_tan, index_tan_in_mug, index_mug_in_star = links
-
-    chain = (index(star, rd.charlattice), index_mug_in_star, index_tan_in_mug)
-    index_x_tan = index(tan, rd.charlattice)
+    # Each index read checks its inclusion too.
+    index_lq_in_tan = held(index, lq, tan, "lQ <= X^Tan")
+    index_tan_in_mug = held(index, tan, mug, "X^Tan <= X^Mug")
+    index_mug_in_star = held(index, mug, star, "X^Mug <= X*")
+    chain = (held(index, star, rd.charlattice, "X* <= X"), index_mug_in_star, index_tan_in_mug)
+    index_x_tan = held(index, tan, rd.charlattice, "X^Tan <= X")
     if index_x_tan != (None if None in chain else prod(chain)):
         raise InvariantViolation("index multiplicativity [X : X^Tan] = [X : X*][X* : X^Mug][X^Mug : X^Tan] fails")
 

@@ -1,19 +1,19 @@
 """Exact integer-lattice linear algebra.
 
 Sublattices of Z^r are stored by a canonical row-style Hermite normal form
-of a generator matrix, so lattice equality is plain matrix equality.  hnf
-is the one constructor from generator rows; the congruence cuts below build
-their rows in that form already.  A Lattice caches its pivot columns, and
-whether each row is zero right of its pivot, outside equality and hashing;
-coords_of back-substitutes on them, and a row that is zero right of its
-pivot updates its pivot entry alone.  The coordinate rows of every
-congruence cut, congruence_kernel and qparam.annihilator, are one HNF mod n
-of the rows [M | I] (_kernel_mod): the kernel {x : x . M = 0 mod n}
-contains n * Z^r, so every entry stays in [0, n], and the HNF rows with no
-entry in M's columns are the kernel's HNF.  That HNF is upper triangular
-with a positive diagonal, so its product with an ambient lattice's HNF rows
-is already in echelon form on the ambient's pivots, and
-_reduce_above_pivots finishes the cut's canonical HNF with no second hnf.
+of a generator matrix, so lattice equality is plain matrix equality.  A
+Lattice caches its pivot columns, and whether each row is zero right of its
+pivot, outside equality and hashing; coords_of back-substitutes on them,
+and a row that is zero right of its pivot updates its pivot entry alone.
+One gcd column-elimination loop (_echelon) builds every lattice: at
+modulus 0 it is the exact echelon form behind hnf, and at modulus n it is
+the HNF mod n (Domich, Kannan and Trotter 1987; Cohen, Alg. 2.4.8) behind
+every congruence cut.  The cut, annihilator(ambient, n, M), is
+{x . B : x . M = 0 mod n} for B the ambient's HNF rows: the coordinate
+rows x are the last rows of the echelon mod n of [M | I], upper triangular
+with a positive diagonal, so X . B is already in echelon form on the
+ambient's pivots and reducing above them gives the cut's canonical HNF
+with no second elimination.  congruence_kernel is its front end on Z^r.
 One Smith elimination loop (_smith) serves two callers: quotient reads the
 invariant factors of a finite quotient off it with no transforms, and
 smith_normal_form / snf also carry U and V, for kappa.extend_psi and for
@@ -73,40 +73,54 @@ def _xgcd(a: int, b: int) -> tuple[int, int, int]:
     return old_r, old_s, old_t
 
 
-def _gcd_rows(a: list[int], b: list[int], col: int) -> tuple[list[int], list[int]]:
-    """Rows (pivot, reduced) spanning the same as (a, b), with reduced[col] = 0
-    and pivot[col] = gcd(a[col], b[col])."""
-    x, y = a[col], b[col]
-    g, u, v = _xgcd(x, y)
-    pivot = [u * p + v * q for p, q in zip(a, b)]
-    reduced = [(y // g) * p - (x // g) * q for p, q in zip(a, b)]
-    return pivot, reduced
+def _echelon(rows: IntMatrix, width: int, n: int = 0) -> tuple[IntMatrix, list[int]]:
+    """Echelon rows, and their pivot columns, of the lattice the rows span,
+    joined with n * Z^width when n > 0.
 
-
-def _hnf_rows(m: IntMatrix, width: int) -> IntMatrix:
-    rows = [row[:] for row in m if any(row)]
-    result: IntMatrix = []
-    pivots = []
+    The one elimination loop: column by column, the rows with an entry in
+    the column fold into one pivot by gcd row operations.  At modulus 0 the
+    pivot is made positive, and a column no row reaches gets none.  At
+    modulus n the rows come reduced mod n, so does every folded row, and the
+    pivot is combined with n * e_col: their gcd g | n becomes the pivot
+    entry, and (n / g) * pivot, 0 mod n in the column, stays a generator.
+    So every column gets a pivot, and every entry lies in [0, n]."""
+    echelon: IntMatrix = []
+    pivots: list[int] = []
     for col in range(width):
         pivot = None
         remaining: IntMatrix = []
-        for r in rows:
-            if r[col] == 0:
-                remaining.append(r)
+        for row in rows:
+            if row[col] == 0:
+                remaining.append(row)
             elif pivot is None:
-                pivot = r
+                pivot = row
             else:
-                pivot, reduced = _gcd_rows(pivot, r, col)
+                g, u, v = _xgcd(pivot[col], row[col])
+                x, y = pivot[col] // g, row[col] // g
+                reduced = [y * a - x * b for a, b in zip(pivot, row)]
+                pivot = [u * a + v * b for a, b in zip(pivot, row)]
+                if n:
+                    pivot, reduced = [a % n for a in pivot], [a % n for a in reduced]
                 if any(reduced):
                     remaining.append(reduced)
         rows = remaining
-        if pivot is None:
+        if n:
+            pivot = pivot or [0] * width  # n * e_col alone where no row reaches col
+            g, u, _v = _xgcd(pivot[col], n)
+            if g > 1:  # at g = 1, (n / g) * pivot is 0 mod n
+                kept = [(n // g) * a % n for a in pivot]
+                if any(kept):
+                    rows.append(kept)
+            if u != 1:  # u = 1 where the pivot entry divides n and is g
+                pivot = [u * a % n for a in pivot]
+                pivot[col] = g
+        elif pivot is None:
             continue
-        if pivot[col] < 0:
-            pivot = [-x for x in pivot]
-        result.append(pivot)
+        elif pivot[col] < 0:
+            pivot = [-a for a in pivot]
+        echelon.append(pivot)
         pivots.append(col)
-    return _reduce_above_pivots(result, pivots)
+    return echelon, pivots
 
 
 def _reduce_above_pivots(result: IntMatrix, pivots: Sequence[int]) -> IntMatrix:
@@ -243,7 +257,8 @@ def hnf(m: Iterable[Iterable[int]], ambient_rank: Optional[int] = None) -> Latti
         ambient_rank = len(rows[0])
     if any(len(r) != ambient_rank for r in rows):
         raise LatticeError("generator width does not match ambient rank")
-    return Lattice(ambient_rank, tuple(map(tuple, _hnf_rows(rows, ambient_rank))))
+    echelon, pivots = _echelon([row for row in rows if any(row)], ambient_rank)
+    return Lattice(ambient_rank, tuple(map(tuple, _reduce_above_pivots(echelon, pivots))))
 
 
 @dataclass(frozen=True)
@@ -404,21 +419,17 @@ def _coords_matrix(sub: Lattice, super_: Lattice) -> IntMatrix:
     return coords
 
 
-def _index_of(sub: Lattice, super_: Lattice, coords: IntMatrix) -> Optional[int]:
-    """[super_ : sub] from the coordinate matrix of the inclusion."""
-    if sub.rank < super_.rank:
-        return None
-    # Both HNFs have the same pivot columns, so coords is upper triangular
-    # with the pivot ratios on its diagonal.
-    return prod(row[i] for i, row in enumerate(coords))
-
-
 def index(sub: Lattice, super_: Lattice) -> Optional[int]:
     """|super/sub| when finite, None when the ranks differ ("infinite").
 
-    Raises LatticeError if sub is not contained in super.
+    Raises LatticeError if sub is not contained in super.  At equal rank
+    both HNFs have the same pivot columns, so the inclusion's coordinate
+    matrix is upper triangular with the pivot ratios on its diagonal.
     """
-    return _index_of(sub, super_, _coords_matrix(sub, super_))
+    coords = _coords_matrix(sub, super_)
+    if sub.rank < super_.rank:
+        return None
+    return prod(row[i] for i, row in enumerate(coords))
 
 
 def quotient(sub: Lattice, super_: Lattice) -> FiniteAbelianGroup:
@@ -431,55 +442,30 @@ def quotient(sub: Lattice, super_: Lattice) -> FiniteAbelianGroup:
     return _torsion(_smith(coords))
 
 
-def _kernel_mod(m: IntMatrix, n: int) -> IntMatrix:
-    """Canonical HNF rows of {x in Z^r : x . m = 0 mod n}, for m of r rows.
+def annihilator(ambient: Lattice, n: int, m: Sequence[Sequence[int]]) -> Lattice:
+    """The cut {x . B : x . m = 0 mod n} of ambient, for B its HNF rows and
+    m one constraint row per row of B.
 
     With n * Z^(c+r), the rows (x . m | x) of [m | I] span the pairs
-    (x . m + n a | x + n b).  Those with no entry in the c constraint columns
-    are (0 | y) for y = x + n b, and y . m = x . m mod n, so they are the
-    kernel, and an echelon basis holds them in its rows pivoting in the last
-    r columns.  The lattice contains n * e_j for every column j, so its HNF
-    is taken mod n (Domich, Kannan and Trotter 1987; Cohen, Alg. 2.4.8):
-    rows are reduced mod n in the columns not yet eliminated, and in each
-    column the row pivot is combined with n * e_col.  The gcd g of the two
-    becomes the pivot, and (n / g) * pivot, whose column entry is 0 mod n,
-    stays a generator.  Every column gets a pivot g | n, and only the last r
-    are kept, cut to their last r columns: reduced above their pivots, they
-    are the kernel's HNF, with every entry in [0, n]."""
+    (x . m + n a | x + n b).  Those with no entry in the c constraint
+    columns are (0 | y) for y = x + n b, and y . m = x . m mod n: the
+    kernel, held by the echelon rows pivoting in the last r columns.  Cut to
+    those columns and reduced above their pivots, they are the kernel's HNF
+    X, upper triangular with a positive diagonal.  So X . B is in echelon
+    form on the ambient's pivots, and reducing above them gives the HNF."""
     c, r = len(m[0]) if m else 0, len(m)
     rows = [[x % n for x in row] + [int(i == j) % n for j in range(r)] for i, row in enumerate(m)]
-    result: IntMatrix = []
-    for col in range(c + r):
-        pivot = None
-        remaining: IntMatrix = []
-        for row in rows:
-            if row[col] == 0:
-                remaining.append(row)
-            elif pivot is None:
-                pivot = row
-            else:
-                pivot, reduced = ([x % n for x in v] for v in _gcd_rows(pivot, row, col))
-                if any(reduced):
-                    remaining.append(reduced)
-        if pivot is None:
-            pivot = [0] * (c + r)
-        g, u, _v = _xgcd(pivot[col], n)
-        kept = [(n // g) * x % n for x in pivot]
-        if any(kept):
-            remaining.append(kept)
-        if col >= c:
-            pivot = [u * x % n for x in pivot[c:]]
-            pivot[col - c] = g
-            result.append(pivot)
-        rows = remaining
-    return _reduce_above_pivots(result, range(r))
+    echelon, _pivots = _echelon(rows, c + r, n)
+    kernel = _reduce_above_pivots([row[c:] for row in echelon[c:]], range(r))
+    cut = [row_times(x, ambient.gens) for x in kernel]
+    return Lattice(ambient.ambient_rank, tuple(map(tuple, _reduce_above_pivots(cut, ambient.pivots))))
 
 
 def congruence_kernel(rows: Sequence[tuple[Sequence[int], int]], rank: int) -> Lattice:
     """Solutions {x in Z^rank : c . x = 0 mod n for every (c, n) constraint}.
 
-    Always full rank: the lattice contains L * Z^rank for L = lcm(moduli), so
-    it is one HNF mod L (`_kernel_mod`) and every entry lies in [0, L].
+    Always full rank: it contains L * Z^rank for L = lcm(moduli), so it is
+    the annihilator cut of Z^rank mod L, and every entry lies in [0, L].
     """
     constraints = []
     for c, n in rows:
@@ -489,14 +475,11 @@ def congruence_kernel(rows: Sequence[tuple[Sequence[int], int]], rank: int) -> L
             raise LatticeError("moduli must be >= 1")
         if len(c) != rank:
             raise LatticeError("constraint width does not match rank")
-        if n > 1:
-            constraints.append((c, n))
-    if not constraints:
-        return Lattice.standard(rank)
+        constraints.append((c, n))
     # c . x = 0 mod n iff (L / n) c . x = 0 mod L, for L = lcm(moduli).
     big = lcm(*(n for _c, n in constraints))
     m = [[c[i] * (big // n) for c, n in constraints] for i in range(rank)]
-    return Lattice(rank, tuple(map(tuple, _kernel_mod(m, big))))
+    return annihilator(Lattice.standard(rank), big, m)
 
 
 def intersect(a: Lattice, b: Lattice) -> Lattice:

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from math import prod
 from typing import Optional
 
-from .centers import CenterTower
+from .centers import CenterTower, held
 from .intlat import FiniteAbelianGroup, index, quotient
 from .kappa import Radicals
 from .qparam import InvariantViolation, ParamClass, QParam
@@ -55,7 +55,7 @@ def dim_report(q: QParam, rd: RootDatum, tower: CenterTower, rads: Radicals, cls
     fiber = n_tan * dim_u_plus**2
     sc_value: Optional[int] = None
     if rd.is_simply_connected() and cls.max_nondegenerate and cls.all_even:
-        center_order = index(rd.root_lattice(), rd.weight_lattice())
+        center_order = held(index, rd.root_lattice(), rd.weight_lattice(), "Q <= P")
         assert center_order is not None
         sc_value = center_order * prod(q.simple_ls()) * dim_u_plus**2
         if sc_value != fiber:
@@ -64,7 +64,7 @@ def dim_report(q: QParam, rd: RootDatum, tower: CenterTower, rads: Radicals, cls
     dim_u = lam.order * dim_u_plus**2
     if fiber * sigma.order != dim_u:
         raise InvariantViolation("fiber dimension times |Sigma| does not equal dim u")
-    group_uq = quotient(tower.x_tan, rd.charlattice)
+    group_uq = held(quotient, tower.x_tan, rd.charlattice, "X^Tan <= X")
     if group_uq.order * sigma.order != lam.order:
         raise InvariantViolation("simple-label orbit count is inconsistent with |Sigma|")
     return DimReport(

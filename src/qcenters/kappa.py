@@ -22,17 +22,19 @@ from math import lcm
 from typing import Optional, Sequence
 
 from .angles import AngleQZ, from_int_gram
+from .centers import held
 from .intlat import (
     FiniteAbelianGroup,
     IntMatrix,
     Lattice,
+    annihilator,
     bilinear,
     congruent,
     quotient,
     snf,
     vanishes_mod,
 )
-from .qparam import InvariantViolation, QParam, annihilator
+from .qparam import InvariantViolation, QParam
 from .rootdata import RootDatum
 
 
@@ -135,9 +137,9 @@ def radicals(q: QParam, kappa: BiformQZ, rd: RootDatum, x_star_lattice: Lattice,
     rad_qk = annihilator(rad_kappa, n, congruent(rad_kappa.gens, g, rd.charlattice.gens))
 
     groups = ToralGroups(
-        sigma=quotient(rad_qk, x_tan),
-        lam=quotient(rad_qk, rd.charlattice),
-        theta=quotient(rad_qk, x_star_lattice),
+        sigma=held(quotient, rad_qk, x_tan, "rad(q, kappa) <= X^Tan"),
+        lam=held(quotient, rad_qk, rd.charlattice, "rad(q, kappa) <= X"),
+        theta=held(quotient, rad_qk, x_star_lattice, "rad(q, kappa) <= X*"),
     )
     if n_tan is None or groups.sigma.order * n_tan != groups.lam.order:
         raise InvariantViolation("index multiplicativity |Sigma| * [X : X^Tan] = |Lambda| fails")

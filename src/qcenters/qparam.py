@@ -8,7 +8,8 @@ admissible class of torsion parameters.  Since weights lie in P = Z^r, q is
 stored once as an integer Gram matrix G on the fundamental weights, modulo
 N: q(lam, mu) = lam . G . mu^T / N mod 1.  (N, G) is the form every other
 module reads: its Gram between two bases is the product L . G . R^T, and
-radicals are congruence kernels mod N of such products.
+a radical is the `intlat.annihilator` cut mod N of its ambient lattice by
+such a product.
 
 The identities of q itself are read off single rows v = lam . G, each summed
 over the nonzero coordinates of lam only (O(r) per root, since roots are
@@ -38,7 +39,7 @@ from operator import mul
 from typing import Optional, Sequence, Union
 
 from .angles import AngleQZ, from_int_gram
-from .intlat import IntMatrix, Lattice, _kernel_mod, _reduce_above_pivots, bilinear, congruent, row_times, vanishes_mod
+from .intlat import IntMatrix, Lattice, annihilator, bilinear, congruent, row_times, vanishes_mod
 from .rootdata import InvariantViolation, Root, RootDatum, Weight  # InvariantViolation is re-exported
 
 
@@ -171,19 +172,6 @@ def _reflection_fixes(alpha: Sequence[int], v: Sequence[int], i: int, n: int) ->
     the row v = alpha_i . G of a symmetric G (see the module docstring)."""
     off_diagonal = all(x % n == 0 for k, x in enumerate(v) if k != i)
     return off_diagonal and (sum(a * x for a, x in zip(alpha, v)) - 2 * v[i]) % n == 0
-
-
-def annihilator(ambient: Lattice, n: int, m: Sequence[Sequence[int]]) -> Lattice:
-    """HNF lattice of x = sum_k x_k * ambient.gens[k] with
-    sum_k x_k * m[k][j] = 0 mod n for every column j.
-
-    The coordinate rows x are one HNF mod n of [m | I]
-    (`intlat._kernel_mod`): upper triangular with a positive diagonal.  So
-    row k of X . B, for B the HNF rows of ambient, is zero left of B's
-    k-th pivot column and positive there: X . B is in echelon form on the
-    ambient's pivots, and reducing above them gives the canonical HNF."""
-    rows = [row_times(x, ambient.gens) for x in _kernel_mod(m, n)]
-    return Lattice(ambient.ambient_rank, tuple(map(tuple, _reduce_above_pivots(rows, ambient.pivots))))
 
 
 def make_param(rd: RootDatum, c: Union[Fraction, int, str, Sequence[Union[Fraction, int, str]]]) -> QParam:

@@ -447,7 +447,7 @@ def build_root_datum(dynkin: Union[DynkinType, str], lattice_spec: LatticeSpec =
     else:
         try:
             charlattice = hnf([list(row) for row in lattice_spec], rank)
-        except (LatticeError, TypeError) as exc:
+        except (LatticeError, TypeError, OverflowError) as exc:  # int(1e400) overflows
             raise RootDatumError(f"bad lattice generators: {exc}") from exc
     if charlattice.ambient_rank != rank:
         raise RootDatumError("character lattice has wrong ambient rank")

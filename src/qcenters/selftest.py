@@ -24,8 +24,8 @@ from math import lcm
 from typing import Callable
 
 from .centers import center_tower
-from .intlat import Lattice, congruence_kernel, congruent, hnf, index, left_kernel, quotient, smith_normal_form, snf
-from .qparam import QParam, annihilator
+from .intlat import Lattice, annihilator, congruence_kernel, congruent, hnf, index, left_kernel, quotient, smith_normal_form, snf
+from .qparam import QParam
 from .report import Analysis, twistcheck_section
 from .rootdata import RootDatum, Weight
 from .sampling import random_instance

@@ -1,4 +1,6 @@
+import contextlib
 import hashlib
+import io
 import json
 import subprocess
 import sys
@@ -8,11 +10,13 @@ from math import prod
 from pathlib import Path
 
 import pytest
+from hypothesis import given, seed, settings
+from hypothesis import strategies as st
 
-from qcenters import cli
+from qcenters import centers, cli, kappa
 from qcenters.centers import DualDatumError
 from qcenters.cli import main, read_spec_file
-from qcenters.intlat import LatticeError
+from qcenters.intlat import Lattice, LatticeError
 from qcenters.kappa import KappaError
 from qcenters.presets import PRESET_NAMES, PresetError, make_preset, parse_preset
 from qcenters.qparam import InputError, InvariantViolation, make_param
@@ -106,6 +110,26 @@ def test_root_datum_fault_exits_two(monkeypatch, capsys):
     assert run_cli(["analyze", "--type", "B3", "--param", "1/4"], capsys) == (
         2, "", "internal identity violated: longest-word enumeration disagrees with orbit closure\n"
     )
+
+
+@pytest.mark.parametrize(
+    "module, name, fake, inclusion",
+    [
+        # X* replaced by P on an adjoint datum: [X : X*] reads an inclusion that fails.
+        (centers, "x_star", lambda q, rd: Lattice.standard(rd.rank), "X* <= X"),
+        # Both radical cuts replaced by P: Sigma's quotient reads a failing inclusion.
+        (kappa, "annihilator", lambda ambient, n, m: Lattice.standard(ambient.ambient_rank), "rad(q, kappa) <= X^Tan"),
+    ],
+    ids=["x_star", "radicals"],
+)
+def test_internal_lattice_faults_exit_two(module, name, fake, inclusion, monkeypatch, capsys):
+    # Inclusions that hold by construction are internal faults when they fail,
+    # not bad input, while the library's index and quotient raise LatticeError.
+    monkeypatch.setattr(module, name, fake)
+    code, out, err = run_cli(["analyze", "--type", "A2", "--lattice", "adjoint", "--param", "1/6"], capsys)
+    assert (code, out) == (2, "")
+    assert err == f"internal identity violated: inclusion {inclusion} fails\n"
+    assert "Traceback" not in err
 
 
 @pytest.mark.parametrize(
@@ -481,6 +505,62 @@ def test_usage_errors_exit_one_without_traceback(argv):
         assert "argument --max-terms" in proc.stderr
     if argv[-2:] == ["--param", "--json"]:  # --json is a flag, not the value of --param
         assert "argument --param: expected one argument" in proc.stderr
+
+
+VALID_TYPES = (
+    "A1", "A2", "A3", "A4", "B2", "B3", "B4", "C2", "C3", "C4", "D4", "F4", "G2",
+    "A1xA1", "A1xB2", "A2xA2", "A1xA3", "B2xG2", "A1xA1xA2", "A1xA1xA1xA1",
+)
+MALFORMED_TYPES = ("", "Z9", "A0", "B1", "D2", "E5", "E9", "G3", "A", "A2x", "xA2", "A2xxA1", "A-1", "A2.5", "2A", "a2")
+MALFORMED_LATTICES = ("[[1,", "[1, 2]", "[[1.5]]", "[['a']]", "[[1e400]]", "[[1, 0], [0, 1j]]", "[]", "[[]]", "{}", "lat")
+MALFORMED_PARAMS = ("", "abc", "1/0", "0/0", "pi/l:", "pi/l:x", "2pi/l:0", "1//2", "1/2/3", "nan", "inf", "-x", "1/2,,1/3")
+
+
+def _rank(type_str):
+    return sum(int(f[1:]) for f in type_str.split("x")) if type_str in VALID_TYPES else 2
+
+
+@st.composite
+def report_argv(draw):
+    """argv for one report command.  Each input is malformed one time in four
+    or so, and otherwise: a type of rank <= 4; sc, adjoint, Q plus random
+    rows, or random rows; a parameter with denominator <= 30, as a fraction,
+    the pi/l sugar or one value per factor.  --json is on or off, and rmatrix
+    always gets --max-terms <= 50."""
+
+    def pick(valid, malformed):
+        return draw(st.sampled_from(malformed) if draw(st.integers(0, 3)) == 3 else valid)
+
+    command = draw(st.sampled_from(["analyze", "dual", "verify-twist", "rmatrix"]))
+    type_str = pick(st.sampled_from(VALID_TYPES), MALFORMED_TYPES + (draw(st.text("ABGx -", max_size=4)),))
+    width = _rank(type_str) if draw(st.integers(0, 7)) else draw(st.integers(1, 4))
+    rows = draw(st.lists(st.lists(st.integers(-3, 3), min_size=width, max_size=width), min_size=1, max_size=3))
+    if type_str in VALID_TYPES and draw(st.booleans()):
+        rows += [list(g) for g in build_root_datum(type_str, "adjoint").charlattice.gens]
+    lattice = pick(st.sampled_from(["sc", "adjoint", str(rows)]), MALFORMED_LATTICES)
+    fraction = st.builds("{}/{}".format, st.integers(-60, 60), st.integers(1, 30))
+    sugar = st.builds("{}/l:{}".format, st.sampled_from(["pi", "2pi"]), st.integers(-3, 30))
+    per_factor = st.lists(fraction, min_size=type_str.count("x") + 1, max_size=type_str.count("x") + 1).map(",".join)
+    param = pick(fraction | sugar | per_factor, MALFORMED_PARAMS)
+    argv = [command, "--type", type_str, "--lattice", lattice, "--param", param]
+    if command == "rmatrix":
+        argv += ["--max-terms", str(draw(st.integers(0, 50)))]
+    return argv + (["--json"] if draw(st.booleans()) else [])
+
+
+@seed(29)
+@settings(max_examples=300, deadline=None)
+@given(report_argv())
+def test_report_commands_exit_zero_or_one_on_any_argv(argv):
+    # A valid input passes every identity (never exit 2), a malformed one is
+    # named on stderr, and no input escapes main as an exception.
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    assert code in (0, 1), (argv, err.getvalue())
+    if code == 1:
+        assert "error:" in err.getvalue()
+    assert "Traceback" not in err.getvalue()
 
 
 def test_help_exits_zero(capsys):

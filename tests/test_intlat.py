@@ -1,8 +1,10 @@
+import ast
 import itertools
 import random
 import re
 from fractions import Fraction
 from math import lcm
+from pathlib import Path
 
 import pytest
 from hypothesis import given, seed, settings
@@ -15,11 +17,12 @@ from helpers import (
     rational_coords,
     solution_count_bruteforce,
 )
+import qcenters
 from qcenters.intlat import (
     FiniteAbelianGroup,
     Lattice,
     LatticeError,
-    _kernel_mod,
+    annihilator,
     congruence_kernel,
     hnf,
     index,
@@ -29,7 +32,6 @@ from qcenters.intlat import (
     smith_normal_form,
     snf,
 )
-from qcenters.qparam import annihilator
 
 small_matrix = st.integers(1, 4).flatmap(
     lambda c: st.lists(st.lists(st.integers(-9, 9), min_size=c, max_size=c), min_size=1, max_size=4)
@@ -528,8 +530,11 @@ def test_annihilator_equals_the_hnf_of_its_generators(cut):
     ambient, n, m = cut
     got = annihilator(ambient, n, m)
     # The generators of the cut: ambient vectors of the kernel rows mod n,
-    # from the Smith-form route and from the HNF mod n, each normalized by hnf.
-    for kernel in (left_kernel(m, n), _kernel_mod(m, n)):
+    # from the Smith-form route and from the cut of Z^r, whose rows are the
+    # coordinate rows, each normalized by hnf.  So the finish on the
+    # ambient's pivots is checked against a fresh hnf.
+    coordinate_rows = annihilator(Lattice.standard(len(m)), n, m).gens
+    for kernel in (left_kernel(m, n), coordinate_rows):
         assert got == hnf([ambient.vector_from_coords(x) for x in kernel], ambient.ambient_rank)
     assert got.rank == ambient.rank and ambient.contains_lattice(got)
 
@@ -632,3 +637,16 @@ def test_the_type_check_path_agrees_with_the_conversion_path(x):
         assert str(raised.value) == str(exc)
     else:
         assert lat.coords_of(x) == expected
+
+
+def test_no_module_imports_a_private_intlat_name():
+    # intlat is the one lattice layer: the rest of the package reaches it
+    # through its public names only.
+    offenders = []
+    for path in sorted(Path(qcenters.__file__).parent.glob("*.py")):
+        if path.name == "intlat.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.ImportFrom) and node.level == 1 and node.module == "intlat":
+                offenders += [f"{path.name}: {a.name}" for a in node.names if a.name.startswith("_")]
+    assert offenders == []
