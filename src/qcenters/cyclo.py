@@ -9,7 +9,9 @@ frozen slotted dataclasses, with no per-instance dict.  CycloNum's
 constructor is written out (dataclass init=False): one frame that checks
 the length against deg Phi_N and the denominator, runs the gcd for den > 1
 and stores the fields through the slot descriptors, with none of the
-generated __init__'s frozen-setattr calls and no __post_init__ frame.
+generated __init__'s frozen-setattr calls and no __post_init__ frame; an
+integral product by a `MulMatrix`, whose shape the matrix checked when it
+was built, skips it.
 A product of two elements is the schoolbook sum of the terms a_i b_j
 x^(i+j) (`_mul_vecs`), and `CycloNum.product`, behind the R-matrix pairing
 values (`rmatrix.pairing_diag`), is a left fold of `__mul__`.  Phi_N is
@@ -309,12 +311,19 @@ class MulMatrix:
     stored by columns, so a * e has numerator (sum_i a_i M[i][j])_j over
     a.den * den.  That is d^2 integer products and no reduction, which is
     the cheaper route in small fields when one factor is reused many times.
-    The result goes through the CycloNum constructor, so it is in the same
-    canonical (num, den) form as any other product."""
+    The d x d shape and den >= 1 are checked once, when the matrix is built,
+    so an integral product is stored through the slot descriptors with no
+    length check or gcd, and any other goes through the CycloNum constructor:
+    either way it is in the same canonical (num, den) form as any other product."""
 
     conductor: int
     cols: tuple[tuple[int, ...], ...]
     den: int
+
+    def __post_init__(self) -> None:
+        d = _phi_degree(self.conductor)
+        if len(self.cols) != d or any(len(col) != d for col in self.cols) or self.den < 1:
+            raise CycloError("a multiplication matrix is d x d, d = deg Phi_N, over a positive denominator")
 
     @staticmethod
     def of(e: CycloNum) -> "MulMatrix":
@@ -325,7 +334,14 @@ class MulMatrix:
         """a * e, for a in the same field."""
         if a.conductor != self.conductor:
             raise CycloError("a multiplication matrix acts only inside its own field")
-        return CycloNum(self.conductor, tuple([sum(map(mul, a.num, col)) for col in self.cols]), a.den * self.den)
+        num, den = tuple([sum(map(mul, a.num, col)) for col in self.cols]), a.den * self.den
+        if den != 1:
+            return CycloNum(self.conductor, num, den)
+        out = object.__new__(CycloNum)  # d entries, as the matrix is d x d, and den = 1 is reduced
+        _set_conductor(out, self.conductor)
+        _set_num(out, num)
+        _set_den(out, 1)
+        return out
 
 
 def _exponent(angle: AngleQZ, conductor: int) -> int:

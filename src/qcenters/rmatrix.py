@@ -16,20 +16,23 @@ distinct (q_gamma, q(gamma, rho), parity of ht gamma, l_gamma) row built
 once, the tuple of l_gamma, the integer matrices of the row entries
 (`cyclo.MulMatrix`, one lazily filled map per distinct row, shared by the
 roots of that row), and the last support `coeff` walked, with the
-coefficient at each of its prefixes.  A support is zero when some entry
-reaches l_gamma; any other, whatever its number of nonzero entries, keeps
-the last walk up to the first entry where the two differ and walks on from
-there, overwriting the prefix values in place, reading its first nonzero
-entry off the row and multiplying by the matrix of each later one.  Where
-only the last entry changed, as in most steps of a lexicographic walk,
-`_common_prefix` finds that by one comparison of the prefixes before it.
-In lexicographic order, as `term_table` walks, a term is at most one d x d
-integer product; any other order is exact too.  The pairing values are
-products of cached rows too (`CycloNum.product`), walked apart and kept in
-a bounded cache, so that coeff * pairing = sign * phase checks one against
-the other.  Both rows are binomial walks (`cyclo.binomial_walk`), by q^-v (q - q^-1) [v]_q = 1 - q^(-2v) and
-prod_{k=1}^{m-1} (1 - omega^k) = m for omega a primitive m-th root of
-unity: no field product, no inverse.  Every conductor here is even (lcm
+coefficient at each of its prefixes.  A support, whatever its number of
+nonzero entries, keeps the last walk up to the first entry where the two
+differ and walks on from there, overwriting the prefix values in place,
+reading its first nonzero entry off the row and multiplying by the matrix
+of each later one; an entry reaching l_gamma, tested only where the walk
+goes (the last support walked is admissible), makes the support zero and
+resets the walk to the zero support.  Where only the last entry changed,
+as in most steps of a lexicographic walk, `_common_prefix` finds that by
+one comparison of the prefixes before it.  In lexicographic order, as
+`term_table` walks, a term is at most one d x d integer product; any other
+order is exact too.  `term_table` stores its box tuples, nonnegative ints
+by construction, as supports with no `RSupport(...)` check.  The pairing
+values are products of cached rows too (`CycloNum.product`), walked apart
+and kept in a bounded cache, so that coeff * pairing = sign * phase checks
+one against the other.  Both rows are binomial walks (`cyclo.binomial_walk`),
+by q^-v (q - q^-1) [v]_q = 1 - q^(-2v) and prod_{k=1}^{m-1} (1 - omega^k)
+= m for omega a primitive m-th root of unity: no field product, no inverse.  Every conductor here is even (lcm
 with 2), so zeta^(N/2) = -1 and a walk turns integer lists of length N/2,
 each entry then reduced by the fold rows x^j mod Phi_N, j in [d, N/2).
 """
@@ -40,7 +43,7 @@ import itertools
 from dataclasses import dataclass
 from functools import lru_cache
 from math import lcm, prod
-from operator import ge, ne
+from operator import ne
 from typing import Iterable, Optional, Sequence, Union
 
 from .angles import AngleQZ
@@ -179,15 +182,16 @@ def coeff(n: RSupport, q: QParam, rd: RootDatum, conductor: Optional[int] = None
     ht(gamma)) and phase q(sum n_gamma gamma, rho), rho = sum_alpha
     omega_alpha.  Sign and phase are characters of n, so the value is the
     product over the nonzero n_gamma of entry n_gamma of the cached row of
-    gamma; it is exactly zero iff some n_gamma >= l_gamma.  The rows of a
-    parameter are built, and checked to vanish at l_gamma, by its first
-    coefficient at a conductor and then read from its table.  The last walk
-    of the table is kept up to the first entry where n differs from it, and
-    the walk goes on over the rest of n, the coefficient at each prefix
-    being the one before it times the table's matrix of its last entry
-    where that entry is nonzero (the row entry itself while the prefix
-    before it is all zeros).  In lexicographic order that is at most one
-    matrix product per support.  rd must be the parameter's root datum.
+    gamma.  The rows of a parameter are built, and checked to vanish at
+    l_gamma, by its first coefficient at a conductor and then read from its
+    table.  The last walk of the table is kept up to the first entry where
+    n differs from it, and the walk goes on over the rest of n, the
+    coefficient at each prefix being the one before it times the table's
+    matrix of its last entry where that entry is nonzero (the row entry
+    itself while the prefix before it is all zeros).  The value is exactly
+    zero iff some n_gamma >= l_gamma, which is tested on the walked entries
+    alone.  In lexicographic order that is at most one matrix product per
+    support.  rd must be the parameter's root datum.
     """
     if rd is not q.rd and rd != q.rd:
         raise ValueError("the root datum is not the parameter's")
@@ -195,26 +199,29 @@ def coeff(n: RSupport, q: QParam, rd: RootDatum, conductor: Optional[int] = None
     if len(s) != len(rd.pos_roots):
         raise ValueError("support length must match the number of positive roots")
     big_n = conductor or batch_conductor(q, rd)
-    table = _table(q, big_n)
-    if any(map(ge, s, table.ls)):
-        return CycloNum.zero(big_n)
+    table = q.coeff_tables.get(big_n) or _table(q, big_n)
     start = _common_prefix(s, table.support)
-    values = table.values
+    values, matrices, ls = table.values, table.matrices, table.ls
     value = values[start]
-    matrices = table.matrices
     try:
         for i in range(start, len(s)):
             v = s[i]
             if v:
+                if v >= ls[i]:
+                    break
                 value = matrices[i].row[v] if value is None else matrices[i][v].times(value)
             values[i + 1] = value
+        else:
+            table.support = s
+            return CycloNum.one(big_n) if value is None else value
     except BaseException:
         # A walk cut short (a MemoryError building a wide matrix, an
         # interrupt) left values of no recorded support: start over from zero.
         table.support, table.values = (0,) * len(s), [None] * (len(s) + 1)
         raise
-    table.support = s
-    return CycloNum.one(big_n) if value is None else value
+    # So did a walk stopped at an entry n_gamma >= l_gamma, whose support is zero.
+    table.support, table.values = (0,) * len(s), [None] * (len(s) + 1)
+    return CycloNum.zero(big_n)
 
 
 def pairing_diag(
@@ -251,6 +258,8 @@ def term_table(q: QParam, rd: RootDatum, max_terms: Optional[int] = None) -> lis
     box = itertools.product(*(range(l) for l in q.l_table))
     big_n = batch_conductor(q, rd)
     out = []
-    for s in map(RSupport, itertools.islice(box, max_terms)):
+    for n in itertools.islice(box, max_terms):
+        s = object.__new__(RSupport)  # n holds nonnegative ints: no check to run
+        _set_n(s, n)
         out.append((s, coeff(s, q, rd, conductor=big_n)))
     return out

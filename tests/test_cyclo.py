@@ -431,6 +431,28 @@ def test_multiplication_matrix_matches_the_schoolbook_product(n):
         cyclo.MulMatrix.of(CycloNum.one(n)).times(CycloNum.one(2 * n))
 
 
+@pytest.mark.parametrize("n", [1, 5, 12])
+def test_a_multiplication_matrix_is_checked_where_it_is_built(n):
+    # times stores an integral product with no length check, so a matrix
+    # of the wrong shape or denominator must fail where it is made.
+    cols = cyclo.MulMatrix.of(_num(n, _random_coeffs(random.Random(n), n))).cols
+    d = len(cols)
+    assert d == len(cyclotomic_poly(n)) - 1 and all(len(col) == d for col in cols)
+    bad = {
+        "a column too many": (cols + cols[:1], 1),
+        "a column too few": (cols[:-1], 1),
+        "a column too long": ((cols[0] + (0,),) + cols[1:], 1),
+        "a column too short": ((cols[0][:-1],) + cols[1:], 1),
+        "zero denominator": (cols, 0),
+        "negative denominator": (cols, -2),
+    }
+    for what, (bad_cols, den) in bad.items():
+        with pytest.raises(CycloError, match="d x d"):
+            cyclo.MulMatrix(n, bad_cols, den)
+            pytest.fail(what)
+    assert cyclo.MulMatrix(n, cols, 3).den == 3
+
+
 def test_constructor_stores_num_as_a_tuple():
     assert CycloNum(4, [1, 0]) == CycloNum(4, (1, 0))
     assert type(CycloNum(4, [1, 0]).num) is tuple

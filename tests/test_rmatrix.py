@@ -773,6 +773,18 @@ def test_term_table_cap():
     assert capped == full[:5]
 
 
+@pytest.mark.parametrize("type_str,c,max_terms", [("A2", Fraction(1, 6), None), ("G2", Fraction(1, 12), None), ("C3", Fraction(1, 8), 2000)])
+def test_term_table_builds_its_supports_as_the_constructor_does(type_str, c, max_terms):
+    # term_table stores each box tuple past RSupport's checks, so what it
+    # stores must be what RSupport would have built from it.
+    rd = build_root_datum(type_str, "sc")
+    q = make_param(rd, c)
+    terms = term_table(q, rd, max_terms=max_terms)
+    assert len(terms) == (max_terms or support_size(q))
+    for s, _value in terms:
+        _assert_built_alike(s, RSupport(s.n))
+
+
 def test_term_table_walks_the_box_lazily(monkeypatch):
     # E8 at c = 1/10 has 5^120 admissible supports; only the first five are built.
     def no_materialization(*args, **kwargs):
