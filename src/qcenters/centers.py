@@ -6,7 +6,8 @@ lam).  With q = (N, G), each cut and each re-check is a congruence mod N of
 products L . G . R^T: X* and X^Mug annihilate the rows of 2G against the
 simple roots and against X, X^Tan annihilates the diagonal of G on X^Mug,
 and the pivot character is (2 rho) . G on the X^Tan generators.  The dual
-datum has simple roots l_alpha * alpha with the rescaled Cartan integers,
+datum has simple roots l_alpha * alpha, read from the one helper star_roots,
+whose span is lQ, the bottom of the tower, and the rescaled Cartan integers,
 carrying the restricted parameter epsilon whose scalar values are signs; the
 quotient datum keeps the same roots but the character lattice X^Tan.  The
 integrality of the rescaled Cartan integers forces Cartan* to equal A or A^T
@@ -50,11 +51,9 @@ def x_star(q: QParam, rd: RootDatum) -> Lattice:
     return annihilator(rd.charlattice, n, congruent(rd.charlattice.gens, _doubled(g), rd.simple_roots))
 
 
-def l_dual_root_lattice(q: QParam, rd: RootDatum) -> Lattice:
-    """lQ: the span of the rescaled simple roots l_alpha * alpha."""
-    ls = q.simple_ls()
-    rows = [[ls[i] * c for c in rd.simple_roots[i]] for i in range(rd.rank)]
-    return hnf(rows, rd.rank)
+def star_roots(q: QParam, rd: RootDatum) -> tuple[tuple[int, ...], ...]:
+    """The dual group's simple roots l_alpha * alpha, in fw coordinates."""
+    return tuple(tuple(l * c for c in alpha) for l, alpha in zip(q.simple_ls(), rd.simple_roots))
 
 
 @dataclass(frozen=True)
@@ -81,7 +80,8 @@ class CenterTower:
 
 def center_tower(q: QParam, rd: RootDatum) -> CenterTower:
     """Compute the full tower and verify every link of the chain."""
-    lq = l_dual_root_lattice(q, rd)
+    roots = star_roots(q, rd)
+    lq = hnf(roots, rd.rank)
     star = x_star(q, rd)
     n, g = q.int_gram
     g2, x_gens = _doubled(g), rd.charlattice.gens
@@ -102,10 +102,8 @@ def center_tower(q: QParam, rd: RootDatum) -> CenterTower:
         raise InvariantViolation("X^Mug generator fails its defining congruence")
     if not vanishes_mod([[row[k]] for k, row in enumerate(congruent(tan.gens, g))], n):
         raise InvariantViolation("X^Tan generator has nontrivial self-pairing")
-    for i, l in enumerate(q.simple_ls()):
-        scaled = rd.simple_root(i).scaled(l)
-        if not tan.member(scaled.coords):
-            raise InvariantViolation("l_alpha * alpha escapes X^Tan")
+    if tan.first_outside(roots) is not None:
+        raise InvariantViolation("l_alpha * alpha escapes X^Tan")
 
     # Each index read checks its inclusion too.
     index_lq_in_tan = held(index, lq, tan, "lQ <= X^Tan")
@@ -117,10 +115,8 @@ def center_tower(q: QParam, rd: RootDatum) -> CenterTower:
         raise InvariantViolation("index multiplicativity [X : X^Tan] = [X : X*][X* : X^Mug][X^Mug : X^Tan] fails")
 
     def first_missing(sup: Lattice, sub: Lattice) -> Optional[Weight]:
-        for g in sup.gens:
-            if not sub.member(g):
-                return Weight.of(g)
-        return None
+        g = sub.first_outside(sup.gens)
+        return None if g is None else Weight.of(g)
 
     return CenterTower(
         lq=lq,
@@ -177,11 +173,10 @@ def _epsilon_scalars(q: QParam, rd: RootDatum) -> list[AngleQZ]:
     ls = q.simple_ls()
     simple = {r.root_coords.index(1): r for r in rd.pos_roots if r.height == 1}
     scalars = []
-    for i in range(rd.rank):
+    for i, star_root in enumerate(star_roots(q, rd)):
         via_power = q.q_scalar(simple[i]).scaled(ls[i] ** 2)
-        star_root = rd.simple_root(i).scaled(ls[i])
         star_fundamental = rd.fundamental_weight(i).scaled(ls[i])
-        via_form = q.eval(star_root, star_fundamental)
+        via_form = q.eval(Weight(star_root), star_fundamental)
         if via_power != via_form:
             raise InvariantViolation("epsilon scalar mismatch between power and form evaluation")
         if not (via_power.is_zero() or via_power.is_half()):
@@ -214,16 +209,14 @@ def _dual_type(rd: RootDatum, cartan_star: Sequence[Sequence[int]]) -> Optional[
 
 def dual_datum(q: QParam, rd: RootDatum, char_lattice: Lattice) -> DualDatum:
     """Dual datum with the given character lattice (X* for G*, X^Tan for Gv)."""
-    ls = q.simple_ls()
-    star_roots = tuple(tuple(ls[i] * c for c in rd.simple_roots[i]) for i in range(rd.rank))
     cartan_star = _dual_cartan(q, rd)
     return DualDatum(
-        star_roots=star_roots,
+        star_roots=star_roots(q, rd),
         cartan_star=tuple(tuple(row) for row in cartan_star),
         char_lattice=char_lattice,
         dual_type=_dual_type(rd, cartan_star),
         epsilon_scalars=tuple(_epsilon_scalars(q, rd)),
-        l_simple=tuple(ls),
+        l_simple=tuple(q.simple_ls()),
     )
 
 

@@ -5,7 +5,9 @@ of a generator matrix, so lattice equality is plain matrix equality.  A
 Lattice caches its pivot columns, and whether each row is zero right of its
 pivot, outside equality and hashing; coords_of back-substitutes on them,
 and a row that is zero right of its pivot updates its pivot entry alone.
-One gcd column-elimination loop (_echelon) builds every lattice: at
+Every membership read goes through coords_of: first_outside finds the
+first vector outside, and coords_rows their coordinates or the caller's
+error.  One gcd column-elimination loop (_echelon) builds every lattice: at
 modulus 0 it is the exact echelon form behind hnf, and at modulus n it is
 the HNF mod n (Domich, Kannan and Trotter 1987; Cohen, Alg. 2.4.8) behind
 every congruence cut.  The cut, annihilator(ambient, n, M), is
@@ -36,6 +38,7 @@ from typing import Iterable, Optional, Sequence
 
 IntMatrix = list[list[int]]
 _INT = frozenset((int,))
+_NOT_CONTAINED = "sublattice is not contained in the ambient lattice"
 
 
 class LatticeError(ValueError):
@@ -204,8 +207,19 @@ class Lattice:
     def member(self, x: Sequence[int]) -> bool:
         return self.coords_of(x) is not None
 
+    def first_outside(self, vectors: Iterable[Sequence[int]]) -> Optional[Sequence[int]]:
+        """The first of the vectors that is not in the lattice, or None."""
+        return next((v for v in vectors if self.coords_of(v) is None), None)
+
+    def coords_rows(self, vectors: Iterable[Sequence[int]], error: Exception) -> IntMatrix:
+        """Each vector's coords_of row; raises the given error if one is outside."""
+        rows = [self.coords_of(v) for v in vectors]
+        if None in rows:
+            raise error
+        return rows
+
     def contains_lattice(self, other: "Lattice") -> bool:
-        return all(self.member(g) for g in other.gens)
+        return self.first_outside(other.gens) is None
 
     def vector_from_coords(self, coords: Sequence[int]) -> list[int]:
         if len(coords) != self.rank:
@@ -408,17 +422,6 @@ def left_kernel(m: Iterable[Iterable[int]], n: int = 0) -> IntMatrix:
     return kernel
 
 
-def _coords_matrix(sub: Lattice, super_: Lattice) -> IntMatrix:
-    """Coordinates of sub's HNF rows on super_'s; LatticeError if one is outside."""
-    coords = []
-    for g in sub.gens:
-        c = super_.coords_of(g)
-        if c is None:
-            raise LatticeError("sublattice is not contained in the ambient lattice")
-        coords.append(c)
-    return coords
-
-
 def index(sub: Lattice, super_: Lattice) -> Optional[int]:
     """|super/sub| when finite, None when the ranks differ ("infinite").
 
@@ -426,7 +429,7 @@ def index(sub: Lattice, super_: Lattice) -> Optional[int]:
     both HNFs have the same pivot columns, so the inclusion's coordinate
     matrix is upper triangular with the pivot ratios on its diagonal.
     """
-    coords = _coords_matrix(sub, super_)
+    coords = super_.coords_rows(sub.gens, LatticeError(_NOT_CONTAINED))
     if sub.rank < super_.rank:
         return None
     return prod(row[i] for i, row in enumerate(coords))
@@ -436,7 +439,7 @@ def quotient(sub: Lattice, super_: Lattice) -> FiniteAbelianGroup:
     """Invariant factors of super/sub; requires sub of finite index in super.
     They are the Smith invariants of the inclusion's coordinate matrix,
     taken with no transforms."""
-    coords = _coords_matrix(sub, super_)
+    coords = super_.coords_rows(sub.gens, LatticeError(_NOT_CONTAINED))
     if sub.rank < super_.rank:
         raise LatticeError("quotient by a lower-rank sublattice is infinite")
     return _torsion(_smith(coords))

@@ -45,14 +45,6 @@ class KappaError(ValueError):
 OUTSIDE_DOMAIN = "vector outside the form's domain lattice"
 
 
-def _coords(basis: Lattice, vectors: Sequence[Sequence[int]], why: str) -> IntMatrix:
-    """Coordinates of the vectors on the basis, or KappaError(why) if one is outside."""
-    coords = [basis.coords_of(list(v)) for v in vectors]
-    if any(c is None for c in coords):
-        raise KappaError(why)
-    return coords
-
-
 @dataclass(frozen=True)
 class BiformQZ:
     """Bilinear Q/Z-valued form on a lattice basis: the form is K[i][j] / N
@@ -68,7 +60,7 @@ class BiformQZ:
 
     def eval(self, x: Sequence[int], y: Sequence[int]) -> AngleQZ:
         """Evaluate on ambient fw-coordinate vectors lying in the domain."""
-        cx, cy = _coords(self.basis, (x, y), OUTSIDE_DOMAIN)
+        cx, cy = self.basis.coords_rows((x, y), KappaError(OUTSIDE_DOMAIN))
         n, g = self.int_gram
         return AngleQZ.ratio(bilinear(g, cx, cy), n)
 
@@ -160,7 +152,7 @@ def extend_psi(kappa: BiformQZ, x: Lattice) -> BiformQZ:
     Gram is K * lcm(d)^2.
     """
     x_tan = kappa.basis
-    coords = _coords(x, x_tan.gens, "kappa's domain is not contained in the extension lattice")
+    coords = x.coords_rows(x_tan.gens, KappaError("kappa's domain is not contained in the extension lattice"))
     if x_tan.rank != x.rank:
         raise KappaError("extension requires a finite-index inclusion")
     _group, u, v, diag = snf(coords)
@@ -186,6 +178,6 @@ def psi_vanishes_on(psi: BiformQZ, rad_qk: Lattice, x: Lattice) -> bool:
 
     With C and D the coordinates of the generators of rad_qk and of x on the
     domain basis of psi, this is C . Psi . D^T = 0 = D . Psi . C^T mod N."""
-    c, d = _coords(psi.basis, rad_qk.gens, OUTSIDE_DOMAIN), _coords(psi.basis, x.gens, OUTSIDE_DOMAIN)
+    c, d = (psi.basis.coords_rows(lat.gens, KappaError(OUTSIDE_DOMAIN)) for lat in (rad_qk, x))
     n, g = psi.int_gram
     return vanishes_mod(congruent(c, g, d), n) and vanishes_mod(congruent(d, g, c), n)

@@ -216,12 +216,8 @@ def classify(q: QParam) -> ParamClass:
     """Radical containment in Q, even-order scalars, and quasi-classicality."""
     rd = q.rd
     rad_p = q.rad(rd.weight_lattice())
-    q_lat = rd.root_lattice()
-    witness = None
-    for g in rad_p.gens:
-        if not q_lat.member(g):
-            witness = Weight.of(g)
-            break
+    outside = rd.root_lattice().first_outside(rad_p.gens)
+    witness = None if outside is None else Weight.of(outside)
     simple_ls = q.simple_ls()
     orders = [q.q_scalar(r).order for r in rd.pos_roots if r.height == 1]
     return ParamClass(

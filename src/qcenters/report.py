@@ -12,7 +12,7 @@ round-trips through the parser unchanged.
 
 from __future__ import annotations
 
-from dataclasses import replace
+from dataclasses import fields, replace
 from decimal import Decimal
 from fractions import Fraction
 from functools import cached_property
@@ -89,6 +89,12 @@ def _index_str(value: Optional[int]) -> Any:
     return "infinite" if value is None else value
 
 
+def _record(record: Any) -> dict[str, Any]:
+    """A DimReport or Verdicts by field name: groups via `_group`, the rest via `_int`."""
+    values = ((f.name, getattr(record, f.name)) for f in fields(record))
+    return {k: _group(v) if isinstance(v, FiniteAbelianGroup) else _int(v) for k, v in values}
+
+
 class Analysis:
     """One (root datum, parameter) pair.  Each stage is computed on first use,
     from the stages it depends on, and cached, so no stage runs twice."""
@@ -140,7 +146,7 @@ class Analysis:
 
 
 def centers_section(a: Analysis) -> dict[str, Any]:
-    tower, verd = a.tower, a.verdicts
+    tower = a.tower
     return {
         "lQ": _lattice(tower.lq),
         "x_star": _lattice(tower.x_star),
@@ -156,14 +162,7 @@ def centers_section(a: Analysis) -> dict[str, Any]:
         "witness_mug_not_tan": _weight(tower.witness_mug_not_tan),
         "witness_star_not_mug": _weight(tower.witness_star_not_mug),
         "witness_tan_not_lq": _weight(tower.witness_tan_not_lq),
-        "verdicts": {
-            "tan_equals_mug": verd.tan_equals_mug,
-            "thm_sc_hypotheses": verd.thm_sc_hypotheses,
-            "thm_sc_conclusion_check": verd.thm_sc_conclusion_check,
-            "langlands_dual": verd.langlands_dual,
-            "pivot_trivial_on_xtan": verd.pivot_trivial_on_xtan,
-            "modular": verd.modular,
-        },
+        "verdicts": _record(a.verdicts),
     }
 
 
@@ -182,7 +181,7 @@ def l_table_section(a: Analysis) -> dict[str, Any]:
     q = a.q
     return {
         "per_simple": q.simple_ls(),
-        "per_pos_root": q.pos_root_ls(),
+        "per_pos_root": list(q.l_table),
         "q_scalars_simple": [str(q.q_scalar(r)) for r in a.rd.pos_roots if r.height == 1],
     }
 
@@ -225,20 +224,7 @@ def groups_section(a: Analysis) -> dict[str, Any]:
 
 
 def dims_section(a: Analysis) -> dict[str, Any]:
-    dims = a.dims
-    return {
-        "fpdim_fiber": _int(dims.fpdim_fiber),
-        "fpdim_sc_formula": _int(dims.fpdim_sc_formula),
-        "dim_uqk": _int(dims.dim_uqk),
-        "dim_u_plus": _int(dims.dim_u_plus),
-        "sigma_order": _int(dims.sigma_order),
-        "simple_count_uq": _int(dims.simple_count_uq),
-        "simple_count_uqk": _int(dims.simple_count_uqk),
-        "simples_group_uq": _group(dims.simples_group_uq),
-        "simples_group_uqk": _group(dims.simples_group_uqk),
-        "grouplike_count": _int(dims.grouplike_count),
-        "theta_order": _int(dims.theta_order),
-    }
+    return _record(a.dims)
 
 
 def twistcheck_section(a: Analysis) -> dict[str, Any]:

@@ -259,12 +259,6 @@ class Weight:
         """k * lambda, which must lie in P again."""
         return Weight.of(a * k for a in self.coords)
 
-    def is_zero(self) -> bool:
-        return all(c == 0 for c in self.coords)
-
-    def __str__(self) -> str:
-        return "(" + ", ".join(str(c) for c in self.coords) + ")"
-
 
 @dataclass(frozen=True)
 class Root:
@@ -453,9 +447,8 @@ def build_root_datum(dynkin: Union[DynkinType, str], lattice_spec: LatticeSpec =
         raise RootDatumError("character lattice has wrong ambient rank")
     if charlattice.rank != rank:
         raise RootDatumError("character lattice must have full rank")
-    for row in q_lat.gens:
-        if not charlattice.member(row):
-            raise RootDatumError("character lattice does not contain the root lattice Q")
+    if not charlattice.contains_lattice(q_lat):
+        raise RootDatumError("character lattice does not contain the root lattice Q")
 
     word = _longest_word(cartan, support)
     orbit = _positive_roots_orbit(cartan, support)

@@ -21,7 +21,7 @@ from .angles import AngleQZ
 from .centers import DualDatum
 from .cyclo import CycloNum, root_of_unity
 from .intlat import congruent, vanishes_mod
-from .kappa import OUTSIDE_DOMAIN, BiformQZ, _coords
+from .kappa import OUTSIDE_DOMAIN, BiformQZ, KappaError
 
 
 class TwistPreconditionError(ValueError):
@@ -55,7 +55,7 @@ def serre_ratio_invariance(dual: DualDatum, kappa: BiformQZ) -> list[TwistWitnes
     n, k = kappa.int_gram
     big = lcm(n, 2)
     eps_m = [big // 2 * e.is_half() for e in dual.epsilon_scalars]
-    on_roots = congruent(_coords(kappa.basis, dual.star_roots, OUTSIDE_DOMAIN), k)
+    on_roots = congruent(kappa.basis.coords_rows(dual.star_roots, KappaError(OUTSIDE_DOMAIN)), k)
     witnesses = []
     for i, row in enumerate(dual.cartan_star):
         for j, pairing in enumerate(row):

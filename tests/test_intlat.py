@@ -382,6 +382,48 @@ def test_coords_of_against_rational_coordinates(seed):
         lat.coords_of([0] * (r - 1))
 
 
+
+def _random_lattice(rng: random.Random, r: int) -> Lattice:
+    """The HNF of one to r random rows in Z^r, of any rank up to r."""
+    return hnf([[rng.randint(-6, 6) for _ in range(r)] for _ in range(rng.randint(1, r))], r)
+
+
+def _combinations(rng: random.Random, lat: Lattice, count: int) -> list[list[int]]:
+    return [lat.vector_from_coords([rng.randint(-4, 4) for _ in lat.gens]) for _ in range(count)]
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_first_outside_and_coords_rows_read_coords_of(seed):
+    rng = random.Random(f"membership-rows:{seed}")
+    r = rng.randint(1, 4)
+    lat = _random_lattice(rng, r)
+    members = _combinations(rng, lat, rng.randint(0, 4))
+    err = LookupError("outside")
+    for vs in (members, members + [[rng.randint(-8, 8) for _ in range(r)] for _ in range(3)]):
+        rng.shuffle(vs)
+        coords = [lat.coords_of(v) for v in vs]
+        outside = [v for v, c in zip(vs, coords) if c is None]
+        assert lat.first_outside(vs) is (outside[0] if outside else None)
+        assert lat.first_outside(iter(vs)) is (outside[0] if outside else None)
+        if outside:
+            with pytest.raises(LookupError) as raised:
+                lat.coords_rows(vs, err)
+            assert raised.value is err
+        else:
+            assert lat.coords_rows(vs, err) == coords
+    assert lat.first_outside([]) is None and lat.coords_rows([], err) == []
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_contains_lattice_is_no_generator_outside(seed):
+    rng = random.Random(f"contains-lattice:{seed}")
+    r = rng.randint(1, 4)
+    a = _random_lattice(rng, r)
+    inside = hnf(_combinations(rng, a, rng.randint(1, 3)), r)  # a sublattice of a
+    for b in (inside, _random_lattice(rng, r), a):
+        assert a.contains_lattice(b) == (a.first_outside(b.gens) is None)
+    assert a.contains_lattice(inside) and a.contains_lattice(a)
+
 def test_equal_lattices_hash_equal_with_or_without_cached_pivots():
     a = hnf([[0, 2, 4], [0, 0, 6]], 3)
     b = hnf([[0, 2, -2], [0, 2, 4]], 3)
@@ -649,4 +691,14 @@ def test_no_module_imports_a_private_intlat_name():
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
             if isinstance(node, ast.ImportFrom) and node.level == 1 and node.module == "intlat":
                 offenders += [f"{path.name}: {a.name}" for a in node.names if a.name.startswith("_")]
+    assert offenders == []
+
+
+def test_no_module_imports_a_private_name_from_another_qcenters_module():
+    # Each module reaches the others through their public names only.
+    offenders = []
+    for path in sorted(Path(qcenters.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.ImportFrom) and (node.level or (node.module or "").split(".")[0] == "qcenters"):
+                offenders += [f"{path.name}: {node.module}.{a.name}" for a in node.names if a.name.startswith("_")]
     assert offenders == []
