@@ -7,8 +7,13 @@ alternating twisting forms kappa/psi, small-quantum-group dimensions and
 simple-module label groups, braiding coefficient data, and a modularity
 verdict, together with self-verifying identity checks.
 
-`Analysis(rd, q)` computes each of these stages once, on first use; its
-`dims` (`invariants.dim_report`) holds every dimension and label group.
+`Analysis(rd, q)` computes each of these stages once, on first use, and
+raises ValueError unless rd is q's root datum; its `dims`
+(`invariants.dim_report`) holds every dimension and label group.  The
+stages read the datum as q.rd: `center_tower(q)`, `dual_datum(q, lattice)`,
+`verdicts(q, tower, param_class, g_star)`, `build_kappa(q, x_tan)`,
+`radicals(q, kappa, x_star, index_x_tan)` and
+`dim_report(q, tower, rads, verdicts)`.
 """
 
 from .angles import AngleQZ

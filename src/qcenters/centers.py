@@ -45,15 +45,15 @@ def _doubled(g: IntMatrix) -> IntMatrix:
     return [[2 * x for x in row] for row in g]
 
 
-def x_star(q: QParam, rd: RootDatum) -> Lattice:
+def x_star(q: QParam) -> Lattice:
     """{lam in X : q^2(lam, alpha) = 1 at all simple alpha}."""
-    n, g = q.int_gram
+    rd, (n, g) = q.rd, q.int_gram
     return annihilator(rd.charlattice, n, congruent(rd.charlattice.gens, _doubled(g), rd.simple_roots))
 
 
-def star_roots(q: QParam, rd: RootDatum) -> tuple[tuple[int, ...], ...]:
+def star_roots(q: QParam) -> tuple[tuple[int, ...], ...]:
     """The dual group's simple roots l_alpha * alpha, in fw coordinates."""
-    return tuple(tuple(l * c for c in alpha) for l, alpha in zip(q.simple_ls(), rd.simple_roots))
+    return tuple(tuple(l * c for c in alpha) for l, alpha in zip(q.simple_ls(), q.rd.simple_roots))
 
 
 @dataclass(frozen=True)
@@ -78,12 +78,11 @@ class CenterTower:
     witness_tan_not_lq: Optional[Weight]
 
 
-def center_tower(q: QParam, rd: RootDatum) -> CenterTower:
+def center_tower(q: QParam) -> CenterTower:
     """Compute the full tower and verify every link of the chain."""
-    roots = star_roots(q, rd)
-    lq = hnf(roots, rd.rank)
-    star = x_star(q, rd)
-    n, g = q.int_gram
+    rd, (n, g) = q.rd, q.int_gram
+    lq = hnf(star_roots(q), rd.rank)
+    star = x_star(q)
     g2, x_gens = _doubled(g), rd.charlattice.gens
 
     # X^Mug: squared pairings against all of X vanish, computed inside X*.
@@ -102,8 +101,6 @@ def center_tower(q: QParam, rd: RootDatum) -> CenterTower:
         raise InvariantViolation("X^Mug generator fails its defining congruence")
     if not vanishes_mod([[row[k]] for k, row in enumerate(congruent(tan.gens, g))], n):
         raise InvariantViolation("X^Tan generator has nontrivial self-pairing")
-    if tan.first_outside(roots) is not None:
-        raise InvariantViolation("l_alpha * alpha escapes X^Tan")
 
     # Each index read checks its inclusion too.
     index_lq_in_tan = held(index, lq, tan, "lQ <= X^Tan")
@@ -147,19 +144,13 @@ class DualDatum:
     l_simple: tuple[int, ...]
 
 
-def _dual_cartan(q: QParam, rd: RootDatum) -> list[list[int]]:
-    ls = q.simple_ls()
-    cartan_star: list[list[int]] = []
-    for i in range(rd.rank):
-        row = []
-        for j in range(rd.rank):
-            entry, rest = divmod(ls[j] * rd.cartan[i][j], ls[i])
-            if rest:
-                raise DualDatumError(
-                    f"rescaled Cartan integer ({ls[j]}/{ls[i]}) * {rd.cartan[i][j]} is not integral"
-                )
-            row.append(entry)
-        cartan_star.append(row)
+def _dual_cartan(q: QParam) -> list[list[int]]:
+    rd, ls = q.rd, q.simple_ls()
+    for i, row in enumerate(rd.cartan):
+        for j, a in enumerate(row):
+            if ls[j] * a % ls[i]:
+                raise DualDatumError(f"rescaled Cartan integer ({ls[j]}/{ls[i]}) * {a} is not integral")
+    cartan_star = [[ls[j] * a // ls[i] for j, a in enumerate(row)] for i, row in enumerate(rd.cartan)]
     # Symmetrizable with d*_i = l_i^2 d_i; fails only on implementation error.
     for i in range(rd.rank):
         for j in range(rd.rank):
@@ -168,14 +159,12 @@ def _dual_cartan(q: QParam, rd: RootDatum) -> list[list[int]]:
     return cartan_star
 
 
-def _epsilon_scalars(q: QParam, rd: RootDatum) -> list[AngleQZ]:
+def _epsilon_scalars(q: QParam) -> list[AngleQZ]:
     """Sign scalars of the restricted parameter, computed two ways."""
-    ls = q.simple_ls()
-    simple = {r.root_coords.index(1): r for r in rd.pos_roots if r.height == 1}
     scalars = []
-    for i, star_root in enumerate(star_roots(q, rd)):
-        via_power = q.q_scalar(simple[i]).scaled(ls[i] ** 2)
-        star_fundamental = rd.fundamental_weight(i).scaled(ls[i])
+    for i, (l, q_alpha, star_root) in enumerate(zip(q.simple_ls(), q.simple_scalars(), star_roots(q))):
+        via_power = q_alpha.scaled(l**2)
+        star_fundamental = q.rd.fundamental_weight(i).scaled(l)
         via_form = q.eval(Weight(star_root), star_fundamental)
         if via_power != via_form:
             raise InvariantViolation("epsilon scalar mismatch between power and form evaluation")
@@ -207,15 +196,15 @@ def _dual_type(rd: RootDatum, cartan_star: Sequence[Sequence[int]]) -> Optional[
     return DynkinType(tuple(sorted(factors)))
 
 
-def dual_datum(q: QParam, rd: RootDatum, char_lattice: Lattice) -> DualDatum:
+def dual_datum(q: QParam, char_lattice: Lattice) -> DualDatum:
     """Dual datum with the given character lattice (X* for G*, X^Tan for Gv)."""
-    cartan_star = _dual_cartan(q, rd)
+    cartan_star = _dual_cartan(q)
     return DualDatum(
-        star_roots=star_roots(q, rd),
+        star_roots=star_roots(q),
         cartan_star=tuple(tuple(row) for row in cartan_star),
         char_lattice=char_lattice,
-        dual_type=_dual_type(rd, cartan_star),
-        epsilon_scalars=tuple(_epsilon_scalars(q, rd)),
+        dual_type=_dual_type(q.rd, cartan_star),
+        epsilon_scalars=tuple(_epsilon_scalars(q)),
         l_simple=tuple(q.simple_ls()),
     )
 
@@ -238,13 +227,14 @@ class Verdicts:
     modular: bool
 
 
-def verdicts(q: QParam, rd: RootDatum, tower: CenterTower, cls: ParamClass, g_star: DualDatum) -> Verdicts:
+def verdicts(q: QParam, tower: CenterTower, cls: ParamClass, g_star: DualDatum) -> Verdicts:
     """Evaluate the simply-connected/even-order theorem gate and conclusions.
 
     If the hypotheses hold but a guaranteed conclusion fails, an
     InvariantViolation is raised: the theory forces those conclusions, so a
     failure indicates an implementation bug.
     """
+    rd = q.rd
     hypotheses = rd.is_simply_connected() and cls.max_nondegenerate and cls.all_even
     tan_eq_mug = tower.x_tan == tower.x_mug
 

@@ -2,12 +2,12 @@
 
 One stage, `dim_report`, reads [X : X^Tan] from the center tower, prod l_gamma
 from the l-table and Sigma, Lambda, Theta from the radicals.  The fiber
-dimension is [X : X^Tan] * (prod l_gamma)^2; in the simply-connected
-even-order regime it is re-derived through |Z(G)| * (prod_simple l_alpha) *
-(prod l_gamma)^2 and the two must agree.  The toral algebra dimension
-[X : rad(q, kappa)] * (prod l_gamma)^2 exceeds the fiber dimension by exactly
-|Sigma|, and label groups of simples are the quotients X / rad(q, kappa) and
-X / X^Tan.
+dimension is [X : X^Tan] * (prod l_gamma)^2; where the verdicts find the
+simply-connected even-order hypotheses, it is re-derived through |Z(G)| *
+(prod_simple l_alpha) * (prod l_gamma)^2 and the two must agree.  The toral
+algebra dimension [X : rad(q, kappa)] * (prod l_gamma)^2 exceeds the fiber
+dimension by exactly |Sigma|, and label groups of simples are the quotients
+X / rad(q, kappa) and X / X^Tan.
 """
 
 from __future__ import annotations
@@ -16,11 +16,10 @@ from dataclasses import dataclass
 from math import prod
 from typing import Optional
 
-from .centers import CenterTower, held
+from .centers import CenterTower, Verdicts, held
 from .intlat import FiniteAbelianGroup, index, quotient
 from .kappa import Radicals
-from .qparam import InvariantViolation, ParamClass, QParam
-from .rootdata import RootDatum
+from .qparam import InvariantViolation, QParam
 
 
 @dataclass(frozen=True)
@@ -40,21 +39,21 @@ class DimReport:
     theta_order: int
 
 
-def dim_report(q: QParam, rd: RootDatum, tower: CenterTower, rads: Radicals, cls: ParamClass) -> DimReport:
+def dim_report(q: QParam, tower: CenterTower, rads: Radicals, verdicts: Verdicts) -> DimReport:
     """Dimensions and label groups, raising InvariantViolation on an infinite
     [X : X^Tan], on fiber formulas that disagree, on fiber * |Sigma| != dim u,
     and on |X / X^Tan| * |Sigma| != |Lambda|, in that order.
 
     dim u^+ = prod l_gamma over the box 0 <= m_gamma < l_gamma, the grouplikes
     are [X : rad(q, kappa)] = |Lambda|, and dim u = grouplikes * (dim u^+)^2.
-    The simply-connected formula is None unless its hypotheses hold."""
-    n_tan = tower.index_x_tan
+    The simply-connected formula is None unless verdicts.thm_sc_hypotheses."""
+    rd, n_tan = q.rd, tower.index_x_tan
     if n_tan is None:
         raise InvariantViolation("X^Tan has infinite index in X")
     dim_u_plus = prod(q.l_table)
     fiber = n_tan * dim_u_plus**2
     sc_value: Optional[int] = None
-    if rd.is_simply_connected() and cls.max_nondegenerate and cls.all_even:
+    if verdicts.thm_sc_hypotheses:
         center_order = held(index, rd.root_lattice(), rd.weight_lattice(), "Q <= P")
         assert center_order is not None
         sc_value = center_order * prod(q.simple_ls()) * dim_u_plus**2

@@ -35,7 +35,6 @@ from .intlat import (
     vanishes_mod,
 )
 from .qparam import InvariantViolation, QParam
-from .rootdata import RootDatum
 
 
 class KappaError(ValueError):
@@ -63,6 +62,11 @@ class BiformQZ:
         cx, cy = self.basis.coords_rows((x, y), KappaError(OUTSIDE_DOMAIN))
         n, g = self.int_gram
         return AngleQZ.ratio(bilinear(g, cx, cy), n)
+
+    def is_antisymmetric(self) -> bool:
+        """kappa(x, y) + kappa(y, x) = 0 on the whole domain: K + K^T = 0 mod N."""
+        n, k = self.int_gram
+        return vanishes_mod([[a + b for a, b in zip(row, col)] for row, col in zip(k, zip(*k))], n)
 
 
 def build_kappa(q: QParam, x_tan: Lattice) -> BiformQZ:
@@ -93,7 +97,7 @@ def build_kappa(q: QParam, x_tan: Lattice) -> BiformQZ:
         raise InvariantViolation("kappa diagonal is nonzero")
     if not vanishes_mod([[2 * n * a - d * e for a, e in zip(rk, re)] for rk, re in zip(k, eps)], d * n):
         raise InvariantViolation("kappa squared does not match the restricted parameter")
-    if not vanishes_mod([[a + b for a, b in zip(row, col)] for row, col in zip(k, zip(*k))], d):
+    if not form.is_antisymmetric():
         raise InvariantViolation("kappa is not antisymmetric")
     return form
 
@@ -115,10 +119,10 @@ class Radicals:
     groups: ToralGroups
 
 
-def radicals(q: QParam, kappa: BiformQZ, rd: RootDatum, x_star_lattice: Lattice, n_tan: Optional[int]) -> Radicals:
+def radicals(q: QParam, kappa: BiformQZ, x_star_lattice: Lattice, n_tan: Optional[int]) -> Radicals:
     """rad(kappa) inside X^Tan, the simultaneous radical, and Sigma/Lambda/Theta;
     n_tan is [X : X^Tan], which must equal |Lambda| / |Sigma|."""
-    x_tan = kappa.basis
+    x_tan, rd = kappa.basis, q.rd
     rad_kappa = annihilator(x_tan, *kappa.int_gram)
 
     rad_q = q.rad(rd.charlattice)

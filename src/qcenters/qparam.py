@@ -58,13 +58,10 @@ class QParam:
         if len(self.c) != len(self.rd.dynkin.factors):
             raise ValueError("need one scalar per almost-simple factor")
 
-    def __hash__(self) -> int:
-        return self._hash
-
-    @cached_property
-    def _hash(self) -> int:
-        """hash((rd, c)), computed once: hashing the root datum walks all of it."""
-        return hash((self.rd, self.c))
+    def check_datum(self, rd: RootDatum) -> None:
+        """Raise ValueError unless rd is this parameter's root datum."""
+        if rd is not self.rd and rd != self.rd:
+            raise ValueError("the root datum is not the parameter's")
 
     @cached_property
     def int_gram(self) -> tuple[int, IntMatrix]:
@@ -129,12 +126,15 @@ class QParam:
     @cached_property
     def _simple_ls(self) -> tuple[int, ...]:
         """l_alpha for the simple roots, read once off l_table."""
-        by_simple = {r.root_coords.index(1): l for r, l in zip(self.rd.pos_roots, self.l_table) if r.height == 1}
-        return tuple(by_simple[i] for i in range(self.rd.rank))
+        return tuple(self.l_table[p] for p in self.rd.simple_pos)
 
     def simple_ls(self) -> list[int]:
         """l_alpha for the simple roots, in simple-root order."""
         return list(self._simple_ls)
+
+    def simple_scalars(self) -> list[AngleQZ]:
+        """q_alpha for the simple roots, in simple-root order."""
+        return [self.q_scalar(self.rd.pos_roots[p]) for p in self.rd.simple_pos]
 
     def pos_root_ls(self) -> list[int]:
         return list(self.l_table)
@@ -218,12 +218,10 @@ def classify(q: QParam) -> ParamClass:
     rad_p = q.rad(rd.weight_lattice())
     outside = rd.root_lattice().first_outside(rad_p.gens)
     witness = None if outside is None else Weight.of(outside)
-    simple_ls = q.simple_ls()
-    orders = [q.q_scalar(r).order for r in rd.pos_roots if r.height == 1]
     return ParamClass(
         max_nondegenerate=witness is None,
-        all_even=all(o % 2 == 0 for o in orders),
-        quasi_classical=all(l == 1 for l in simple_ls),
+        all_even=all(s.order % 2 == 0 for s in q.simple_scalars()),
+        quasi_classical=all(l == 1 for l in q.simple_ls()),
         witness=witness,
     )
 

@@ -97,15 +97,17 @@ def _record(record: Any) -> dict[str, Any]:
 
 class Analysis:
     """One (root datum, parameter) pair.  Each stage is computed on first use,
-    from the stages it depends on, and cached, so no stage runs twice."""
+    from the stages it depends on, and cached, so no stage runs twice.  The
+    stages read q.rd, so rd must be q's datum or equal to it, else ValueError."""
 
     def __init__(self, rd: RootDatum, q: QParam) -> None:
-        self.rd = rd
+        q.check_datum(rd)
+        self.rd = q.rd
         self.q = q
 
     @cached_property
     def tower(self) -> CenterTower:
-        return center_tower(self.q, self.rd)
+        return center_tower(self.q)
 
     @cached_property
     def param_class(self) -> ParamClass:
@@ -113,7 +115,7 @@ class Analysis:
 
     @cached_property
     def g_star(self) -> DualDatum:
-        return dual_datum(self.q, self.rd, self.tower.x_star)
+        return dual_datum(self.q, self.tower.x_star)
 
     @cached_property
     def g_check(self) -> DualDatum:
@@ -122,7 +124,7 @@ class Analysis:
 
     @cached_property
     def verdicts(self) -> Verdicts:
-        return verdicts(self.q, self.rd, self.tower, self.param_class, self.g_star)
+        return verdicts(self.q, self.tower, self.param_class, self.g_star)
 
     @cached_property
     def kappa(self) -> BiformQZ:
@@ -130,7 +132,7 @@ class Analysis:
 
     @cached_property
     def rads(self) -> Radicals:
-        return radicals(self.q, self.kappa, self.rd, self.tower.x_star, self.tower.index_x_tan)
+        return radicals(self.q, self.kappa, self.tower.x_star, self.tower.index_x_tan)
 
     @cached_property
     def psi(self) -> BiformQZ:
@@ -138,7 +140,7 @@ class Analysis:
 
     @cached_property
     def dims(self) -> DimReport:
-        return dim_report(self.q, self.rd, self.tower, self.rads, self.param_class)
+        return dim_report(self.q, self.tower, self.rads, self.verdicts)
 
     @cached_property
     def twist(self) -> tuple[list[TwistWitness], bool, bool]:
@@ -182,7 +184,7 @@ def l_table_section(a: Analysis) -> dict[str, Any]:
     return {
         "per_simple": q.simple_ls(),
         "per_pos_root": list(q.l_table),
-        "q_scalars_simple": [str(q.q_scalar(r)) for r in a.rd.pos_roots if r.height == 1],
+        "q_scalars_simple": [str(s) for s in q.simple_scalars()],
     }
 
 

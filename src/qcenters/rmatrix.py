@@ -193,8 +193,7 @@ def coeff(n: RSupport, q: QParam, rd: RootDatum, conductor: Optional[int] = None
     alone.  In lexicographic order that is at most one matrix product per
     support.  rd must be the parameter's root datum.
     """
-    if rd is not q.rd and rd != q.rd:
-        raise ValueError("the root datum is not the parameter's")
+    q.check_datum(rd)
     s = n.n
     if len(s) != len(rd.pos_roots):
         raise ValueError("support length must match the number of positive roots")

@@ -288,6 +288,7 @@ class RootDatum:
     pos_roots: tuple[Root, ...]
     w0_word: tuple[int, ...]
     factor_of_index: tuple[int, ...]  # simple index -> almost-simple factor
+    simple_pos: tuple[int, ...] = field(compare=False, repr=False)  # simple index -> its place in pos_roots
     q_lattice: Lattice = field(compare=False, repr=False)  # Q, the HNF of the simple roots; read by root_lattice()
     # (D, K) with the Killing matrix equal to K / D over integers, in lowest terms.
     killing_gram: tuple[int, IntMatrix] = field(compare=False, repr=False)
@@ -467,6 +468,7 @@ def build_root_datum(dynkin: Union[DynkinType, str], lattice_spec: LatticeSpec =
     enumerated = {r.root_coords for r in pos}
     if enumerated != orbit or len(enumerated) != len(pos):
         raise InvariantViolation("longest-word enumeration disagrees with orbit closure")
+    simple_at = {r.root_coords.index(1): p for p, r in enumerate(pos) if r.height == 1}
 
     rd = RootDatum(
         dynkin=dynkin,
@@ -479,6 +481,7 @@ def build_root_datum(dynkin: Union[DynkinType, str], lattice_spec: LatticeSpec =
         pos_roots=tuple(pos),
         w0_word=tuple(word),
         factor_of_index=tuple(factor_of_index),
+        simple_pos=tuple(simple_at[i] for i in range(rank)),
         q_lattice=q_lat,
         killing_gram=killing_gram,
     )

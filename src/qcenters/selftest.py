@@ -79,7 +79,7 @@ def bruteforce_tan_suite(rng: random.Random, runs: int = 20, max_index: int = 10
         if modulus**n > max_index:
             continue
         done += 1
-        tower = center_tower(q, rd)
+        tower = center_tower(q)
         brute = bruteforce_tan_residues(q, rd, modulus)
         lattice_side = set()
         for coords in itertools.product(range(modulus), repeat=n):

@@ -20,7 +20,7 @@ from math import lcm
 from .angles import AngleQZ
 from .centers import DualDatum
 from .cyclo import CycloNum, root_of_unity
-from .intlat import congruent, vanishes_mod
+from .intlat import congruent
 from .kappa import OUTSIDE_DOMAIN, BiformQZ, KappaError
 
 
@@ -116,8 +116,7 @@ def cross_commutator_check(kappa: BiformQZ) -> bool:
     This antisymmetry is what makes the mixed commutators of the rescaled
     generators vanish; the rescaled simple roots lie in the domain X^Tan
     (center_tower checks it), so it covers every pair of them."""
-    n, k = kappa.int_gram
-    return vanishes_mod([[a + b for a, b in zip(row, col)] for row, col in zip(k, zip(*k))], n)
+    return kappa.is_antisymmetric()
 
 
 def run_all(dual: DualDatum, kappa: BiformQZ) -> tuple[list[TwistWitness], bool, bool]:

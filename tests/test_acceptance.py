@@ -64,7 +64,7 @@ def test_criterion_2_odd_order_counterexamples():
     for n, ell in itertools.product((1, 3), (3, 5)):
         rd = build_root_datum(f"A{2 * n - 1}", "sc")
         q = make_param(rd, Fraction(1, ell))
-        tower = center_tower(q, rd)
+        tower = center_tower(q)
         lam0 = Weight.of([0] * rd.rank)
         for i in range(0, rd.rank, 2):
             lam0 = lam0 + rd.simple_root(i)
@@ -77,7 +77,7 @@ def test_criterion_2_odd_order_counterexamples():
     for n, ell in itertools.product((2, 3), (3, 5)):
         rd = build_root_datum(f"C{n}", "sc")
         q = make_param(rd, Fraction(1, 2 * ell))
-        tower = center_tower(q, rd)
+        tower = center_tower(q)
         lam0 = rd.simple_root(rd.rank - 1).scaled(Fraction(ell, 2))
         coords = lam0.coords
         ok = ok and tower.x_tan != tower.x_mug
@@ -87,7 +87,7 @@ def test_criterion_2_odd_order_counterexamples():
     for ell in (3, 5):
         rd = build_root_datum("A2", "sc")
         q = make_param(rd, Fraction(1, ell))
-        tower = center_tower(q, rd)
+        tower = center_tower(q)
         ok = ok and tower.x_tan == tower.x_mug == tower.lq
     _report(2, "odd-order witnesses and the SL(3) equality", ok)
 
@@ -168,7 +168,7 @@ def test_criterion_6_bruteforce_tannakian_crosscheck():
         if modulus**n > 10_000:
             continue
         done += 1
-        tower = center_tower(q, rd)
+        tower = center_tower(q)
         ok = ok and tower.x_tan.contains_lattice(tower.lq)
         ok = ok and tower.x_mug.contains_lattice(tower.x_tan)
         ok = ok and tower.x_star.contains_lattice(tower.x_mug)

@@ -19,17 +19,17 @@ from helpers import _cartan_iso, classify_cartan
 def test_x_star_examples():
     a1 = build_root_datum("A1", "sc")
     q = make_param(a1, Fraction(1, 4))
-    assert x_star(q, a1).gens == ((2,),)  # X* = Q for SL(2) at this order
+    assert x_star(q).gens == ((2,),)  # X* = Q for SL(2) at this order
 
     # Quasi-classical parameter: compare against brute force over residues.
     q2 = make_param(a1, Fraction(1, 2))
-    star = x_star(q2, a1)
+    star = x_star(q2)
     for m in range(-8, 9):
         brute = q2.eval(Weight.of([m]), a1.simple_root(0)).scaled(2).is_zero()
         assert star.member([m]) == brute
 
     q0 = make_param(a1, Fraction(0))
-    assert x_star(q0, a1) == a1.charlattice
+    assert x_star(q0) == a1.charlattice
 
 
 @pytest.mark.parametrize(
@@ -42,12 +42,12 @@ def test_x_star_simply_connected_alternative_form(type_str, c):
     q = make_param(rd, c)
     ls = q.simple_ls()
     expected = hnf([[ls[i] if i == j else 0 for j in range(rd.rank)] for i in range(rd.rank)], rd.rank)
-    assert x_star(q, rd) == expected
+    assert x_star(q) == expected
 
 
 def test_tower_a1_even():
     a1 = build_root_datum("A1", "sc")
-    tower = center_tower(make_param(a1, Fraction(1, 4)), a1)
+    tower = center_tower(make_param(a1, Fraction(1, 4)))
     assert tower.x_tan.gens == ((4,),)
     assert tower.x_mug.gens == ((4,),)
     assert tower.lq.gens == ((4,),)
@@ -57,7 +57,7 @@ def test_tower_a1_even():
 def test_tower_sl2_odd_counterexample():
     a1 = build_root_datum("A1", "sc")
     q = make_param(a1, Fraction(1, 3))
-    tower = center_tower(q, a1)
+    tower = center_tower(q)
     assert tower.x_mug.gens == ((3,),)
     assert tower.x_tan.gens == ((6,),)
     assert tower.x_tan == tower.lq
@@ -71,7 +71,7 @@ def test_tower_sl3_odd_equality():
     a2 = build_root_datum("A2", "sc")
     for ell in (3, 5):
         q = make_param(a2, Fraction(1, ell))
-        tower = center_tower(q, a2)
+        tower = center_tower(q)
         assert tower.x_tan == tower.x_mug == tower.lq
 
 
@@ -172,13 +172,28 @@ def test_verdicts_catch_wrong_simple_ls(type_str, den, monkeypatch):
     rd = build_root_datum(type_str, "sc")
     a = Analysis(rd, make_param(rd, Fraction(1, den)))
     stages = (a.tower, a.param_class)
-    assert verdicts(a.q, rd, *stages, a.g_star).thm_sc_conclusion_check
+    assert verdicts(a.q, *stages, a.g_star).thm_sc_conclusion_check
     wrong = [max(a.q.simple_ls())] * rd.rank
     monkeypatch.setattr(QParam, "simple_ls", lambda self: wrong)
-    g_star = dual_datum(a.q, rd, a.g_star.char_lattice)
+    g_star = dual_datum(a.q, a.g_star.char_lattice)
     assert g_star.cartan_star == rd.cartan
     with pytest.raises(InvariantViolation, match="even-order simply-connected"):
-        verdicts(a.q, rd, *stages, g_star)
+        verdicts(a.q, *stages, g_star)
+
+
+def test_a_non_integral_rescaled_cartan_integer_is_refused(monkeypatch):
+    # No admissible parameter reaches this gate; with l = (2, 3) on A2 the
+    # first entry off integrality is (0, 1), (3/2) * -1.  On B2, l = (1, 2)
+    # scales A to its transpose.
+    from qcenters.centers import DualDatumError, _dual_cartan
+
+    rd = build_root_datum("A2", "sc")
+    monkeypatch.setattr(QParam, "simple_ls", lambda self: [2, 3])
+    with pytest.raises(DualDatumError, match=r"^rescaled Cartan integer \(3/2\) \* -1 is not integral$"):
+        _dual_cartan(make_param(rd, Fraction(1, 6)))
+    rd = build_root_datum("B2", "sc")
+    monkeypatch.setattr(QParam, "simple_ls", lambda self: [1, 2])
+    assert _dual_cartan(make_param(rd, Fraction(1, 8))) == [[2, -2], [-1, 2]]
 
 
 def test_stray_entry_between_factors_has_no_dual_type(monkeypatch):
@@ -191,18 +206,18 @@ def test_stray_entry_between_factors_has_no_dual_type(monkeypatch):
     assert a.verdicts.thm_sc_hypotheses
     dual_cartan = centers._dual_cartan
 
-    def bonded(q, rd):
-        m = dual_cartan(q, rd)
+    def bonded(q):
+        m = dual_cartan(q)
         m[0][1] -= 1
         m[1][0] -= 1
         return m
 
     monkeypatch.setattr(centers, "_dual_cartan", bonded)
-    g_star = dual_datum(a.q, rd, a.g_star.char_lattice)
+    g_star = dual_datum(a.q, a.g_star.char_lattice)
     assert g_star.cartan_star == ((2, -1), (-1, 2))
     assert g_star.dual_type is None
     with pytest.raises(InvariantViolation, match="even-order simply-connected"):
-        verdicts(a.q, rd, a.tower, a.param_class, g_star)
+        verdicts(a.q, a.tower, a.param_class, g_star)
 
 
 def test_projective_sp6_even_order_divergence():
@@ -234,7 +249,7 @@ def test_exceptional_types_build(type_str, count):
 def test_adjoint_odd_specialization(type_str, ell):
     rd = build_root_datum(type_str, "adjoint")
     q = make_param(rd, Fraction(1, ell))
-    tower = center_tower(q, rd)
+    tower = center_tower(q)
     assert tower.x_tan == tower.x_mug == tower.lq
 
 
@@ -267,7 +282,7 @@ def test_tan_subgroup_bruteforce_crosscheck():
         if modulus**n > 4000:
             continue
         done += 1
-        tower = center_tower(q, rd)
+        tower = center_tower(q)
         x_weights = [Weight.of(g) for g in basis]
         for coords in itertools.product(range(modulus), repeat=n):
             vec = rd.charlattice.vector_from_coords(list(coords))
@@ -280,7 +295,7 @@ def test_epsilon_values_on_tan_generators():
     rng = random.Random(99)
     for _ in range(25):
         rd, q = random_instance(rng, max_rank=3, max_den=24)
-        tower = center_tower(q, rd)
+        tower = center_tower(q)
         for gi in tower.x_tan.gens:
             assert q.eval(Weight.of(gi), Weight.of(gi)).is_zero()
             for gj in tower.x_tan.gens:
@@ -339,7 +354,7 @@ def test_dual_integral_for_killing_proportional_parameters():
         for den in range(1, 25):
             for num in range(1, min(den, 8)):
                 q = make_param(rd, Fraction(num, den))
-                dual = dual_datum(q, rd, x_star(q, rd))
+                dual = dual_datum(q, x_star(q))
                 assert dual.dual_type == classify_cartan(dual.cartan_star)
     # With no factor of B3xC3 transposed, the factors themselves swap.
     rd = build_root_datum("B3xC3", "sc")
@@ -352,7 +367,7 @@ def test_tower_checks_index_multiplicativity(monkeypatch):
 
     rd = build_root_datum("A2", "sc")
     q = make_param(rd, Fraction(1, 6))
-    tower = center_tower(q, rd)
+    tower = center_tower(q)
     assert tower.index_x_tan == index(tower.x_tan, rd.charlattice)
     assert tower.index_x_tan == tower.index_x_star * tower.index_mug_in_star * tower.index_tan_in_mug
 
@@ -362,4 +377,4 @@ def test_tower_checks_index_multiplicativity(monkeypatch):
 
     monkeypatch.setattr(centers, "index", doubled_on_x_tan)
     with pytest.raises(InvariantViolation, match="index multiplicativity"):
-        center_tower(q, rd)
+        center_tower(q)

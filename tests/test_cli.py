@@ -116,7 +116,7 @@ def test_root_datum_fault_exits_two(monkeypatch, capsys):
     "module, name, fake, inclusion",
     [
         # X* replaced by P on an adjoint datum: [X : X*] reads an inclusion that fails.
-        (centers, "x_star", lambda q, rd: Lattice.standard(rd.rank), "X* <= X"),
+        (centers, "x_star", lambda q: Lattice.standard(q.rd.rank), "X* <= X"),
         # Both radical cuts replaced by P: Sigma's quotient reads a failing inclusion.
         (kappa, "annihilator", lambda ambient, n, m: Lattice.standard(ambient.ambient_rank), "rad(q, kappa) <= X^Tan"),
     ],

@@ -238,7 +238,7 @@ def test_center_tower_rechecks_catch_a_skipped_cut(monkeypatch, c, skipped, mess
 
     monkeypatch.setattr(centers, "annihilator", cut)
     with pytest.raises(InvariantViolation, match=message):
-        center_tower(q, rd)
+        center_tower(q)
 
 
 def test_verdicts_pivot_reads_the_gram(monkeypatch):
@@ -249,7 +249,7 @@ def test_verdicts_pivot_reads_the_gram(monkeypatch):
     # (2 rho) . G' = (8, 6) pairs to 42 = 6 mod 18 with the X^Tan generator (3, 3).
     monkeypatch.setitem(a.q.__dict__, "int_gram", (18, [[3, 1], [1, 2]]))
     with pytest.raises(InvariantViolation, match="pivot character"):
-        verdicts(a.q, rd, *stages)
+        verdicts(a.q, *stages)
 
 
 def test_extend_psi_restriction_catches_a_wrong_basis_change(monkeypatch):

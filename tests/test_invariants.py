@@ -58,7 +58,7 @@ def test_simples_examples():
 
 def _stages(a, tower=None, rads=None):
     """dim_report's arguments from the stages of `a`, with tower or rads replaced."""
-    return a.q, a.rd, tower or a.tower, rads or a.rads, a.param_class
+    return a.q, tower or a.tower, rads or a.rads, a.verdicts
 
 
 def test_infinite_tan_index_is_refused():

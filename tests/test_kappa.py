@@ -18,7 +18,7 @@ from qcenters.sampling import random_instance
 def _setup(type_str, lattice, c):
     rd = build_root_datum(type_str, lattice)
     q = make_param(rd, c)
-    tower = center_tower(q, rd)
+    tower = center_tower(q)
     return rd, q, tower
 
 
@@ -104,7 +104,7 @@ def test_build_kappa_checks_the_form_it_built(monkeypatch, corrupt, message):
 def test_radicals_examples():
     rd, q, tower = _setup("A1", "sc", Fraction(1, 4))
     kappa = build_kappa(q, tower.x_tan)
-    rads = radicals(q, kappa, rd, tower.x_star, tower.index_x_tan)
+    rads = radicals(q, kappa, tower.x_star, tower.index_x_tan)
     assert rads.rad_q.gens == ((8,),)
     assert rads.rad_kappa == tower.x_tan  # rank-1 kappa vanishes
     assert rads.rad_qk.gens == ((8,),)
@@ -114,7 +114,7 @@ def test_radicals_examples():
 
     rd3, q3, tower3 = _setup("A1", "sc", Fraction(1, 3))
     k3 = build_kappa(q3, tower3.x_tan)
-    r3 = radicals(q3, k3, rd3, tower3.x_star, tower3.index_x_tan)
+    r3 = radicals(q3, k3, tower3.x_star, tower3.index_x_tan)
     assert r3.rad_q.gens == ((6,),)
     assert r3.rad_qk.gens == ((6,),)
     assert r3.groups.sigma.order == 1
@@ -152,7 +152,7 @@ def test_psi_rad_vanishing_flag_is_honest():
     rd, q, tower = _setup("A2", "sc", Fraction(1, 6))
     kappa = build_kappa(q, tower.x_tan)
     psi = extend_psi(kappa, rd.charlattice)
-    rads = radicals(q, kappa, rd, tower.x_star, tower.index_x_tan)
+    rads = radicals(q, kappa, tower.x_star, tower.index_x_tan)
     flag = psi_vanishes_on(psi, rads.rad_qk, rd.charlattice)
     # Re-derive the flag directly from the values.
     direct = all(
@@ -167,7 +167,7 @@ def test_kappa_identities_randomized():
     rng = random.Random(2024)
     for _ in range(30):
         rd, q = random_instance(rng, max_rank=3, max_den=24)
-        tower = center_tower(q, rd)
+        tower = center_tower(q)
         kappa = build_kappa(q, tower.x_tan)
         psi = extend_psi(kappa, rd.charlattice)
         gens = tower.x_tan.gens
@@ -192,9 +192,9 @@ def test_radical_containments_randomized():
     rng = random.Random(77)
     for _ in range(25):
         rd, q = random_instance(rng, max_rank=3, max_den=24)
-        tower = center_tower(q, rd)
+        tower = center_tower(q)
         kappa = build_kappa(q, tower.x_tan)
-        rads = radicals(q, kappa, rd, tower.x_star, tower.index_x_tan)
+        rads = radicals(q, kappa, tower.x_star, tower.index_x_tan)
         assert rads.rad_q.contains_lattice(rads.rad_qk)
         assert rads.rad_kappa.contains_lattice(rads.rad_qk)
         n_tan = index(tower.x_tan, rd.charlattice)

@@ -10,12 +10,12 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 from helpers import count_calls, count_inverses, count_stage_calls
-from qcenters import centers, cyclo, intlat, kappa, qparam
+from qcenters import centers, cyclo, intlat, kappa, qparam, sampling
 from qcenters.cli import main
 from qcenters.cyclo import CycloNum
 from qcenters.qparam import QParam, make_param
-from qcenters.report import Analysis, build_report, to_json
-from qcenters.rootdata import build_root_datum
+from qcenters.report import Analysis, build_report, l_table_section, to_json
+from qcenters.rootdata import _RANK_BOUNDS, build_root_datum
 from qcenters.twistcheck import commutator_identity
 
 STAGES = {
@@ -114,7 +114,7 @@ def test_x_over_x_tan_is_computed_once_per_report(monkeypatch):
     # radicals by the grouplike count.
     rd = build_root_datum("C3", "sc")
     q = make_param(rd, Fraction(1, 8))
-    x_tan = centers.center_tower(q, rd).x_tan
+    x_tan = centers.center_tower(q).x_tan
     rad_qk = Analysis(rd, q).rads.rad_qk
     index, pairs = intlat.index, []
 
@@ -192,3 +192,38 @@ def test_to_json_rejects_floats(tree, x):
 def test_to_json_rejects_non_string_keys():
     with pytest.raises(TypeError, match="int"):
         to_json({"a": {1: 2}})
+
+
+def test_a_datum_that_is_not_the_parameters_is_refused():
+    # The stages read q.rd; a different datum beside it is a caller's
+    # mistake, refused up front with rmatrix.coeff's message.
+    a2, b2 = build_root_datum("A2"), build_root_datum("B2")
+    q = make_param(a2, Fraction(1, 6))
+    for rd in (b2, build_root_datum("A2", "adjoint")):
+        with pytest.raises(ValueError, match="^the root datum is not the parameter's$"):
+            Analysis(rd, q)
+        with pytest.raises(ValueError, match="^the root datum is not the parameter's$"):
+            build_report(rd, q, {})
+    equal = build_root_datum("A2")
+    assert equal is not a2 and Analysis(equal, q).rd is a2
+    assert build_report(equal, q, {}) == build_report(a2, q, {})
+
+
+_SIMPLE_RECORD_TYPES = [f"{f}{n}" for f, ok in _RANK_BOUNDS.items() for n in range(1, 9) if ok(n)] + [
+    t for types in sampling._TYPES_BY_RANK.values() for t in types if "x" in t
+] + ["A2xB3"]
+
+
+@pytest.mark.parametrize("type_str", _SIMPLE_RECORD_TYPES)
+def test_simple_pos_places_each_simple_root_and_keeps_the_scalar_bytes(type_str):
+    # Each entry names a height-1 root whose 1 sits at its own index, and
+    # q_scalars_simple, now in simple-root order, keeps the bytes of the
+    # pos_roots-order scan, with a distinct scalar on every factor.
+    rd = build_root_datum(type_str)
+    assert len(rd.simple_pos) == rd.rank
+    for i, p in enumerate(rd.simple_pos):
+        root = rd.pos_roots[p]
+        assert root.height == 1 and root.root_coords[i] == 1
+    q = make_param(rd, [Fraction(1, 5 + k) for k in range(len(rd.dynkin.factors))])
+    scan = [str(q.q_scalar(r)) for r in rd.pos_roots if r.height == 1]
+    assert l_table_section(Analysis(rd, q))["q_scalars_simple"] == scan

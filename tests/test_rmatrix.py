@@ -748,7 +748,7 @@ def test_omega_phase_examples():
 def test_squared_phase_trivial_on_mug():
     a1 = build_root_datum("A1", "sc")
     q = make_param(a1, Fraction(1, 3))
-    tower = center_tower(q, a1)
+    tower = center_tower(q)
     for g in tower.x_mug.gens:
         for m in range(-4, 5):
             assert q.eval(Weight.of(g), Weight.of([m])).scaled(2).is_zero()
