@@ -60,19 +60,21 @@ def star_roots(q: QParam) -> tuple[tuple[int, ...], ...]:
 class CenterTower:
     """The chain lQ <= X^Tan <= X^Mug <= X* with indices and witnesses.
 
-    Each witness is a generator of the larger member missing from the smaller
-    one, or None when that link of the chain is an equality.
+    lQ = <l_alpha alpha_i> has full rank and lies in X^Tan, so every member
+    has full rank and every index is finite.  Each witness is a generator of
+    the larger member missing from the smaller one, or None when that link
+    of the chain is an equality.
     """
 
     lq: Lattice
     x_star: Lattice
     x_mug: Lattice
     x_tan: Lattice
-    index_x_star: Optional[int]  # [X : X*]
-    index_mug_in_star: Optional[int]
-    index_tan_in_mug: Optional[int]
-    index_lq_in_tan: Optional[int]
-    index_x_tan: Optional[int]  # [X : X^Tan] = [X : X*][X* : X^Mug][X^Mug : X^Tan]
+    index_x_star: int  # [X : X*]
+    index_mug_in_star: int
+    index_tan_in_mug: int
+    index_lq_in_tan: int
+    index_x_tan: int  # [X : X^Tan] = [X : X*][X* : X^Mug][X^Mug : X^Tan]
     witness_mug_not_tan: Optional[Weight]
     witness_star_not_mug: Optional[Weight]
     witness_tan_not_lq: Optional[Weight]
@@ -108,7 +110,9 @@ def center_tower(q: QParam) -> CenterTower:
     index_mug_in_star = held(index, mug, star, "X^Mug <= X*")
     chain = (held(index, star, rd.charlattice, "X* <= X"), index_mug_in_star, index_tan_in_mug)
     index_x_tan = held(index, tan, rd.charlattice, "X^Tan <= X")
-    if index_x_tan != (None if None in chain else prod(chain)):
+    if index_x_tan is None:
+        raise InvariantViolation("X^Tan has infinite index in X")
+    if index_x_tan != prod(chain):
         raise InvariantViolation("index multiplicativity [X : X^Tan] = [X : X*][X* : X^Mug][X^Mug : X^Tan] fails")
 
     def first_missing(sup: Lattice, sub: Lattice) -> Optional[Weight]:

@@ -40,22 +40,19 @@ class DimReport:
 
 
 def dim_report(q: QParam, tower: CenterTower, rads: Radicals, verdicts: Verdicts) -> DimReport:
-    """Dimensions and label groups, raising InvariantViolation on an infinite
-    [X : X^Tan], on fiber formulas that disagree, on fiber * |Sigma| != dim u,
-    and on |X / X^Tan| * |Sigma| != |Lambda|, in that order.
+    """Dimensions and label groups, raising InvariantViolation on fiber
+    formulas that disagree, on fiber * |Sigma| != dim u, and on
+    |X / X^Tan| * |Sigma| != |Lambda|, in that order.
 
     dim u^+ = prod l_gamma over the box 0 <= m_gamma < l_gamma, the grouplikes
     are [X : rad(q, kappa)] = |Lambda|, and dim u = grouplikes * (dim u^+)^2.
     The simply-connected formula is None unless verdicts.thm_sc_hypotheses."""
-    rd, n_tan = q.rd, tower.index_x_tan
-    if n_tan is None:
-        raise InvariantViolation("X^Tan has infinite index in X")
+    rd = q.rd
     dim_u_plus = prod(q.l_table)
-    fiber = n_tan * dim_u_plus**2
+    fiber = tower.index_x_tan * dim_u_plus**2
     sc_value: Optional[int] = None
     if verdicts.thm_sc_hypotheses:
         center_order = held(index, rd.root_lattice(), rd.weight_lattice(), "Q <= P")
-        assert center_order is not None
         sc_value = center_order * prod(q.simple_ls()) * dim_u_plus**2
         if sc_value != fiber:
             raise InvariantViolation("the two fiber-dimension formulas disagree")

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import lcm
-from typing import Optional, Sequence
+from typing import Sequence
 
 from .angles import AngleQZ, from_int_gram
 from .centers import held
@@ -119,7 +119,7 @@ class Radicals:
     groups: ToralGroups
 
 
-def radicals(q: QParam, kappa: BiformQZ, x_star_lattice: Lattice, n_tan: Optional[int]) -> Radicals:
+def radicals(q: QParam, kappa: BiformQZ, x_star_lattice: Lattice, n_tan: int) -> Radicals:
     """rad(kappa) inside X^Tan, the simultaneous radical, and Sigma/Lambda/Theta;
     n_tan is [X : X^Tan], which must equal |Lambda| / |Sigma|."""
     x_tan, rd = kappa.basis, q.rd
@@ -137,7 +137,7 @@ def radicals(q: QParam, kappa: BiformQZ, x_star_lattice: Lattice, n_tan: Optiona
         lam=held(quotient, rad_qk, rd.charlattice, "rad(q, kappa) <= X"),
         theta=held(quotient, rad_qk, x_star_lattice, "rad(q, kappa) <= X*"),
     )
-    if n_tan is None or groups.sigma.order * n_tan != groups.lam.order:
+    if groups.sigma.order * n_tan != groups.lam.order:
         raise InvariantViolation("index multiplicativity |Sigma| * [X : X^Tan] = |Lambda| fails")
     return Radicals(rad_q=rad_q, rad_kappa=rad_kappa, rad_qk=rad_qk, groups=groups)
 

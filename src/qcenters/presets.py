@@ -231,7 +231,8 @@ PRESET_NAMES = [
 
 
 def parse_preset(spec: str) -> PresetCase:
-    """Parse `name`, `name-<l>`, or `name:k=v,...` into a preset case."""
+    """Parse `name`, `name-<l>`, or `name:k=v,...` into a preset case; an
+    argument given twice, as `k=v` or bare, raises PresetError naming it."""
     spec = spec.strip()
     if ":" in spec:
         name, argstr = spec.split(":", 1)
@@ -241,14 +242,16 @@ def parse_preset(spec: str) -> PresetCase:
             if not piece:
                 continue
             if "=" in piece:
-                k, v = piece.split("=", 1)
-                kwargs[k.strip()] = v.strip()
+                k, v = (part.strip() for part in piece.split("=", 1))
             elif re.fullmatch(r"[A-G]\d+(x[A-G]\d+)*", piece):
-                kwargs["type"] = piece  # bare Dynkin type, e.g. name:A1,l=3
+                k, v = "type", piece  # bare Dynkin type, e.g. name:A1,l=3
             elif piece.isdigit():
-                kwargs["l"] = int(piece)
+                k, v = "l", int(piece)
             else:
                 raise PresetError(f"bad preset argument {piece!r}")
+            if k in kwargs:
+                raise PresetError(f"preset argument {k} is given twice")
+            kwargs[k] = v
         return make_preset(name.strip(), **kwargs)
     if spec not in PRESET_NAMES:
         for name in PRESET_NAMES:

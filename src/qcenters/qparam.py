@@ -146,9 +146,9 @@ class QParam:
 
     @cached_property
     def coeff_tables(self) -> dict:
-        """`rmatrix`'s coefficient table per conductor, each built on first
-        use and freed with the parameter; keyed by the int conductor, so a
-        lookup hashes in C."""
+        """`rmatrix`'s table per conductor, holding the coefficient and the
+        pairing rows, each built on first use and freed with the parameter;
+        keyed by the int conductor, so a lookup hashes in C."""
         return {}
 
     def rad(self, ambient: Optional[Lattice] = None) -> Lattice:

@@ -85,10 +85,6 @@ def _int(value: Optional[int]) -> Any:
     return str(Decimal(value))
 
 
-def _index_str(value: Optional[int]) -> Any:
-    return "infinite" if value is None else value
-
-
 def _record(record: Any) -> dict[str, Any]:
     """A DimReport or Verdicts by field name: groups via `_group`, the rest via `_int`."""
     values = ((f.name, getattr(record, f.name)) for f in fields(record))
@@ -155,11 +151,11 @@ def centers_section(a: Analysis) -> dict[str, Any]:
         "x_mug": _lattice(tower.x_mug),
         "x_tan": _lattice(tower.x_tan),
         "indices": {
-            "x_over_x_star": _index_str(tower.index_x_star),
-            "x_star_over_x_mug": _index_str(tower.index_mug_in_star),
-            "x_mug_over_x_tan": _index_str(tower.index_tan_in_mug),
-            "x_tan_over_lQ": _index_str(tower.index_lq_in_tan),
-            "x_over_x_tan": _index_str(tower.index_x_tan),
+            "x_over_x_star": tower.index_x_star,
+            "x_star_over_x_mug": tower.index_mug_in_star,
+            "x_mug_over_x_tan": tower.index_tan_in_mug,
+            "x_tan_over_lQ": tower.index_lq_in_tan,
+            "x_over_x_tan": tower.index_x_tan,
         },
         "witness_mug_not_tan": _weight(tower.witness_mug_not_tan),
         "witness_star_not_mug": _weight(tower.witness_star_not_mug),

@@ -15,36 +15,38 @@ hashes an int and the tables are freed with the parameter: its rows, each
 distinct (q_gamma, q(gamma, rho), parity of ht gamma, l_gamma) row built
 once, the tuple of l_gamma, the integer matrices of the row entries
 (`cyclo.MulMatrix`, one lazily filled map per distinct row, shared by the
-roots of that row), and the last support `coeff` walked, with the
-coefficient at each of its prefixes.  A support, whatever its number of
-nonzero entries, keeps the last walk up to the first entry where the two
-differ and walks on from there, overwriting the prefix values in place,
-reading its first nonzero entry off the row and multiplying by the matrix
-of each later one; an entry reaching l_gamma, tested only where the walk
-goes (the last support walked is admissible), makes the support zero and
-resets the walk to the zero support.  Where only the last entry changed,
-as in most steps of a lexicographic walk, `_common_prefix` finds that by
-one comparison of the prefixes before it.  In lexicographic order, as
-`term_table` walks, a term is at most one d x d integer product; any other
-order is exact too.  `term_table` stores its box tuples, nonnegative ints
-by construction, as supports with no `RSupport(...)` check.  The pairing
-values are products of cached rows too (`CycloNum.product`), walked apart
-and kept in a bounded cache, so that coeff * pairing = sign * phase checks
-one against the other.  Both rows are binomial walks (`cyclo.binomial_walk`),
-by q^-v (q - q^-1) [v]_q = 1 - q^(-2v) and prod_{k=1}^{m-1} (1 - omega^k)
-= m for omega a primitive m-th root of unity: no field product, no inverse.  Every conductor here is even (lcm
-with 2), so zeta^(N/2) = -1 and a walk turns integer lists of length N/2,
-each entry then reduced by the fold rows x^j mod Phi_N, j in [d, N/2).
+roots of that row), the diagonal pairing rows, one per distinct q_gamma,
+each built the first time a support asks for it, and the last support
+`coeff` walked, with the coefficient at each of its prefixes.  A support,
+whatever its number of nonzero entries, keeps the last walk up to the
+first entry where the two differ and walks on from there, overwriting the
+prefix values in place, reading its first nonzero entry off the row and
+multiplying by the matrix of each later one; an entry reaching l_gamma,
+tested only where the walk goes (the last support walked is admissible),
+makes the support zero and resets the walk to the zero support.  Where
+only the last entry changed, as in most steps of a lexicographic walk,
+`_common_prefix` finds that by one comparison of the prefixes before it.
+In lexicographic order, as `term_table` walks, a term is at most one
+d x d integer product; any other order is exact too.  `term_table` stores
+its box tuples, nonnegative ints by construction, as supports with no
+`RSupport(...)` check.  A pairing value is a product of its table's
+pairing rows (`CycloNum.product`), walked apart from the coefficient rows,
+so that coeff * pairing = sign * phase checks one against the other.  Both
+rows are binomial walks (`cyclo.binomial_walk`), by q^-v (q - q^-1) [v]_q =
+1 - q^(-2v) and prod_{k=1}^{m-1} (1 - omega^k) = m for omega a primitive
+m-th root of unity: no field product, no inverse.  Every conductor here is
+even (lcm with 2), so zeta^(N/2) = -1 and a walk turns integer lists of
+length N/2, each entry then reduced by the fold rows x^j mod Phi_N, j in
+[d, N/2).  No other module computes in a cyclotomic field.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from functools import lru_cache
 from math import lcm, prod
 from operator import ne
-from typing import Iterable, Optional, Sequence, Union
+from typing import Iterable, Optional, Sequence
 
 from .angles import AngleQZ
 from .cyclo import CycloNum, MulMatrix, binomial_walk
@@ -85,7 +87,9 @@ def support_size(q: QParam) -> int:
 
 def batch_conductor(q: QParam, rd: RootDatum) -> int:
     """lcm of every angle denominator the coefficient formula can produce:
-    the sign, each q_gamma and each q(gamma, rho)."""
+    the sign, each q_gamma and each q(gamma, rho).  rd must be the
+    parameter's root datum."""
+    q.check_datum(rd)
     return lcm(2, *(a.order for pair in q.root_table for a in pair))
 
 
@@ -120,32 +124,34 @@ class _EntryMatrices(dict):
 class _Table:
     """The coefficient rows of a parameter at one conductor, in rd.pos_roots
     order, with l_gamma and the entry matrices of each row (roots with one
-    row share one map), and the last support `coeff` walked, with the
-    coefficient at each of its prefixes: values[i] for the first i entries,
-    None while that prefix is all zeros."""
+    row share one map), the pairing row of each q_gamma a support has asked
+    for, and the last support `coeff` walked, with the coefficient at each
+    of its prefixes: values[i] for the first i entries, None while that
+    prefix is all zeros."""
 
     rows: tuple[tuple[CycloNum, ...], ...]
     ls: tuple[int, ...]
     matrices: tuple[_EntryMatrices, ...]
+    pairings: dict[AngleQZ, tuple[CycloNum, ...]]
     support: tuple[int, ...]
     values: list[Optional[CycloNum]]
 
 
 def _table(q: QParam, conductor: int) -> _Table:
     """The table of q at the conductor, kept in `q.coeff_tables`; a new one
-    has its walk at the zero support, and each distinct (q_gamma, phase,
-    parity, l) row and its matrix map are built once."""
+    has its walk at the zero support and no pairing row yet, and each
+    distinct (q_gamma, phase, parity, l) row and its matrix map are built
+    once."""
     table = q.coeff_tables.get(conductor)
     if table is None:
         keys = [(qg, phase, r.height % 2, l) for (qg, phase), l, r in zip(q.root_table, q.l_table, q.rd.pos_roots)]
         maps = {key: _EntryMatrices(_coeff_row(*key, conductor)) for key in dict.fromkeys(keys)}
         matrices = tuple(map(maps.__getitem__, keys))
-        table = _Table(tuple(m.row for m in matrices), q.l_table, matrices, (0,) * len(keys), [None] * (len(keys) + 1))
+        table = _Table(tuple(m.row for m in matrices), q.l_table, matrices, {}, (0,) * len(keys), [None] * (len(keys) + 1))
         q.coeff_tables[conductor] = table
     return table
 
 
-@lru_cache(maxsize=64)
 def _pairing_row(angle: AngleQZ, conductor: int) -> tuple[CycloNum, ...]:
     """Entries v = 0 .. m - 1, m = ord(2 angle), of v_g^(v(v+1)/2)
     (v_g - v_g^-1)^(-v) ([v]_{v_g}!)^(-1) at v_g = exp(2 pi i angle).
@@ -223,29 +229,27 @@ def coeff(n: RSupport, q: QParam, rd: RootDatum, conductor: Optional[int] = None
     return CycloNum.zero(big_n)
 
 
-def pairing_diag(
-    n: RSupport,
-    rd: RootDatum,
-    at: Union[QParam, Sequence[AngleQZ]],
-    conductor: Optional[int] = None,
-) -> CycloNum:
+def pairing_diag(n: RSupport, rd: RootDatum, q: QParam, conductor: Optional[int] = None) -> CycloNum:
     """Diagonal Hopf-pairing value prod_gamma v^(n(n+1)/2) (v - v^-1)^(-n)
-    ([n]_v!)^(-1) at the specialization v_gamma -> given root of unity.
+    ([n]_v!)^(-1) at v_gamma = exp(2 pi i q_gamma), in the field of the
+    conductor (by default `batch_conductor`), read off the pairing rows of
+    the parameter's table there.
 
     Raises NonInvertibleSpecialization when an inverted factor vanishes,
     i.e. when [n_gamma]! = 0 (n_gamma >= l_gamma) or v_gamma = +-1 with
-    n_gamma > 0.
+    n_gamma > 0.  rd must be the parameter's root datum.
     """
-    angles = [qg for qg, _phase in at.root_table] if isinstance(at, QParam) else list(at)
-    if len(angles) != len(rd.pos_roots) or len(n.n) != len(rd.pos_roots):
-        raise ValueError("specialization length must match the number of positive roots")
-    big_n = conductor or lcm(2, *(a.order for a in angles))
+    q.check_datum(rd)
+    if len(n.n) != len(rd.pos_roots):
+        raise ValueError("support length must match the number of positive roots")
+    big_n = conductor or batch_conductor(q, rd)
+    rows = (q.coeff_tables.get(big_n) or _table(q, big_n)).pairings
     factors = []
-    for v, angle in zip(n.n, angles):
+    for v, (qg, _phase) in zip(n.n, q.root_table):
         if v:
-            row = _pairing_row(angle, big_n)
+            row = rows.get(qg) or rows.setdefault(qg, _pairing_row(qg, big_n))
             if v >= len(row):
-                raise NonInvertibleSpecialization(f"[{v}]! vanishes at angle {angle}")
+                raise NonInvertibleSpecialization(f"[{v}]! vanishes at angle {qg}")
             factors.append(row[v])
     return CycloNum.product(factors, big_n)
 

@@ -395,7 +395,8 @@ def assemble_cartan(dynkin: DynkinType) -> tuple[list[list[int]], list[int], lis
 
 def build_root_datum(dynkin: Union[DynkinType, str], lattice_spec: LatticeSpec = "sc") -> RootDatum:
     """Assemble and validate a root datum for the given type and character
-    lattice ("sc", "adjoint", or explicit generator rows in fw coordinates)."""
+    lattice ("sc", "adjoint", or generator rows in fw coordinates, as
+    rows or as a `Lattice`, whose rows are put in HNF alike)."""
     if isinstance(dynkin, str):
         dynkin = DynkinType.parse(dynkin)
     elif not isinstance(dynkin, DynkinType):
@@ -432,8 +433,10 @@ def build_root_datum(dynkin: Union[DynkinType, str], lattice_spec: LatticeSpec =
 
     q_lat = hnf([list(col) for col in simple_roots], rank)
     if isinstance(lattice_spec, Lattice):
-        charlattice = lattice_spec
-    elif lattice_spec in ("sc", "simply_connected"):
+        if lattice_spec.ambient_rank != rank:
+            raise RootDatumError("character lattice has wrong ambient rank")
+        lattice_spec = lattice_spec.gens  # its rows, put in HNF as generator rows are
+    if lattice_spec in ("sc", "simply_connected"):
         charlattice = Lattice.standard(rank)
     elif lattice_spec == "adjoint":
         charlattice = q_lat
@@ -444,8 +447,6 @@ def build_root_datum(dynkin: Union[DynkinType, str], lattice_spec: LatticeSpec =
             charlattice = hnf([list(row) for row in lattice_spec], rank)
         except (LatticeError, TypeError, OverflowError) as exc:  # int(1e400) overflows
             raise RootDatumError(f"bad lattice generators: {exc}") from exc
-    if charlattice.ambient_rank != rank:
-        raise RootDatumError("character lattice has wrong ambient rank")
     if charlattice.rank != rank:
         raise RootDatumError("character lattice must have full rank")
     if not charlattice.contains_lattice(q_lat):

@@ -7,19 +7,18 @@ quantity (r - s) * M_alpha(beta) - r * s * eps_alpha must not depend on the
 split r + s = m of the Serre exponent, the quantum binomial at +-1 must
 collapse the commutator eigenvalue, and antisymmetry of kappa must kill the
 mixed commutators.  The Serre ratios and the antisymmetry are congruences on
-kappa's integer Gram matrix (N, K); angles appear only in the witness values
-and in the signs eps_alpha that the commutator identity lifts to Q(zeta_2).
+kappa's integer Gram matrix (N, K), and the commutator identity runs on the
+integer sign eps_alpha = +-1; angles appear only in the witness values and
+in the sign arguments.  Nothing here computes in a cyclotomic field.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 from math import lcm
 
 from .angles import AngleQZ
 from .centers import DualDatum
-from .cyclo import CycloNum, root_of_unity
 from .intlat import congruent
 from .kappa import OUTSIDE_DOMAIN, BiformQZ, KappaError
 
@@ -81,30 +80,25 @@ def serre_ratio_invariance(dual: DualDatum, kappa: BiformQZ) -> list[TwistWitnes
 COMMUTATOR_MAX_EXPONENT = 10
 
 
-@lru_cache(maxsize=None)
 def commutator_identity(eps_alpha: AngleQZ) -> bool:
     """eps_alpha^(1+m) [m]_(eps_alpha) = m for |m| <= COMMUTATOR_MAX_EXPONENT.
 
     The binomial column [m choose 1] is the quantum integer [m]; at a sign
     this is eps^(m+1) m, which cancels the toral eigenvalue eps^m together
-    with the leading eps in the commutator normalization.  One walk over
-    m = 1, 2, ... carries eps^(1+m) and eps^(1-m), the latter a running
-    power of the root of unity at -eps_alpha, and builds [m]_eps by the
-    running sum [m] = eps [m-1] + eps^(1-m), so nothing is inverted; -m is
-    checked by [-m] = -[m], and m = 0 holds trivially.  The value depends
-    only on the sign, so it is cached.
+    with the leading eps in the commutator normalization.  The walk runs on
+    the integer eps = +-1, its own inverse: over m = 1, 2, ... it carries
+    eps^(1+m) and eps^(1-m) and builds [m]_eps by the running sum
+    [m] = eps [m-1] + eps^(1-m); -m is checked by [-m] = -[m], and m = 0
+    holds trivially.
     """
     if not (eps_alpha.is_zero() or eps_alpha.is_half()):
         raise TwistPreconditionError(f"{eps_alpha} is not a sign")
-    conductor = eps_alpha.den
-    eps = root_of_unity(eps_alpha, conductor)
-    eps_inv = root_of_unity(-eps_alpha, conductor)
-    up, down, qint = eps, eps, CycloNum.zero(conductor)  # eps^(1+m), eps^(1-m), [m] at m = 0
+    eps = -1 if eps_alpha.is_half() else 1
+    up, down, qint = eps, eps, 0  # eps^(1+m), eps^(1-m), [m] at m = 0
     for m in range(1, COMMUTATOR_MAX_EXPONENT + 1):
-        up, down = up * eps, down * eps_inv
+        up, down = up * eps, down * eps
         qint = eps * qint + down
-        value = CycloNum.from_rational(conductor, m)
-        if up * qint != value or down * qint != value:
+        if up * qint != m or down * qint != m:
             return False
     return True
 

@@ -584,6 +584,22 @@ def test_preset_orders_must_be_positive_integers(capsys):
     assert (code, err) == (0, "")
 
 
+def test_a_preset_argument_given_twice_is_refused(capsys):
+    # As spec files refuse a repeated key, a preset refuses a repeated
+    # argument in either form, bare or key=value, instead of keeping the last.
+    for spec, key in (
+        ("sl3-odd:l=5,l=7", "l"),
+        ("sl3-odd:5,l=7", "l"),
+        ("sl3-odd:l=5, 5", "l"),
+        ("adjoint-odd-lusztig:A2,type=B2", "type"),
+        ("sl2n-odd:n=3,l=3,n=5", "n"),
+    ):
+        with pytest.raises(PresetError, match=f"^preset argument {key} is given twice$"):
+            parse_preset(spec)
+        code, out, err = run_cli(["analyze", "--preset", spec], capsys)
+        assert (code, out) == (1, "") and f"preset argument {key} is given twice" in err, spec
+
+
 def test_sp2n_preset_needs_rank_two_before_any_root_datum(monkeypatch, capsys):
     from qcenters import presets
 

@@ -4,8 +4,9 @@ from fractions import Fraction
 
 import pytest
 
-from qcenters import invariants
-from qcenters.intlat import FiniteAbelianGroup
+from qcenters import centers, invariants
+from qcenters.centers import center_tower
+from qcenters.intlat import FiniteAbelianGroup, index
 from qcenters.invariants import dim_report
 from qcenters.qparam import InvariantViolation, make_param
 from qcenters.report import Analysis
@@ -61,11 +62,15 @@ def _stages(a, tower=None, rads=None):
     return a.q, tower or a.tower, rads or a.rads, a.verdicts
 
 
-def test_infinite_tan_index_is_refused():
+def test_infinite_tan_index_is_refused(monkeypatch):
+    # lQ has full rank and lies in X^Tan, so [X : X^Tan] is finite; the tower
+    # refuses an index read that says otherwise before any stage uses it.
     a = _analysis("A1", "sc", Fraction(1, 4))
-    dim_report(*_stages(a))
+    tan, x = a.tower.x_tan, a.rd.charlattice
+    assert a.tower.index_x_tan == index(tan, x) == 4
+    monkeypatch.setattr(centers, "index", lambda sub, sup: None if (sub, sup) == (tan, x) else index(sub, sup))
     with pytest.raises(InvariantViolation, match=r"X\^Tan has infinite index in X"):
-        dim_report(*_stages(a, tower=replace(a.tower, index_x_tan=None)))
+        center_tower(a.q)
 
 
 def test_fiber_formulas_that_disagree_are_refused(monkeypatch):

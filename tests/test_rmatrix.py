@@ -7,7 +7,7 @@ from collections import Counter
 from dataclasses import FrozenInstanceError, fields
 from fractions import Fraction
 from functools import reduce
-from math import gcd, prod
+from math import gcd, lcm, prod
 
 import pytest
 from hypothesis import given, seed, settings
@@ -26,7 +26,7 @@ from helpers import (
     oracle_conductor,
     oracle_pairing_row,
 )
-from qcenters import cyclo, rmatrix
+from qcenters import cyclo, rmatrix, sampling
 from qcenters.angles import ZERO, AngleQZ
 from qcenters.cyclo import CycloError, CycloNum, MulMatrix, binomial_walk, root_of_unity
 from qcenters.qparam import InvariantViolation, QParam, make_param
@@ -43,7 +43,7 @@ from qcenters.rmatrix import (
     support_size,
     term_table,
 )
-from qcenters.rootdata import Weight, build_root_datum
+from qcenters.rootdata import _RANK_BOUNDS, Weight, build_root_datum
 from qcenters.centers import center_tower
 
 
@@ -102,19 +102,26 @@ def test_coeff_zero_iff_inadmissible():
             assert value.is_zero() == any(v >= l for v, l in zip(n, ls))
 
 
-def test_pairing_diag_examples():
+def _a1(c):
+    """A1 sc and its parameter at c, whose one q_gamma is c."""
     a1 = build_root_datum("A1", "sc")
-    q = make_param(a1, Fraction(1, 4))
+    q = make_param(a1, c)
+    assert [qg for qg, _phase in q.root_table] == [AngleQZ.of(Fraction(c))]
+    return a1, q
+
+
+def test_pairing_diag_examples():
+    a1, q = _a1(Fraction(1, 4))
     assert pairing_diag(RSupport((0,)), a1, q) == 1
 
     z8 = root_of_unity(AngleQZ(1, 8), 8)
-    value = pairing_diag(RSupport((1,)), a1, [AngleQZ(1, 8)])
+    value = pairing_diag(RSupport((1,)), *_a1(Fraction(1, 8)))
     assert value == z8 * (z8 - z8.inverse()).inverse()
 
     with pytest.raises(NonInvertibleSpecialization):
         pairing_diag(RSupport((2,)), a1, q)
     with pytest.raises(NonInvertibleSpecialization):
-        pairing_diag(RSupport((1,)), a1, [AngleQZ(1, 2)])
+        pairing_diag(RSupport((1,)), *_a1(Fraction(1, 2)))
 
 
 @pytest.mark.parametrize(
@@ -152,32 +159,37 @@ def test_a1_at_1_23_coeff_times_pairing_is_the_marker():
 
 def test_pairing_row_inverts_once_for_all_v(monkeypatch):
     # The row is a walk over 1/ord(2 angle), so nothing is inverted; every v
-    # reads the row.
-    a1 = build_root_datum("A1", "sc")
-    calls = count_inverses(monkeypatch)
-    for angle, conductor in ((AngleQZ(1, 23), 46), (AngleQZ(3, 8), 8), (AngleQZ(5, 12), 12)):
-        _pairing_row.cache_clear()
-        calls[0] = 0
-        ord2 = angle.scaled(2).order
+    # reads the one row of a fresh parameter's table.
+    calls, built = count_inverses(monkeypatch), count_calls(monkeypatch, rmatrix, "_pairing_row")
+    for c, conductor in ((Fraction(1, 23), 46), (Fraction(3, 8), 8), (Fraction(5, 12), 12)):
+        a1, q = _a1(c)
+        calls[0] = built[0] = 0
+        ord2 = AngleQZ.of(2 * c).order
         for v in range(1, ord2):
-            pairing_diag(RSupport((v,)), a1, [angle], conductor=conductor)
-        assert calls[0] == 0, angle
+            pairing_diag(RSupport((v,)), a1, q, conductor=conductor)
+        assert calls[0] == 0 and built[0] == 1, c
         with pytest.raises(NonInvertibleSpecialization):
-            pairing_diag(RSupport((ord2,)), a1, [angle], conductor=conductor)
-        assert calls[0] == 0, angle
+            pairing_diag(RSupport((ord2,)), a1, q, conductor=conductor)
+        assert calls[0] == 0 and built[0] == 1, c
 
 
-def test_pairing_row_cache_is_bounded():
-    # One wide row can hold megabytes, so the cache keeps a fixed number of
-    # rows however many distinct (angle, conductor) pairs a process reads.
-    bound = _pairing_row.cache_info().maxsize
-    assert bound is not None
-    _pairing_row.cache_clear()
-    for k in range(1, bound + 11):
-        _pairing_row(AngleQZ(1, 3), 6 * k)
-        assert _pairing_row.cache_info().currsize <= bound
-    assert _pairing_row.cache_info().currsize == bound
-    _pairing_row.cache_clear()
+def test_pairing_rows_belong_to_the_parameters_tables(fresh_coeff_caches):
+    # One wide row can hold megabytes, so no process-wide cache keeps rows:
+    # each conductor a parameter is asked at has its own table, whose
+    # pairing rows are freed with the parameter, however many were built.
+    def live(cls):
+        gc.collect()
+        return sum(type(o) is cls for o in gc.get_objects())
+
+    before = live(CycloNum), live(rmatrix._Table)
+    a1, q = _a1(Fraction(1, 3))
+    for k in range(1, 75):
+        pairing_diag(RSupport((1,)), a1, q, conductor=6 * k)
+    assert sorted(q.coeff_tables) == [6 * k for k in range(1, 75)]
+    assert all(list(t.pairings) == [AngleQZ(1, 3)] for t in q.coeff_tables.values())
+    assert live(CycloNum) >= before[0] + 74 * 3 and live(rmatrix._Table) == before[1] + 74
+    del q
+    assert (live(CycloNum), live(rmatrix._Table)) == before
 
 
 def test_odd_conductor_applies_the_height_sign_as_an_integer():
@@ -190,9 +202,10 @@ def test_odd_conductor_applies_the_height_sign_as_an_integer():
 
 
 def test_rows_reject_an_angle_outside_the_conductor():
-    a1 = build_root_datum("A1", "sc")
     with pytest.raises(CycloError, match="does not divide"):
-        pairing_diag(RSupport((1,)), a1, [AngleQZ(1, 5)], conductor=6)
+        pairing_diag(RSupport((1,)), *_a1(Fraction(1, 5)), conductor=6)
+    with pytest.raises(CycloError, match="does not divide"):
+        _pairing_row(AngleQZ(1, 5), 6)
     with pytest.raises(CycloError, match="does not divide"):
         _coeff_row(AngleQZ(1, 5), ZERO, 0, 5, 6)
     with pytest.raises(CycloError, match="does not divide"):
@@ -233,9 +246,10 @@ def test_building_rows_multiplies_and_inverts_nothing(monkeypatch):
     q = make_param(rd, Fraction(1, 101))
     big_n = batch_conductor(q, rd)
     products, inverses = count_calls(monkeypatch, cyclo, "_mul_vecs"), count_inverses(monkeypatch)
-    _pairing_row.cache_clear()
-    coeff_rows = _table(q, big_n).rows
-    pairing_rows = [_pairing_row(qg, big_n) for qg, _phase in q.root_table]
+    table = _table(q, big_n)
+    coeff_rows = table.rows
+    pairing_diag(RSupport((1,)), rd, q)
+    pairing_rows = list(table.pairings.values())
     assert big_n == 202 and [len(r) for r in coeff_rows] == [102] and [len(r) for r in pairing_rows] == [101]
     assert products == [0] and inverses == [0]
 
@@ -276,9 +290,16 @@ def _drop_one_factor(monkeypatch, index):
 
 
 def test_a_pairing_walk_that_drops_a_factor_fails_its_check(monkeypatch):
+    # The table's coefficient rows are built before the walk breaks; its
+    # pairing row is built on the first pairing asked for, and fails there.
+    a1, q = _a1(Fraction(1, 23))
+    assert coeff(RSupport((1,)), q, a1, conductor=46) == _table(q, 46).rows[0][1]
     _drop_one_factor(monkeypatch, 5)
     with pytest.raises(InvariantViolation, match="does not come back"):
-        _pairing_row.__wrapped__(AngleQZ(1, 23), 46)
+        _pairing_row(AngleQZ(1, 23), 46)
+    with pytest.raises(InvariantViolation, match="does not come back"):
+        pairing_diag(RSupport((1,)), a1, q)
+    assert not _table(q, 46).pairings
 
 
 def test_a_coefficient_row_that_misses_its_zero_fails_its_check(monkeypatch):
@@ -715,6 +736,87 @@ def test_coeff_rejects_a_root_datum_that_is_not_the_parameters():
     with pytest.raises(ValueError, match="root datum"):
         coeff(support, q, adjoint)
     assert coeff(support, q, build_root_datum("A2", "sc")) == coeff(support, q, sc)
+
+
+def test_pairing_diag_and_batch_conductor_reject_a_root_datum_that_is_not_the_parameters():
+    sc = build_root_datum("A2", "sc")
+    q = make_param(sc, Fraction(1, 6))
+    support = RSupport((1, 0, 1))
+    for rd in (build_root_datum("A2", "adjoint"), build_root_datum("B2")):
+        with pytest.raises(ValueError, match="^the root datum is not the parameter's$"):
+            pairing_diag(support, rd, q)
+        with pytest.raises(ValueError, match="^the root datum is not the parameter's$"):
+            batch_conductor(q, rd)
+    equal = build_root_datum("A2", "sc")
+    assert batch_conductor(q, equal) == batch_conductor(q, sc) == 6
+    assert pairing_diag(support, equal, q) == pairing_diag(support, sc, q)
+
+
+def test_a_table_builds_each_pairing_row_once_when_a_support_first_asks(monkeypatch, fresh_coeff_caches):
+    # A pairing row is built the first time a support has a nonzero entry at
+    # a root with its q_gamma, once per distinct q_gamma and table: G2 at
+    # 1/12 has two (short and long roots), A1xA1 at equal scalars one.  An
+    # equal parameter builds its own.
+    built = count_calls(monkeypatch, rmatrix, "_pairing_row")
+    for type_str, c, distinct in (("A1xA1", Fraction(1, 6), 1), ("G2", Fraction(1, 12), 2)):
+        rd = build_root_datum(type_str, "sc")
+        angles = [qg for qg, _phase in make_param(rd, c).root_table]
+        assert len(set(angles)) == distinct
+        for q in (make_param(rd, c), make_param(rd, c)):
+            built[0] = 0
+            assert pairing_diag(RSupport((0,) * len(angles)), rd, q) == 1 and built[0] == 0
+            for i in range(len(angles)):
+                unit = RSupport(tuple(int(j == i) for j in range(len(angles))))
+                pairing_diag(unit, rd, q)
+                assert built[0] == len(set(angles[: i + 1])), (type_str, i)
+            pairing_diag(RSupport((1,) * len(angles)), rd, q)
+            assert built[0] == distinct
+            pairings = _table(q, batch_conductor(q, rd)).pairings
+            assert list(pairings) == list(dict.fromkeys(angles))
+            pairing_diag(RSupport((1,) * len(angles)), rd, q, conductor=2 * batch_conductor(q, rd))
+            assert built[0] == 2 * distinct and len(q.coeff_tables) == 2
+        p, q = make_param(rd, c), make_param(rd, c)
+        pairing_diag(RSupport((1,) * len(angles)), rd, p)
+        pairing_diag(RSupport((1,) * len(angles)), rd, q)
+        big_n = batch_conductor(q, rd)
+        assert p == q and _table(p, big_n).pairings[angles[0]] is not _table(q, big_n).pairings[angles[0]]
+
+
+def test_a_root_with_l_one_raises_only_when_asked_for(fresh_coeff_caches):
+    # On A1xA1 at (1/2, 1/6) the first root has q_gamma = 1/2 and l = 1, so
+    # v - v^-1 vanishes there; a support that is zero at it reads the other
+    # root's row alone, and asking again raises again.
+    rd = build_root_datum("A1xA1", "sc")
+    q = make_param(rd, [Fraction(1, 2), Fraction(1, 6)])
+    assert q.l_table == (1, 3)
+    big_n = batch_conductor(q, rd)
+    value = coeff(RSupport((0, 1)), q, rd) * pairing_diag(RSupport((0, 1)), rd, q)
+    assert value == root_of_unity(marker_angle(q, rd, (0, 1)), big_n)
+    for _ in range(2):
+        with pytest.raises(NonInvertibleSpecialization, match="vanishes at angle 1/2"):
+            pairing_diag(RSupport((1, 1)), rd, q)
+    assert list(_table(q, big_n).pairings) == [AngleQZ(1, 6)]
+
+
+_ONE_FIELD_TYPES = [f"{f}{n}" for f, ok in _RANK_BOUNDS.items() for n in range(1, 9) if ok(n)] + [
+    t for types in sampling._TYPES_BY_RANK.values() for t in types if "x" in t
+] + ["A2xB3"]
+
+
+@pytest.mark.parametrize("type_str", _ONE_FIELD_TYPES)
+def test_the_coefficient_field_is_the_field_of_the_q_gammas(type_str):
+    # The phase q(gamma, rho) is c_H (gamma, rho), an integer multiple of the
+    # factor's scalar c_H, and every factor has a root with d = 1, whose
+    # q_gamma is c_H itself; so the phases add nothing to the conductor, and
+    # the pairing values' old default field, lcm(2, q_gamma orders), is the
+    # coefficients' field.
+    rng = random.Random(type_str)
+    for lattice in ("sc", "adjoint"):
+        rd = build_root_datum(type_str, lattice)
+        for _ in range(3):
+            dens = [rng.randint(1, 30) for _f in rd.dynkin.factors]
+            q = make_param(rd, [Fraction(rng.randint(1, den), den) for den in dens])
+            assert batch_conductor(q, rd) == lcm(2, *(qg.order for qg, _phase in q.root_table)), q.c
 
 
 def test_equal_parameters_hash_equal_through_their_root_datum_and_scalars():

@@ -393,3 +393,43 @@ def test_a_corrupted_cartan_matrix_is_an_internal_fault(monkeypatch, type_str, c
     _corrupt(monkeypatch, "assemble_cartan", assemble)
     with pytest.raises(InvariantViolation, match=f"^{message}$"):
         build_root_datum(type_str)
+
+
+@pytest.mark.parametrize("type_str", ["A2", "A3", "B3", "C4", "D4", "A1xA3"])
+def test_a_lattice_argument_is_read_by_the_lattice_it_spans(type_str):
+    # A Lattice whose rows are not in HNF (a unimodular mix of the rows of
+    # sc, adjoint or an intermediate lattice) gives the datum and the report
+    # bytes of the lattice it spans.
+    from qcenters.qparam import make_param
+    from qcenters.report import build_report, to_json
+    from qcenters.sampling import _random_intermediate
+
+    rng = random.Random(type_str)
+    sc = build_root_datum(type_str)
+    r = sc.rank
+    for spec in ("sc", "adjoint", _random_intermediate(rng, sc.dynkin)):
+        rd = build_root_datum(type_str, spec)
+        rows = [list(row) for row in rd.charlattice.gens]
+        for _ in range(3):
+            i, j = rng.sample(range(r), 2)
+            k = rng.choice([-2, -1, 1, 2])
+            rows[i] = [a + k * b for a, b in zip(rows[i], rows[j])]
+            rng.shuffle(rows)
+        mixed = Lattice(r, tuple(map(tuple, rows)))
+        assert mixed != rd.charlattice and build_root_datum(type_str, mixed) == rd
+        c = [Fraction(1, 6 + k) for k in range(len(rd.dynkin.factors))]
+        reports = [to_json(build_report(d, make_param(d, c), {})) for d in (rd, build_root_datum(type_str, mixed))]
+        assert reports[0] == reports[1]
+
+
+def test_a2_lattices_spanning_p_are_simply_connected():
+    from qcenters.report import Analysis
+    from qcenters.qparam import make_param
+
+    for rows in (((1, 1), (0, 1)), ((0, 1), (1, 0))):
+        rd = build_root_datum("A2", Lattice(2, rows))
+        assert rd == build_root_datum("A2", "sc")
+        a = Analysis(rd, make_param(rd, Fraction(1, 6)))
+        assert rd.is_simply_connected() and a.verdicts.modular
+    with pytest.raises(RootDatumError, match="^character lattice has wrong ambient rank$"):
+        build_root_datum("A2", Lattice(3, ((1, 0, 0), (0, 1, 0), (0, 0, 1))))

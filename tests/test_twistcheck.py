@@ -1,12 +1,15 @@
+import inspect
+import textwrap
 from dataclasses import replace
 from fractions import Fraction
 from math import lcm
 
 import pytest
 
-from helpers import count_inverses, qbinom, qbinom_commutator_identity
-from qcenters import twistcheck
+from helpers import count_calls, count_inverses, qbinom, qbinom_commutator_identity
+from qcenters import cyclo, twistcheck
 from qcenters.angles import HALF, ZERO, AngleQZ
+from qcenters.cyclo import CycloNum
 from qcenters.kappa import BiformQZ, KappaError
 from qcenters.intlat import hnf
 from qcenters.qparam import make_param
@@ -73,27 +76,28 @@ def test_commutator_identity_matches_qbinom_oracle(eps):
 
 
 def test_commutator_identity_inverts_nothing(monkeypatch):
+    # The walk runs on the integer eps = +-1, which is its own inverse, so
+    # no field element is built or inverted, and twistcheck binds nothing
+    # of cyclo.
     inverses = count_inverses(monkeypatch)
-    commutator_identity.cache_clear()
+    built = count_calls(monkeypatch, CycloNum, "__init__")
     assert commutator_identity(ZERO) and commutator_identity(HALF)
-    assert inverses == [0]
-    commutator_identity.cache_clear()
+    assert inverses == [0] and built == [0]
+    assert [name for name, v in vars(twistcheck).items() if getattr(v, "__module__", None) == cyclo.__name__] == []
 
 
-def test_commutator_identity_detects_a_wrong_inverse(monkeypatch):
-    # With eps^-1 (the second root of unity asked for) read as 1 at eps = -1,
-    # eps^(1-m) at m = 1 reads eps = -1 and the m = 1 check fails.
-    real, asked = twistcheck.root_of_unity, []
-    commutator_identity.cache_clear()
-
-    def inverse_read_as_one(angle, conductor):
-        asked.append(angle)
-        return real(angle if len(asked) == 1 else ZERO, conductor)
-
-    monkeypatch.setattr(twistcheck, "root_of_unity", inverse_read_as_one)
-    assert not commutator_identity(HALF)
-    assert asked == [HALF, HALF]
-    commutator_identity.cache_clear()
+def test_commutator_identity_detects_a_wrong_inverse():
+    # With eps^-1 read as 1 in the walk, eps^(1-m) stays eps = -1, so at
+    # m = 1 the product eps^(1-m) [1] reads -1 and the m = 1 check fails;
+    # at eps = 1 the two readings agree.
+    source = textwrap.dedent(inspect.getsource(commutator_identity))
+    mutated = source.replace("down * eps", "down * 1")
+    assert mutated.count("down * 1") == 1
+    namespace = dict(vars(twistcheck))
+    exec(compile(mutated, "mutated twistcheck", "exec"), namespace)
+    assert namespace["commutator_identity"](ZERO)
+    assert not namespace["commutator_identity"](HALF)
+    assert commutator_identity(HALF)
 
 
 def test_commutator_specific_values():
