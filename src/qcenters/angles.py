@@ -6,6 +6,10 @@ computed as integer Gram matrices over one modulus N; `from_int_gram` reads
 such a matrix back as angles where values leave the integer pipeline.
 `AngleQZ.ratio(x, n)` is the one constructor from integers: x mod n, reduced
 by one gcd.  The group law and every integer-to-angle read go through it.
+Its pair is reduced and in range by construction, so `ratio` stores it
+through the slot descriptors unchecked; a direct `AngleQZ(num, den)` call is
+where an angle is validated.  Angles compare by equality only: they carry
+no order.
 """
 
 from __future__ import annotations
@@ -16,10 +20,11 @@ from math import gcd
 from typing import Sequence
 
 
-@dataclass(frozen=True, order=True)
+@dataclass(frozen=True)
 class AngleQZ:
     """Element of Q/Z stored as a reduced fraction num/den in [0, 1)."""
 
+    __slots__ = ("num", "den")  # by hand: slots=True builds the class twice
     num: int
     den: int
 
@@ -35,8 +40,16 @@ class AngleQZ:
     def ratio(x: int, n: int) -> "AngleQZ":
         """The angle x/n mod 1 for integers x and n > 0 (0 is 0/1)."""
         x %= n
+        if n < 0:
+            raise ValueError("denominator must be positive")
         g = gcd(x, n)
-        return AngleQZ(x // g, n // g)
+        out = object.__new__(AngleQZ)
+        _set_num(out, x // g)
+        _set_den(out, n // g)
+        return out
+
+    def __reduce__(self):  # pickle and copy through the validating constructor
+        return AngleQZ, (self.num, self.den)
 
     @staticmethod
     def of(value: Fraction | int) -> "AngleQZ":
@@ -68,6 +81,9 @@ class AngleQZ:
 
     def __str__(self) -> str:
         return f"{self.num}/{self.den}"
+
+
+_set_num, _set_den = (AngleQZ.__dict__[f].__set__ for f in ("num", "den"))
 
 
 def from_int_gram(n: int, m: Sequence[Sequence[int]]) -> tuple[tuple[AngleQZ, ...], ...]:

@@ -23,6 +23,8 @@ left_kernel.  left_kernel and the exact intersect it backs are no part of
 any cut, and check the cuts by an independent route.  The index of a
 sublattice of equal rank is the product of the ratios of the two HNFs'
 pivots, the diagonal of the triangular coordinate matrix of the inclusion.
+congruent(L, G, R) is L . G . R^T; its identity sides are L or R given as
+Z^r's own rows, the tuple Lattice.standard(r).gens, and G is read off there.
 Everything runs on Python's arbitrary-precision integers; there is no
 floating point.
 """
@@ -100,10 +102,12 @@ def _echelon(rows: IntMatrix, width: int, n: int = 0) -> tuple[IntMatrix, list[i
             else:
                 g, u, v = _xgcd(pivot[col], row[col])
                 x, y = pivot[col] // g, row[col] // g
-                reduced = [y * a - x * b for a, b in zip(pivot, row)]
-                pivot = [u * a + v * b for a, b in zip(pivot, row)]
                 if n:
-                    pivot, reduced = [a % n for a in pivot], [a % n for a in reduced]
+                    reduced = [(y * a - x * b) % n for a, b in zip(pivot, row)]
+                    pivot = [(u * a + v * b) % n for a, b in zip(pivot, row)]
+                else:
+                    reduced = [y * a - x * b for a, b in zip(pivot, row)]
+                    pivot = [u * a + v * b for a, b in zip(pivot, row)]
                 if any(reduced):
                     remaining.append(reduced)
         rows = remaining
@@ -111,7 +115,8 @@ def _echelon(rows: IntMatrix, width: int, n: int = 0) -> tuple[IntMatrix, list[i
             pivot = pivot or [0] * width  # n * e_col alone where no row reaches col
             g, u, _v = _xgcd(pivot[col], n)
             if g > 1:  # at g = 1, (n / g) * pivot is 0 mod n
-                kept = [(n // g) * a % n for a in pivot]
+                s = n // g
+                kept = [s * a % n for a in pivot]
                 if any(kept):
                     rows.append(kept)
             if u != 1:  # u = 1 where the pivot entry divides n and is g
@@ -233,12 +238,13 @@ class Lattice:
 
 
 def row_times(lam: Sequence[int], g: Sequence[Sequence[int]]) -> list[int]:
-    """lam . G, summed over the nonzero coordinates of lam only."""
-    out = [0] * len(g[0])
+    """lam . G, summed over the nonzero coordinates of lam only: a fresh
+    list, started from the first of them."""
+    out = None
     for a, g_row in zip(lam, g):
         if a:
-            out = [x + a * y for x, y in zip(out, g_row)]
-    return out
+            out = [a * y for y in g_row] if out is None else [x + a * y for x, y in zip(out, g_row)]
+    return [0] * len(g[0]) if out is None else out
 
 
 def bilinear(g: Sequence[Sequence[int]], x: Sequence[int], y: Sequence[int]) -> int:
@@ -250,9 +256,14 @@ def congruent(
     left: Sequence[Sequence[int]], g: Sequence[Sequence[int]], right: Optional[Sequence[Sequence[int]]] = None
 ) -> IntMatrix:
     """L . G . R^T: the Gram matrix of G between the rows of L and of R, with
-    R = L by default.  Identity rows for L or R leave the side of G as it is."""
-    lg = [row_times(row, g) for row in left]
-    return [[sum(map(mul, row, r)) for r in (left if right is None else right)] for row in lg]
+    R = L by default, as fresh rows.  A side that is Z^r's own rows (the
+    very tuple `Lattice.standard(r).gens`, as X and P are for simply
+    connected data) is the identity, so that side of G is read off as it is."""
+    right = left if right is None else right
+    lg = [list(row) for row in g] if left is Lattice.standard(len(g)).gens else [row_times(row, g) for row in left]
+    if lg and right is Lattice.standard(len(lg[0])).gens:
+        return lg
+    return [[sum(map(mul, row, r)) for r in right] for row in lg]
 
 
 def vanishes_mod(m: Iterable[Iterable[int]], n: int) -> bool:
@@ -363,12 +374,11 @@ def _smith(a: IntMatrix, u: Optional[IntMatrix] = None, v: Optional[IntMatrix] =
                     clean = clean and a[k][j] == 0
             if not clean:
                 continue
-            # Pivot clears its row and column; make it divide the whole block.
-            offender = None
-            for i in range(k + 1, nrows):
-                if any(a[i][j] % a[k][k] != 0 for j in range(k + 1, ncols)):
-                    offender = i
-                    break
+            # Pivot clears its row and column; make it divide the whole block
+            # (a pivot 1 divides every entry).
+            p = a[k][k]
+            rest = () if p == 1 else range(k + 1, nrows)
+            offender = next((i for i in rest if any(map(p.__rmod__, a[i][k + 1 :]))), None)  # x % p
             if offender is None:
                 break
             row_op(k, offender, -1)
@@ -457,7 +467,8 @@ def annihilator(ambient: Lattice, n: int, m: Sequence[Sequence[int]]) -> Lattice
     X, upper triangular with a positive diagonal.  So X . B is in echelon
     form on the ambient's pivots, and reducing above them gives the HNF."""
     c, r = len(m[0]) if m else 0, len(m)
-    rows = [[x % n for x in row] + [int(i == j) % n for j in range(r)] for i, row in enumerate(m)]
+    one, zeros = 1 % n, [0] * r
+    rows = [[x % n for x in row] + zeros[:i] + [one] + zeros[i + 1 :] for i, row in enumerate(m)]
     echelon, _pivots = _echelon(rows, c + r, n)
     kernel = _reduce_above_pivots([row[c:] for row in echelon[c:]], range(r))
     cut = [row_times(x, ambient.gens) for x in kernel]

@@ -287,6 +287,7 @@ def build_report(
 
 
 _CONSTANTS = {None: "null", True: "true", False: "false"}
+_INTS, _STRS = frozenset((int,)), frozenset((str,))
 
 
 def to_json(report: dict[str, Any]) -> str:
@@ -317,9 +318,9 @@ def _encode(x: Any, newline: str) -> str:
         if not x:
             return "[]"
         kinds = set(map(type, x))
-        if kinds == {int}:
+        if kinds == _INTS:
             items = map(int.__repr__, x)
-        elif kinds == {str}:
+        elif kinds == _STRS:
             items = map(_quote, x)
         else:
             items = [_encode(v, inner) for v in x]

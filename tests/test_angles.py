@@ -1,3 +1,7 @@
+import copy
+import pickle
+import random
+from dataclasses import FrozenInstanceError
 from fractions import Fraction
 
 import pytest
@@ -86,3 +90,58 @@ def test_group_law_matches_the_fraction_route(x, n, y, m, k):
     assert -a == fraction_angle(-fa)
     assert a.scaled(k) == fraction_angle(fa * k)
     assert AngleQZ.of(Fraction(x, n)) == a and AngleQZ.of(x) == fraction_angle(x)
+
+
+def test_angles_carry_no_order():
+    # Ordering by the stored pair put 1/3 after 1/2; angles compare by
+    # equality only.
+    with pytest.raises(TypeError):
+        AngleQZ(1, 3) < AngleQZ(1, 2)
+    with pytest.raises(TypeError):
+        AngleQZ(1, 2) >= AngleQZ(1, 3)
+    with pytest.raises(TypeError):
+        sorted([HALF, AngleQZ(1, 3)])
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_ratio_angles_are_the_validated_angles(seed):
+    rng = random.Random(f"ratio-angles:{seed}")
+    pairs = [(0, 1), (0, 7), (7, 7), (-7, 7), (-1, 7), (15, 7), (-15, 7)]
+    pairs += [(rng.randint(-10**9, 10**9), rng.randint(1, 60)) for _ in range(200)]
+    for x, n in pairs:
+        f = Fraction(x, n) % 1
+        direct = AngleQZ(f.numerator, f.denominator)
+        angle = AngleQZ.ratio(x, n)
+        assert type(angle) is AngleQZ
+        assert angle == direct and hash(angle) == hash(direct) and repr(angle) == repr(direct)
+        assert (angle.num, angle.den) == (direct.num, direct.den) and str(angle) == str(direct)
+        assert {angle: 1}[direct] == 1
+
+
+def test_a_direct_angle_is_validated():
+    for args in [(0, 0), (1, 0), (0, -1), (1, -2)]:
+        with pytest.raises(ValueError, match="^denominator must be positive$"):
+            AngleQZ(*args)
+    for args in [(2, 4), (0, 2), (3, 9)]:
+        with pytest.raises(ValueError, match="^angle must be in lowest terms$"):
+            AngleQZ(*args)
+    for args in [(3, 2), (1, 1), (-1, 2), (5, 3)]:
+        with pytest.raises(ValueError, match=r"^angle must be reduced into \[0, 1\)$"):
+            AngleQZ(*args)
+
+
+def test_ratio_refuses_a_modulus_below_one():
+    for x in (-3, 0, 1, 5):
+        with pytest.raises(ValueError, match="^denominator must be positive$"):
+            AngleQZ.ratio(x, -4)
+        with pytest.raises(ZeroDivisionError):
+            AngleQZ.ratio(x, 0)
+
+
+def test_an_angle_is_frozen_slotted_and_copies_as_itself():
+    angle = AngleQZ.ratio(-5, 12)
+    assert not hasattr(angle, "__dict__")
+    with pytest.raises(FrozenInstanceError):
+        angle.num = 1
+    for twin in (copy.copy(angle), copy.deepcopy(angle), pickle.loads(pickle.dumps(angle))):
+        assert twin == angle and repr(twin) == "AngleQZ(num=7, den=12)"

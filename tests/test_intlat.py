@@ -18,17 +18,20 @@ from helpers import (
     solution_count_bruteforce,
 )
 import qcenters
+from qcenters import intlat
 from qcenters.intlat import (
     FiniteAbelianGroup,
     Lattice,
     LatticeError,
     annihilator,
     congruence_kernel,
+    congruent,
     hnf,
     index,
     intersect,
     left_kernel,
     quotient,
+    row_times,
     smith_normal_form,
     snf,
 )
@@ -679,6 +682,68 @@ def test_the_type_check_path_agrees_with_the_conversion_path(x):
         assert str(raised.value) == str(exc)
     else:
         assert lat.coords_of(x) == expected
+
+
+def _dense_product(left, g, right):
+    """L . G . R^T by the textbook triple sum."""
+    inner = range(len(g))
+    return [[sum(x[k] * g[k][j] * y[j] for k in inner for j in range(len(y))) for y in right] for x in left]
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_congruent_with_standard_sides_equals_the_dense_product(seed):
+    rng = random.Random(f"congruent:{seed}")
+    r, c = rng.randint(1, 8), rng.randint(1, 8)
+    if seed % 3 == 0:
+        c = r
+    g = [[rng.randint(-9, 9) for _ in range(c)] for _ in range(r)]
+    left = [[rng.randint(-3, 3) for _ in range(r)] for _ in range(rng.randint(0, 5))]
+    right = [[rng.randint(-3, 3) for _ in range(c)] for _ in range(rng.randint(1, 5))]
+    unit_r, unit_c = Lattice.standard(r).gens, Lattice.standard(c).gens
+    for lhs, rhs in [(left, right), (unit_r, right), (left, unit_c), (unit_r, unit_c), (unit_r, [list(e) for e in unit_c])]:
+        assert congruent(lhs, g, rhs) == _dense_product(lhs, g, rhs)
+    if r == c:
+        assert congruent(unit_r, g) == g
+    # Z^k's rows for a k other than G's row count are no identity side.
+    other = Lattice.standard(r + 1).gens
+    assert congruent(other, g + [[5] * c], right) == _dense_product(other, g + [[5] * c], right)
+
+
+@pytest.mark.parametrize("side", ["left", "right", "both"])
+def test_congruent_reads_a_standard_side_off_g_into_fresh_rows(monkeypatch, side):
+    g = [[1, -2, 3], [4, 0, -6], [7, 8, 0]]
+    before = [list(row) for row in g]
+    unit = Lattice.standard(3).gens
+    other = [[1, 2, 0], [0, -1, 5]]
+    left, right = {"left": (unit, other), "right": (other, unit), "both": (unit, unit)}[side]
+    expected = _dense_product(left, g, right)
+    if side != "right":
+        # The identity side is read off G, with no row product.
+        monkeypatch.setattr(intlat, "row_times", lambda *args: pytest.fail("row_times on an identity side"))
+    out = congruent(left, g, right)
+    assert out == expected and all(type(row) is list for row in out)
+    for row in out:
+        row[0] += 100
+    assert g == before
+    assert all(row is not g_row for row in out for g_row in g)
+
+
+def test_row_times_equals_the_dense_sum():
+    rng = random.Random("row-times")
+    for _ in range(200):
+        r, c = rng.randint(1, 6), rng.randint(1, 6)
+        g = [tuple(rng.randint(-9, 9) for _ in range(c)) for _ in range(r)]
+        lam = [rng.choice([0, 0, 1, -1, rng.randint(-50, 50)]) for _ in range(r)]
+        expected = [sum(a * row[j] for a, row in zip(lam, g)) for j in range(c)]
+        out = row_times(lam, g)
+        assert out == expected and type(out) is list
+    g = [[2, -3], [5, 7]]
+    assert row_times([0, 0], g) == [0, 0]
+    assert row_times([1, 0], g) == [2, -3] and row_times([0, -1], g) == [-5, -7]
+    assert row_times([-2, 3], g) == [11, 27]
+    out = row_times([1, 0], g)
+    out[0] = 99
+    assert g == [[2, -3], [5, 7]]
 
 
 def test_no_module_imports_a_private_intlat_name():
